@@ -63,12 +63,12 @@ def reset_process_caches() -> None:
     """
     get_default_cache().clear()
     _tokenize_cached.cache_clear()
-    # Clear the inner memo dicts (live instances keep references to them);
-    # emptying only the registries would leave those instances warm.
+    # Clear the shared memo objects (live instances keep references to
+    # them); emptying only the registries would leave those instances warm.
     for memo in Tokenizer._shared_caches.values():
         memo.clear()
-    for memo in _embeddings._SHARED_TOKEN_CACHES.values():
-        memo.clear()
+    for vocabulary in _embeddings._SHARED_VOCABULARIES.values():
+        vocabulary.clear()
     for memo in _hashing._SHARED_BUCKET_CACHES.values():
         memo.clear()
     TLER._sim_cache.clear()

@@ -150,6 +150,10 @@ class AdaMELTrainer:
 
     def __init__(self, config: Optional[AdaMELConfig] = None,
                  embedder: Optional[TokenEmbedder] = None) -> None:
+        # First, so that __del__ finds them even if construction fails below.
+        self._step_graphs: Dict[int, CompiledGraph] = {}
+        self._target_graph: Optional[CompiledGraph] = None
+        self._source_graph: Optional[CompiledGraph] = None
         self.config = config or AdaMELConfig()
         self._external_embedder = embedder
         self.encoder: Optional[PairEncoder] = None
@@ -158,8 +162,19 @@ class AdaMELTrainer:
         self.schema: Optional[Schema] = None
         self._reset_compiled_state()
 
+    def __del__(self) -> None:
+        # A dropped trainer's graphs pin whole-target-set buffers in reference
+        # cycles; release them now instead of at the next full collection.
+        self._release_graphs()
+
+    def _release_graphs(self) -> None:
+        for graph in (*self._step_graphs.values(), self._target_graph, self._source_graph):
+            if graph is not None:
+                graph.release()
+
     def _reset_compiled_state(self) -> None:
         """Drop graphs compiled against a previous network's buffers."""
+        self._release_graphs()
         # One compiled step graph per mini-batch size: the full batch_size
         # plus (when the epoch length is not a multiple of it) the recurring
         # final partial batch.  Anything else falls back to eager.

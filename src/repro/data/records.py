@@ -47,6 +47,13 @@ class Record:
         value = self.attributes.get(attribute, MISSING_VALUE)
         return value if value is not None else MISSING_VALUE
 
+    def value_tuple(self, attributes: Iterable[str]) -> Tuple[str, ...]:
+        """:meth:`value` of every attribute in ``attributes``, as one tuple."""
+        values = tuple(map(self.attributes.get, attributes))
+        if None in values:
+            values = tuple(MISSING_VALUE if value is None else value for value in values)
+        return values
+
     def has_value(self, attribute: str) -> bool:
         """Whether the attribute has a non-empty value."""
         return bool(self.value(attribute).strip())

@@ -83,10 +83,13 @@ class CompiledGraph:
     def __init__(self, tape: Tape, inputs: Mapping[str, Tensor],
                  loss: Optional[Tensor] = None) -> None:
         self._inputs: Dict[str, Tensor] = dict(inputs)
-        self._forward_program = [node for node in tape.nodes if node._forward is not None]
+        # Every recorded node, so release() reaches the ones that are neither
+        # replayed nor on the loss path.
+        self._nodes: List[Tensor] = list(tape.nodes)
         # Bound-method tuple: the replay loop dispatches straight to the
         # closures without per-step attribute lookups.
-        self._forward_fns = tuple(node._forward for node in self._forward_program)
+        self._forward_fns = tuple(node._forward for node in tape.nodes
+                                  if node._forward is not None)
         self._loss = loss
         self._topo: List[Tensor] = []
         self._seed: Optional[np.ndarray] = None
@@ -108,7 +111,7 @@ class CompiledGraph:
     @property
     def num_forward_ops(self) -> int:
         """Ops re-executed per replayed forward (views/leaves excluded)."""
-        return len(self._forward_program)
+        return len(self._forward_fns)
 
     @property
     def num_backward_ops(self) -> int:
@@ -118,7 +121,28 @@ class CompiledGraph:
     @property
     def num_nodes(self) -> int:
         """All nodes recorded on the tape (including views and leaves)."""
-        return len(self._topo) if self._topo else len(self._forward_program)
+        return len(self._topo) if self._topo else len(self._forward_fns)
+
+    def release(self) -> None:
+        """Drop the recorded program so its buffers are freed by refcount.
+
+        Every recorded node is one reference cycle with its closures
+        (``out._backward`` closes over ``out``), so a graph that is merely
+        dropped keeps its record-time buffers — whole-batch activations and
+        gradients — alive until a full cycle collection happens to run.
+        Clearing the closures and parent links breaks every cycle; the node
+        *values* (``data``) stay readable, the graph can no longer replay.
+        """
+        for node in self._nodes + self._topo:
+            node._forward = None
+            node._backward = None
+            node._parents = ()
+        self._nodes = []
+        self._forward_fns = ()
+        self._topo = []
+        self._inputs = {}
+        self._loss = None
+        self._seed = None
 
     # ------------------------------------------------------------------ #
     # Replay
@@ -165,7 +189,8 @@ class CompiledGraph:
     def backward(self) -> None:
         """Replay the backward pass; gradients accumulate into the leaves."""
         if self._loss is None:
-            raise RuntimeError("this graph was compiled without a loss")
+            raise RuntimeError("this graph has no loss to backpropagate from: it was "
+                               "compiled without one, or released")
         self.zero_grads()
         # Mirrors Tensor.backward() over the recorded topological order.
         self._loss._accumulate(self._seed)

@@ -66,8 +66,9 @@ class ScoringStage:
         """Return matching probabilities for ``pairs`` in input order."""
         pairs = list(pairs)
         cache = self.predictor.encoder.cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
+        # One locked read per side: two unlocked attribute reads can straddle
+        # a concurrent serve-thread lookup and push the rate outside [0, 1].
+        hits_before, misses_before = cache.lookup_counts() if cache is not None else (0, 0)
         chunks: List[np.ndarray] = []
         for _, probabilities in self.predictor.predict_proba_stream(pairs, self.chunk_size):
             faults.check("scoring.batch", chunk=len(chunks))
@@ -79,8 +80,9 @@ class ScoringStage:
             "micro_batch_size": float(self.predictor.micro_batch_size),
         }
         if cache is not None:
-            hits = cache.hits - hits_before
-            lookups = hits + cache.misses - misses_before
+            hits_after, misses_after = cache.lookup_counts()
+            hits = hits_after - hits_before
+            lookups = hits + misses_after - misses_before
             stats["encoding_cache_hits"] = float(hits)
             stats["encoding_cache_hit_rate"] = hits / lookups if lookups else 0.0
         if len(pairs):

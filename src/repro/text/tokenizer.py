@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
 import unicodedata
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
+from weakref import WeakKeyDictionary
+
+import numpy as np
 
 __all__ = ["tokenize", "normalize_text", "crop_tokens", "Tokenizer"]
 
@@ -39,12 +43,14 @@ def normalize_text(text: str) -> str:
     return re.sub(r"\s+", " ", stripped.strip().lower())
 
 
-@lru_cache(maxsize=_TOKENIZE_CACHE_SIZE)
-def _tokenize_cached(text: str) -> Tuple[str, ...]:
+def _tokenize(text: str) -> Tuple[str, ...]:
     normalized = normalize_text(text)
     if not normalized:
         return ()
     return tuple(match.group(0) for match in _TOKEN_PATTERN.finditer(normalized))
+
+
+_tokenize_cached = lru_cache(maxsize=_TOKENIZE_CACHE_SIZE)(_tokenize)
 
 
 def tokenize(text: str) -> List[str]:
@@ -61,6 +67,26 @@ def crop_tokens(tokens: Sequence[str], crop_size: int = DEFAULT_CROP_SIZE) -> Li
     return list(tokens[:crop_size])
 
 
+class _TextMemo:
+    """What one tokenizer configuration remembers about the texts it has seen.
+
+    ``tokens`` maps a text to its token tuple.  ``ids`` holds, per vocabulary
+    table (see :meth:`Tokenizer.ids_memo`), a text -> token-row-id array map;
+    it is keyed weakly, so a vocabulary generation that is reset away takes
+    its ids with it and stale ids can never meet a newer table.
+    """
+
+    def __init__(self) -> None:
+        self.tokens: Dict[str, Tuple[str, ...]] = {}
+        self.ids: "WeakKeyDictionary[object, Dict[str, np.ndarray]]" = WeakKeyDictionary()
+        self.lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            self.tokens.clear()
+            self.ids.clear()
+
+
 class Tokenizer:
     """Configurable tokeniser combining normalisation and cropping.
 
@@ -70,6 +96,9 @@ class Tokenizer:
         Maximum number of tokens retained per attribute value (paper: 20).
     keep_punctuation:
         When False, punctuation-only tokens are dropped.
+    cache_size:
+        Bound on the texts each memo holds; a full memo is emptied and starts
+        over, so texts seen after the bound are still memoised.
     """
 
     # One memo per (class, crop_size, keep_punctuation) configuration, shared
@@ -77,7 +106,7 @@ class Tokenizer:
     # fit, and sharing keeps the memo warm across fits within one process.
     # Keying on the concrete class keeps a subclass with changed behaviour
     # from sharing (and poisoning) the base class's memo.
-    _shared_caches: Dict[Tuple[type, int, bool], Dict[str, Tuple[str, ...]]] = {}
+    _shared_caches: Dict[Tuple[type, int, bool], _TextMemo] = {}
 
     def __init__(self, crop_size: int = DEFAULT_CROP_SIZE, keep_punctuation: bool = False,
                  cache_size: int = _TOKENIZE_CACHE_SIZE) -> None:
@@ -90,28 +119,75 @@ class Tokenizer:
         # not know about, so only plain Tokenizer instances share a memo (and
         # a config-based fingerprint); subclass instances get private ones.
         if type(self) is Tokenizer:
-            self._cache = self._shared_caches.setdefault(
-                (type(self), crop_size, keep_punctuation), {})
+            self._memo = self._shared_caches.setdefault(
+                (type(self), crop_size, keep_punctuation), _TextMemo())
         else:
-            self._cache = {}
+            self._memo = _TextMemo()
 
     def clear_memo(self) -> None:
-        """Drop this configuration's shared text -> tokens memo (benchmarks)."""
-        self._cache.clear()
+        """Drop this configuration's shared text memos: text -> tokens and
+        every text -> token ids map (benchmarks)."""
+        self._memo.clear()
 
     def __call__(self, text: str) -> List[str]:
         if not isinstance(text, str):
             text = "" if text is None else str(text)
-        cached = self._cache.get(text)
-        if cached is not None:
-            return list(cached)
-        tokens = tokenize(text)
+        memo = self._memo.tokens
+        tokens = memo.get(text)
+        if tokens is None:
+            tokens = self._tokenise(text)
+            self._admit(memo, text, tokens)
+        return list(tokens)
+
+    def _tokenise(self, text: str) -> Tuple[str, ...]:
+        """Tokenise without consulting or filling any memo.
+
+        Not through :func:`tokenize`: its process-wide memo would keep a
+        second copy of what this class's own memos already hold per text.
+        """
+        tokens: Sequence[str] = _tokenize(text)
         if not self.keep_punctuation:
             tokens = [tok for tok in tokens if any(ch.isalnum() for ch in tok)]
-        tokens = crop_tokens(tokens, self.crop_size)
-        if len(self._cache) < self._cache_size:
-            self._cache[text] = tuple(tokens)
-        return tokens
+        return tuple(tokens[:self.crop_size])
+
+    def _admit(self, memo: Dict[str, object], text: str, value: object) -> None:
+        """Store ``memo[text]``; a memo at its bound starts over rather than
+        refusing new texts for the rest of the process."""
+        with self._memo.lock:
+            if len(memo) >= self._cache_size:
+                memo.clear()
+            memo[text] = value
+
+    def ids_memo(self, table: object) -> Dict[str, np.ndarray]:
+        """The text -> token-row-id memo kept for vocabulary ``table``.
+
+        Read it with ``.get``; fill it through :meth:`token_ids`.  The ids are
+        only meaningful in ``table``, which is why the memo is per table.
+        """
+        memo = self._memo.ids.get(table)
+        if memo is None:
+            with self._memo.lock:
+                memo = self._memo.ids.setdefault(table, {})
+        return memo
+
+    def token_ids(self, texts: Sequence[str], table) -> List[np.ndarray]:
+        """Row ids in ``table`` of each text's tokens, memoised per text.
+
+        ``table`` is a :class:`~repro.text.embeddings.TokenTable`; all texts
+        are resolved with one ``table.ids`` call, so unseen tokens are
+        embedded as one batch.
+        """
+        memo = self.ids_memo(table)
+        # The ids stand in for the tokens from here on, so the text -> tokens
+        # memo is not filled as well — unless a subclass redefined calling.
+        tokenise = self._tokenise if type(self).__call__ is Tokenizer.__call__ else self
+        token_lists = [tokenise(text) for text in texts]
+        lengths = [len(tokens) for tokens in token_lists]
+        flat = table.ids([token for tokens in token_lists for token in tokens])
+        ids = np.split(flat, np.cumsum(lengths[:-1])) if texts else []
+        for text, text_ids in zip(texts, ids):
+            self._admit(memo, text, text_ids)
+        return ids
 
     def fingerprint(self) -> str:
         """Configuration fingerprint used in encoding-cache keys.

@@ -88,6 +88,31 @@ class TestScoringStage:
         np.testing.assert_allclose(chunked.scores, bulk, rtol=1e-9, atol=1e-12)
         assert chunked.stats["chunks"] == float(-(-len(pairs) // 7))
 
+    def test_hit_rate_reads_the_counters_under_the_cache_lock(self, predictor,
+                                                              tiny_music_corpus,
+                                                              monkeypatch):
+        """Regression: ``cache.hits`` / ``cache.misses`` read as two unlocked
+        attributes can straddle a serve thread's lookup; the stage must use
+        ``lookup_counts()``."""
+        from repro.features import EncodingCache
+
+        class LockedCounters(EncodingCache):
+            def __getattribute__(self, name):
+                if name in ("hits", "misses"):
+                    assert object.__getattribute__(self, "_lock").locked(), \
+                        f"{name} read without the cache lock"
+                return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(predictor.encoder, "cache", LockedCounters())
+        stage = CandidateGenerationStage()
+        stage.add_records(tiny_music_corpus.records)
+        pairs = stage.generate().pairs[:40]
+        cold = ScoringStage(predictor).run(pairs)
+        warm = ScoringStage(predictor).run(pairs + pairs[:10])
+        assert cold.stats["encoding_cache_hit_rate"] == 0.0
+        assert warm.stats["encoding_cache_hits"] == 50.0
+        assert warm.stats["encoding_cache_hit_rate"] == 1.0
+
 
 class TestLinkagePipeline:
     def test_every_record_is_clustered_exactly_once(self, pipeline_result,

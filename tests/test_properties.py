@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.data import EntityPair, Record, Schema, align_pairs
 from repro.eval.metrics import average_precision, best_f1, precision_recall_curve
+from repro.features import EncodingCache, PairEncoder
 from repro.features.relational import extract_relational_features
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -170,3 +171,59 @@ def test_contrastive_features_partition_tokens(left_attrs, right_attrs):
         assert shared.isdisjoint(unique)
         assert shared == left_tokens & right_tokens
         assert shared | unique == left_tokens | right_tokens
+
+
+# --------------------------------------------------------------------------- #
+# Pair encoding: the flat, segmented path against its per-pair definition
+# --------------------------------------------------------------------------- #
+_ATTRIBUTES = ("name", "title", "genre", "notes")
+# Few distinct words, so values repeat tokens, attributes share them and
+# records share whole values; accents, a non-BMP letter, an emoji and bare
+# punctuation exercise normalisation and the punctuation filter.
+_WORDS = st.sampled_from(["neil", "Neil", "diamond", "n.", "café", "cafe", "naïve", "remix",
+                          "original", "ebay.com", "1989", "𝔘nit", "😀", "&", "-", "the"])
+_VALUE = st.one_of(
+    st.none(),                                             # attribute missing
+    st.just(""),
+    st.lists(_WORDS, min_size=1, max_size=9).map(" ".join),  # often longer than the crop
+    st.text(max_size=12),
+)
+_RECORD_VALUES = st.fixed_dictionaries({}, optional={name: _VALUE for name in _ATTRIBUTES})
+
+
+@st.composite
+def _encoding_cases(draw):
+    attributes = draw(st.lists(st.sampled_from(_ATTRIBUTES), min_size=1, max_size=4,
+                               unique=True))
+    records = [Record(f"r{i}", f"s{i % 3}",
+                      {key: value for key, value in values.items() if value is not None})
+               for i, values in enumerate(draw(st.lists(_RECORD_VALUES, min_size=1,
+                                                        max_size=6)))]
+    sides = st.integers(0, len(records) - 1)
+    # Free index pairs: left is right, one record in many pairs, repeated
+    # pairs and any order all occur; the list length is the batch size.
+    index_pairs = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=12))
+    pairs = [EntityPair(records[i], records[j], label=draw(st.sampled_from([0, 1, None])))
+             for i, j in index_pairs]
+    kinds = draw(st.sampled_from([("shared", "unique"), ("unique", "shared"),
+                                  ("shared",), ("unique",)]))
+    return Schema(tuple(attributes)), pairs, kinds, draw(st.integers(1, 4))
+
+
+@given(_encoding_cases())
+@settings(max_examples=150, deadline=None)
+def test_encode_equals_stacked_encode_pair(case):
+    schema, pairs, kinds, crop_size = case
+    for cache in (None, EncodingCache()):
+        tokenizer = Tokenizer(crop_size=crop_size)
+        encoder = PairEncoder(schema, embedder=HashedEmbedder(dim=8, tokenizer=tokenizer),
+                              tokenizer=tokenizer, feature_kinds=kinds, cache=cache,
+                              use_cache=cache is not None)
+        expected = [encoder.encode_pair(pair) for pair in pairs]
+        # Twice with a cache: the second pass is served from it.
+        for _ in range(1 if cache is None else 2):
+            batch = encoder.encode(pairs)
+            assert np.array_equal(batch.features, np.stack([e.features for e in expected]))
+            assert np.array_equal(batch.feature_mask,
+                                  np.stack([e.feature_mask for e in expected]))
+            assert batch.pair_ids == [pair.pair_id for pair in pairs]

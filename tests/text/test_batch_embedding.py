@@ -10,21 +10,29 @@ TOKENS = ["neil", "diamond", "n.", "d.", "ebay.com", "a", "xy",
           "extraordinarily-long-token-value", "1989", "café"]
 
 
+def reference_vector(embedder: HashedEmbedder, token: str) -> np.ndarray:
+    """The seed definition of a token's vector: the mean of its piece vectors."""
+    return np.mean([embedder.table.vector(key) for key in embedder._piece_keys(token)],
+                   axis=0)
+
+
 class TestBatchEmbedding:
-    def test_embed_token_batch_matches_embed_token(self):
-        reference = HashedEmbedder(dim=24)
-        reference._cache.clear()
-        expected = np.stack([reference.embed_token(token) for token in TOKENS])
+    def test_embed_token_and_batch_match_the_definition(self):
+        expected = np.stack([reference_vector(HashedEmbedder(dim=24), token)
+                             for token in TOKENS])
+        single = HashedEmbedder(dim=24)
+        single.clear_memo()
+        assert np.array_equal(expected, np.stack([single.embed_token(token)
+                                                  for token in TOKENS]))
         batch = HashedEmbedder(dim=24)
-        batch._cache.clear()
-        actual = batch.embed_token_batch(TOKENS)
-        assert np.array_equal(expected, actual)
+        batch.clear_memo()
+        assert np.array_equal(expected, batch.embed_token_batch(TOKENS))
 
     def test_embed_token_batch_with_partial_cache(self):
         embedder = HashedEmbedder(dim=16)
-        embedder._cache.clear()
+        embedder.clear_memo()
         expected = np.stack([embedder.embed_token(token) for token in TOKENS[:4]])
-        embedder._cache.clear()
+        embedder.clear_memo()
         embedder.embed_token(TOKENS[1])  # warm one token only
         actual = embedder.embed_token_batch(TOKENS[:4])
         assert np.array_equal(expected, actual)
@@ -32,15 +40,42 @@ class TestBatchEmbedding:
     def test_empty_batch(self):
         assert HashedEmbedder(dim=8).embed_token_batch([]).shape == (0, 8)
 
-    def test_shared_token_cache_across_instances(self):
+    def test_shared_vocabulary_across_instances(self):
         a = HashedEmbedder(dim=16, seed=29)
-        a._cache.clear()
+        a.clear_memo()
         vec = a.embed_token("sharedtoken")
         b = HashedEmbedder(dim=16, seed=29)
-        assert "sharedtoken" in b._cache
+        assert "sharedtoken" in b.vocabulary()
         assert np.array_equal(vec, b.embed_token("sharedtoken"))
         different_dim = HashedEmbedder(dim=8, seed=29)
-        assert different_dim._cache is not a._cache
+        assert different_dim.vocabulary() is not a.vocabulary()
+
+
+class TestTokenTable:
+    def test_ids_are_stable_across_growth(self):
+        embedder = HashedEmbedder(dim=8, seed=31)
+        embedder.clear_memo()
+        table = embedder.vocabulary()
+        first = table.ids(["alpha", "beta", "alpha"])
+        assert first.tolist() == [0, 1, 0]
+        kept = table.rows[first].copy()
+        table.ids([f"filler{i}" for i in range(1000)])  # forces reallocation
+        assert table.ids(["beta", "alpha"]).tolist() == [1, 0]
+        assert np.array_equal(table.rows[first], kept)
+        assert len(table) == 1002
+
+    def test_full_vocabulary_starts_over_but_a_held_table_stays_valid(self):
+        embedder = HashedEmbedder(dim=8, seed=37, cache_size=4)
+        embedder.clear_memo()
+        held = embedder.vocabulary()
+        ids = held.ids(["a1", "b2", "c3", "d4", "e5"])  # grows past the bound
+        assert len(held) == 5
+        fresh = embedder.vocabulary()
+        assert fresh is not held and len(fresh) == 0
+        # The new generation admits (the old memo refused everything once
+        # full) and the held one still resolves its ids to the same rows.
+        assert np.array_equal(embedder.embed_token("e5"), held.rows[ids[4]])
+        assert "e5" in fresh
 
 
 class TestVectorTableBatch:
