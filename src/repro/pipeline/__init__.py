@@ -20,9 +20,9 @@ This package provides the surrounding production pipeline:
 
 from .candidates import (CandidateGenerationStage, CandidateResult,
                          ground_truth_pairs, possible_cross_source_pairs)
-from .clustering import (ClusteringStage, ClusterResult, MatchEdge, UnionFind,
-                         apply_match_edges, order_match_edges,
-                         pairwise_cluster_metrics)
+from .clustering import (ClusteringStage, ClusterResult, IncrementalClusters,
+                         MatchEdge, UnionFind, apply_match_edges,
+                         order_match_edges, pairwise_cluster_metrics)
 from .engine import LinkagePipeline, PipelineConfig, PipelineResult
 from .index import (InitialsKeyIndex, InvertedTokenIndex, MinHashLSHIndex,
                     build_blocking_indexes, record_tokens)
@@ -35,6 +35,7 @@ __all__ = [
     "CandidateResult",
     "ClusteringStage",
     "ClusterResult",
+    "IncrementalClusters",
     "InitialsKeyIndex",
     "InvertedTokenIndex",
     "LinkagePipeline",

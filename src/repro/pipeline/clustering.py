@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from types import MappingProxyType
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -24,13 +27,20 @@ from ..data.records import Record
 from .scoring import ScoredCandidates
 
 __all__ = ["UnionFind", "ClusteringStage", "ClusterResult", "MatchEdge",
-           "apply_match_edges", "eligible_match_edges", "order_match_edges",
+           "MergeKey", "IncrementalClusters", "apply_match_edges",
+           "eligible_match_edges", "match_edge_key", "order_match_edges",
            "pairwise_cluster_metrics"]
 
 # A thresholded match edge: (score, left record id, right record id) with
 # ``left < right`` under string order — the canonical key both the batch
 # stage and the online entity store sort and merge by.
 MatchEdge = Tuple[float, str, str]
+
+# The position of a match edge in the greedy's best-first scan: ``(-score,
+# left id, right id)``.  Keys are unique per edge (one edge per record pair),
+# so the order is total; a key also names its edge's endpoints, which is why
+# :class:`IncrementalClusters` stores edges as their keys.
+MergeKey = Tuple[float, str, str]
 
 
 class UnionFind:
@@ -97,6 +107,11 @@ class UnionFind:
         return groups
 
 
+def match_edge_key(edge: MatchEdge) -> MergeKey:
+    """Where ``edge`` falls in the best-first scan: ``(-score, left, right)``."""
+    return (-edge[0], edge[1], edge[2])
+
+
 def order_match_edges(edges: Iterable[MatchEdge]) -> List[MatchEdge]:
     """Sort match edges best-first under the canonical total order.
 
@@ -105,7 +120,32 @@ def order_match_edges(edges: Iterable[MatchEdge]) -> List[MatchEdge]:
     order in which edges were discovered.  Streaming one record at a time and
     batch runs therefore agree as long as both resolve from this order.
     """
-    return sorted(edges, key=lambda edge: (-edge[0], edge[1], edge[2]))
+    return sorted(edges, key=match_edge_key)
+
+
+def _merge_unless_vetoed(union_find: UnionFind,
+                         cluster_sources: Optional[Dict[Hashable, set]],
+                         left_id: Hashable, right_id: Hashable) -> Optional[bool]:
+    """The greedy's decision for one edge, given the clusters built so far.
+
+    ``True``: the edge merged two clusters.  ``False``: its endpoints were
+    already co-clustered.  ``None``: the clusters share a data source, so the
+    source-consistency constraint vetoed the merge.  The batch scan and the
+    incremental replay both decide every edge here.
+    """
+    root_left = union_find.find(left_id)
+    root_right = union_find.find(right_id)
+    if root_left == root_right:
+        return False
+    if cluster_sources is None:
+        union_find.union(root_left, root_right)
+        return True
+    if cluster_sources[root_left] & cluster_sources[root_right]:
+        return None
+    union_find.union(root_left, root_right)
+    cluster_sources[union_find.find(root_left)] = (
+        cluster_sources[root_left] | cluster_sources[root_right])
+    return True
 
 
 def apply_match_edges(union_find: UnionFind,
@@ -120,29 +160,194 @@ def apply_match_edges(union_find: UnionFind,
     source_conflicts)``: edges whose endpoints ended up co-clustered, and
     edges vetoed by the constraint.
 
-    Because a merge/veto decision depends only on the state of the edge's own
-    connected component, greedy resolution over any union of whole components
-    equals the global greedy restricted to those records — the property the
-    online :class:`~repro.serve.EntityStore` relies on to re-resolve only the
-    components an upsert touched.
+    The decision for an edge depends only on the clusters its two endpoints
+    are in when the scan reaches it, and those were built by edges earlier in
+    the order.  Changing the edge set at key ``t`` therefore leaves every
+    decision before ``t`` as it was, and every later decision too unless one
+    of the two clusters it reads has changed — the property
+    :class:`IncrementalClusters` uses to redo only the part of this scan an
+    edge change can reach.
     """
     matches = 0
     source_conflicts = 0
     for _, left_id, right_id in edges:
-        root_left = union_find.find(left_id)
-        root_right = union_find.find(right_id)
-        if root_left == root_right:
-            matches += 1
-            continue
-        if cluster_sources is not None and cluster_sources[root_left] & cluster_sources[root_right]:
+        if _merge_unless_vetoed(union_find, cluster_sources, left_id, right_id) is None:
             source_conflicts += 1
-            continue
-        union_find.union(root_left, root_right)
-        if cluster_sources is not None:
-            cluster_sources[union_find.find(root_left)] = (
-                cluster_sources[root_left] | cluster_sources[root_right])
-        matches += 1
+        else:
+            matches += 1
     return matches, source_conflicts
+
+
+class IncrementalClusters:
+    """The clusters :func:`apply_match_edges` builds, kept current while match
+    edges come and go.
+
+    Each cluster remembers its *merge log*: the edges that merged it, in scan
+    order (``members - 1`` entries).  Replaying the entries before a key ``t``
+    gives back the sub-clusters its records formed when the scan stood at
+    ``t``, which is what lets :meth:`resolve` rewind and replay instead of
+    scanning again from singletons:
+
+    * the smallest key ``t0`` among the edges added or removed since the last
+      call is where the old and the new scan first differ, so the clusters
+      holding those edges' endpoints are rewound to ``t0`` and the edges at
+      their records with key >= ``t0`` are scanned again, best first;
+    * an edge from a rewound record to a cluster not rewound did not merge
+      before (the two records ended in different clusters).  Its far end is
+      read from that cluster's log as it stood at the edge's key: when the
+      edge is vetoed again nothing else is touched; when it now merges, that
+      cluster is rewound to the edge's key and its later edges join the scan.
+
+    *Why this equals the full scan.*  By induction over the scan order: when
+    an edge at key ``t`` is reached, every cluster not rewound has the history
+    before ``t`` it had in the old scan, because each edge that could have
+    changed it is at a rewound record, has a key in ``[t0, t)`` and was
+    scanned again without merging.  So an edge between two such clusters is
+    decided from the same two sub-clusters as before and needs no second look,
+    and every other edge at or after ``t0`` is in the scan.  The work follows
+    the clusters whose history changes, not the size of the match graph.
+
+    Records are named by id and clusters by their smallest member id; nothing
+    here is persisted — one :meth:`resolve` over all edges rebuilds every log.
+    Not thread-safe: the owner serializes calls.
+    """
+
+    def __init__(self, source_consistent: bool = True) -> None:
+        self.source_consistent = source_consistent
+        self._source: Dict[str, str] = {}
+        self._adjacent: Dict[str, Dict[str, MergeKey]] = {}
+        self._cluster_of: Dict[str, str] = {}
+        self._members: Dict[str, List[str]] = {}
+        self._merge_log: Dict[str, List[MergeKey]] = {}
+        self._changed: List[MergeKey] = []
+        self._num_edges = 0
+
+    @property
+    def members(self) -> Mapping[str, List[str]]:
+        """Cluster id (its smallest record id) -> sorted record ids; a
+        read-only view, current as of the last :meth:`resolve`."""
+        return MappingProxyType(self._members)
+
+    @property
+    def merge_logs(self) -> Mapping[str, List[MergeKey]]:
+        """Cluster id -> the edges that merged it, in scan order (clusters of
+        one record have no entry); a read-only view."""
+        return MappingProxyType(self._merge_log)
+
+    @property
+    def num_edges(self) -> int:
+        """Match edges currently in the graph."""
+        return self._num_edges
+
+    def cluster_of(self, record_id: str) -> str:
+        """Id of the cluster holding ``record_id`` (as of the last resolve)."""
+        return self._cluster_of[record_id]
+
+    def add_record(self, record_id: str, source: str) -> None:
+        """Register a record as a singleton cluster."""
+        if record_id in self._source:
+            raise ValueError(f"record {record_id!r} is already clustered")
+        self._source[record_id] = source
+        self._cluster_of[record_id] = record_id
+        self._members[record_id] = [record_id]
+
+    def add_edge(self, edge: MatchEdge) -> None:
+        """Add a match edge between two registered records (one per pair)."""
+        key = match_edge_key(edge)
+        _, left_id, right_id = key
+        if right_id in self._adjacent.get(left_id, ()):
+            raise ValueError(f"match edge {left_id!r} - {right_id!r} already exists")
+        self._adjacent.setdefault(left_id, {})[right_id] = key
+        self._adjacent.setdefault(right_id, {})[left_id] = key
+        self._num_edges += 1
+        self._changed.append(key)
+
+    def remove_edge(self, left_id: str, right_id: str) -> None:
+        """Withdraw the match edge between two records."""
+        key = self._adjacent[left_id].pop(right_id)
+        del self._adjacent[right_id][left_id]
+        for record_id in (left_id, right_id):
+            if not self._adjacent[record_id]:
+                del self._adjacent[record_id]
+        self._num_edges -= 1
+        self._changed.append(key)
+
+    def resolve(self) -> int:
+        """Bring the clusters up to date with the edges added and removed
+        since the last call; returns how many edges were scanned again."""
+        if not self._changed:
+            return 0
+        changed, self._changed = self._changed, []
+        union_find = UnionFind()  # over the records of rewound clusters
+        sources: Optional[Dict[Hashable, set]] = {} if self.source_consistent else None
+        merges: List[MergeKey] = []
+        heap: List[MergeKey] = []
+
+        def rewind(cluster_id: str, bound: MergeKey) -> None:
+            # An edge to a record rewound earlier is on the heap already (or
+            # was decided before that record's bound, which is <= this one).
+            for record_id in self._members.pop(cluster_id):
+                for neighbor, key in self._adjacent.get(record_id, {}).items():
+                    if key >= bound and neighbor not in union_find:
+                        heappush(heap, key)
+                union_find.add(record_id)
+                if sources is not None:
+                    sources[record_id] = {self._source[record_id]}
+            for key in self._merge_log.pop(cluster_id, ()):
+                if key >= bound:
+                    break
+                _merge_unless_vetoed(union_find, sources, key[1], key[2])
+                merges.append(key)
+
+        start = min(changed)
+        for _, left_id, right_id in changed:
+            for record_id in (left_id, right_id):
+                if record_id not in union_find:
+                    rewind(self._cluster_of[record_id], start)
+
+        rescanned = 0
+        while heap:
+            key = heappop(heap)
+            rescanned += 1
+            _, left_id, right_id = key
+            if left_id not in union_find or right_id not in union_find:
+                inside, outside = ((left_id, right_id) if left_id in union_find
+                                   else (right_id, left_id))
+                if sources is not None and self._vetoed_before(
+                        key, outside, sources[union_find.find(inside)]):
+                    continue  # as before: the far cluster stays untouched
+                rewind(self._cluster_of[outside], key)
+            if _merge_unless_vetoed(union_find, sources, left_id, right_id):
+                merges.append(key)
+
+        logs: Dict[Hashable, List[MergeKey]] = defaultdict(list)
+        for key in merges:
+            logs[union_find.find(key[1])].append(key)
+        for members in union_find.groups():
+            cluster_id = members[0]
+            self._members[cluster_id] = members
+            for record_id in members:
+                self._cluster_of[record_id] = cluster_id
+            if len(members) > 1:
+                self._merge_log[cluster_id] = sorted(logs[union_find.find(cluster_id)])
+        return rescanned
+
+    def _vetoed_before(self, bound: MergeKey, record_id: str,
+                       near_sources: Set[str]) -> bool:
+        """Whether the sub-cluster ``record_id`` was in when the scan stood at
+        ``bound`` shares a source with ``near_sources``."""
+        if self._source[record_id] in near_sources:
+            return True
+        cluster_id = self._cluster_of[record_id]
+        members = self._members[cluster_id]
+        union_find = UnionFind(members)
+        for key in self._merge_log.get(cluster_id, ()):
+            if key >= bound:
+                break
+            union_find.union(key[1], key[2])
+        root = union_find.find(record_id)
+        return any(self._source[member] in near_sources for member in members
+                   if union_find.find(member) == root)
 
 
 def eligible_match_edges(scored: ScoredCandidates, threshold: float) -> List[MatchEdge]:

@@ -5,8 +5,8 @@ batch :class:`~repro.pipeline.LinkagePipeline` freezes a corpus and resolves
 it once, the store keeps the resolved world *live*: every
 :meth:`~EntityStore.upsert` feeds one record through the same MinHash-LSH /
 inverted-token / initials indexes, scores only the candidate pairs the new
-record created, and re-resolves only the connected components the new (or
-retracted) match edges touched.
+record created, and re-decides only the part of the greedy merge the new (or
+retracted) match edges can reach.
 
 The store maintains exact parity with the batch pipeline: after streaming any
 record sequence through ``upsert``, :meth:`clusters` equals
@@ -19,12 +19,20 @@ hold:
   one live (non-overflowed) bucket contains both records, so when a bucket
   overflows mid-stream the pairs it alone supported are retracted, exactly as
   batch ``candidate_pairs`` would never have emitted them;
-* **component locality** — the greedy source-consistent merge
-  (:func:`~repro.pipeline.clustering.apply_match_edges`) decides each edge
-  from the state of its own connected component only, so re-resolving the
-  affected components from scratch equals a global re-run;
-* **canonical edge order** — both paths sort match edges with
-  :func:`~repro.pipeline.clustering.order_match_edges`.
+* **rewind and replay** — the greedy source-consistent merge
+  (:func:`~repro.pipeline.clustering.apply_match_edges`) decides an edge from
+  the two clusters its endpoints are in when the best-first scan reaches it,
+  so nothing before the best changed edge ``t0`` can differ.  Every entity
+  keeps the ordered list of edges that merged it;
+  :class:`~repro.pipeline.clustering.IncrementalClusters` rewinds the
+  entities holding a changed edge to their state at ``t0``, replays the scan
+  over their records' edges from there, and pulls a further entity in only
+  when an edge into it, vetoed before, now merges.  The result is the global
+  scan's (proof sketch in that class), at a cost that follows the clusters
+  whose history changes — not the connected component they sit in, which on
+  real corpora is most of the match graph;
+* **canonical edge order** — both paths order match edges by
+  :func:`~repro.pipeline.clustering.match_edge_key`.
 
 Snapshots persist the records, pair scores and config; :meth:`restore`
 replays the stream against the stored scores, so a restored store is
@@ -47,8 +55,11 @@ import numpy as np
 
 from ..data.records import EntityPair, Record
 from ..obs import BoundHandles
-from ..pipeline.clustering import (MatchEdge, UnionFind, apply_match_edges,
-                                   order_match_edges)
+# order_match_edges is not called here any more; the name stays bound because
+# benchmarks/e2e/test_units.py (frozen by BENCHMARK.json) checks through this
+# namespace that its tracer rebinds a function in every module importing it.
+from ..pipeline.clustering import (IncrementalClusters, MatchEdge,
+                                   order_match_edges)  # noqa: F401
 from ..pipeline.engine import PipelineConfig
 from ..pipeline.index import build_blocking_indexes
 from ..utils.serialization import load_json, save_json
@@ -73,6 +84,10 @@ PairKey = Tuple[int, int]  # (smaller position, larger position)
 #: Commit hook: (record, {pair_id: score}, planned bucket retractions) —
 #: called after scoring, before any mutation; see set_commit_hook().
 CommitHook = Callable[[Record, Dict[str, float], List[List[int]]], None]
+
+
+# Entity ids are this prefix + the smallest record id of the entity.
+_ENTITY_PREFIX = "e-"
 
 
 def _pair_key_str(key: PairKey) -> str:
@@ -173,6 +188,7 @@ class _StoreCounters:
     pairs_retracted: int = 0
     edges_retracted: int = 0
     resolutions: int = 0
+    edges_rescanned: int = 0
     queries: int = 0
 
 
@@ -183,6 +199,7 @@ class _StoreInstruments(NamedTuple):
     pairs_retracted: object
     edges_retracted: object
     resolutions: object
+    edges_rescanned: object
     upsert_seconds: object
     query_seconds: object
 
@@ -198,7 +215,9 @@ def _bind_store_instruments(registry) -> _StoreInstruments:
         edges_retracted=registry.counter("store_edges_retracted_total",
                                          "Match edges withdrawn by retraction"),
         resolutions=registry.counter("store_resolutions_total",
-                                     "Component re-resolutions run"),
+                                     "Cluster re-resolutions run (one per upsert)"),
+        edges_rescanned=registry.counter("store_edges_rescanned_total",
+                                         "Match edges re-decided by re-resolutions"),
         upsert_seconds=registry.histogram("store_upsert_seconds",
                                           "End-to-end upsert latency"),
         query_seconds=registry.histogram("store_query_seconds",
@@ -263,11 +282,10 @@ class EntityStore:
         # indexes) containing both records; pair -> matching probability.
         self._support: Dict[PairKey, int] = {}
         self._scores: Dict[PairKey, float] = {}
-        # Match-edge adjacency (score >= threshold, candidacy alive).
-        self._match_adj: Dict[int, Set[int]] = {}
-        # Resolved entities: position -> entity id, entity id -> positions.
-        self._entity_of: Dict[int, str] = {}
-        self._members: Dict[str, List[int]] = {}
+        # Match edges (score >= threshold, candidacy alive) and the entities
+        # they resolve into, keyed by record id; entity "e-<id>" is the
+        # cluster whose smallest member is <id>.
+        self._clusters = IncrementalClusters(config_.source_consistent)
         self.counters = _StoreCounters()
         self._commit_hook: Optional[CommitHook] = None
         self._obs = BoundHandles(_bind_store_instruments)
@@ -330,44 +348,41 @@ class EntityStore:
     def entity_of(self, record_id: str) -> str:
         """The entity id currently holding ``record_id``."""
         with self._lock:
-            position = self._position.get(record_id)
-            if position is None:
+            if record_id not in self._position:
                 raise KeyError(f"record {record_id!r} is not in the store")
-            return self._entity_of[position]
+            return _ENTITY_PREFIX + self._clusters.cluster_of(record_id)
 
     def entity_members(self, entity_id: str) -> List[str]:
         """Record ids of an entity, sorted."""
         with self._lock:
-            members = self._members.get(entity_id)
+            members = (self._clusters.members.get(entity_id[len(_ENTITY_PREFIX):])
+                       if entity_id.startswith(_ENTITY_PREFIX) else None)
             if members is None:
                 raise KeyError(f"unknown entity {entity_id!r}")
-            return sorted(self._records[position].record_id for position in members)
+            return list(members)
 
     def entities(self) -> Dict[str, List[str]]:
         """Every entity id mapped to its sorted member record ids."""
         with self._lock:
-            return {entity_id: sorted(self._records[position].record_id
-                                      for position in members)
-                    for entity_id, members in self._members.items()}
+            return {_ENTITY_PREFIX + cluster_id: list(members)
+                    for cluster_id, members in self._clusters.members.items()}
 
     def clusters(self) -> List[List[str]]:
         """Canonical cluster output, comparable to ``ClusterResult.clusters``:
         members sorted by record id, clusters ordered by smallest member."""
         with self._lock:
-            groups = [sorted(self._records[position].record_id for position in members)
-                      for members in self._members.values()]
-        groups.sort(key=lambda members: members[0])
-        return groups
+            members = self._clusters.members
+            return [list(members[cluster_id]) for cluster_id in sorted(members)]
 
     def stats(self) -> Dict[str, float]:
         """Store-level counters for service and bench reports."""
         with self._lock:
-            sizes = [len(members) for members in self._members.values()]
+            sizes = [len(members) for members in self._clusters.members.values()]
             return {
                 "records": float(len(self._records)),
-                "entities": float(len(self._members)),
+                "entities": float(len(sizes)),
                 "candidate_pairs": float(len(self._support)),
-                "match_edges": float(sum(len(adj) for adj in self._match_adj.values()) // 2),
+                "match_edges": float(self._clusters.num_edges),
                 "max_entity_size": float(max(sizes)) if sizes else 0.0,
                 "upserts": float(self.counters.upserts),
                 "queries": float(self.counters.queries),
@@ -375,6 +390,7 @@ class EntityStore:
                 "pairs_retracted": float(self.counters.pairs_retracted),
                 "edges_retracted": float(self.counters.edges_retracted),
                 "resolutions": float(self.counters.resolutions),
+                "edges_rescanned": float(self.counters.edges_rescanned),
             }
 
     # ------------------------------------------------------------------ #
@@ -402,13 +418,14 @@ class EntityStore:
             counters_before = (self.counters.pairs_scored,
                                self.counters.pairs_retracted,
                                self.counters.edges_retracted,
-                               self.counters.resolutions)
+                               self.counters.resolutions,
+                               self.counters.edges_rescanned)
             existing = self._position.get(record.record_id)
             if existing is not None:
                 stored = self._records[existing]
                 if (stored.source == record.source
                         and dict(stored.attributes) == dict(record.attributes)):
-                    return self._entity_of[existing]
+                    return _ENTITY_PREFIX + self._clusters.cluster_of(record.record_id)
                 raise ValueError(
                     f"record {record.record_id!r} already exists with different "
                     f"content; the store is append-only — use a new record id "
@@ -478,21 +495,21 @@ class EntityStore:
             self._position[record.record_id] = position
             self.counters.upserts += 1
 
-            dirty: Set[int] = {position}
+            self._clusters.add_record(record.record_id, record.source)
             for key, count in support_delta.items():
                 self._support[key] = count
-            dirty |= self._apply_retractions(retracted)
+            self._apply_retractions(retracted)
             for key, score in zip(new_keys, scores):
                 self._scores[key] = float(score)
                 if score >= self.config.score_threshold:
-                    self._match_adj.setdefault(key[0], set()).add(key[1])
-                    self._match_adj.setdefault(key[1], set()).add(key[0])
-                    dirty.update(key)
-            self._resolve_affected(dirty)
-            entity_id = self._entity_of[position]
+                    self._clusters.add_edge(self._match_edge(key))
+            self.counters.edges_rescanned += self._clusters.resolve()
+            self.counters.resolutions += 1
+            entity_id = _ENTITY_PREFIX + self._clusters.cluster_of(record.record_id)
             deltas = tuple(after - before for after, before in zip(
                 (self.counters.pairs_scored, self.counters.pairs_retracted,
-                 self.counters.edges_retracted, self.counters.resolutions),
+                 self.counters.edges_retracted, self.counters.resolutions,
+                 self.counters.edges_rescanned),
                 counters_before))
         instruments = self._obs.get()
         if instruments is not None:
@@ -500,7 +517,8 @@ class EntityStore:
             instruments.upserts.inc()
             for instrument, delta in zip(
                     (instruments.pairs_scored, instruments.pairs_retracted,
-                     instruments.edges_retracted, instruments.resolutions), deltas):
+                     instruments.edges_retracted, instruments.resolutions,
+                     instruments.edges_rescanned), deltas):
                 if delta:
                     instrument.inc(delta)
         return entity_id
@@ -519,13 +537,17 @@ class EntityStore:
     def _pair_key(self, left: int, right: int) -> PairKey:
         return (left, right) if left < right else (right, left)
 
-    def _apply_retractions(self, retracted: Sequence[Sequence[int]]) -> Set[int]:
-        """Withdraw overflowed buckets' support; drop dead pairs and edges.
+    def _match_edge(self, key: PairKey) -> MatchEdge:
+        """The scored pair ``key`` as the batch clustering stage would see it."""
+        left_id = self._records[key[0]].record_id
+        right_id = self._records[key[1]].record_id
+        if left_id > right_id:
+            left_id, right_id = right_id, left_id
+        return (self._scores[key], left_id, right_id)
 
-        Returns the positions whose components need re-resolution (endpoints
-        of removed match edges).
-        """
-        dirty: Set[int] = set()
+    def _apply_retractions(self, retracted: Sequence[Sequence[int]]) -> None:
+        """Withdraw overflowed buckets' support; drop dead pairs and their
+        match edges (the next resolve re-decides what those edges built)."""
         for members in retracted:
             for left, right in combinations(members, 2):
                 key = self._pair_key(left, right)
@@ -542,64 +564,9 @@ class EntityStore:
                 self.counters.pairs_retracted += 1
                 score = self._scores.get(key)
                 if score is not None and score >= self.config.score_threshold:
-                    self._match_adj[key[0]].discard(key[1])
-                    self._match_adj[key[1]].discard(key[0])
+                    self._clusters.remove_edge(self._records[left].record_id,
+                                               self._records[right].record_id)
                     self.counters.edges_retracted += 1
-                    dirty.update(key)
-        return dirty
-
-    def _resolve_affected(self, seeds: Set[int]) -> None:
-        """Re-run the greedy source-consistent merge over every connected
-        component touching ``seeds`` and refresh those entities.
-
-        Greedy decisions are component-local (see
-        :func:`~repro.pipeline.clustering.apply_match_edges`), so resolving
-        the affected components from singletons reproduces exactly what a
-        global batch re-run would assign them.
-        """
-        if not seeds:
-            return
-        # Flood-fill the current match graph from the seeds.
-        affected: Set[int] = set()
-        frontier = list(seeds)
-        while frontier:
-            node = frontier.pop()
-            if node in affected:
-                continue
-            affected.add(node)
-            frontier.extend(self._match_adj.get(node, ()))
-
-        edges: List[MatchEdge] = []
-        for node in affected:
-            for neighbor in self._match_adj.get(node, ()):
-                if neighbor <= node:
-                    continue
-                key = (node, neighbor)
-                left_id = self._records[node].record_id
-                right_id = self._records[neighbor].record_id
-                if left_id > right_id:
-                    left_id, right_id = right_id, left_id
-                edges.append((self._scores[key], left_id, right_id))
-
-        ids = {self._records[position].record_id: position for position in affected}
-        union_find = UnionFind(ids)
-        cluster_sources = ({record_id: {self._records[position].source}
-                            for record_id, position in ids.items()}
-                           if self.config.source_consistent else None)
-        apply_match_edges(union_find, cluster_sources, order_match_edges(edges))
-
-        # Retire the old entities of every affected record, then rebuild.
-        for entity_id in {self._entity_of[position] for position in affected
-                          if position in self._entity_of}:
-            for member in self._members.pop(entity_id):
-                self._entity_of.pop(member, None)
-        for group in union_find.groups():
-            entity_id = f"e-{group[0]}"
-            members = sorted(ids[record_id] for record_id in group)
-            self._members[entity_id] = members
-            for member in members:
-                self._entity_of[member] = entity_id
-        self.counters.resolutions += 1
 
     # ------------------------------------------------------------------ #
     # Query
@@ -648,16 +615,17 @@ class EntityStore:
 
         with self._lock:
             best: Dict[str, QueryMatch] = {}
+            members = self._clusters.members
             for position, score in zip(candidates, scores):
-                entity_id = self._entity_of.get(position)
-                if entity_id is None:  # record vanished mid-query (cannot today)
-                    continue
+                record_id = self._records[position].record_id
+                cluster_id = self._clusters.cluster_of(record_id)
+                entity_id = _ENTITY_PREFIX + cluster_id
                 current = best.get(entity_id)
                 if current is None or score > current.score:
                     best[entity_id] = QueryMatch(
                         entity_id=entity_id, score=float(score),
-                        record_id=self._records[position].record_id,
-                        size=len(self._members[entity_id]))
+                        record_id=record_id,
+                        size=len(members[cluster_id]))
         ranked = sorted(best.values(), key=lambda match: (-match.score, match.entity_id))
         self._record_query(started)
         return ranked[:top_k]
@@ -685,21 +653,21 @@ class EntityStore:
                 for position in index.probe_keys(keys):
                     collisions[position] = collisions.get(position, 0) + 1
             best: Dict[str, QueryMatch] = {}
+            members = self._clusters.members
             for position in sorted(collisions):
                 stored = self._records[position]
                 if (stored.record_id == record.record_id
                         or not self._is_probe_candidate(record, position)):
                     continue
-                entity_id = self._entity_of.get(position)
-                if entity_id is None:
-                    continue
+                cluster_id = self._clusters.cluster_of(stored.record_id)
+                entity_id = _ENTITY_PREFIX + cluster_id
                 count = collisions[position]
                 current = best.get(entity_id)
                 if current is None or count > current.score:
                     best[entity_id] = QueryMatch(
                         entity_id=entity_id, score=float(count),
                         record_id=stored.record_id,
-                        size=len(self._members[entity_id]))
+                        size=len(members[cluster_id]))
             self.counters.queries += 1
         ranked = sorted(best.values(),
                         key=lambda match: (-match.score, match.entity_id))
@@ -781,8 +749,7 @@ class EntityStore:
                 "records": list(self._records),
                 "scores": dict(self._scores),
                 "support": dict(self._support),
-                "members": {entity_id: list(members)
-                            for entity_id, members in self._members.items()},
+                "members": self._member_positions(),
                 "counters": replace(self.counters),
                 "indexes": [index.state_dict() for index in self._indexes],
             }
@@ -803,6 +770,13 @@ class EntityStore:
             "indexes": frozen["indexes"],
         }
 
+    def _member_positions(self) -> Dict[str, List[int]]:
+        """Every entity id mapped to its members' sorted store positions."""
+        position = self._position
+        return {_ENTITY_PREFIX + cluster_id:
+                sorted(position[record_id] for record_id in members)
+                for cluster_id, members in self._clusters.members.items()}
+
     def state_dict(self) -> Dict[str, object]:
         """:meth:`freeze_state` + :meth:`serialize_state` in one call."""
         return self.serialize_state(self.freeze_state())
@@ -810,10 +784,12 @@ class EntityStore:
     @classmethod
     def from_state_dict(cls, payload: Mapping[str, object],
                         score_fn: Optional[ScoreFn] = None) -> "EntityStore":
-        """Rebuild a store from a :meth:`state_dict` payload — a pure
-        deserialization (indexes included), O(state) rather than O(corpus)
-        replay.  Without ``score_fn`` the store is read-only until
-        :meth:`bind_score_fn`."""
+        """Rebuild a store from a :meth:`state_dict` payload — indexes,
+        scores and support are deserialized, entities and their merge logs
+        recomputed by one greedy pass over the match edges those imply:
+        O(state), no per-record upsert replay.  A payload whose ``members``
+        disagree with that pass raises ``ValueError``.  Without ``score_fn``
+        the store is read-only until :meth:`bind_score_fn`."""
         version = payload.get("format_version")
         if version not in SUPPORTED_STATE_VERSIONS:
             raise ValueError(f"unsupported store state version {version!r} "
@@ -830,16 +806,26 @@ class EntityStore:
         store._support = {_parse_pair_key(key): int(count)
                           for key, count in payload["support"].items()}
         # Match edges are derivable: live candidacy (support) + archived
-        # score over the threshold.
+        # score over the threshold.  Entities and their merge logs follow
+        # from one greedy pass over those edges, so the payload's members are
+        # a checksum of that pass, not an input.
+        for record in store._records:
+            store._clusters.add_record(record.record_id, record.source)
         for key in store._support:
             if store._scores.get(key, 0.0) >= config.score_threshold:
-                store._match_adj.setdefault(key[0], set()).add(key[1])
-                store._match_adj.setdefault(key[1], set()).add(key[0])
-        store._members = {entity_id: [int(member) for member in members]
-                          for entity_id, members in payload["members"].items()}
-        store._entity_of = {member: entity_id
-                            for entity_id, members in store._members.items()
-                            for member in members}
+                store._clusters.add_edge(store._match_edge(key))
+        store._clusters.resolve()
+        resolved = store._member_positions()
+        stored = {entity_id: sorted(int(member) for member in members)
+                  for entity_id, members in payload["members"].items()}
+        if stored != resolved:
+            entity_id = min(entity_id for entity_id in stored.keys() | resolved.keys()
+                            if stored.get(entity_id) != resolved.get(entity_id))
+            raise ValueError(
+                f"store state lists entity {entity_id!r} with records "
+                f"{stored.get(entity_id)} but its match edges resolve it to "
+                f"{resolved.get(entity_id)}; the state was not written by a "
+                f"matching store")
         known = {field.name for field in fields(_StoreCounters)}
         store.counters = _StoreCounters(
             **{key: int(value)
@@ -867,9 +853,7 @@ class EntityStore:
             scores = {"|".join(sorted((records[left].record_id,
                                        records[right].record_id))): score
                       for (left, right), score in self._scores.items()}
-            entities = {entity_id: sorted(records[position].record_id
-                                          for position in members)
-                        for entity_id, members in self._members.items()}
+            entities = self.entities()
             counters = asdict(self.counters)
         tmp_records = path / ".records.jsonl.tmp"
         with tmp_records.open("w", encoding="utf-8") as handle:

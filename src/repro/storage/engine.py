@@ -15,7 +15,7 @@
 
 Why replay is exact: the WAL entry carries the scores its upsert computed,
 so replay re-runs the *deterministic* part of an upsert (blocking, support
-bookkeeping, retraction, component re-resolution) against the *recorded*
+bookkeeping, retraction, cluster re-resolution) against the *recorded*
 stochastic part (model scores).  The entry's retraction plan is re-checked
 during replay — a divergence means the log and the code disagree and
 recovery refuses to guess.
@@ -348,7 +348,15 @@ class Storage:
             loaded = snapshots.load_latest()
             if loaded is not None:
                 snapshot_lsn, payload = loaded
-                store = EntityStore.from_state_dict(payload["store"])
+                try:
+                    store = EntityStore.from_state_dict(payload["store"])
+                except ValueError as error:
+                    # Valid JSON that contradicts itself (entities that its
+                    # own edges do not resolve to, an unknown format): serve
+                    # nothing rather than clusters the stored edges refute.
+                    raise StorageError(
+                        f"snapshot {dict(snapshots.list())[snapshot_lsn]} "
+                        f"cannot be loaded: {error}") from error
             else:
                 snapshot_lsn = 0
                 meta_path = data_dir / META_FILENAME

@@ -126,6 +126,9 @@ class TestServeInstrumentation:
         assert (by_name.get("store_resolutions_total",
                             [{"value": 0.0}])[0]["value"]
                 == store_stats.get("resolutions", 0.0))
+        assert (by_name.get("store_edges_rescanned_total",
+                            [{"value": 0.0}])[0]["value"]
+                == store_stats["edges_rescanned"])
 
 
 class TestCacheInstrumentation:

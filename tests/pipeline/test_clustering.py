@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.data.records import EntityPair, Record
-from repro.pipeline import ClusteringStage, UnionFind, pairwise_cluster_metrics
+from repro.pipeline import (ClusteringStage, IncrementalClusters, UnionFind,
+                            apply_match_edges, order_match_edges,
+                            pairwise_cluster_metrics)
 from repro.pipeline.scoring import ScoredCandidates
 
 
@@ -59,6 +61,126 @@ class TestUnionFind:
             if reference is None:
                 reference = groups
             assert groups == reference
+
+
+def _incremental(sources, source_consistent=True):
+    clusters = IncrementalClusters(source_consistent)
+    for record_id, source in sources.items():
+        clusters.add_record(record_id, source)
+    return clusters
+
+
+def _groups(clusters):
+    return [clusters.members[cluster_id] for cluster_id in sorted(clusters.members)]
+
+
+def _from_singletons(sources, edges, source_consistent=True):
+    union_find = UnionFind(sources)
+    cluster_sources = ({record_id: {source} for record_id, source in sources.items()}
+                       if source_consistent else None)
+    apply_match_edges(union_find, cluster_sources, order_match_edges(edges))
+    return union_find.groups()
+
+
+class TestIncrementalClusters:
+    def test_a_better_edge_takes_over_an_earlier_merge(self):
+        clusters = _incremental({"a": "s1", "b": "s2", "c": "s1"})
+        clusters.add_edge((0.8, "b", "c"))
+        clusters.resolve()
+        assert _groups(clusters) == [["a"], ["b", "c"]]
+        clusters.add_edge((0.9, "a", "b"))
+        clusters.resolve()
+        # a-b now merges first, which vetoes b-c (a and c share a source).
+        assert _groups(clusters) == [["a", "b"], ["c"]]
+        assert clusters.merge_logs == {"a": [(-0.9, "a", "b")]}
+        assert clusters.cluster_of("b") == "a" and clusters.cluster_of("c") == "c"
+
+    def test_a_removed_merge_lets_a_vetoed_edge_through_and_pulls_in_its_cluster(self):
+        clusters = _incremental({"a": "s1", "b": "s2", "c": "s1", "d": "s3"})
+        for edge in [(0.9, "a", "b"), (0.8, "b", "c"), (0.7, "c", "d")]:
+            clusters.add_edge(edge)
+        clusters.resolve()
+        assert _groups(clusters) == [["a", "b"], ["c", "d"]]
+        # Only a's cluster holds the removed edge; c's is reached through
+        # b-c, which merges now, and must then replay c-d on top of it.
+        clusters.remove_edge("a", "b")
+        assert clusters.resolve() == 2
+        assert _groups(clusters) == [["a"], ["b", "c", "d"]]
+        assert clusters.merge_logs == {"b": [(-0.8, "b", "c"), (-0.7, "c", "d")]}
+        assert clusters.num_edges == 2
+
+    def test_the_far_cluster_is_read_as_it_stood_at_the_edges_key(self):
+        # r-p was vetoed through t.  Once r-t goes, r-p (0.7) meets p *before*
+        # p-q (0.5) merged: q's source must not veto it, and p-q is then
+        # vetoed in turn.
+        sources = {"p": "s1", "q": "s2", "r": "s2", "t": "s1"}
+        clusters = _incremental(sources)
+        for edge in [(0.9, "r", "t"), (0.7, "p", "r"), (0.5, "p", "q")]:
+            clusters.add_edge(edge)
+        clusters.resolve()
+        assert _groups(clusters) == [["p", "q"], ["r", "t"]]
+        clusters.remove_edge("r", "t")
+        clusters.resolve()
+        assert _groups(clusters) == [["p", "r"], ["q"], ["t"]]
+
+    def test_an_edge_vetoed_again_leaves_the_far_cluster_alone(self):
+        clusters = _incremental({"a": "s1", "b": "s2", "c": "s1", "d": "s2", "f": "s3"})
+        for edge in [(0.9, "a", "b"), (0.8, "c", "d"), (0.6, "b", "c"), (0.55, "a", "f")]:
+            clusters.add_edge(edge)
+        assert clusters.resolve() == 4
+        assert _groups(clusters) == [["a", "b", "f"], ["c", "d"]]
+        clusters.add_record("e", "s3")
+        clusters.add_edge((0.7, "d", "e"))
+        # c's cluster and e rewind to 0.7: d-e merges, b-c is vetoed as it
+        # was, so a's cluster is never rewound and a-f is not scanned again.
+        assert clusters.resolve() == 2
+        assert _groups(clusters) == [["a", "b", "f"], ["c", "d", "e"]]
+
+    def test_without_source_consistency_it_is_the_transitive_closure(self):
+        clusters = _incremental({"a": "s1", "b": "s1", "c": "s1"}, source_consistent=False)
+        clusters.add_edge((0.9, "a", "b"))
+        clusters.add_edge((0.6, "b", "c"))
+        clusters.resolve()
+        assert _groups(clusters) == [["a", "b", "c"]]
+        clusters.remove_edge("a", "b")
+        clusters.resolve()
+        assert _groups(clusters) == [["a"], ["b", "c"]]
+
+    def test_duplicate_records_and_edges_are_rejected(self):
+        clusters = _incremental({"a": "s1", "b": "s2"})
+        with pytest.raises(ValueError, match="already"):
+            clusters.add_record("a", "s3")
+        clusters.add_edge((0.9, "a", "b"))
+        with pytest.raises(ValueError, match="already"):
+            clusters.add_edge((0.7, "a", "b"))
+
+    @pytest.mark.parametrize("source_consistent", [True, False])
+    def test_random_edge_changes_equal_resolving_from_singletons(self, source_consistent):
+        rng = random.Random(7)
+        for _ in range(60):
+            sources = {f"r{i:02d}": f"s{rng.randrange(3)}" for i in range(rng.randint(3, 12))}
+            ids = sorted(sources)
+            clusters = _incremental(sources, source_consistent)
+            edges = {}
+            for _ in range(25):
+                for _ in range(rng.randint(1, 3)):
+                    left, right = sorted(rng.sample(ids, 2))
+                    if (left, right) in edges:
+                        del edges[left, right]
+                        clusters.remove_edge(*rng.sample([left, right], 2))
+                    else:
+                        # Few score levels, so ties are settled by record id.
+                        edges[left, right] = (rng.choice([0.6, 0.7, 0.9]), left, right)
+                        clusters.add_edge(edges[left, right])
+                clusters.resolve()
+                assert clusters.num_edges == len(edges)
+                assert _groups(clusters) == _from_singletons(
+                    sources, edges.values(), source_consistent)
+                rebuilt = _incremental(sources, source_consistent)
+                for edge in edges.values():
+                    rebuilt.add_edge(edge)
+                rebuilt.resolve()
+                assert clusters.merge_logs == rebuilt.merge_logs
 
 
 class TestPairwiseClusterMetrics:

@@ -10,6 +10,9 @@ from repro.data.records import Record
 from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
 from repro.serve import EntityStore, StoreConfig
+from repro.text import jaccard_similarity
+
+from resolve_oracle import match_edges, resolve_from_singletons
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +202,99 @@ class TestSnapshotRestore:
         save_json(state, snapshot / "store.json")
         with pytest.raises(ValueError, match="format version"):
             EntityStore.restore(snapshot)
+
+
+class TestStateDict:
+    def test_round_trip_rebuilds_entities_and_merge_logs(self, streamed_store):
+        restored = EntityStore.from_state_dict(streamed_store.state_dict())
+        assert restored.state_dict() == streamed_store.state_dict()
+        assert restored.clusters() == streamed_store.clusters()
+        assert restored._clusters.merge_logs == streamed_store._clusters.merge_logs
+
+    def test_members_contradicting_the_match_edges_are_rejected(self, streamed_store):
+        state = streamed_store.state_dict()
+        members = state["members"]
+        donor = next(entity_id for entity_id in sorted(members)
+                     if len(members[entity_id]) > 1)
+        taker = next(entity_id for entity_id in sorted(members) if entity_id != donor)
+        members[taker].append(members[donor].pop())
+        with pytest.raises(ValueError, match=min(donor, taker)):
+            EntityStore.from_state_dict(state)
+
+    def test_counters_absent_from_older_state_dicts_start_at_zero(self, streamed_store):
+        state = streamed_store.state_dict()
+        assert state["counters"].pop("edges_rescanned") > 0
+        restored = EntityStore.from_state_dict(state)
+        assert restored.counters.edges_rescanned == 0
+        assert restored.counters.upserts == streamed_store.counters.upserts
+
+
+class TestMatchGraphBookkeeping:
+    def test_retractions_leave_no_dead_nodes_and_the_edge_count_is_kept(
+            self, predictor, tiny_music_corpus):
+        config = StoreConfig(lsh_max_bucket_size=2, max_postings=2,
+                             initials_max_bucket_size=2)
+        store = EntityStore(score_fn=predictor.predict_proba, config=config)
+        for record in tiny_music_corpus.records:
+            store.upsert(record)
+            assert store.stats()["match_edges"] == len(match_edges(store))
+        assert store.counters.edges_retracted > 0  # the regime is exercised
+        adjacent = store._clusters._adjacent
+        assert all(adjacent.values())
+        assert sum(map(len, adjacent.values())) == 2 * len(match_edges(store))
+        assert store.clusters() == resolve_from_singletons(store)
+
+
+class TestResolutionLocality:
+    """Count-based guard: the cost of an upsert follows the clusters it
+    touches, not the connected component of the match graph they sit in."""
+
+    SOURCES = 4
+
+    def chain_stream(self, size):
+        # Entity e is named "tok<e> tok<e+1>", once per source: its records
+        # match each other (Jaccard 1) and those of entities e-1 and e+1
+        # (Jaccard 1/3), so the whole match graph is one component in which
+        # every cross-entity edge is vetoed.
+        return [Record(record_id=f"s{source}#e{entity:04d}", source=f"s{source}",
+                       attributes={"name": f"tok{entity:04d} tok{entity + 1:04d}"})
+                for entity, source in (divmod(index, self.SOURCES)
+                                       for index in range(size))]
+
+    @staticmethod
+    def name_overlap(pairs):
+        return np.array([jaccard_similarity(pair.left.attributes["name"],
+                                            pair.right.attributes["name"])
+                         for pair in pairs])
+
+    def test_edges_rescanned_per_upsert_do_not_grow_with_the_component(self):
+        records = self.chain_stream(1000)
+        store = EntityStore(score_fn=self.name_overlap,
+                            config=StoreConfig(score_threshold=0.3))
+        rescanned = []
+        for record in records:
+            before = store.stats()["edges_rescanned"]
+            store.upsert(record)
+            rescanned.append(store.stats()["edges_rescanned"] - before)
+        assert store.clusters() == resolve_from_singletons(store)
+
+        # The regime: one component spans the store, so a flood fill from
+        # any upsert reaches (and the old re-resolve re-sorted) every edge.
+        adjacent = store._clusters._adjacent
+        reached, frontier = set(), [records[-1].record_id]
+        while frontier:
+            record_id = frontier.pop()
+            if record_id not in reached:
+                reached.add(record_id)
+                frontier.extend(adjacent[record_id])
+        assert len(reached) == len(records)
+        assert store.stats()["match_edges"] > 4 * len(records)
+
+        quartile = len(records) // 4
+        first = np.mean(rescanned[:quartile])
+        last = np.mean(rescanned[-quartile:])
+        assert 0 < last <= 2 * first
+        assert last < 0.01 * store.stats()["match_edges"]
 
 
 class TestConfigBridge:

@@ -172,6 +172,25 @@ class TestRecoveryGuards:
         with pytest.raises(StorageError):
             Storage.recover(tmp_path, score_fn=child.score_fn)
 
+    def test_snapshot_members_contradicting_its_edges_never_load(self, tmp_path,
+                                                                 records):
+        # A snapshot's entities are a checksum of its match edges: flip one
+        # member and recovery must name the file, not serve the clusters.
+        storage = fresh_storage(tmp_path)
+        for record in records[:12]:
+            storage.upsert(record)
+        storage.close()
+        _, path = storage.snapshots.latest()
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        members = payload["store"]["members"]
+        donor = next(entity_id for entity_id in sorted(members)
+                     if len(members[entity_id]) > 1)
+        taker = next(entity_id for entity_id in sorted(members) if entity_id != donor)
+        members[taker].append(members[donor].pop())
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with pytest.raises(StorageError, match=path.name):
+            Storage.recover(tmp_path, score_fn=child.score_fn)
+
 
 class TestDurableService:
     def test_storage_is_mutually_exclusive_with_store_config(self, tmp_path):

@@ -2,8 +2,11 @@
 
 These cover the numerical substrate (autograd, softmax, metrics), the text
 pipeline (tokenisation, similarity bounds, hashing determinism) and the data
-structures (schema alignment, contrastive features).
+structures (schema alignment, contrastive features), the flat pair encoder
+and the entity store's incremental clustering.
 """
+
+from zlib import crc32
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from repro.features import EncodingCache, PairEncoder
 from repro.features.relational import extract_relational_features
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.serve import EntityStore, StoreConfig
 from repro.text import (
     HashedEmbedder,
     Tokenizer,
@@ -24,6 +28,8 @@ from repro.text import (
     levenshtein_distance,
     tokenize,
 )
+
+from serve.resolve_oracle import resolve_from_singletons
 
 TEXT = st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs")), max_size=40)
 SMALL_FLOATS = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -227,3 +233,59 @@ def test_encode_equals_stacked_encode_pair(case):
             assert np.array_equal(batch.feature_mask,
                                   np.stack([e.feature_mask for e in expected]))
             assert batch.pair_ids == [pair.pair_id for pair in pairs]
+
+
+# --------------------------------------------------------------------------- #
+# Entity store: rewind-and-replay against resolving everything from singletons
+# --------------------------------------------------------------------------- #
+# Few words and tiny bucket caps: records collide, buckets overflow mid-stream,
+# candidate pairs (and the match edges among them) are retracted and entities
+# split.  Few score levels: ties are common and settled by record id, which is
+# drawn apart from arrival order.
+_STREAM_WORDS = st.sampled_from(["alpha", "bravo", "charlie", "delta", "echo",
+                                 "foxtrot", "golf", "hotel"])
+_SCORE_LEVELS = [0.2, 0.55, 0.7, 0.85, 0.95]
+_BUCKET_CAP = st.integers(2, 4)
+
+
+@st.composite
+def _store_streams(draw):
+    num_sources = draw(st.integers(2, 5))
+    records = [Record(f"r{draw(st.integers(0, 99)):02d}-{index}",
+                      f"s{draw(st.integers(1, num_sources))}",
+                      {"name": " ".join(draw(st.lists(_STREAM_WORDS, min_size=1,
+                                                      max_size=3, unique=True)))})
+               for index in range(draw(st.integers(2, 24)))]
+    config = StoreConfig(lsh_max_bucket_size=draw(_BUCKET_CAP),
+                         max_postings=draw(_BUCKET_CAP),
+                         initials_max_bucket_size=draw(_BUCKET_CAP),
+                         source_consistent=draw(st.booleans()),
+                         cross_source_only=draw(st.booleans()))
+    levels = draw(st.lists(st.sampled_from(_SCORE_LEVELS), min_size=1, max_size=5,
+                           unique=True))
+    salt = draw(st.integers(0, 2 ** 16))
+
+    def score_fn(pairs):
+        return np.array([levels[crc32(f"{salt}|{pair.pair_id}".encode()) % len(levels)]
+                         for pair in pairs])
+
+    return records, config, score_fn, draw(st.integers(0, len(records) - 1))
+
+
+@given(_store_streams())
+@settings(max_examples=120, deadline=None)
+def test_store_upserts_equal_resolving_from_singletons(case):
+    records, config, score_fn, restore_at = case
+    store = EntityStore(score_fn=score_fn, config=config)
+    restored = None
+    for index, record in enumerate(records):
+        if index == restore_at:
+            restored = EntityStore.from_state_dict(store.state_dict(), score_fn=score_fn)
+        store.upsert(record)
+        assert store.clusters() == resolve_from_singletons(store)
+        if restored is not None:
+            # A store rebuilt mid-stream stays the uninterrupted one, merge
+            # logs (which no state dict carries) included.
+            restored.upsert(record)
+            assert restored.state_dict() == store.state_dict()
+            assert restored._clusters.merge_logs == store._clusters.merge_logs
