@@ -6,7 +6,7 @@ online serving layer over the synthetic Music-3K analogue:
 
 1. train a quick AdaMEL-hyb matcher (deployments would load a saved bundle)
    and start a :class:`~repro.serve.LinkageService` — an incremental
-   :class:`~repro.serve.EntityStore` behind a latency-bounded
+   :class:`~repro.serve.EntityStore` behind a
    :class:`~repro.serve.RequestCoalescer`;
 2. stream the shuffled corpus through ``upsert`` record by record, watching
    entities form incrementally;
@@ -53,7 +53,7 @@ def main() -> None:
     predictor = BatchedPredictor.from_trainer(model)
 
     store_config = StoreConfig(score_threshold=0.5)
-    service_config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0, top_k=3)
+    service_config = ServiceConfig(max_batch_size=32, top_k=3)
     with LinkageService(predictor, store_config=store_config,
                         service_config=service_config) as service:
         # -------------------------------------------------------------- #
@@ -81,8 +81,8 @@ def main() -> None:
         fused = service.coalescer.stats()
         print(f"Coalescer fused {int(fused['requests'])} requests into "
               f"{int(fused['batches'])} batches (mean {fused['mean_batch_pairs']:.1f} "
-              f"pairs; {int(fused['size_flushes'])} size / "
-              f"{int(fused['deadline_flushes'])} deadline flushes).")
+              f"pairs; {int(fused['capped_batches'])} cut at the "
+              f"{int(fused['max_batch_size'])}-pair cap).")
 
         # A lookup for a brand-new probe record: who is "E. B."?
         probe_source = records[0]

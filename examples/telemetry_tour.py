@@ -55,7 +55,7 @@ def main() -> None:
 
         result = LinkagePipeline(predictor).run(corpus.records)
 
-        service_config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0)
+        service_config = ServiceConfig(max_batch_size=16)
         with LinkageService(predictor, service_config=service_config) as service:
             for record in corpus.records[:10]:
                 service.upsert(record)

@@ -255,11 +255,11 @@ def _stage_serve_online(scale: ExperimentScale, seed: int) -> Dict[str, object]:
 
     Ingest replays a shuffled record stream through ``EntityStore.upsert``
     (sequential — batch parity is defined over one input order), queries
-    replay the same records from 4 concurrent workers through the
-    deadline-bounded coalescer.  Raw per-request latency samples are returned
-    under ``*_latency_samples`` keys; :func:`run_suite` folds them into
-    p50/p95/p99 percentiles.  ``batch_parity`` is 1.0 when the streamed
-    clusters equal one batch ``LinkagePipeline.run`` over the same order.
+    replay the same records from 4 concurrent workers through the coalescer.
+    Raw per-request latency samples are returned under ``*_latency_samples``
+    keys; :func:`run_suite` folds them into p50/p95/p99 percentiles.
+    ``batch_parity`` is 1.0 when the streamed clusters equal one batch
+    ``LinkagePipeline.run`` over the same order.
     """
     from ..core.variants import create_variant
     from ..infer.predictor import BatchedPredictor
@@ -277,7 +277,7 @@ def _stage_serve_online(scale: ExperimentScale, seed: int) -> Dict[str, object]:
     records = list(corpus.records)
     np.random.default_rng(seed).shuffle(records)
     store_config = StoreConfig()
-    service_config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0)
+    service_config = ServiceConfig(max_batch_size=32)
     with LinkageService(predictor, store_config=store_config,
                         service_config=service_config) as service:
         ingest = replay_upserts(service, records)
@@ -297,8 +297,6 @@ def _stage_serve_online(scale: ExperimentScale, seed: int) -> Dict[str, object]:
         "query_errors": float(queries.errors),
         "coalesced_batches": coalescer["batches"],
         "mean_batch_pairs": coalescer["mean_batch_pairs"],
-        "deadline_flushes": coalescer["deadline_flushes"],
-        "size_flushes": coalescer["size_flushes"],
         "batch_parity": float(online_clusters == batch.clusters.clusters),
         "upsert_latency_samples": ingest.latencies,
         "query_latency_samples": queries.latencies,
@@ -341,8 +339,7 @@ def _stage_serve_degraded(scale: ExperimentScale, seed: int) -> Dict[str, object
 
     records = list(corpus.records)
     np.random.default_rng(seed).shuffle(records)
-    service_config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0,
-                                   breaker_failure_threshold=3)
+    service_config = ServiceConfig(max_batch_size=32, breaker_failure_threshold=3)
     with LinkageService(predictor, store_config=StoreConfig(),
                         service_config=service_config) as service:
         replay_upserts(service, records)
@@ -612,7 +609,7 @@ def _stage_obs_overhead(scale: ExperimentScale, seed: int) -> Dict[str, float]:
     records = records[:200]
 
     def serve_rate() -> float:
-        service_config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0)
+        service_config = ServiceConfig(max_batch_size=32)
         with LinkageService(predictor, store_config=StoreConfig(),
                             service_config=service_config) as service:
             start = time.perf_counter()

@@ -1,21 +1,17 @@
 """Batched inference over trained AdaMEL models.
 
 ``BatchedPredictor`` serves matching probabilities for many target domains
-without retraining: prediction requests are micro-batched and executed as
-fused forward passes under ``no_grad``, reusing the process-wide encoding
-cache so repeated pairs are never re-encoded.
+without retraining: ``predict_proba(pairs)`` scores a pair list in
+micro-batches, each a fused forward pass under ``no_grad``, reusing the
+process-wide encoding cache so repeated pairs are never re-encoded.
 
-Two usage styles are supported:
-
-* **bulk** — ``predict_proba(pairs)`` scores a pair list in micro-batches;
-* **queued** — ``submit(pairs)`` enqueues requests from many call sites and
-  ``flush()`` runs one fused pass over everything queued, returning the
-  probabilities in submission order (the micro-service style of batching).
+The predictor holds no queue.  Fusing requests from many call sites is the
+job of the one batching layer, :class:`repro.serve.RequestCoalescer`, whose
+executor thread calls ``predict_proba``.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import islice
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -31,7 +27,7 @@ from ..nn import no_grad
 from ..obs import BoundHandles, DEFAULT_SIZE_BUCKETS
 from .serialization import load_model
 
-__all__ = ["BatchedPredictor", "PredictorQueueFull"]
+__all__ = ["BatchedPredictor"]
 
 DEFAULT_MICRO_BATCH_SIZE = 256
 
@@ -54,17 +50,6 @@ def _bind_predictor_instruments(registry) -> _PredictorInstruments:
     )
 
 
-class PredictorQueueFull(RuntimeError):
-    """A ``submit`` would grow the request queue past ``max_queue_size``.
-
-    Raised instead of enqueueing, so the queue (and every slice handed out by
-    earlier ``submit`` calls) is left untouched.  Either ``flush()`` first,
-    raise ``max_queue_size``, or enable ``auto_flush`` so the predictor
-    scores the backlog eagerly instead of rejecting requests (with
-    ``auto_flush`` enabled this error can no longer occur).
-    """
-
-
 class BatchedPredictor:
     """Micro-batched, no-grad inference front end for a fitted AdaMEL model.
 
@@ -77,53 +62,20 @@ class BatchedPredictor:
         Maximum number of pairs per fused forward pass.  Batched predictions
         are numerically equal to one-by-one predictions; micro-batching only
         bounds peak memory while keeping the forward pass fused.
-    max_queue_size:
-        Hard cap on the number of *unscored* queued requests.  Without
-        ``auto_flush``, a ``submit`` that would exceed it raises
-        :class:`PredictorQueueFull` and enqueues nothing.  With ``auto_flush``
-        set, overflow cannot occur — every submit that reaches the threshold
-        scores the backlog down to zero, so the persistent backlog stays
-        below ``auto_flush`` (validated ``<= max_queue_size``) and the cap is
-        a documentation of the bound rather than a rejection path.  ``None``
-        (the default) keeps the queue unbounded, as before.
-    auto_flush:
-        When the unscored backlog reaches this many pairs, ``submit`` scores
-        it eagerly and buffers the probabilities, so the queue of raw pair
-        objects stays bounded while the slices returned by earlier ``submit``
-        calls remain valid: ``flush()`` still returns every request since the
-        last flush, in submission order.  ``None`` disables eager scoring.
 
-    Queue bookkeeping (``submit`` / ``flush`` / ``pending``) is guarded by an
-    internal lock.  The forward pass itself is **not** re-entrant (autograd
-    mode is process-wide), so concurrent ``predict_proba`` calls from several
-    threads must be serialized by the caller — see
-    :class:`repro.serve.RequestCoalescer`, which funnels all scoring through
-    one executor thread.
+    The forward pass is **not** re-entrant (autograd mode is process-wide),
+    so concurrent ``predict_proba`` calls from several threads must be
+    serialized by the caller — see :class:`repro.serve.RequestCoalescer`,
+    which funnels all scoring through one executor thread.
     """
 
     def __init__(self, encoder: PairEncoder, network,
-                 micro_batch_size: int = DEFAULT_MICRO_BATCH_SIZE,
-                 max_queue_size: Optional[int] = None,
-                 auto_flush: Optional[int] = None) -> None:
+                 micro_batch_size: int = DEFAULT_MICRO_BATCH_SIZE) -> None:
         if micro_batch_size <= 0:
             raise ValueError(f"micro_batch_size must be positive, got {micro_batch_size}")
-        if max_queue_size is not None and max_queue_size <= 0:
-            raise ValueError(f"max_queue_size must be positive, got {max_queue_size}")
-        if auto_flush is not None and auto_flush <= 0:
-            raise ValueError(f"auto_flush must be positive, got {auto_flush}")
-        if (auto_flush is not None and max_queue_size is not None
-                and auto_flush > max_queue_size):
-            raise ValueError(f"auto_flush ({auto_flush}) must not exceed "
-                             f"max_queue_size ({max_queue_size})")
         self.encoder = encoder
         self.network = network
         self.micro_batch_size = micro_batch_size
-        self.max_queue_size = max_queue_size
-        self.auto_flush = auto_flush
-        self._queue: List[EntityPair] = []
-        self._buffered: List[np.ndarray] = []
-        self._buffered_count = 0
-        self._queue_lock = threading.RLock()
         self.requests_served = 0
         self.batches_run = 0
         self._obs = BoundHandles(_bind_predictor_instruments)
@@ -133,27 +85,22 @@ class BatchedPredictor:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_trainer(cls, trainer: AdaMELTrainer,
-                     micro_batch_size: int = DEFAULT_MICRO_BATCH_SIZE,
-                     max_queue_size: Optional[int] = None,
-                     auto_flush: Optional[int] = None) -> "BatchedPredictor":
+                     micro_batch_size: int = DEFAULT_MICRO_BATCH_SIZE
+                     ) -> "BatchedPredictor":
         """Wrap a fitted trainer without copying its model."""
         if trainer.network is None or trainer.encoder is None:
             raise ValueError("the trainer must be fitted before wrapping it")
-        return cls(trainer.encoder, trainer.network, micro_batch_size=micro_batch_size,
-                   max_queue_size=max_queue_size, auto_flush=auto_flush)
+        return cls(trainer.encoder, trainer.network, micro_batch_size=micro_batch_size)
 
     @classmethod
     def load(cls, path: Union[str, Path], micro_batch_size: int = DEFAULT_MICRO_BATCH_SIZE,
-             cache: Optional[EncodingCache] = None,
-             max_queue_size: Optional[int] = None,
-             auto_flush: Optional[int] = None) -> "BatchedPredictor":
+             cache: Optional[EncodingCache] = None) -> "BatchedPredictor":
         """Load a saved model bundle (see :func:`repro.infer.save_model`)."""
         trainer = load_model(path, cache=cache)
-        return cls.from_trainer(trainer, micro_batch_size=micro_batch_size,
-                                max_queue_size=max_queue_size, auto_flush=auto_flush)
+        return cls.from_trainer(trainer, micro_batch_size=micro_batch_size)
 
     # ------------------------------------------------------------------ #
-    # Bulk inference
+    # Inference
     # ------------------------------------------------------------------ #
     def predict_proba(self, pairs: Sequence[EntityPair]) -> np.ndarray:
         """Matching probabilities for ``pairs``, computed in micro-batches."""
@@ -231,83 +178,14 @@ class BatchedPredictor:
         return np.concatenate(outputs, axis=0)
 
     # ------------------------------------------------------------------ #
-    # Queued inference
-    # ------------------------------------------------------------------ #
-    def submit(self, pairs: Union[EntityPair, Sequence[EntityPair]]) -> slice:
-        """Enqueue one pair or a pair list; returns the slice of the next
-        :meth:`flush` result holding these requests' probabilities.
-
-        With ``auto_flush`` set, a backlog reaching that size is scored
-        eagerly (probabilities buffered until the next :meth:`flush`); with
-        only ``max_queue_size`` set, an overflowing submit raises
-        :class:`PredictorQueueFull` and enqueues nothing.
-        """
-        if isinstance(pairs, EntityPair):
-            pairs = [pairs]
-        else:
-            pairs = list(pairs)
-        with self._queue_lock:
-            if (self.auto_flush is None and self.max_queue_size is not None
-                    and len(self._queue) + len(pairs) > self.max_queue_size):
-                raise PredictorQueueFull(
-                    f"submitting {len(pairs)} pair(s) would grow the queue to "
-                    f"{len(self._queue) + len(pairs)} > max_queue_size="
-                    f"{self.max_queue_size}; flush() first, raise the cap, or "
-                    f"enable auto_flush")
-            start = self._buffered_count + len(self._queue)
-            self._queue.extend(pairs)
-            end = start + len(pairs)
-            if self.auto_flush is not None and len(self._queue) >= self.auto_flush:
-                self._score_backlog()
-            return slice(start, end)
-
-    def _score_backlog(self) -> None:
-        """Score the unscored queue into the result buffer (queue restored on
-        failure, like :meth:`flush`).  Caller must hold the queue lock."""
-        queued, self._queue = self._queue, []
-        if not queued:
-            return
-        try:
-            probabilities = self.predict_proba(queued)
-        except BaseException:
-            self._queue = queued + self._queue
-            raise
-        self._buffered.append(probabilities)
-        self._buffered_count += len(queued)
-
-    def pending(self) -> int:
-        """Requests submitted but not yet returned by :meth:`flush` (both the
-        unscored backlog and any eagerly scored, still-buffered results)."""
-        with self._queue_lock:
-            return self._buffered_count + len(self._queue)
-
-    def flush(self) -> np.ndarray:
-        """Score every queued request in fused micro-batches and clear the
-        queue; probabilities are returned in submission order (eagerly scored
-        ``auto_flush`` buffers first, then the remaining backlog).  On failure
-        the queue is restored, so the slices from :meth:`submit` stay valid
-        and a retry flush covers the same requests."""
-        with self._queue_lock:
-            self._score_backlog()
-            buffered, self._buffered = self._buffered, []
-            self._buffered_count = 0
-        if not buffered:
-            return np.zeros(0)
-        return buffered[0] if len(buffered) == 1 else np.concatenate(buffered)
-
-    # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:
-        """Serving counters (requests, fused batches, queue depth)."""
-        with self._queue_lock:
-            return {
-                "requests_served": self.requests_served,
-                "batches_run": self.batches_run,
-                "pending": self._buffered_count + len(self._queue),
-                "queued": len(self._queue),
-                "buffered": self._buffered_count,
-                "micro_batch_size": self.micro_batch_size,
-            }
+        """Serving counters (pairs served, fused forward passes)."""
+        return {
+            "requests_served": self.requests_served,
+            "batches_run": self.batches_run,
+            "micro_batch_size": self.micro_batch_size,
+        }
 
     def __repr__(self) -> str:
         return (f"BatchedPredictor(micro_batch_size={self.micro_batch_size}, "
-                f"served={self.requests_served}, pending={self.pending()})")
+                f"served={self.requests_served})")

@@ -8,10 +8,10 @@ package serves linkage *online*, one record or query at a time:
   ``upsert(record) -> entity_id`` / ``query(record) -> ranked entities``, and
   snapshot/restore persistence.  Streaming upserts produce exactly the
   clusters a batch ``LinkagePipeline.run`` would (parity is tested);
-* :mod:`~repro.serve.coalescer` — :class:`RequestCoalescer`, the
-  latency-bounded micro-batcher: concurrent callers enqueue, one executor
-  thread fuses requests and flushes on batch-size *or* deadline, with a
-  bounded queue for backpressure;
+* :mod:`~repro.serve.coalescer` — :class:`RequestCoalescer`, the one
+  batching layer: concurrent callers enqueue, one executor thread scores
+  whatever is queued the moment it is idle (no timer), with a bounded queue
+  for backpressure;
 * :mod:`~repro.serve.service` — :class:`LinkageService`, the deployable
   front end wiring store and coalescer;
 * :mod:`~repro.serve.loadgen` — load replay + p50/p95/p99 latency reports,

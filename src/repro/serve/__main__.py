@@ -58,9 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--threshold", type=float, default=0.5,
                          help="match-score threshold for clustering (default: 0.5)")
     serving.add_argument("--max-batch-size", type=int, default=32,
-                         help="coalescer size-flush trigger in pairs (default: 32)")
-    serving.add_argument("--max-wait-ms", type=float, default=2.0,
-                         help="coalescer deadline flush in ms (default: 2.0)")
+                         help="most pairs the coalescer fuses into one batch "
+                              "(default: 32)")
     serving.add_argument("--workers", type=int, default=4,
                          help="concurrent query workers for the replay (default: 4)")
     serving.add_argument("--queries", type=int, default=None,
@@ -137,7 +136,6 @@ def run_demo(args: argparse.Namespace) -> int:
 
     store_config = StoreConfig(score_threshold=args.threshold)
     service_config = ServiceConfig(max_batch_size=args.max_batch_size,
-                                   max_wait_ms=args.max_wait_ms,
                                    top_k=args.top_k)
     storage = _build_storage(args, store_config)
     with LinkageService(predictor,
@@ -172,8 +170,8 @@ def run_demo(args: argparse.Namespace) -> int:
         coalescer = service.coalescer.stats()
         print(f"coalescer: {int(coalescer['batches'])} fused batches "
               f"(mean {coalescer['mean_batch_pairs']:.1f} pairs; "
-              f"{int(coalescer['size_flushes'])} size / "
-              f"{int(coalescer['deadline_flushes'])} deadline flushes)")
+              f"{int(coalescer['capped_batches'])} cut at the "
+              f"{int(coalescer['max_batch_size'])}-pair cap)")
 
         if storage is not None:
             wal = storage.stats()
@@ -227,7 +225,6 @@ def run_health(args: argparse.Namespace) -> int:
     np.random.default_rng(args.seed).shuffle(records)
 
     service_config = ServiceConfig(max_batch_size=args.max_batch_size,
-                                   max_wait_ms=args.max_wait_ms,
                                    top_k=args.top_k)
     store_config = StoreConfig(score_threshold=args.threshold)
     storage = _build_storage(args, store_config)

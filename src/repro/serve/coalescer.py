@@ -1,16 +1,18 @@
-"""Latency-bounded request coalescing in front of the batched predictor.
+"""Demand-driven request coalescing in front of the batched predictor.
 
 The model's autograd mode is process-wide, so concurrent forward passes from
 many threads are unsafe — and tiny per-request forwards waste the fused-batch
 speedup anyway.  :class:`RequestCoalescer` solves both: client threads
-enqueue scoring requests; one executor thread fuses them into micro-batches
-and runs the model, flushing when either
+enqueue scoring requests and one executor thread — the only caller of the
+model — follows a single rule:
 
-* the queued pair count reaches ``max_batch_size`` (**size flush**), or
-* the *oldest* queued request has waited ``max_wait_ms`` (**deadline flush**),
+    the moment it is idle, drain whatever is queued (whole requests in FIFO
+    order, up to ``max_batch_size`` pairs) and score it as one fused batch.
 
-so a lone request is never stuck waiting for a full batch: ``max_wait_ms`` is
-the worst-case queueing delay added in exchange for batching throughput.
+A request therefore waits only while another batch is in flight.  A lone
+request on an idle coalescer is scored at once; under load the queue that
+builds up behind the in-flight batch *is* the next batch, so batch size
+follows the arrival rate with no timer and no knob.
 
 Backpressure is explicit: the queue holds at most ``max_queue_size`` pairs
 and ``submit`` blocks (optionally with a timeout) until there is room,
@@ -49,7 +51,8 @@ class _CoalescerInstruments(NamedTuple):
 
 
 def _bind_coalescer_instruments(registry) -> _CoalescerInstruments:
-    flush_help = "Batches flushed, by trigger (size / deadline / shutdown)"
+    flush_help = ("Batches drained, by what ended them (idle: took the whole "
+                  "queue / cap: max_batch_size with requests left / shutdown)")
     return _CoalescerInstruments(
         requests=registry.counter("coalescer_requests_total",
                                   "Scoring requests accepted"),
@@ -59,7 +62,7 @@ def _bind_coalescer_instruments(registry) -> _CoalescerInstruments:
                                       "Pairs scored through fused batches"),
         flushes={reason: registry.counter("coalescer_flushes_total", flush_help,
                                           {"reason": reason})
-                 for reason in ("size", "deadline", "shutdown")},
+                 for reason in ("idle", "cap", "shutdown")},
         queue_depth=registry.gauge("coalescer_queue_depth_pairs",
                                    "Pairs currently queued"),
         high_watermark=registry.gauge("coalescer_queue_high_watermark_pairs",
@@ -83,18 +86,16 @@ class CoalescerQueueFull(RuntimeError):
 
 
 class PendingScore:
-    """Handle for one submitted request; resolved by the executor thread."""
+    """One submitted request and its handle; resolved by the executor thread."""
 
-    __slots__ = ("_event", "_result", "_error", "num_pairs", "enqueued_at",
-                 "deadline")
+    __slots__ = ("_event", "_result", "_error", "pairs", "enqueued_at")
 
-    def __init__(self, num_pairs: int, enqueued_at: float, deadline: float) -> None:
+    def __init__(self, pairs: List[EntityPair], enqueued_at: float) -> None:
         self._event = threading.Event()
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
-        self.num_pairs = num_pairs
+        self.pairs = pairs
         self.enqueued_at = enqueued_at
-        self.deadline = deadline  # latest flush time this request accepts
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -117,16 +118,8 @@ class PendingScore:
         self._event.set()
 
 
-class _QueuedRequest:
-    __slots__ = ("pairs", "pending")
-
-    def __init__(self, pairs: List[EntityPair], pending: PendingScore) -> None:
-        self.pairs = pairs
-        self.pending = pending
-
-
 class RequestCoalescer:
-    """Fuse concurrent scoring requests into deadline-bounded micro-batches.
+    """Fuse the scoring requests that queue up behind the in-flight batch.
 
     Parameters
     ----------
@@ -134,11 +127,10 @@ class RequestCoalescer:
         The fused scorer, typically ``BatchedPredictor.predict_proba``.  Only
         the executor thread ever calls it, so it needs no thread safety.
     max_batch_size:
-        Flush as soon as this many pairs are queued.  Also the upper bound on
-        the pairs handed to ``score_fn`` per call (whole requests are never
-        split, so a single larger-than-batch request goes through alone).
-    max_wait_ms:
-        Deadline flush: the longest a queued request may wait for co-riders.
+        Upper bound on the pairs handed to ``score_fn`` per call (whole
+        requests are never split, so a single larger-than-batch request goes
+        through alone).  A batch that stops here with requests still queued
+        is counted in ``capped_batches`` — the saturation signal.
     max_queue_size:
         Backpressure bound on queued pairs; ``submit`` blocks for room.
     queue_sample_fn:
@@ -150,21 +142,18 @@ class RequestCoalescer:
     """
 
     def __init__(self, score_fn: ScoreFn, max_batch_size: int = 64,
-                 max_wait_ms: float = 5.0, max_queue_size: int = 4096,
+                 max_queue_size: int = 4096,
                  queue_sample_fn: Optional[Callable[[float], None]] = None) -> None:
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue_size < max_batch_size:
             raise ValueError(f"max_queue_size ({max_queue_size}) must be >= "
                              f"max_batch_size ({max_batch_size})")
         self.score_fn = score_fn
         self.max_batch_size = max_batch_size
-        self.max_wait = max_wait_ms / 1000.0
         self.max_queue_size = max_queue_size
         self._condition = threading.Condition()
-        self._queue: Deque[_QueuedRequest] = deque()
+        self._queue: Deque[PendingScore] = deque()
         self._queued_pairs = 0
         self._stopping = False
         self._running = False
@@ -173,8 +162,7 @@ class RequestCoalescer:
         self.requests = 0
         self.pairs_scored = 0
         self.batches = 0
-        self.size_flushes = 0
-        self.deadline_flushes = 0
+        self.capped_batches = 0
         self.rejected = 0
         self.executor_restarts = 0
         self._batch_sizes_sum = 0
@@ -191,10 +179,23 @@ class RequestCoalescer:
                 return self
             self._stopping = False
             self._running = True
-            self._thread = threading.Thread(target=self._run, name="repro-coalescer",
-                                            daemon=True)
-            self._thread.start()
+            self._spawn_executor()
         return self
+
+    def _spawn_executor(self) -> None:
+        self._thread = threading.Thread(target=self._run, name="repro-coalescer",
+                                        daemon=True)
+        self._thread.start()
+
+    def _fail_queued(self, failure: CoalescerClosed) -> None:
+        """Empty the queue and fail what was in it (nobody will score it)."""
+        with self._condition:
+            abandoned = list(self._queue)
+            self._queue.clear()
+            self._queued_pairs = 0
+            self._condition.notify_all()  # submitters blocked on room
+        for request in abandoned:
+            request._fail(failure)
 
     def stop(self, timeout: Optional[float] = None) -> None:
         """Flush whatever is queued, then stop the executor thread.
@@ -221,16 +222,9 @@ class RequestCoalescer:
         assert thread is not None
         thread.join(timeout)
         if thread.is_alive():
-            with self._condition:
-                abandoned = list(self._queue)
-                self._queue.clear()
-                self._queued_pairs = 0
-                self._condition.notify_all()  # submitters blocked on room
-            failure = CoalescerClosed(
+            self._fail_queued(CoalescerClosed(
                 "the coalescer is stopping and its executor is wedged; "
-                "this queued request will never be scored")
-            for request in abandoned:
-                request.pending._fail(failure)
+                "this queued request will never be scored"))
             raise TimeoutError(
                 f"coalescer executor still running after {timeout}s "
                 f"(score_fn in flight?); retry stop() to keep waiting")
@@ -247,17 +241,18 @@ class RequestCoalescer:
     # ------------------------------------------------------------------ #
     # Client side
     # ------------------------------------------------------------------ #
+    def _check_accepting(self) -> None:
+        """Raise unless requests are accepted.  Caller holds the lock."""
+        if not self._running or self._stopping:
+            raise CoalescerClosed("the coalescer is not running; call start() "
+                                  "or use it as a context manager")
+
     def submit(self, pairs: Union[EntityPair, Sequence[EntityPair]],
-               timeout: Optional[float] = None,
-               max_wait: Optional[float] = None) -> PendingScore:
+               timeout: Optional[float] = None) -> PendingScore:
         """Enqueue a request; returns a :class:`PendingScore` handle.
 
         Blocks while the queue is at ``max_queue_size`` (backpressure); a
         ``timeout`` bounds that wait and raises :class:`CoalescerQueueFull`.
-        ``max_wait`` (seconds) overrides the coalescer's deadline for this
-        request — ``0.0`` asks for an immediate flush (still fused with
-        whatever is already queued), which serialized writers use so their
-        lone requests don't wait out a co-rider deadline nothing can fill.
         """
         if isinstance(pairs, EntityPair):
             pairs = [pairs]
@@ -265,9 +260,7 @@ class RequestCoalescer:
             pairs = list(pairs)
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._condition:
-            if not self._running or self._stopping:
-                raise CoalescerClosed("the coalescer is not running; call start() "
-                                      "or use it as a context manager")
+            self._check_accepting()
             # A request bigger than the whole queue bound could never fit.
             needed = min(len(pairs), self.max_queue_size) or 1
             while self._queued_pairs + needed > self.max_queue_size:
@@ -281,14 +274,9 @@ class RequestCoalescer:
                         f"no room for {len(pairs)} pair(s) within {timeout}s "
                         f"(queued={self._queued_pairs}, bound={self.max_queue_size})")
                 self._condition.wait(remaining)
-                if not self._running or self._stopping:
-                    raise CoalescerClosed("the coalescer stopped while waiting "
-                                          "for queue room")
-            now = time.monotonic()
-            wait = self.max_wait if max_wait is None else max(max_wait, 0.0)
-            pending = PendingScore(num_pairs=len(pairs), enqueued_at=now,
-                                   deadline=now + wait)
-            self._queue.append(_QueuedRequest(pairs, pending))
+                self._check_accepting()  # stopped while waiting for room
+            pending = PendingScore(pairs, enqueued_at=time.monotonic())
+            self._queue.append(pending)
             self._queued_pairs += len(pairs)
             queued_pairs = self._queued_pairs
             self.requests += 1
@@ -303,17 +291,18 @@ class RequestCoalescer:
         return pending
 
     def score(self, pairs: Union[EntityPair, Sequence[EntityPair]],
-              timeout: Optional[float] = None,
-              max_wait: Optional[float] = None) -> np.ndarray:
+              timeout: Optional[float] = None) -> np.ndarray:
         """Submit and block for the probabilities (the common client call).
 
         ``timeout`` is one overall bound covering both the wait for queue
         room and the wait for the result.
         """
         if not isinstance(pairs, EntityPair) and not len(pairs):
+            with self._condition:
+                self._check_accepting()  # empty or not, a closed coalescer refuses
             return np.zeros(0)
         give_up = None if timeout is None else time.monotonic() + timeout
-        pending = self.submit(pairs, timeout=timeout, max_wait=max_wait)
+        pending = self.submit(pairs, timeout=timeout)
         remaining = None if give_up is None else max(give_up - time.monotonic(), 0.0)
         return pending.result(remaining)
 
@@ -323,21 +312,23 @@ class RequestCoalescer:
             return self._queued_pairs
 
     def stats(self) -> Dict[str, float]:
-        """Coalescing counters (batches, flush causes, mean fused size)."""
+        """Coalescing counters (batches, capped batches, mean fused size)."""
         with self._condition:
             return {
                 "requests": float(self.requests),
                 "pairs_scored": float(self.pairs_scored),
                 "batches": float(self.batches),
-                "size_flushes": float(self.size_flushes),
-                "deadline_flushes": float(self.deadline_flushes),
+                "capped_batches": float(self.capped_batches),
+                # Nothing flushes on a deadline any more; the key stays, at
+                # zero, only because benchmarks/e2e/workloads.py indexes it —
+                # the next [benchmark] PR drops it from both sides.
+                "deadline_flushes": 0.0,
                 "rejected": float(self.rejected),
                 "executor_restarts": float(self.executor_restarts),
                 "queued_pairs": float(self._queued_pairs),
                 "mean_batch_pairs": (self._batch_sizes_sum / self.batches
                                      if self.batches else 0.0),
                 "max_batch_size": float(self.max_batch_size),
-                "max_wait_ms": self.max_wait * 1000.0,
             }
 
     # ------------------------------------------------------------------ #
@@ -347,10 +338,10 @@ class RequestCoalescer:
         while True:
             batch = None
             try:
-                batch, cause = self._next_batch()
+                batch = self._next_batch()
                 if batch is None:
                     return
-                self._execute(batch, cause)
+                self._execute(batch)
             except BaseException as error:
                 # ``_execute`` already absorbs score_fn errors per batch;
                 # anything reaching here is a bug in the executor machinery
@@ -358,7 +349,7 @@ class RequestCoalescer:
                 self._on_executor_crash(batch, error)
                 return
 
-    def _on_executor_crash(self, batch: Optional[List["_QueuedRequest"]],
+    def _on_executor_crash(self, batch: Optional[List[PendingScore]],
                            error: BaseException) -> None:
         """Contain an executor-thread crash: fail its batch, respawn.
 
@@ -371,57 +362,35 @@ class RequestCoalescer:
         """
         with self._condition:
             restart = self._running and not self._stopping
-            abandoned: List[_QueuedRequest] = []
             if restart:
                 self.executor_restarts += 1
-                self._thread = threading.Thread(target=self._run,
-                                                name="repro-coalescer",
-                                                daemon=True)
-                self._thread.start()
-            else:
-                abandoned = list(self._queue)
-                self._queue.clear()
-                self._queued_pairs = 0
-            self._condition.notify_all()
-        instruments = self._obs.get()
-        if instruments is not None and restart:
-            instruments.restarts.inc()
+                self._spawn_executor()
         failure = CoalescerClosed(f"coalescer executor crashed: {error!r}")
         failure.__cause__ = error
         for request in (batch or []):
-            if not request.pending.done():
-                request.pending._fail(failure)
-        for request in abandoned:
-            request.pending._fail(failure)
+            if not request.done():
+                request._fail(failure)
+        if restart:
+            instruments = self._obs.get()
+            if instruments is not None:
+                instruments.restarts.inc()
+        else:
+            self._fail_queued(failure)
 
-    def _next_batch(self) -> tuple:
-        """Wait for a size or deadline trigger and drain one batch.
+    def _next_batch(self) -> Optional[List[PendingScore]]:
+        """Sleep until something is queued, then drain one batch at once.
 
-        Returns ``(requests, cause)``; ``(None, None)`` means shutdown with
-        an empty queue.
+        Only an idle executor gets here, so no request waits for co-riders:
+        whatever piled up behind the previous batch rides together, in FIFO
+        order, whole requests up to ``max_batch_size`` pairs.  ``None`` means
+        shutdown with an empty queue.
         """
         with self._condition:
             while not self._queue:
                 if self._stopping:
-                    return None, None
+                    return None
                 self._condition.wait()
-            # Wait for co-riders until the batch fills or the most impatient
-            # queued request's deadline passes (shutdown flushes immediately).
-            # The minimum is recomputed each round: per-request max_wait
-            # overrides mean a later arrival can be the most impatient.
-            cause = "size"
-            while not self._stopping and self._queued_pairs < self.max_batch_size:
-                deadline = min(request.pending.deadline for request in self._queue)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    cause = "deadline"
-                    break
-                self._condition.wait(remaining)
-            if self._queued_pairs >= self.max_batch_size:
-                cause = "size"
-            elif self._stopping:
-                cause = "shutdown"
-            batch: List[_QueuedRequest] = []
+            batch: List[PendingScore] = []
             taken = 0
             while self._queue and (not batch or
                                    taken + len(self._queue[0].pairs) <= self.max_batch_size):
@@ -430,10 +399,11 @@ class RequestCoalescer:
                 taken += len(request.pairs)
             self._queued_pairs -= taken
             queued_pairs = self._queued_pairs
-            if cause == "size":
-                self.size_flushes += 1
-            elif cause == "deadline":
-                self.deadline_flushes += 1
+            if self._queue:  # the next request did not fit under the cap
+                cause = "cap"
+                self.capped_batches += 1
+            else:
+                cause = "shutdown" if self._stopping else "idle"
             self.batches += 1
             self._batch_sizes_sum += taken
             self._condition.notify_all()  # wake submitters blocked on room
@@ -444,11 +414,10 @@ class RequestCoalescer:
             instruments.batch_pairs.observe(taken)
             instruments.queue_depth.set(queued_pairs)
             for request in batch:
-                instruments.wait_seconds.observe(
-                    drained_at - request.pending.enqueued_at)
-        return batch, cause
+                instruments.wait_seconds.observe(drained_at - request.enqueued_at)
+        return batch
 
-    def _execute(self, batch: List[_QueuedRequest], cause: str) -> None:
+    def _execute(self, batch: List[PendingScore]) -> None:
         fused: List[EntityPair] = []
         for request in batch:
             fused.extend(request.pairs)
@@ -459,7 +428,7 @@ class RequestCoalescer:
                                  f"{len(fused)} pairs")
         except BaseException as error:  # propagate to every waiting client
             for request in batch:
-                request.pending._fail(error)
+                request._fail(error)
             return
         with self._condition:
             self.pairs_scored += len(fused)
@@ -468,10 +437,9 @@ class RequestCoalescer:
             instruments.pairs_scored.inc(len(fused))
         offset = 0
         for request in batch:
-            request.pending._resolve(scores[offset:offset + len(request.pairs)].copy())
+            request._resolve(scores[offset:offset + len(request.pairs)].copy())
             offset += len(request.pairs)
 
     def __repr__(self) -> str:
         return (f"RequestCoalescer(max_batch_size={self.max_batch_size}, "
-                f"max_wait_ms={self.max_wait * 1000.0:g}, "
                 f"pending={self.pending()})")

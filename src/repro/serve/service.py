@@ -13,7 +13,8 @@ subsystem.  It owns
 Clients call :meth:`upsert` / :meth:`query` from their own threads; there is
 no internal worker pool.  Upserts serialize on the store lock (single-writer
 semantics — batch parity is defined over one input order), while queries from
-many threads coalesce into deadline-bounded batches.
+many threads fuse into whatever batch the executor drains next: a request
+waits only while another batch is in flight, never on a timer.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class ServiceConfig:
     """
 
     max_batch_size: int = 64
-    max_wait_ms: float = 5.0
     max_queue_size: int = 4096
     top_k: int = 5
     request_timeout: Optional[float] = 30.0
@@ -62,7 +62,6 @@ class ServiceConfig:
     def as_dict(self) -> Dict[str, object]:
         return {
             "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
             "max_queue_size": self.max_queue_size,
             "top_k": self.top_k,
             "request_timeout": self.request_timeout,
@@ -143,35 +142,23 @@ class LinkageService:
         self.coalescer = RequestCoalescer(
             predictor.predict_proba,
             max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.max_wait_ms,
             max_queue_size=self.config.max_queue_size,
-            queue_sample_fn=self._record_queue_saturation,
         )
         self.storage = storage
         if storage is not None:
             self.store = storage.store
-            storage.fsync_listener = self._record_wal_fsync
         else:
             self.store = store if store is not None else EntityStore(config=store_config)
-        self.store.bind_score_fn(self._score, upsert_score_fn=self._score_upsert)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
             recovery_seconds=self.config.breaker_recovery_seconds)
         self._degraded_queries = 0
         self._deadline = threading.local()
         self._started_at: Optional[float] = None
+        # Until start(): scoring refuses with CoalescerClosed.
+        self.store.bind_score_fn(self.coalescer.score)
 
-    def _score(self, pairs):
-        return self._score_guarded(pairs, max_wait=None)
-
-    def _score_upsert(self, pairs):
-        # Upserts are serialized on the store lock, so waiting out the
-        # coalescer deadline for co-riders would only cap ingest throughput
-        # (and stall queries behind the lock): ask for an immediate flush —
-        # still fused with any queries already queued.
-        return self._score_guarded(pairs, max_wait=0.0)
-
-    def _score_guarded(self, pairs, max_wait: Optional[float]):
+    def _score_guarded(self, pairs):
         """The one gate onto the scoring path: breaker around the coalescer.
 
         Every model-backed scoring call (queries and upserts alike) passes
@@ -184,9 +171,7 @@ class LinkageService:
                               "(circuit breaker tripped)")
         try:
             faults.check("serve.score", pairs=len(pairs))
-            kwargs = {} if max_wait is None else {"max_wait": max_wait}
-            scores = self.coalescer.score(pairs, timeout=self._remaining(),
-                                          **kwargs)
+            scores = self.coalescer.score(pairs, timeout=self._remaining())
         except Exception:
             self.breaker.record_failure()
             raise
@@ -243,12 +228,28 @@ class LinkageService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "LinkageService":
+        self.store.bind_score_fn(self._score_guarded)
+        self.coalescer.queue_sample_fn = self._record_queue_saturation
+        if self.storage is not None:
+            self.storage.fsync_listener = self._record_wal_fsync
         self.coalescer.start()
         self._started_at = time.monotonic()
         return self
 
     def stop(self) -> None:
+        """Stop scoring and unbind the callbacks ``start()`` bound.
+
+        Those are bound methods of the service held by objects it owns —
+        reference cycles.  Without them a dropped service, and the predictor
+        and trainer behind it, is freed at once instead of at some
+        generation-2 collection.  The store is left scoring through the
+        stopped coalescer, which refuses with ``CoalescerClosed``.
+        """
         self.coalescer.stop()
+        self.store.bind_score_fn(self.coalescer.score)
+        self.coalescer.queue_sample_fn = None
+        if self.storage is not None:
+            self.storage.fsync_listener = None
 
     def __enter__(self) -> "LinkageService":
         return self.start()
@@ -381,7 +382,6 @@ class LinkageService:
                   if self._started_at is not None else 0.0)
         service = {"uptime_seconds": uptime,
                    "max_batch_size": float(self.config.max_batch_size),
-                   "max_wait_ms": float(self.config.max_wait_ms),
                    "max_queue_size": float(self.config.max_queue_size),
                    "degraded_queries": float(self._degraded_queries)}
         report = {

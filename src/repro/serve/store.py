@@ -247,15 +247,9 @@ class EntityStore:
     """
 
     def __init__(self, score_fn: Optional[ScoreFn] = None,
-                 config: Optional[StoreConfig] = None,
-                 upsert_score_fn: Optional[ScoreFn] = None) -> None:
+                 config: Optional[StoreConfig] = None) -> None:
         self.config = config or StoreConfig()
         self._score_fn = score_fn
-        # Optional distinct scorer for the upsert path: upserts hold the
-        # store lock while scoring, so a service routes them through the
-        # coalescer with max_wait=0 (immediate flush) instead of paying the
-        # co-rider deadline a serialized writer can never fill.
-        self._upsert_score_fn = upsert_score_fn
         self._lock = threading.RLock()
         config_ = self.config
         self._backend = None
@@ -307,17 +301,10 @@ class EntityStore:
         with self._lock:
             return list(self._records)
 
-    def bind_score_fn(self, score_fn: ScoreFn,
-                      upsert_score_fn: Optional[ScoreFn] = None) -> None:
-        """Attach (or replace) the scoring callable(s) of the store.
-
-        ``upsert_score_fn``, when given, is used by the upsert path instead
-        of ``score_fn`` (see the constructor); passing only ``score_fn``
-        clears any previous override.
-        """
+    def bind_score_fn(self, score_fn: ScoreFn) -> None:
+        """Attach (or replace) the scoring callable of the store."""
         with self._lock:
             self._score_fn = score_fn
-            self._upsert_score_fn = upsert_score_fn
 
     @property
     def lock(self) -> threading.RLock:
@@ -474,7 +461,7 @@ class EntityStore:
 
             # Score while the store is still untouched: a failure here must
             # not leave a half-ingested record behind.
-            scores = self._score_pairs(pairs, self._upsert_score_fn or self._score_fn)
+            scores = self._score_pairs(pairs)
 
             # Durability barrier: the commit hook (WAL append) sees the full
             # planned effect of the upsert and runs before any mutation, so
@@ -523,12 +510,11 @@ class EntityStore:
                     instrument.inc(delta)
         return entity_id
 
-    def _score_pairs(self, pairs: Sequence[EntityPair],
-                     score_fn: ScoreFn) -> np.ndarray:
-        """Run a score function and validate its output shape."""
+    def _score_pairs(self, pairs: Sequence[EntityPair]) -> np.ndarray:
+        """Run the score function and validate its output shape."""
         if not pairs:
             return np.zeros(0)
-        scores = np.asarray(score_fn(pairs), dtype=np.float64)
+        scores = np.asarray(self._score_fn(pairs), dtype=np.float64)
         if scores.shape != (len(pairs),):
             raise ValueError(f"score_fn returned shape {scores.shape} for "
                              f"{len(pairs)} pairs")

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core import AdaMELBase, AdaMELHybrid, AdaMELZero
 from repro.features import EncodingCache
-from repro.infer import (MODEL_FORMAT_VERSION, BatchedPredictor,
-                         PredictorQueueFull, load_model, save_model)
+from repro.infer import (MODEL_FORMAT_VERSION, BatchedPredictor, load_model,
+                         save_model)
 from repro.text import HashedEmbedder, Tokenizer, TokenEmbedder
 from repro.utils.serialization import load_json, save_json
 
@@ -129,25 +129,6 @@ class TestBatchedPredictor:
                                    fitted_trainer.predict_proba(test_pairs),
                                    rtol=1e-9, atol=1e-12)
 
-    def test_queue_submit_flush(self, fitted_trainer, test_pairs):
-        predictor = BatchedPredictor.from_trainer(fitted_trainer, micro_batch_size=8)
-        bulk = predictor.predict_proba(test_pairs[:10])
-        first = predictor.submit(test_pairs[:4])
-        second = predictor.submit(test_pairs[4])
-        third = predictor.submit(test_pairs[5:10])
-        assert predictor.pending() == 10
-        flushed = predictor.flush()
-        assert predictor.pending() == 0
-        assert flushed.shape == (10,)
-        np.testing.assert_allclose(flushed, bulk, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(flushed[first], bulk[:4], rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(flushed[second], bulk[4:5], rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(flushed[third], bulk[5:10], rtol=1e-9, atol=1e-12)
-
-    def test_flush_empty_queue(self, fitted_trainer):
-        predictor = BatchedPredictor.from_trainer(fitted_trainer)
-        assert predictor.flush().shape == (0,)
-
     def test_empty_predict(self, fitted_trainer):
         predictor = BatchedPredictor.from_trainer(fitted_trainer)
         assert predictor.predict_proba([]).shape == (0,)
@@ -169,60 +150,6 @@ class TestBatchedPredictor:
         stats = predictor.stats()
         assert stats["requests_served"] == 10
         assert stats["batches_run"] == 3
-
-    def test_queue_bounds_do_not_change_bulk_results(self, fitted_trainer, test_pairs):
-        # The batched-equals-single guarantee must survive the queue knobs:
-        # bulk scoring through a bounded/auto-flushing predictor is
-        # bit-identical to the plain one, and to scoring one pair at a time.
-        plain = BatchedPredictor.from_trainer(fitted_trainer, micro_batch_size=7)
-        bounded = BatchedPredictor.from_trainer(fitted_trainer, micro_batch_size=7,
-                                                max_queue_size=8, auto_flush=3)
-        assert np.array_equal(plain.predict_proba(test_pairs),
-                              bounded.predict_proba(test_pairs))
-        one_by_one = np.concatenate([bounded.predict_proba([pair])
-                                     for pair in test_pairs])
-        np.testing.assert_allclose(bounded.predict_proba(test_pairs), one_by_one,
-                                   rtol=1e-9, atol=1e-12)
-
-    def test_max_queue_size_overflow_raises_and_preserves_queue(self, fitted_trainer,
-                                                                test_pairs):
-        predictor = BatchedPredictor.from_trainer(fitted_trainer, max_queue_size=4)
-        first = predictor.submit(test_pairs[:3])
-        with pytest.raises(PredictorQueueFull, match="max_queue_size"):
-            predictor.submit(test_pairs[3:6])
-        # Nothing was enqueued by the failed submit; earlier slices survive.
-        assert predictor.pending() == 3
-        flushed = predictor.flush()
-        assert flushed.shape == (3,)
-        np.testing.assert_allclose(flushed[first],
-                                   predictor.predict_proba(test_pairs[:3]),
-                                   rtol=1e-9, atol=1e-12)
-
-    def test_auto_flush_bounds_backlog_and_keeps_submission_order(self, fitted_trainer,
-                                                                  test_pairs):
-        predictor = BatchedPredictor.from_trainer(fitted_trainer, auto_flush=4)
-        bulk = predictor.predict_proba(test_pairs[:10])
-        slices = [predictor.submit(pair) for pair in test_pairs[:10]]
-        # The unscored backlog never exceeds the auto-flush threshold even
-        # though 10 requests are pending.
-        stats = predictor.stats()
-        assert stats["queued"] < 4
-        assert stats["pending"] == 10
-        assert stats["buffered"] == stats["pending"] - stats["queued"]
-        flushed = predictor.flush()
-        assert predictor.pending() == 0
-        assert flushed.shape == (10,)
-        np.testing.assert_allclose(flushed, bulk, rtol=1e-9, atol=1e-12)
-        for index, request in enumerate(slices):
-            np.testing.assert_allclose(flushed[request], bulk[index:index + 1],
-                                       rtol=1e-9, atol=1e-12)
-
-    def test_auto_flush_must_fit_the_queue_bound(self, fitted_trainer):
-        with pytest.raises(ValueError, match="auto_flush"):
-            BatchedPredictor.from_trainer(fitted_trainer, max_queue_size=4,
-                                          auto_flush=8)
-        with pytest.raises(ValueError, match="max_queue_size"):
-            BatchedPredictor.from_trainer(fitted_trainer, max_queue_size=0)
 
     def test_invalid_micro_batch_size(self, fitted_trainer):
         with pytest.raises(ValueError):

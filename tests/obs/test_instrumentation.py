@@ -87,7 +87,7 @@ class TestServeInstrumentation:
     def test_service_traffic_lands_in_store_and_coalescer_metrics(
             self, predictor, tiny_music_corpus):
         records = tiny_music_corpus.records[:30]
-        config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0, top_k=3)
+        config = ServiceConfig(max_batch_size=16, top_k=3)
         with obs.telemetry() as session:
             with LinkageService(predictor, service_config=config) as service:
                 replay_upserts(service, records)
@@ -117,7 +117,7 @@ class TestServeInstrumentation:
         with obs.telemetry() as session:
             with LinkageService(predictor,
                                 service_config=ServiceConfig(
-                                    max_batch_size=16, max_wait_ms=2.0)) as service:
+                                    max_batch_size=16)) as service:
                 replay_upserts(service, records)
                 store_stats = service.store.stats()
         by_name = _snapshot_by_name(session.registry)
@@ -217,7 +217,7 @@ class TestNamingLint:
             LinkagePipeline(predictor).run(tiny_music_corpus.records)
             with LinkageService(predictor,
                                 service_config=ServiceConfig(
-                                    max_batch_size=16, max_wait_ms=2.0)) as service:
+                                    max_batch_size=16)) as service:
                 replay_upserts(service, tiny_music_corpus.records[:10])
                 service.query(tiny_music_corpus.records[0])
         names = session.registry.names()

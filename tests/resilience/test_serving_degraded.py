@@ -29,7 +29,7 @@ def clean_plan():
 
 @pytest.fixture()
 def service(predictor):
-    config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0, top_k=3,
+    config = ServiceConfig(max_batch_size=16, top_k=3,
                            breaker_failure_threshold=3,
                            breaker_recovery_seconds=60.0)
     with LinkageService(predictor, service_config=config) as running:
@@ -108,14 +108,11 @@ class TestDegradedQueries:
     def test_breaker_recovers_through_a_half_open_probe(
             self, predictor, tiny_music_corpus):
         clock = [0.0]
-        config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0,
-                               breaker_failure_threshold=1)
+        config = ServiceConfig(max_batch_size=16, breaker_failure_threshold=1)
         with LinkageService(predictor, service_config=config) as service:
             service.breaker = CircuitBreaker(failure_threshold=1,
                                              recovery_seconds=5.0,
                                              clock=lambda: clock[0])
-            service.store.bind_score_fn(service._score,
-                                        upsert_score_fn=service._score_upsert)
             records = tiny_music_corpus.records
             for record in records[:3]:
                 service.upsert(record)

@@ -23,7 +23,7 @@ def predictor(music_scenario, fast_config):
 
 @pytest.fixture()
 def service(predictor):
-    config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0, top_k=3)
+    config = ServiceConfig(max_batch_size=16, top_k=3)
     with LinkageService(predictor, service_config=config) as running:
         yield running
 
@@ -55,7 +55,7 @@ class TestServiceHealth:
         def boom(pairs):
             raise RuntimeError("scorer down")
 
-        service.store.bind_score_fn(boom, upsert_score_fn=boom)
+        service.store.bind_score_fn(boom)
         # A near-duplicate probe shares the stored record's blocking buckets,
         # so both requests are forced through the (now failing) scorer.
         probe = Record(record_id="probe#health", source="unseen-source",
@@ -90,8 +90,7 @@ class TestCoalescerQueueSampling:
     def test_sample_fn_sees_saturation_fraction(self):
         samples = []
         coalescer = RequestCoalescer(lambda pairs: [0.5] * len(pairs),
-                                     max_batch_size=4, max_wait_ms=1.0,
-                                     max_queue_size=100,
+                                     max_batch_size=4, max_queue_size=100,
                                      queue_sample_fn=samples.append)
         with coalescer:
             coalescer.score([("a", "b"), ("c", "d")])

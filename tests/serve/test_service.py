@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from repro.core import AdaMELHybrid
 from repro.data.records import Record
 from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
-from repro.serve import (EntityStore, LinkageService, ServiceConfig, StoreConfig,
-                         latency_percentiles, replay_queries, replay_upserts)
+from repro.serve import (CoalescerClosed, EntityStore, LinkageService,
+                         ServiceConfig, StoreConfig, latency_percentiles,
+                         replay_queries, replay_upserts)
 from repro.serve.__main__ import main as serve_main
+from repro.storage import Storage
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +27,7 @@ def predictor(music_scenario, fast_config):
 
 @pytest.fixture()
 def service(predictor):
-    config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0, top_k=3)
+    config = ServiceConfig(max_batch_size=16, top_k=3)
     with LinkageService(predictor, service_config=config) as running:
         yield running
 
@@ -127,3 +131,67 @@ class TestServeCLI:
         assert exit_code == 0
         assert "parity OK" in output
         assert "query latency" in output
+
+
+class TestServiceLifecycle:
+    @staticmethod
+    def _near_duplicate(record, record_id):
+        # Same attributes from an unseen source: shares the stored record's
+        # blocking buckets, so upserting it must score at least one pair.
+        return Record(record_id=record_id, source="unseen-source",
+                      attributes=dict(record.attributes))
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "storage"])
+    def test_stopped_service_is_freed_without_the_cycle_collector(
+            self, predictor, tiny_music_corpus, tmp_path, durable):
+        # start() hands bound methods of the service to the store, the
+        # coalescer and the storage engine — reference cycles that stop()
+        # must undo, or the service (and in the e2e benchmark the previous
+        # set-up's predictor and trainer) lives until a generation-2 pass.
+        storage = Storage(tmp_path / "data") if durable else None
+        service = LinkageService(predictor, storage=storage).start()
+        for record in tiny_music_corpus.records[:8]:
+            service.upsert(record)
+        service.query(tiny_music_corpus.records[0])
+        service.stop()
+        if storage is not None:
+            storage.close()
+        gc.collect()
+        gc.disable()
+        try:
+            del service, storage
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_start_after_stop_serves_again(self, predictor, tiny_music_corpus):
+        records = tiny_music_corpus.records
+        service = LinkageService(predictor)
+        with service:
+            service.upsert(records[0])  # first record: nothing to score yet
+        with service:
+            service.upsert(self._near_duplicate(records[0], "again#1"))
+            assert not service.query(records[0]).degraded
+            # Both went through the coalescer, and its queue-saturation
+            # samples reach the SLO monitor again.
+            assert service.coalescer.stats()["requests"] == 2.0
+            by_name = {o["name"]: o for o in service.health()["objectives"]}
+            saturation = by_name["coalescer_queue_saturation"]["windows"]["600s"]
+            assert saturation["total"] == 2
+
+    def test_requests_to_a_stopped_service_fail_as_closed(self, predictor,
+                                                          tiny_music_corpus):
+        records = tiny_music_corpus.records
+        service = LinkageService(predictor)
+        probe = self._near_duplicate(records[0], "closed#1")
+        with service:
+            service.upsert(records[0])
+        for _ in range(service.config.breaker_failure_threshold + 1):
+            # Not "no score_fn (restored read-only?)", and never CircuitOpen:
+            # a stopped service is closed, not failing.
+            with pytest.raises(CoalescerClosed):
+                service.upsert(probe)
+        assert "closed#1" not in service.store
+        assert service.query(probe).degraded  # queries still answer
+        with service:
+            assert service.upsert(probe).entity_id

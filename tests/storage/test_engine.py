@@ -204,7 +204,7 @@ class TestDurableService:
 
     def test_durable_service_feeds_the_wal_fsync_slo(self, tmp_path, records):
         storage = fresh_storage(tmp_path, snapshot_every=None)
-        config = ServiceConfig(max_wait_ms=0.5, request_timeout=30.0)
+        config = ServiceConfig(request_timeout=30.0)
         with LinkageService(child.HashPredictor(), storage=storage,
                             service_config=config) as service:
             for record in records[:8]:
