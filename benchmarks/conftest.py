@@ -4,15 +4,14 @@ Every benchmark regenerates one table or figure of the paper at a reduced
 workload scale (so the whole suite runs on CPU in minutes) and asserts the
 qualitative claim the paper makes about it.  Set the environment variable
 ``REPRO_BENCH_SCALE`` to ``smoke`` / ``bench`` / ``paper`` to choose the
-workload (the same knob the ``python -m repro.bench`` runner uses).
+workload and ``REPRO_BENCH_SEED`` to change the base seed.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import select_scale, select_seed
-from repro.experiments import ExperimentScale
+from repro.experiments import ExperimentScale, select_scale, select_seed
 
 
 def pytest_collection_modifyitems(items):

@@ -21,7 +21,6 @@ The same flow is available as a CLI:  python -m repro.serve --demo
 from __future__ import annotations
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
 from repro.serve import (EntityStore, LinkageService, ServiceConfig, StoreConfig,
                          replay_queries, replay_upserts)
+from repro.storage import SnapshotManager
 
 
 def main() -> None:
@@ -98,8 +98,9 @@ def main() -> None:
         # 3b. Snapshot -> restore is bit-exact, no model needed to load.
         # -------------------------------------------------------------- #
         with tempfile.TemporaryDirectory() as tmp:
-            snapshot_dir = service.snapshot(Path(tmp) / "store")
-            restored = EntityStore.restore(snapshot_dir)
+            snapshots = SnapshotManager(tmp)
+            snapshots.take(service.store.state_dict(), lsn=len(service.store))
+            restored = EntityStore.from_state_dict(snapshots.load_latest()[1])
             assert restored.clusters() == service.store.clusters()
             print(f"\nSnapshot/restore round-trip: {len(restored.clusters())} "
                   f"clusters restored bit-exactly (read-only until a model is bound).")

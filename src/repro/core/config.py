@@ -55,15 +55,9 @@ class AdaMELConfig:
     dtype:
         Compute dtype for training: ``"float64"`` (default, exact) or
         ``"float32"`` (≈2× less memory bandwidth, small accuracy drift).
-    support_sampling:
-        How support mini-batches are drawn per step: ``"choice"`` (default,
-        seed-exact historical behaviour — a ``choice(..., replace=False)``
-        per step) or ``"walk"`` (one permutation per epoch, consumed in
-        contiguous windows; same uniform-without-replacement distribution
-        class, far fewer RNG draws).
     profile_steps:
         Record per-step wall-clock into ``TrainingHistory.step_seconds``
-        (used by the ``train_epoch`` bench stage).
+        (read by the traced half of the ``train_adapt`` workload).
     """
 
     embedding_dim: int = 48
@@ -83,14 +77,7 @@ class AdaMELConfig:
     verbose: bool = False
     execution: str = "auto"
     dtype: str = "float64"
-    support_sampling: str = "choice"
     profile_steps: bool = False
-    # Reference mode for benchmarking: compose attention/classifier from
-    # elementary ops (softmax(energies), sigmoid(mlp(x))) instead of the
-    # fused kernels — the kernel composition the engine had before the
-    # graph-replay work.  Numerically equivalent, slower; never needed
-    # outside perf comparisons.
-    legacy_kernels: bool = False
 
     def __post_init__(self) -> None:
         require_positive(self.embedding_dim, "embedding_dim")
@@ -116,9 +103,6 @@ class AdaMELConfig:
                 f"execution must be 'auto', 'replay' or 'eager', got {self.execution!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        if self.support_sampling not in ("choice", "walk"):
-            raise ValueError(
-                f"support_sampling must be 'choice' or 'walk', got {self.support_sampling!r}")
 
     def with_updates(self, **changes: object) -> "AdaMELConfig":
         """Return a copy with the given fields replaced."""

@@ -56,20 +56,7 @@ def base_loss(probabilities: Tensor, labels: object) -> Tensor:
     return binary_cross_entropy(probabilities, _as_target_tensor(labels))
 
 
-def _composed_kl(p: Tensor, q: Tensor) -> Tensor:
-    """KL(p‖q) from elementary ops — the pre-fused composition.
-
-    Kept (behind ``AdaMELConfig.legacy_kernels``) as the reference point the
-    ``train_epoch`` benchmark stage measures the fused/replay engines against.
-    """
-    p_safe = p.clip(_EPS, 1.0)
-    q_safe = q.clip(_EPS, 1.0)
-    divergence = (p_safe * (p_safe.log() - q_safe.log())).sum(axis=-1)
-    return divergence.mean() if divergence.ndim > 0 else divergence
-
-
-def target_adaptation_loss(source_attention: Tensor, target_attention_mean: object,
-                           composed: bool = False) -> Tensor:
+def target_adaptation_loss(source_attention: Tensor, target_attention_mean: object) -> Tensor:
     """``L_target`` (Eq. 10): KL(mean target attention || per-pair source attention).
 
     Parameters
@@ -86,8 +73,6 @@ def target_adaptation_loss(source_attention: Tensor, target_attention_mean: obje
     mean_target = _as_target_tensor(target_attention_mean)
     if mean_target.ndim != 1:
         raise ValueError("target_attention_mean must be a 1-D vector of length F")
-    if composed:
-        return _composed_kl(mean_target, source_attention)
     return kl_divergence(mean_target, source_attention, axis=-1)
 
 

@@ -58,7 +58,6 @@ class AdaMELNetwork(Module):
         self.embedding_dim = embedding_dim
         self.hidden_dim = config.hidden_dim
         self.attention_dim = config.attention_dim
-        self.legacy_kernels = config.legacy_kernels
 
         # Per-feature affine transformation (Eq. 4): V (F, D, H), b (F, H).
         # Cast to the active compute-dtype policy (float32 training runs).
@@ -110,16 +109,11 @@ class AdaMELNetwork(Module):
         # ``contiguous()`` collapses the transposed view once so every
         # downstream elementwise op and flattening reshape (attention, the
         # classifier input) runs on contiguous memory.
-        projected = (h.transpose(1, 0, 2) @ self.V).transpose(1, 0, 2)
-        if not self.legacy_kernels:
-            projected = projected.contiguous()
-        projected = projected + self.b
-        return F.relu(projected)
+        projected = (h.transpose(1, 0, 2) @ self.V).transpose(1, 0, 2).contiguous()
+        return F.relu(projected + self.b)
 
     def attention_scores(self, latent: Tensor) -> Tensor:
         """Eq. (5)/(6): softmax-normalised attention over the F features."""
-        if self.legacy_kernels:
-            return F.softmax(self.attention_fn.energies(latent), axis=-1)
         return self.attention_fn(latent)
 
     def classify(self, latent: Tensor, attention: Tensor) -> Tensor:
@@ -130,8 +124,6 @@ class AdaMELNetwork(Module):
         """
         scaled = F.relu(attention.unsqueeze(-1) * latent)
         flattened = scaled.reshape(scaled.shape[0], self.num_features * self.hidden_dim)
-        if self.legacy_kernels:
-            return F.sigmoid(self.classifier(flattened).squeeze(-1))
         return self.classifier.forward_sigmoid(flattened).squeeze(-1)
 
     def forward(self, features: "np.ndarray | Tensor") -> AdaMELForward:

@@ -26,6 +26,10 @@ Execution engines (``AdaMELConfig.execution``, see ``docs/autograd.md``):
   partial mini-batch of an epoch) transparently fall back to the eager
   engine.  With the default float64 dtype the two engines are bit-exact
   (see ``tests/core/test_replay_lockstep.py``).
+
+Both engines execute one numerics path: the fused kernels of
+:mod:`repro.nn.fused` and one seeded ``choice`` draw per step for the support
+mini-batch.
 """
 
 from __future__ import annotations
@@ -109,31 +113,6 @@ class _StepLosses:
     base: Tensor
     target: Optional[Tensor]
     support: Optional[Tensor]
-
-
-class _SupportWalk:
-    """Per-epoch permutation walk over the support set.
-
-    Draws successive contiguous windows from one shuffled order — the same
-    uniform-without-replacement distribution class as a per-step
-    ``choice(..., replace=False)``, but with a single shuffle per epoch
-    (re-shuffling only when a window would run off the end).
-    """
-
-    def __init__(self, num_items: int, take: int, rng: np.random.Generator) -> None:
-        self.num_items = num_items
-        self.take = take
-        self._rng = rng
-        self._order = rng.permutation(num_items)
-        self._position = 0
-
-    def next_indices(self) -> np.ndarray:
-        if self._position + self.take > self.num_items:
-            self._order = self._rng.permutation(self.num_items)
-            self._position = 0
-        indices = self._order[self._position:self._position + self.take]
-        self._position += self.take
-        return indices
 
 
 class AdaMELTrainer:
@@ -384,8 +363,7 @@ class AdaMELTrainer:
         l_base = base_loss(forward.probabilities, lab_t)
         l_target = None
         if mean_t is not None:
-            l_target = target_adaptation_loss(forward.attention, mean_t,
-                                              composed=config.legacy_kernels)
+            l_target = target_adaptation_loss(forward.attention, mean_t)
         l_support = None
         if sfeat_t is not None:
             support_forward = network.forward(sfeat_t)
@@ -415,16 +393,12 @@ class AdaMELTrainer:
 
     def _make_support_drawer(self, support_batch: Optional[EncodedBatch],
                              have_support: bool, epoch: int):
-        """Return ``(draw_indices, take)`` for per-step support mini-batches."""
+        """The per-step support mini-batch index draw (None without a support set)."""
         if not have_support:
-            return None, 0
-        config = self.config
-        support_rng = spawn_rng(config.seed * 7919 + epoch)
-        take = min(config.batch_size, len(support_batch))
-        if config.support_sampling == "walk":
-            walk = _SupportWalk(len(support_batch), take, support_rng)
-            return walk.next_indices, take
-        return (lambda: support_rng.choice(len(support_batch), size=take, replace=False)), take
+            return None
+        support_rng = spawn_rng(self.config.seed * 7919 + epoch)
+        take = min(self.config.batch_size, len(support_batch))
+        return lambda: support_rng.choice(len(support_batch), size=take, replace=False)
 
     # ------------------------------------------------------------------ #
     # Epoch loops
@@ -455,7 +429,7 @@ class AdaMELTrainer:
         # Algorithm 1 line 5 / Algorithm 2 line 10, with current parameters.
         target_mean = self._epoch_target_mean(target_batch, use_graph=False)
         have_support = self._epoch_centroids(source_batch, support_batch, use_graph=False)
-        draw_support, _ = self._make_support_drawer(support_batch, have_support, epoch)
+        draw_support = self._make_support_drawer(support_batch, have_support, epoch)
 
         sampler = BatchSampler(len(source_batch), config.batch_size, shuffle=True,
                                seed=config.seed * 1000 + epoch)
@@ -542,7 +516,7 @@ class AdaMELTrainer:
 
         target_mean = self._epoch_target_mean(target_batch, use_graph=True)
         have_support = self._epoch_centroids(source_batch, support_batch, use_graph=True)
-        draw_support, _ = self._make_support_drawer(support_batch, have_support, epoch)
+        draw_support = self._make_support_drawer(support_batch, have_support, epoch)
 
         sampler = BatchSampler(len(source_batch), config.batch_size, shuffle=True,
                                seed=config.seed * 1000 + epoch)
@@ -627,8 +601,8 @@ class AdaMELTrainer:
     def replay_stats(self) -> Optional[Dict[str, int]]:
         """Op counts of the compiled step graph (None before compilation).
 
-        Exposed so the bench harness can gate tape regressions on
-        deterministic counters rather than wall-clock alone.
+        Deterministic counters: ``tests/core/test_replay_lockstep.py`` bounds
+        them so a tape regression shows without reading a clock.
         """
         if not self._step_graphs:
             return None

@@ -216,7 +216,7 @@ class MELScenario:
         """
         cached = getattr(self, "_aligned", None)
         if cached is not None:
-            return cached
+            return self if cached is True else cached
         schema = self.aligned_schema()
         aligned = MELScenario(
             source=SourceDomain(self.source.align(schema).pairs, name=self.source.name),
@@ -227,8 +227,9 @@ class MELScenario:
             name=self.name,
             entity_type=self.entity_type,
         )
-        # Aligning an already-aligned scenario is the identity.
-        object.__setattr__(aligned, "_aligned", aligned)
+        # Aligning an already-aligned scenario is the identity; a flag, not a
+        # self-reference, so a dropped scenario is freed by reference counting.
+        object.__setattr__(aligned, "_aligned", True)
         object.__setattr__(self, "_aligned", aligned)
         return aligned
 

@@ -12,11 +12,14 @@ from .registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
 from .scenarios import (
     DATASETS,
     MODES,
+    SCALE_NAMES,
     ExperimentScale,
     adamel_factories,
     build_corpus,
     build_scenario,
     model_factories,
+    select_scale,
+    select_seed,
 )
 from .table4 import Table4Result, run_table4
 from .table5 import Table5Result, run_table5
@@ -25,6 +28,9 @@ from .table7 import Table7Result, run_table7
 
 __all__ = [
     "ExperimentScale",
+    "SCALE_NAMES",
+    "select_scale",
+    "select_seed",
     "build_corpus",
     "build_scenario",
     "model_factories",

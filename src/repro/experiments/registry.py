@@ -1,8 +1,9 @@
 """Registry mapping paper table/figure identifiers to experiment runners.
 
 Each entry points at the ``run_*`` function that regenerates the corresponding
-table or figure; the benchmark harness under ``benchmarks/`` and the
-EXPERIMENTS.md index both follow this mapping.
+table or figure and at the ``benchmarks/test_bench_*`` test that runs it,
+prints ``result.format()`` and asserts the paper's claim about it
+(``pytest benchmarks -m bench`` — the one reproduction path).
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ in Figure 6 / Tables 8-9, with CPU-friendly default sizes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..baselines import TLER, BaselineConfig, CorDelAttention, DeepMatcher, Ditto, EntityMatcher
 from ..core import AdaMELBase, AdaMELConfig, AdaMELFew, AdaMELHybrid, AdaMELZero
@@ -29,11 +30,12 @@ from ..data.generators import (
     MusicGeneratorConfig,
 )
 
-__all__ = ["ExperimentScale", "build_corpus", "build_scenario", "model_factories",
-           "adamel_factories", "DATASETS", "MODES"]
+__all__ = ["ExperimentScale", "SCALE_NAMES", "select_scale", "select_seed", "build_corpus",
+           "build_scenario", "model_factories", "adamel_factories", "DATASETS", "MODES"]
 
 DATASETS = ("music3k", "music1m", "monitor")
 MODES = ("overlapping", "disjoint")
+SCALE_NAMES = ("smoke", "bench", "paper")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,13 @@ class ExperimentScale:
                    attention_dim=24, classifier_hidden_dim=24, tokens_per_attribute=4)
 
     @classmethod
+    def bench(cls) -> "ExperimentScale":
+        """Small enough for CI, large enough for the paper's claims to show."""
+        return cls(music_entities=50, monitor_entities=70, support_size=40, test_size=150,
+                   adamel_epochs=15, baseline_epochs=8, embedding_dim=32, hidden_dim=24,
+                   attention_dim=48, classifier_hidden_dim=48, tokens_per_attribute=5)
+
+    @classmethod
     def paper(cls) -> "ExperimentScale":
         """Closer to the paper's sizes (minutes instead of seconds)."""
         return cls(music_entities=250, monitor_entities=300, support_size=100, test_size=500,
@@ -87,6 +96,22 @@ class ExperimentScale:
                     seed=self.seed)
         base.update(overrides)
         return BaselineConfig(**base)
+
+
+def select_scale(name: Optional[str] = None) -> Tuple[str, ExperimentScale]:
+    """Resolve a scale name (default: ``$REPRO_BENCH_SCALE`` or ``bench``)."""
+    # An empty env var (e.g. an unset CI template variable) means "default".
+    mode = (name or os.environ.get("REPRO_BENCH_SCALE") or "bench").lower()
+    if mode not in SCALE_NAMES:
+        raise ValueError(f"unknown benchmark scale {mode!r}; expected one of {SCALE_NAMES}")
+    return mode, getattr(ExperimentScale, mode)()
+
+
+def select_seed(seed: Optional[int] = None) -> int:
+    """Resolve the benchmark seed (default: ``$REPRO_BENCH_SEED`` or 0)."""
+    if seed is not None:
+        return int(seed)
+    return int(os.environ.get("REPRO_BENCH_SEED") or "0")
 
 
 def build_corpus(dataset: str, entity_type: str = "artist",

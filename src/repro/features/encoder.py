@@ -32,8 +32,8 @@ executed as flat array operations:
    ``rows[ids].sum(axis=1)``, then normalised with batched row norms.
 
 This is bit-identical to the per-pair definition
-(:meth:`PairEncoder.encode_pair` / :meth:`PairEncoder.encode_reference`, kept
-as the reference the tests compare against) because the same table rows are
+(:meth:`PairEncoder.encode_pair`, which the tests stack as their oracle:
+``tests/features/encode_oracle.py``) because the same table rows are
 added in the same row-sequential order and the norm is the same BLAS dot.  It
 pays off when records are reused across the pairs of a call and texts across
 calls: with warm memos a one-pair call costs 1.25x what the per-pair
@@ -204,28 +204,12 @@ class PairEncoder:
         return EncodedPair(features=features, label=pair.label, pair_id=pair.pair_id,
                            feature_mask=mask)
 
-    def encode_reference(self, pairs: Sequence[EntityPair]) -> EncodedBatch:
-        """Per-pair reference encoding (the original, non-vectorised path).
-
-        Kept for equivalence testing and benchmarking; :meth:`encode` must
-        produce bit-identical output.
-        """
-        if len(pairs) == 0:
-            return self._empty_batch()
-        encoded = [self.encode_pair(pair) for pair in pairs]
-        features = np.stack([item.features for item in encoded])
-        labels = np.array([item.label if item.label is not None else -1 for item in encoded],
-                          dtype=np.int64)
-        mask = np.stack([item.feature_mask for item in encoded])
-        return EncodedBatch(features=features, labels=labels,
-                            pair_ids=[item.pair_id for item in encoded], feature_mask=mask)
-
     def encode(self, pairs: Sequence[EntityPair]) -> EncodedBatch:
         """Encode a sequence of pairs into a stacked :class:`EncodedBatch`.
 
         Cached pair rows are reused; the remaining pairs are encoded with the
-        vectorised array path.  The output is bit-identical to
-        :meth:`encode_reference`.
+        vectorised array path.  The output is bit-identical to stacking
+        :meth:`encode_pair` over ``pairs``.
         """
         pairs = list(pairs)
         if not pairs:

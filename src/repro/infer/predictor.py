@@ -157,26 +157,6 @@ class BatchedPredictor:
 
         return _generate()
 
-    def attention_scores(self, pairs: Sequence[EntityPair]) -> np.ndarray:
-        """Attention vectors ``f(x)`` (shape ``(N, F)``), micro-batched."""
-        pairs = list(pairs)
-        if not pairs:
-            return np.zeros((0, self.encoder.num_features))
-        outputs: List[np.ndarray] = []
-        was_training = self.network.training
-        self.network.eval()
-        try:
-            with no_grad():
-                for start in range(0, len(pairs), self.micro_batch_size):
-                    chunk = pairs[start:start + self.micro_batch_size]
-                    batch = self.encoder.encode(chunk)
-                    outputs.append(self.network.attention_numpy(batch.features))
-                    self.batches_run += 1
-        finally:
-            self.network.train(was_training)
-        self.requests_served += len(pairs)
-        return np.concatenate(outputs, axis=0)
-
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:
         """Serving counters (pairs served, fused forward passes)."""

@@ -106,7 +106,7 @@ class CompiledGraph:
             self._seed = np.ones_like(loss.data)
 
     # ------------------------------------------------------------------ #
-    # Introspection (bench counters)
+    # Introspection (tape counters)
     # ------------------------------------------------------------------ #
     @property
     def num_forward_ops(self) -> int:

@@ -160,9 +160,10 @@ class Tensor:
     # reflected operators instead of numpy's elementwise broadcasting.
     __array_priority__ = 1000
 
-    # Process-wide count of Tensor objects ever constructed.  The bench
-    # harness diffs this across a training step to make graph-construction
-    # overhead visible as a deterministic counter (wall-clock-noise-free).
+    # Process-wide count of Tensor objects ever constructed.  Diffed across a
+    # fit by tests/core/test_replay_lockstep.py, which bounds the tensors a
+    # training step allocates: graph-construction overhead as a deterministic
+    # counter, free of wall-clock noise.
     _created = 0
 
     def __init__(

@@ -113,8 +113,7 @@ def telemetry(max_trace_roots: int = 256) -> Iterator[TelemetrySession]:
 
     Yields the :class:`TelemetrySession`, whose registry/collector stay
     readable (for export or assertions) after the block exits — only the
-    *active* state is restored, which is what the overhead bench relies on
-    to interleave enabled and disabled rounds.
+    *active* state is restored, so enabled and disabled runs can interleave.
     """
     session = TelemetrySession(registry=MetricsRegistry(),
                                collector=TraceCollector(max_roots=max_trace_roots))

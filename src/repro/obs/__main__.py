@@ -82,13 +82,12 @@ def _run_demo(seed: int, export_path: Optional[str],
               timeline: bool = False) -> int:
     # Imported lazily: the export path of this CLI must work without pulling
     # in the model/pipeline stack.
-    from ..bench.runner import select_scale
     from ..core.variants import create_variant
-    from ..experiments.scenarios import build_corpus, build_scenario
+    from ..experiments.scenarios import ExperimentScale, build_corpus, build_scenario
     from ..infer.predictor import BatchedPredictor
     from ..pipeline.engine import LinkagePipeline, PipelineConfig
 
-    _, scale = select_scale("smoke")
+    scale = ExperimentScale.smoke()
     with telemetry() as session:
         scenario = build_scenario("music3k", "artist", mode="overlapping",
                                   scale=scale, seed=seed)

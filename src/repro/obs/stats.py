@@ -1,8 +1,8 @@
 """Shared statistics helpers: percentiles, Gini coefficient, bucket skew.
 
-This is the one home for the percentile math that ``serve/loadgen.py`` and
-``bench/runner.py`` previously each implemented, plus the skew measures
-(Gini over bucket sizes, top-k hottest buckets) the blocking indexes report.
+This is the one home for the percentile math (``serve/loadgen.py`` and the
+dashboard report through it), plus the skew measures (Gini over bucket
+sizes, top-k hottest buckets) the blocking indexes report.
 Everything here is numpy-only and side-effect free.
 """
 
@@ -23,8 +23,6 @@ def percentiles(samples: Sequence[float],
     """``{"p50": ..., "p95": ..., "p99": ...}`` of a sample list.
 
     Empty input yields zeros, so reports stay JSON-clean at smoke scales.
-    (This is the exact behaviour ``serve.loadgen.latency_percentiles`` has
-    always had; that function now delegates here.)
     """
     if not len(samples):
         return {f"p{point}": 0.0 for point in points}

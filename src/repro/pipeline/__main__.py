@@ -22,7 +22,8 @@ from typing import Optional
 
 from ..core.variants import create_variant
 from ..data.storage import iter_records_csv
-from ..experiments.scenarios import DATASETS, build_corpus, build_scenario
+from ..experiments.scenarios import (DATASETS, SCALE_NAMES, build_corpus, build_scenario,
+                                     select_scale)
 from ..infer.predictor import BatchedPredictor
 from .engine import STAGE_ORDER, LinkagePipeline, PipelineConfig
 
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--epochs", type=int, default=20,
                        help="training epochs for the quick model (default: 20)")
     tuning = parser.add_argument_group("pipeline tuning")
-    tuning.add_argument("--scale", choices=("smoke", "bench", "paper"), default="smoke",
+    tuning.add_argument("--scale", choices=SCALE_NAMES, default="smoke",
                         help="synthetic corpus / model scale (default: smoke)")
     tuning.add_argument("--seed", type=int, default=0, help="corpus/model seed")
     tuning.add_argument("--threshold", type=float, default=0.5,
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _quick_predictor(args: argparse.Namespace) -> BatchedPredictor:
     """Train a small AdaMEL model on the synthetic corpus's labeled scenario."""
-    from ..bench.runner import select_scale
-
     _, scale = select_scale(args.scale)
     scenario = build_scenario(args.dataset, args.entity_type, mode="overlapping",
                               scale=scale, seed=args.seed)
@@ -126,8 +125,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.records is not None:
         records = iter_records_csv(args.records)
     else:
-        from ..bench.runner import select_scale
-
         _, scale = select_scale(args.scale)
         corpus = build_corpus(args.dataset, entity_type=args.entity_type,
                               scale=scale, seed=args.seed)

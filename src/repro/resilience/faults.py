@@ -1,11 +1,8 @@
 """Cross-subsystem fault injection: one registry, every chaos harness.
 
-:mod:`repro.storage.crashpoints` proved the pattern for durability testing:
-production code calls a no-op hook at every interesting point, and a test
-harness arms one of them.  This module generalizes it across subsystems and
-fault kinds so the sharded pipeline, the serving path and the storage engine
-are all exercised by the same machinery (``storage.crashpoints`` is now a
-thin shim over this registry).
+Production code calls a no-op hook at every interesting point and a test
+harness arms one of them; the sharded pipeline, the serving path and the
+storage engine are all exercised by this one mechanism.
 
 Instrumented code calls :func:`check` at a **named site**::
 
@@ -69,8 +66,8 @@ __all__ = [
 FAULT_KINDS = ("raise", "delay", "kill", "partial")
 FAULT_SCOPES = ("any", "worker", "driver")
 
-#: Exit status of an injected ``kill`` (shared with ``storage.crashpoints``
-#: so every chaos harness distinguishes injected deaths the same way).
+#: Exit status of an injected ``kill`` (distinct from any pytest/python code,
+#: so every chaos harness recognises an injected death).
 KILL_EXIT_CODE = 86
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -250,17 +247,11 @@ class FaultPlan:
 
 _PLAN: Optional[FaultPlan] = None
 _IS_WORKER = False
-# Environment-derived plan, cached on the env values that built it (read
-# per call like the legacy crashpoints contract, so a parent can arm a
-# subprocess; the cache keeps the unarmed fast path at two dict lookups).
-_ENV_CACHE: Tuple[Optional[Tuple[Optional[str], Optional[str], Optional[str]]],
-                  Optional[FaultPlan]] = (None, None)
+# Environment-derived plan, cached on the env value that built it (read per
+# call, so a parent can arm a subprocess; the cache keeps the unarmed fast
+# path at one dict lookup).
+_ENV_CACHE: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
 _ENV_LOCK = threading.Lock()
-
-# Legacy crashpoint env contract (owned by storage.crashpoints, honored
-# here so the shim and the registry agree on one set of counters).
-_LEGACY_POINT_ENV = "REPRO_STORAGE_CRASH_POINT"
-_LEGACY_HITS_ENV = "REPRO_STORAGE_CRASH_HITS"
 
 
 def mark_worker_process() -> None:
@@ -323,25 +314,15 @@ def plan_scope(specs_or_plan):
 
 def _env_plan() -> Optional[FaultPlan]:
     plan_json = os.environ.get(FAULT_PLAN_ENV)
-    legacy_point = os.environ.get(_LEGACY_POINT_ENV)
-    legacy_hits = os.environ.get(_LEGACY_HITS_ENV)
-    key = (plan_json, legacy_point, legacy_hits)
-    if key == (None, None, None):
+    if not plan_json:
         return None
     global _ENV_CACHE
     with _ENV_LOCK:
-        cached_key, cached_plan = _ENV_CACHE
-        if cached_key == key:
+        cached_json, cached_plan = _ENV_CACHE
+        if cached_json == plan_json:
             return cached_plan
-        specs: List[FaultSpec] = []
-        if plan_json:
-            specs.extend(FaultSpec.from_dict(entry)
-                         for entry in json.loads(plan_json))
-        if legacy_point:
-            specs.append(FaultSpec(site=f"storage.{legacy_point}", kind="kill",
-                                   at_hit=int(legacy_hits or "1")))
-        plan = FaultPlan(specs)
-        _ENV_CACHE = (key, plan)
+        plan = FaultPlan.from_dicts(json.loads(plan_json))
+        _ENV_CACHE = (plan_json, plan)
         return plan
 
 

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from ..core.variants import create_variant
-from ..experiments.scenarios import DATASETS, build_corpus, build_scenario
+from ..experiments.scenarios import (DATASETS, SCALE_NAMES, build_corpus, build_scenario,
+                                     select_scale)
 from ..infer.predictor import BatchedPredictor
 from ..pipeline import LinkagePipeline
 from .loadgen import replay_queries, replay_upserts
@@ -30,6 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Run the online entity-linkage service demo.",
+        # Exact flags only: "--snapshot DIR" would parse as --snapshot-every.
+        allow_abbrev=False,
     )
     parser.add_argument("--demo", action="store_true",
                         help="stream a synthetic corpus through the online store "
@@ -43,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic corpus to serve (default: music3k)")
     corpus.add_argument("--entity-type", default="artist",
                         help="entity type for the synthetic corpus (default: artist)")
-    corpus.add_argument("--scale", choices=("smoke", "bench", "paper"), default="smoke",
+    corpus.add_argument("--scale", choices=SCALE_NAMES, default="smoke",
                         help="corpus / model scale (default: smoke)")
     corpus.add_argument("--seed", type=int, default=0, help="corpus/model/stream seed")
     model = parser.add_argument_group("model")
@@ -66,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of replayed queries (default: all records)")
     serving.add_argument("--top-k", type=int, default=3,
                          help="entities returned per query (default: 3)")
-    serving.add_argument("--snapshot", default=None, metavar="DIR",
-                         help="write a store snapshot to DIR after ingest")
     serving.add_argument("--skip-parity", action="store_true",
                          help="skip the batch-pipeline parity check (faster)")
     durability = parser.add_argument_group("durability (repro.storage)")
@@ -111,8 +112,6 @@ def _build_storage(args: argparse.Namespace, store_config: StoreConfig):
 def _predictor(args: argparse.Namespace) -> BatchedPredictor:
     if args.model is not None:
         return BatchedPredictor.load(args.model)
-    from ..bench.runner import select_scale
-
     _, scale = select_scale(args.scale)
     scenario = build_scenario(args.dataset, args.entity_type, mode="overlapping",
                               scale=scale, seed=args.seed)
@@ -124,8 +123,6 @@ def _predictor(args: argparse.Namespace) -> BatchedPredictor:
 
 
 def run_demo(args: argparse.Namespace) -> int:
-    from ..bench.runner import select_scale
-
     predictor = _predictor(args)
     _, scale = select_scale(args.scale)
     corpus = build_corpus(args.dataset, entity_type=args.entity_type,
@@ -186,10 +183,6 @@ def run_demo(args: argparse.Namespace) -> int:
             print(f"published compacted snapshot {out.name} "
                   f"(WAL tail now {int(tail)} entries)")
 
-        if args.snapshot:
-            out = service.snapshot(args.snapshot)
-            print(f"\nwrote store snapshot to {out}")
-
         if args.skip_parity:
             return 0
         print("\nchecking parity against one batch LinkagePipeline.run ...", flush=True)
@@ -216,8 +209,6 @@ def run_health(args: argparse.Namespace) -> int:
     from ..obs.slo import format_health
 
     predictor = _predictor(args)
-    from ..bench.runner import select_scale
-
     _, scale = select_scale(args.scale)
     corpus = build_corpus(args.dataset, entity_type=args.entity_type,
                           scale=scale, seed=args.seed)

@@ -1,7 +1,7 @@
 """Load generation and latency reporting for the online linkage service.
 
-The bench harness needs more than wall-clock totals: an online service is
-judged by its latency *distribution* under concurrency.  This module replays
+An online service is judged by its latency *distribution* under
+concurrency, not by wall-clock totals.  This module replays
 a record stream against a :class:`~repro.serve.LinkageService` — upserts
 sequentially (single-writer semantics), queries from ``num_workers``
 concurrent threads — and reports throughput plus p50/p95/p99 latencies.
@@ -14,23 +14,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..data.records import Record
-from ..obs.stats import PERCENTILE_POINTS, percentiles
+from ..obs.stats import percentiles
 from .service import LinkageService
 
-__all__ = ["LoadReport", "latency_percentiles", "replay_upserts", "replay_queries"]
-
-
-def latency_percentiles(samples: Sequence[float],
-                        points: Sequence[int] = PERCENTILE_POINTS) -> Dict[str, float]:
-    """``{"p50": ..., "p95": ..., "p99": ...}`` of a latency sample list.
-
-    Thin alias of :func:`repro.obs.stats.percentiles` (the one home of the
-    percentile math), kept for the serve-layer import path.
-    """
-    return percentiles(samples, points)
+__all__ = ["LoadReport", "replay_upserts", "replay_queries"]
 
 
 @dataclass
@@ -50,7 +38,7 @@ class LoadReport:
         return self.operations / self.seconds if self.seconds > 0 else 0.0
 
     def percentiles(self) -> Dict[str, float]:
-        return latency_percentiles(self.latencies)
+        return percentiles(self.latencies)
 
 
 def replay_upserts(service: LinkageService, records: Sequence[Record]) -> LoadReport:

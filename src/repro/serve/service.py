@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # layering: repro.storage sits above repro.serve
     from ..storage.engine import Storage
@@ -327,20 +327,13 @@ class LinkageService:
         self._record_request("serve_query_latency", seconds, ok=True)
         return QueryResult(matches=matches, seconds=seconds, degraded=degraded)
 
-    def snapshot(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Persist the store.
-
-        With a ``path``, write a legacy directory snapshot
-        (:meth:`EntityStore.snapshot`).  Without one, the service must be
-        running over a storage engine: publish a compacted engine snapshot
-        into its data directory (:meth:`repro.storage.Storage.snapshot`).
-        """
-        if path is None:
-            if self.storage is None:
-                raise ValueError("snapshot() without a path needs a storage "
-                                 "engine (LinkageService(storage=...))")
-            return self.storage.snapshot()
-        return self.store.snapshot(path)
+    def snapshot(self) -> Path:
+        """Publish a compacted snapshot into the storage engine's data
+        directory (:meth:`repro.storage.Storage.snapshot`)."""
+        if self.storage is None:
+            raise ValueError("snapshot() needs a storage engine "
+                             "(LinkageService(storage=...))")
+        return self.storage.snapshot()
 
     # ------------------------------------------------------------------ #
     def health(self) -> Dict[str, object]:

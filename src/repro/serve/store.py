@@ -34,22 +34,20 @@ hold:
 * **canonical edge order** — both paths order match edges by
   :func:`~repro.pipeline.clustering.match_edge_key`.
 
-Snapshots persist the records, pair scores and config; :meth:`restore`
-replays the stream against the stored scores, so a restored store is
-bit-exact without needing the model at load time.
+A store is persisted one way: :meth:`EntityStore.state_dict` (records, pair
+scores, support counts, index buckets, config) written by
+:class:`repro.storage.SnapshotManager`, and :meth:`EntityStore.from_state_dict`
+rebuilds it bit-exactly in O(state) without needing the model at load time.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
-from pathlib import Path
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -62,17 +60,8 @@ from ..pipeline.clustering import (IncrementalClusters, MatchEdge,
                                    order_match_edges)  # noqa: F401
 from ..pipeline.engine import PipelineConfig
 from ..pipeline.index import build_blocking_indexes
-from ..utils.serialization import load_json, save_json
 
-__all__ = ["EntityStore", "StoreConfig", "QueryMatch",
-           "SNAPSHOT_FORMAT_VERSION", "SUPPORTED_SNAPSHOT_VERSIONS",
-           "STATE_FORMAT_VERSION"]
-
-# Directory snapshots (snapshot()/restore()): version 2 marks the atomic
-# temp-file + rename write path; the payload schema is unchanged, so both
-# versions load.
-SNAPSHOT_FORMAT_VERSION = 2
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2)
+__all__ = ["EntityStore", "StoreConfig", "QueryMatch", "STATE_FORMAT_VERSION"]
 
 # Materialized state dicts (freeze_state()/from_state_dict()), used by the
 # repro.storage snapshot files.
@@ -725,9 +714,8 @@ class EntityStore:
         Takes the lock only for cheap Python copies (lists, dicts, the
         index state dicts) — the copy-under-lock half of the snapshot
         protocol; pass the result to :meth:`serialize_state` outside the
-        lock.  Unlike the legacy directory snapshot this also captures the
-        index bucket state, so loading it back is a deserialization, not an
-        upsert replay.
+        lock.  The copy includes the index bucket state, so loading it back
+        is a deserialization, not an upsert replay.
         """
         with self._lock:
             return {
@@ -817,91 +805,4 @@ class EntityStore:
             **{key: int(value)
                for key, value in dict(payload.get("counters", {})).items()
                if key in known})
-        return store
-
-    def snapshot(self, path: Union[str, Path]) -> Path:
-        """Write the store to ``path`` (a directory).
-
-        The snapshot holds the record stream (in upsert order), every live
-        candidate pair's score, the config and the resolved entities; that is
-        sufficient for a bit-exact :meth:`restore` without the model.
-
-        Upserts are only blocked while the state is *copied*; serialization
-        and file writes happen outside the lock, and both files are
-        published with a temp-file + atomic-rename so readers never see a
-        half-written snapshot.
-        """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            records = list(self._records)
-            # Keyed like EntityPair.pair_id: record ids in string order.
-            scores = {"|".join(sorted((records[left].record_id,
-                                       records[right].record_id))): score
-                      for (left, right), score in self._scores.items()}
-            entities = self.entities()
-            counters = asdict(self.counters)
-        tmp_records = path / ".records.jsonl.tmp"
-        with tmp_records.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-        os.replace(tmp_records, path / "records.jsonl")
-        tmp_store = path / ".store.json.tmp"
-        save_json({
-            "format_version": SNAPSHOT_FORMAT_VERSION,
-            "config": self.config.as_dict(),
-            "num_records": len(records),
-            "scores": scores,
-            "entities": entities,
-            "counters": counters,
-        }, tmp_store)
-        os.replace(tmp_store, path / "store.json")
-        return path
-
-    @classmethod
-    def restore(cls, path: Union[str, Path],
-                score_fn: Optional[ScoreFn] = None) -> "EntityStore":
-        """Rebuild a store from a :meth:`snapshot` directory, bit-exactly.
-
-        The record stream is replayed through the normal upsert path with the
-        snapshot's stored scores standing in for the model, so the restored
-        indexes, candidate set and clusters are identical to the snapshotted
-        ones — no model required at restore time.  ``score_fn`` (optional) is
-        bound afterwards for further upserts/queries; without it the store is
-        read-only.
-        """
-        path = Path(path)
-        state = load_json(path / "store.json")
-        version = state.get("format_version")
-        if version not in SUPPORTED_SNAPSHOT_VERSIONS:
-            raise ValueError(f"unsupported snapshot format version {version!r} "
-                             f"(supported: {SUPPORTED_SNAPSHOT_VERSIONS})")
-        config = StoreConfig.from_dict(state["config"])
-        stored_scores: Dict[str, float] = state["scores"]
-
-        def replay_scores(pairs: Sequence[EntityPair]) -> np.ndarray:
-            try:
-                return np.array([stored_scores[pair.pair_id] for pair in pairs])
-            except KeyError as error:
-                raise ValueError(f"snapshot at {path} is missing the score for "
-                                 f"pair {error.args[0]!r}; it was not written by "
-                                 f"a matching store") from error
-
-        store = cls(score_fn=replay_scores, config=config)
-        with (path / "records.jsonl").open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    store.upsert(Record.from_dict(json.loads(line)))
-        if len(store) != int(state["num_records"]):
-            raise ValueError(f"snapshot at {path} holds {state['num_records']} "
-                             f"records but {len(store)} were replayed")
-        # Tolerate counter schema drift across snapshot generations: unknown
-        # keys are dropped, missing ones keep the replayed values (mirrors
-        # the obs export schema-versioning convention).
-        known = {field.name for field in fields(_StoreCounters)}
-        saved_counters = {key: int(value)
-                          for key, value in dict(state.get("counters", {})).items()
-                          if key in known}
-        store.counters = replace(store.counters, **saved_counters)
-        store._score_fn = score_fn
         return store

@@ -44,7 +44,6 @@ from ..obs import BoundHandles
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
 from ..serve.store import EntityStore, ScoreFn, StoreConfig
-from . import crashpoints
 from .errors import StorageError, StorageLocked, StorageReadOnly
 from .locks import DirectoryLock
 from .snapshots import SnapshotManager
@@ -225,7 +224,7 @@ class Storage:
                 f"append failure; reads still serve — reopen via "
                 f"Storage.recover() once the log is writable again")
         entity_id = self._store.upsert(record)
-        crashpoints.maybe_crash("after_commit")
+        faults.check("storage.after_commit")
         every = self.config.snapshot_every
         if every and self._wal.last_lsn - self._snapshot_lsn >= every:
             self.snapshot()
@@ -240,7 +239,7 @@ class Storage:
         untouched, and a crash after it leaves a WAL entry recovery will
         replay.
         """
-        crashpoints.maybe_crash("before_wal_append")
+        faults.check("storage.before_wal_append")
         try:
             faults.check("storage.wal_append")
             result = self._wal.append({
@@ -270,7 +269,7 @@ class Storage:
         self._fsync_samples.append(result.fsync_seconds)
         if self.fsync_listener is not None:
             self.fsync_listener(result.fsync_seconds)
-        crashpoints.maybe_crash("after_wal_append")
+        faults.check("storage.after_wal_append")
 
     def fsync_latency_samples(self) -> List[float]:
         """Recent per-append fsync latencies (seconds), oldest first."""

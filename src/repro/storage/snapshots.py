@@ -27,7 +27,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import crashpoints
+from ..resilience import faults
 
 __all__ = ["SnapshotManager", "SnapshotError", "SNAPSHOT_PREFIX"]
 
@@ -76,10 +76,10 @@ class SnapshotManager:
             handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
-        crashpoints.maybe_crash("before_snapshot_rename")
+        faults.check("storage.before_snapshot_rename")
         os.replace(tmp, final)
         self._fsync_directory()
-        crashpoints.maybe_crash("after_snapshot_rename")
+        faults.check("storage.after_snapshot_rename")
         self._prune_old()
         return final
 

@@ -1,5 +1,7 @@
 """Tests for domains, scenarios, sampling, splits, blocking and storage."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,22 @@ class TestMELScenario:
         schema = music_scenario.aligned_schema()
         for pair in list(music_scenario.source)[:5]:
             assert set(pair.left.attribute_names()) == set(schema)
+
+    def test_align_is_memoised_without_a_reference_cycle(self, labeled_pairs):
+        scenario = MELScenario(source=SourceDomain(labeled_pairs),
+                               target=TargetDomain(labeled_pairs),
+                               test=PairCollection(labeled_pairs))
+        aligned = scenario.align()
+        assert scenario.align() is aligned and aligned.align() is aligned
+        # A dropped scenario must go by reference counting: its records and
+        # pairs would otherwise sit in memory until a generation-2 pass.
+        gc.collect()
+        gc.disable()
+        try:
+            del scenario, aligned
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_scenario_requires_source_and_test(self, labeled_pairs):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from repro.experiments import (
     run_table4,
     run_table6,
     run_table7,
+    select_scale,
 )
 from repro.experiments.table7 import single_domain_scenario
 
@@ -27,6 +28,23 @@ from repro.experiments.table7 import single_domain_scenario
 @pytest.fixture(scope="module")
 def scale():
     return ExperimentScale.smoke()
+
+
+class TestScaleSelection:
+    def test_named_scales(self):
+        assert select_scale("smoke") == ("smoke", ExperimentScale.smoke())
+        assert select_scale("bench") == ("bench", ExperimentScale.bench())
+        assert select_scale("paper") == ("paper", ExperimentScale.paper())
+
+    def test_env_fallback(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
+        assert select_scale()[0] == "smoke"
+        monkeypatch.delenv("REPRO_BENCH_SCALE")
+        assert select_scale()[0] == "bench"
+
+    def test_unknown_scale_rejected(self):
+        with pytest.raises(ValueError, match="unknown benchmark scale"):
+            select_scale("gigantic")
 
 
 class TestScenarios:

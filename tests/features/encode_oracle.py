@@ -1,0 +1,21 @@
+"""Oracle for ``PairEncoder.encode``: the per-pair definition, stacked."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.data.records import EntityPair
+from repro.features import EncodedBatch, PairEncoder
+
+
+def stacked_encode_pair(encoder: PairEncoder, pairs: Sequence[EntityPair]) -> EncodedBatch:
+    """``encode_pair`` over a non-empty ``pairs``; ``encode`` must equal it bit for bit."""
+    encoded = [encoder.encode_pair(pair) for pair in pairs]
+    return EncodedBatch(
+        features=np.stack([item.features for item in encoded]),
+        labels=np.array([-1 if item.label is None else item.label for item in encoded],
+                        dtype=np.int64),
+        pair_ids=[item.pair_id for item in encoded],
+        feature_mask=np.stack([item.feature_mask for item in encoded]))

@@ -24,6 +24,8 @@ from repro.data.schema import Schema
 from repro.features import EncodingCache, PairEncoder
 from repro.text import HashedEmbedder, Tokenizer
 
+from encode_oracle import stacked_encode_pair
+
 
 def entry_arrays(rng: np.random.Generator, size: int = 8):
     features = rng.normal(size=(size, size))
@@ -148,7 +150,7 @@ class TestConcurrentEncoders:
     def test_threads_equal_the_sequential_result(self, values, tokens):
         pairs = self.corpus()
         reference = self.encoder(53, values, tokens)
-        expected = reference.encode_reference(pairs)
+        expected = stacked_encode_pair(reference, pairs)
         reference.tokenizer.clear_memo()
         reference.embedder.clear_memo()
 

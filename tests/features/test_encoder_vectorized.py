@@ -10,6 +10,8 @@ from repro.data.schema import Schema
 from repro.features import EncodingCache, PairEncoder, get_default_cache
 from repro.text import HashedEmbedder, Tokenizer
 
+from encode_oracle import stacked_encode_pair
+
 
 @pytest.fixture(scope="module")
 def scenario_pairs(music_scenario):
@@ -31,7 +33,7 @@ class TestVectorizedEquivalence:
         """The vectorised encoder is bit-identical to the seed per-pair path."""
         schema, pairs = scenario_pairs
         encoder = make_encoder(schema, cache=EncodingCache())
-        reference = encoder.encode_reference(pairs)
+        reference = stacked_encode_pair(encoder, pairs)
         vectorized = encoder.encode(pairs)
         assert np.array_equal(reference.features, vectorized.features)
         assert np.array_equal(reference.feature_mask, vectorized.feature_mask)
@@ -42,7 +44,7 @@ class TestVectorizedEquivalence:
         schema, pairs = scenario_pairs
         encoder = make_encoder(schema, use_cache=False)
         assert encoder.cache is None
-        reference = encoder.encode_reference(pairs)
+        reference = stacked_encode_pair(encoder, pairs)
         vectorized = encoder.encode(pairs)
         assert np.array_equal(reference.features, vectorized.features)
 
@@ -50,7 +52,7 @@ class TestVectorizedEquivalence:
     def test_single_kind_encoders_equivalent(self, scenario_pairs, kinds):
         schema, pairs = scenario_pairs
         encoder = make_encoder(schema, cache=EncodingCache(), kinds=kinds)
-        reference = encoder.encode_reference(pairs[:50])
+        reference = stacked_encode_pair(encoder, pairs[:50])
         vectorized = encoder.encode(pairs[:50])
         assert np.array_equal(reference.features, vectorized.features)
         assert np.array_equal(reference.feature_mask, vectorized.feature_mask)
@@ -134,7 +136,7 @@ class TestEncodingCache:
         assert cache.hits == 0
         assert not np.array_equal(batch_v1.features, batch_v2.features)
         assert np.array_equal(batch_v2.features,
-                              encoder.encode_reference([pair_v2]).features)
+                              stacked_encode_pair(encoder, [pair_v2]).features)
 
     def test_eviction_respects_byte_budget(self, scenario_pairs):
         schema, pairs = scenario_pairs

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro.storage
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjected, FaultPlan, FaultSpec
 
@@ -132,16 +135,12 @@ class TestModuleState:
         with pytest.raises(FaultInjected):
             faults.check("serve.score")
 
-    def test_legacy_crash_env_translates_to_a_kill_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE_CRASH_POINT", "after_commit")
-        monkeypatch.setenv("REPRO_STORAGE_CRASH_HITS", "7")
-        plan = faults.current_plan()
-        assert plan is not None
-        (spec,) = plan.specs_for("storage.after_commit")
-        assert spec.kind == "kill"
-        assert spec.at_hit == 7
-
     def test_sites_catalog_covers_the_storage_crash_points(self):
-        from repro.storage.crashpoints import CRASH_POINTS
-        for point in CRASH_POINTS:
-            assert f"storage.{point}" in faults.SITES
+        """``check`` accepts any site name, so a typo at a storage call site
+        would silently never fire: every literal must be in the catalog, and
+        every ``storage.*`` catalog entry must be injected somewhere."""
+        storage_dir = Path(repro.storage.__file__).parent
+        used = {site for path in storage_dir.glob("*.py")
+                for site in re.findall(r'faults\.(?:check|armed)\("(storage\.\w+)"',
+                                       path.read_text(encoding="utf-8"))}
+        assert used == {site for site in faults.SITES if site.startswith("storage.")}

@@ -11,11 +11,10 @@ from repro.core import AdaMELHybrid
 from repro.data.records import Record
 from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
-from repro.serve import (CoalescerClosed, EntityStore, LinkageService,
-                         ServiceConfig, StoreConfig, latency_percentiles,
-                         replay_queries, replay_upserts)
+from repro.serve import (CoalescerClosed, EntityStore, LinkageService, LoadReport,
+                         ServiceConfig, StoreConfig, replay_queries, replay_upserts)
 from repro.serve.__main__ import main as serve_main
-from repro.storage import Storage
+from repro.storage import SnapshotManager, Storage
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +83,9 @@ class TestLinkageService:
         store = EntityStore(score_fn=predictor.predict_proba)
         for record in records[:15]:
             store.upsert(record)
-        snapshot = store.snapshot(tmp_path / "store")
-        restored = EntityStore.restore(snapshot)
+        snapshots = SnapshotManager(tmp_path)
+        snapshots.take(store.state_dict(), lsn=len(store))
+        restored = EntityStore.from_state_dict(snapshots.load_latest()[1])
         with LinkageService(predictor, store=restored) as service:
             for record in records[15:30]:
                 service.upsert(record)
@@ -100,10 +100,11 @@ class TestLinkageService:
 class TestLoadgen:
     def test_latency_percentiles_shape(self):
         samples = [0.001 * i for i in range(1, 101)]
-        percentiles = latency_percentiles(samples)
+        percentiles = LoadReport("query", len(samples), 1, 1.0, samples).percentiles()
         assert set(percentiles) == {"p50", "p95", "p99"}
         assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
-        assert latency_percentiles([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+        assert LoadReport("query", 0, 1, 1.0).percentiles() == \
+            {"p50": 0.0, "p95": 0.0, "p99": 0.0}
 
     def test_upsert_replay_reports_throughput_and_percentiles(self, service,
                                                               tiny_music_corpus):
@@ -122,6 +123,12 @@ class TestServeCLI:
     def test_no_demo_flag_prints_help(self, capsys):
         assert serve_main([]) == 2
         assert "--demo" in capsys.readouterr().out
+
+    def test_snapshot_flag_is_gone_not_a_prefix_of_snapshot_every(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(["--demo", "--snapshot", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --snapshot 5" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_demo_streams_and_passes_parity(self, capsys):

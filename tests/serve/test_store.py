@@ -10,6 +10,7 @@ from repro.data.records import Record
 from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
 from repro.serve import EntityStore, StoreConfig
+from repro.storage import SnapshotManager
 from repro.text import jaccard_similarity
 
 from resolve_oracle import match_edges, resolve_from_singletons
@@ -159,10 +160,18 @@ class TestQuery:
             streamed_store.query(probe, top_k=0)
 
 
+def persist_and_load(store, directory, score_fn=None):
+    """The one way a store is persisted: ``state_dict`` -> snapshot file ->
+    ``from_state_dict``."""
+    manager = SnapshotManager(directory)
+    manager.take(store.state_dict(), lsn=len(store))
+    _, payload = manager.load_latest()
+    return EntityStore.from_state_dict(payload, score_fn=score_fn)
+
+
 class TestSnapshotRestore:
     def test_round_trip_is_bit_exact(self, streamed_store, tmp_path):
-        snapshot = streamed_store.snapshot(tmp_path / "store")
-        restored = EntityStore.restore(snapshot)
+        restored = persist_and_load(streamed_store, tmp_path)
         assert restored.clusters() == streamed_store.clusters()
         assert restored.entities() == streamed_store.entities()
         # Internal candidate state is reproduced exactly, not just clusters.
@@ -172,7 +181,7 @@ class TestSnapshotRestore:
     def test_restored_store_is_read_only_until_bound(self, streamed_store,
                                                      predictor, tiny_music_corpus,
                                                      tmp_path):
-        restored = EntityStore.restore(streamed_store.snapshot(tmp_path / "store"))
+        restored = persist_and_load(streamed_store, tmp_path)
         probe = tiny_music_corpus.records[0]
         with pytest.raises(RuntimeError, match="score_fn"):
             restored.query(probe)
@@ -186,22 +195,17 @@ class TestSnapshotRestore:
         store = EntityStore(score_fn=predictor.predict_proba)
         for record in records[:half]:
             store.upsert(record)
-        restored = EntityStore.restore(store.snapshot(tmp_path / "half"),
-                                       score_fn=predictor.predict_proba)
+        restored = persist_and_load(store, tmp_path, score_fn=predictor.predict_proba)
         for record in records[half:]:
             restored.upsert(record)
         batch = LinkagePipeline(predictor).run(records)
         assert restored.clusters() == batch.clusters.clusters
 
-    def test_unknown_format_version_rejected(self, streamed_store, tmp_path):
-        from repro.utils.serialization import load_json, save_json
-
-        snapshot = streamed_store.snapshot(tmp_path / "store")
-        state = load_json(snapshot / "store.json")
+    def test_unknown_format_version_rejected(self, streamed_store):
+        state = streamed_store.state_dict()
         state["format_version"] = 999
-        save_json(state, snapshot / "store.json")
-        with pytest.raises(ValueError, match="format version"):
-            EntityStore.restore(snapshot)
+        with pytest.raises(ValueError, match="state version 999"):
+            EntityStore.from_state_dict(state)
 
 
 class TestStateDict:
@@ -224,9 +228,11 @@ class TestStateDict:
     def test_counters_absent_from_older_state_dicts_start_at_zero(self, streamed_store):
         state = streamed_store.state_dict()
         assert state["counters"].pop("edges_rescanned") > 0
+        state["counters"]["counter_from_the_future"] = 7   # a newer build's: dropped
         restored = EntityStore.from_state_dict(state)
         assert restored.counters.edges_rescanned == 0
         assert restored.counters.upserts == streamed_store.counters.upserts
+        assert not hasattr(restored.counters, "counter_from_the_future")
 
 
 class TestMatchGraphBookkeeping:

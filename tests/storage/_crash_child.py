@@ -1,13 +1,13 @@
-"""Workload for the crash-point harness (run as a subprocess, or imported
+"""Workload for the crash harness (run as a subprocess, or imported
 by the parent test for the *identical* corpus / scoring / configs).
 
 Deterministic across processes by construction: the corpus generator is
 seeded, the shuffle rng is seeded, and scoring hashes the pair id with the
 process-stable FNV hash (``repro.text.hashing.stable_hash``) — no model, no
-``PYTHONHASHSEED`` dependence.  The parent arms a crash point through the
-``REPRO_STORAGE_CRASH_POINT`` / ``REPRO_STORAGE_CRASH_HITS`` environment
-variables and expects this process to die mid-upsert with
-``repro.storage.CRASH_EXIT_CODE``.
+``PYTHONHASHSEED`` dependence.  The parent arms a ``kill`` fault at one
+``storage.*`` site through the ``REPRO_FAULT_PLAN`` environment variable and
+expects this process to die mid-upsert with
+``repro.resilience.faults.KILL_EXIT_CODE``.
 """
 
 from __future__ import annotations

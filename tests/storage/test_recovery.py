@@ -1,11 +1,11 @@
-"""Crash-point harness: kill a child at every injected point, recover,
+"""Crash harness: kill a child at every storage fault site, recover,
 assert bit-exactness with a store that never crashed.
 
 The child (``_crash_child.py``) streams a deterministic shuffled corpus
 through a :class:`repro.storage.Storage` with tight bucket caps (so the
 overflow/retraction machinery is live) and a small snapshot cadence (so
 crashes land before, between, and after compactions).  The parent arms one
-crash point per case, asserts the child died with the crash exit code, then
+``kill`` fault per case, asserts the child died with the kill exit code, then
 recovers the data directory and checks three things:
 
 * the restored store's ``state_dict()`` — records, scores, support,
@@ -19,6 +19,7 @@ recovers the data directory and checks three things:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -28,14 +29,13 @@ import pytest
 
 import _crash_child as child
 from repro.pipeline import LinkagePipeline
+from repro.resilience.faults import FAULT_PLAN_ENV, KILL_EXIT_CODE, SITES
 from repro.serve.store import EntityStore
-from repro.storage import CRASH_EXIT_CODE, Storage
-from repro.storage.crashpoints import (CRASH_HITS_ENV, CRASH_POINT_ENV,
-                                       CRASH_POINTS)
+from repro.storage import Storage
 
 CHILD = Path(child.__file__).resolve()
 
-# (crash point, hit number that kills, committed upserts that must survive).
+# (storage fault site, hit number that kills, committed upserts that must survive).
 # The WAL append is the commit point: dying before (or inside) append N
 # leaves N-1 upserts, dying after it leaves N — even when the in-memory
 # commit never ran.  Snapshot-point crashes happen *after* the triggering
@@ -43,6 +43,7 @@ CHILD = Path(child.__file__).resolve()
 CASES = [
     ("before_wal_append", 3, 2),
     ("before_wal_append", 14, 13),   # crosses the lsn-10 snapshot
+    ("wal_append", 3, 2),            # the I/O-error site, killed instead
     ("mid_wal_append", 3, 2),        # torn tail: header durable, payload not
     ("after_wal_append", 3, 3),      # WAL ahead of the in-memory store
     ("after_wal_append", 14, 14),
@@ -54,11 +55,10 @@ CASES = [
 
 def run_child(data_dir: Path, point=None, hits=1) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env.pop(CRASH_POINT_ENV, None)
-    env.pop(CRASH_HITS_ENV, None)
+    env.pop(FAULT_PLAN_ENV, None)
     if point is not None:
-        env[CRASH_POINT_ENV] = point
-        env[CRASH_HITS_ENV] = str(hits)
+        env[FAULT_PLAN_ENV] = json.dumps(
+            [{"site": f"storage.{point}", "kind": "kill", "at_hit": hits}])
     return subprocess.run([sys.executable, str(CHILD), str(data_dir)],
                          env=env, capture_output=True, text=True)
 
@@ -97,7 +97,8 @@ def batch_clusters(records):
 
 
 def test_case_table_covers_every_crash_point():
-    assert {point for point, _, _ in CASES} == set(CRASH_POINTS)
+    assert ({f"storage.{point}" for point, _, _ in CASES}
+            == {site for site in SITES if site.startswith("storage.")})
 
 
 @pytest.mark.parametrize("point,hits,expected",
@@ -107,7 +108,7 @@ def test_recovery_is_bit_exact_at_every_crash_point(tmp_path, records,
                                                     point, hits, expected):
     data_dir = tmp_path / "data"
     proc = run_child(data_dir, point=point, hits=hits)
-    assert proc.returncode == CRASH_EXIT_CODE, (proc.stdout, proc.stderr)
+    assert proc.returncode == KILL_EXIT_CODE, (proc.stdout, proc.stderr)
 
     storage = Storage.recover(data_dir, score_fn=child.score_fn,
                               config=child.storage_config())
@@ -151,7 +152,7 @@ def test_double_crash_then_recover(tmp_path, records, reference):
     """A second crash over an already-crashed directory still recovers."""
     data_dir = tmp_path / "data"
     proc = run_child(data_dir, point="after_wal_append", hits=5)
-    assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+    assert proc.returncode == KILL_EXIT_CODE, proc.stderr
     # Recover and continue a little, then crash again mid-append.
     storage = Storage.recover(data_dir, score_fn=child.score_fn,
                               config=child.storage_config())

@@ -1,25 +1,16 @@
-"""SnapshotManager protocol + the legacy EntityStore snapshot fixes.
-
-The second half regression-tests the serve-layer satellite work: the legacy
-directory snapshot no longer holds the store lock while serializing (a
-concurrent upsert completes while a snapshot is mid-write), both its files
-are published atomically, and restore tolerates older format versions and
-counter-schema drift.
-"""
+"""SnapshotManager protocol, and the snapshot not holding the store lock
+while it serializes and writes (a concurrent upsert completes while a
+snapshot is mid-write)."""
 
 from __future__ import annotations
 
-import json
 import threading
 
-import numpy as np
 import pytest
 
 import _crash_child as child
-from repro.serve import store as store_module
-from repro.serve.store import (SNAPSHOT_FORMAT_VERSION,
-                               SUPPORTED_SNAPSHOT_VERSIONS, EntityStore)
-from repro.storage.snapshots import SnapshotManager
+from repro.serve.store import EntityStore
+from repro.storage import SnapshotManager, Storage
 
 
 class TestSnapshotManager:
@@ -74,39 +65,35 @@ class TestSnapshotManager:
             SnapshotManager(tmp_path, keep=0)
 
 
-@pytest.fixture()
-def streamed_store(tiny_music_corpus):
-    store = EntityStore(score_fn=child.score_fn, config=child.store_config())
-    for record in tiny_music_corpus.records[:20]:
-        store.upsert(record)
-    return store
-
-
-class TestLegacySnapshotLocking:
+class TestSnapshotLocking:
     def test_concurrent_upsert_completes_while_snapshot_is_mid_write(
-            self, streamed_store, tiny_music_corpus, tmp_path, monkeypatch):
-        """Serialization happens outside the store lock: park the snapshot
-        thread inside its file-writing phase and prove an upsert still
-        goes through before the snapshot finishes."""
+            self, tiny_music_corpus, tmp_path, monkeypatch):
+        """Serialization and the file write happen outside the store lock:
+        park the snapshot thread inside ``SnapshotManager.take`` and prove
+        an upsert still goes through before the snapshot finishes."""
+        records = tiny_music_corpus.records
+        storage = Storage(tmp_path / "data", score_fn=child.score_fn,
+                          store_config=child.store_config())
+        for record in records[:20]:
+            storage.upsert(record)
         mid_write = threading.Event()
         release = threading.Event()
-        real_save_json = store_module.save_json
+        real_take = storage.snapshots.take
 
-        def parked_save_json(payload, path):
+        def parked_take(payload, lsn):
             mid_write.set()
             assert release.wait(timeout=10.0)
-            return real_save_json(payload, path)
+            return real_take(payload, lsn)
 
-        monkeypatch.setattr(store_module, "save_json", parked_save_json)
-        snapshotter = threading.Thread(
-            target=streamed_store.snapshot, args=(tmp_path / "snap",))
+        monkeypatch.setattr(storage.snapshots, "take", parked_take)
+        snapshotter = threading.Thread(target=storage.snapshot)
         snapshotter.start()
         try:
             assert mid_write.wait(timeout=10.0)
             upserted = threading.Event()
 
             def upsert():
-                streamed_store.upsert(tiny_music_corpus.records[20])
+                storage.upsert(records[20])
                 upserted.set()
 
             writer = threading.Thread(target=upsert)
@@ -117,50 +104,10 @@ class TestLegacySnapshotLocking:
         finally:
             release.set()
             snapshotter.join(timeout=10.0)
+        assert not snapshotter.is_alive()
         # The snapshot captured the pre-upsert state it froze under the lock.
-        restored = EntityStore.restore(tmp_path / "snap")
-        assert len(restored) == 20
-        assert len(streamed_store) == 21
-
-    def test_snapshot_publishes_atomically(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-        assert sorted(p.name for p in out.iterdir()) == \
-            ["records.jsonl", "store.json"]  # no .tmp leftovers
-        state = json.loads((out / "store.json").read_text(encoding="utf-8"))
-        assert state["format_version"] == SNAPSHOT_FORMAT_VERSION
-
-
-class TestLegacyRestoreTolerance:
-    def rewrite_state(self, path, mutate):
-        store_json = path / "store.json"
-        state = json.loads(store_json.read_text(encoding="utf-8"))
-        mutate(state)
-        store_json.write_text(json.dumps(state), encoding="utf-8")
-
-    def test_older_format_version_still_loads(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-        assert 1 in SUPPORTED_SNAPSHOT_VERSIONS
-        self.rewrite_state(out, lambda s: s.update(format_version=1))
-        restored = EntityStore.restore(out, score_fn=child.score_fn)
-        assert restored.clusters() == streamed_store.clusters()
-
-    def test_unknown_format_version_is_rejected(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-        self.rewrite_state(out, lambda s: s.update(format_version=99))
-        with pytest.raises(ValueError, match="format version"):
-            EntityStore.restore(out)
-
-    def test_counter_schema_drift_is_tolerated(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-
-        def drift(state):
-            state["counters"].pop("pairs_scored")       # older snapshot
-            state["counters"]["counter_from_the_future"] = 7
-
-        self.rewrite_state(out, drift)
-        restored = EntityStore.restore(out)
-        assert restored.clusters() == streamed_store.clusters()
-        # The missing key keeps its replayed value; the unknown key is dropped.
-        assert restored.counters.pairs_scored == \
-            streamed_store.counters.pairs_scored
-        assert not hasattr(restored.counters, "counter_from_the_future")
+        lsn, payload = storage.snapshots.load_latest()
+        assert lsn == 20
+        assert len(EntityStore.from_state_dict(payload["store"])) == 20
+        assert len(storage.store) == 21
+        storage.close()

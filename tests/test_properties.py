@@ -29,6 +29,7 @@ from repro.text import (
     tokenize,
 )
 
+from features.encode_oracle import stacked_encode_pair
 from serve.resolve_oracle import resolve_from_singletons
 
 TEXT = st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs")), max_size=40)
@@ -225,13 +226,13 @@ def test_encode_equals_stacked_encode_pair(case):
         encoder = PairEncoder(schema, embedder=HashedEmbedder(dim=8, tokenizer=tokenizer),
                               tokenizer=tokenizer, feature_kinds=kinds, cache=cache,
                               use_cache=cache is not None)
-        expected = [encoder.encode_pair(pair) for pair in pairs]
+        expected = stacked_encode_pair(encoder, pairs)
         # Twice with a cache: the second pass is served from it.
         for _ in range(1 if cache is None else 2):
             batch = encoder.encode(pairs)
-            assert np.array_equal(batch.features, np.stack([e.features for e in expected]))
-            assert np.array_equal(batch.feature_mask,
-                                  np.stack([e.feature_mask for e in expected]))
+            assert np.array_equal(batch.features, expected.features)
+            assert np.array_equal(batch.feature_mask, expected.feature_mask)
+            assert np.array_equal(batch.labels, expected.labels)
             assert batch.pair_ids == [pair.pair_id for pair in pairs]
 
 
