@@ -145,7 +145,7 @@ class SupervisedPairModel:
             optimizer.zero_grad()
             loss.backward()
             if config.grad_clip > 0:
-                clip_grad_norm(self.network.parameters(), config.grad_clip)
+                clip_grad_norm(optimizer.parameters, config.grad_clip)
             optimizer.step()
             return float(loss.data)
 
@@ -165,7 +165,7 @@ class SupervisedPairModel:
                     label_buffer[...] = labels[indices]
                     graph.step()
                     if config.grad_clip > 0:
-                        clip_grad_norm(self.network.parameters(), config.grad_clip)
+                        clip_grad_norm(optimizer.parameters, config.grad_clip)
                     optimizer.step()
                     epoch_loss += float(loss_t.data)
                 elif use_replay and len(step_graphs) < 8:
@@ -182,7 +182,7 @@ class SupervisedPairModel:
                     optimizer.zero_grad()
                     loss.backward()
                     if config.grad_clip > 0:
-                        clip_grad_norm(self.network.parameters(), config.grad_clip)
+                        clip_grad_norm(optimizer.parameters, config.grad_clip)
                     optimizer.step()
                     epoch_loss += float(loss.data)
                 else:

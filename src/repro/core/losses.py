@@ -23,7 +23,7 @@ import numpy as np
 
 from ..nn.dtypes import get_default_dtype
 from ..nn.losses import binary_cross_entropy, kl_divergence
-from ..nn.tensor import Tensor, as_tensor
+from ..nn.tensor import Tensor
 
 __all__ = [
     "base_loss",
@@ -32,7 +32,6 @@ __all__ = [
     "centroid_mean_distances",
     "support_weights",
     "support_loss",
-    "weighted_support_loss",
     "combine_losses",
 ]
 
@@ -51,9 +50,16 @@ def _as_target_tensor(values: object) -> Tensor:
     return Tensor(np.asarray(values, dtype=get_default_dtype()))
 
 
-def base_loss(probabilities: Tensor, labels: object) -> Tensor:
-    """``L_base`` (Eq. 8): mean binary cross-entropy on labeled pairs."""
-    return binary_cross_entropy(probabilities, _as_target_tensor(labels))
+def base_loss(probabilities: Tensor, labels: object, weights: object = None) -> Tensor:
+    """``L_base`` (Eq. 8): mean binary cross-entropy on labeled pairs.
+
+    With per-pair ``weights`` (see :func:`support_weights`) it is the
+    differentiable part of ``L_support`` (Eq. 12).  ``labels`` and ``weights``
+    may be plain arrays or pre-built tensors (the graph-replay trainer passes
+    an input leaf and a recomputed-leaf weight tensor respectively).
+    """
+    return binary_cross_entropy(probabilities, _as_target_tensor(labels),
+                                None if weights is None else _as_target_tensor(weights))
 
 
 def target_adaptation_loss(source_attention: Tensor, target_attention_mean: object) -> Tensor:
@@ -113,9 +119,9 @@ def support_weights(attention: np.ndarray, labels: np.ndarray,
                     mean_distance_plus: float, mean_distance_minus: float) -> np.ndarray:
     """Per-pair weights of ``L_support`` (Eq. 12), normalised to mean 1.
 
-    Pure numpy on detached attention scores — factored out so the eager loss
-    and the graph-replay trainer (which refreshes the weights through a
-    ``recomputed_leaf`` on every replay) share one code path.
+    Pure numpy on detached attention scores — factored out so
+    :func:`support_loss` and the trainer (which refreshes the weights through
+    a ``recomputed_leaf`` on every replay) share one code path.
     """
     labels = np.asarray(labels)
     attention = np.asarray(attention)
@@ -135,20 +141,6 @@ def support_weights(attention: np.ndarray, labels: np.ndarray,
     return weights / max(float(weights.mean()), _EPS)
 
 
-def weighted_support_loss(probabilities: Tensor, labels: object, weights: object) -> Tensor:
-    """The differentiable part of ``L_support``: weighted cross-entropy.
-
-    ``labels`` and ``weights`` may be plain arrays or pre-built tensors (the
-    graph-replay trainer passes an input leaf and a recomputed-leaf weight
-    tensor respectively).
-    """
-    clipped = probabilities.clip(_EPS, 1.0 - _EPS)
-    targets = _as_target_tensor(labels)
-    weight_t = _as_target_tensor(weights)
-    per_sample = -(targets * clipped.log() + (1.0 - targets) * (1.0 - clipped).log())
-    return (per_sample * weight_t).mean()
-
-
 def support_loss(probabilities: Tensor, attention: Tensor, labels: np.ndarray,
                  c_plus: np.ndarray, c_minus: np.ndarray,
                  mean_distance_plus: float, mean_distance_minus: float) -> Tensor:
@@ -164,7 +156,7 @@ def support_loss(probabilities: Tensor, attention: Tensor, labels: np.ndarray,
         raise ValueError("probabilities and labels must agree on N")
     weights = support_weights(attention.data, labels, c_plus, c_minus,
                               mean_distance_plus, mean_distance_minus)
-    return weighted_support_loss(probabilities, labels, weights)
+    return base_loss(probabilities, labels, weights)
 
 
 def combine_losses(l_base: Optional[Tensor] = None, l_target: Optional[Tensor] = None,

@@ -12,6 +12,10 @@ dimension ``D``:
 3. **Classifier** Θ (Eq. 7): a 2-layer MLP over the concatenation of the
    attention-scaled features ``σ(f(x)_j · x_j)``, ending in a sigmoid that
    yields the matching probability ``ŷ``.
+
+:class:`DomainAttention` evaluates steps 1-2 for a whole fixed domain — the
+per-epoch recomputations of Algorithms 1 and 2 — on its distinct
+(feature, vector) rows only.
 """
 
 from __future__ import annotations
@@ -22,15 +26,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
 from ..nn.dtypes import get_default_dtype
 from ..nn.attention import AdditiveAttention
+from ..nn.fused import fused_feature_affine_relu, fused_scale_relu_flatten
 from ..nn.layers import MLP
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
 from .config import AdaMELConfig
 
-__all__ = ["AdaMELNetwork", "AdaMELForward"]
+__all__ = ["AdaMELNetwork", "AdaMELForward", "DomainAttention"]
 
 
 @dataclass
@@ -102,15 +106,9 @@ class AdaMELNetwork(Module):
                 f"expected features of shape (N, {self.num_features}, {self.embedding_dim}), "
                 f"got {h.shape}"
             )
-        # (F, N, D) @ (F, D, H) -> (F, N, H): one GEMM per feature.  The
-        # broadcast form (N, F, 1, D) @ (F, D, H) computes the same per-pair
-        # dot products but as N*F single-row matmuls, and its backward
-        # materialises an (N, F, D, H) temporary that is then summed over N.
-        # ``contiguous()`` collapses the transposed view once so every
-        # downstream elementwise op and flattening reshape (attention, the
-        # classifier input) runs on contiguous memory.
-        projected = (h.transpose(1, 0, 2) @ self.V).transpose(1, 0, 2).contiguous()
-        return F.relu(projected + self.b)
+        # One GEMM per feature ((F, N, D) @ (F, D, H)); the broadcast form
+        # (N, F, 1, D) @ (F, D, H) would run N*F single-row matmuls.
+        return fused_feature_affine_relu(h, self.V, self.b)
 
     def attention_scores(self, latent: Tensor) -> Tensor:
         """Eq. (5)/(6): softmax-normalised attention over the F features."""
@@ -119,11 +117,10 @@ class AdaMELNetwork(Module):
     def classify(self, latent: Tensor, attention: Tensor) -> Tensor:
         """Eq. (7): MLP over the attention-scaled latent features.
 
-        The output layer runs as one fused ``linear+sigmoid`` node
-        (:meth:`repro.nn.layers.MLP.forward_sigmoid`).
+        Three fused nodes: attention-scale + ReLU + flatten, the hidden
+        ``linear+relu`` and the ``linear+sigmoid`` output layer.
         """
-        scaled = F.relu(attention.unsqueeze(-1) * latent)
-        flattened = scaled.reshape(scaled.shape[0], self.num_features * self.hidden_dim)
+        flattened = fused_scale_relu_flatten(attention, latent)
         return self.classifier.forward_sigmoid(flattened).squeeze(-1)
 
     def forward(self, features: "np.ndarray | Tensor") -> AdaMELForward:
@@ -156,3 +153,66 @@ class AdaMELNetwork(Module):
             "classifier": int(classifier),
             "total": int(affine + attention + classifier),
         }
+
+
+class DomainAttention:
+    """``attention_numpy`` of one fixed set of pairs, priced by its distinct rows.
+
+    By Eq. 4-6 the attention *energy* of a (pair, feature) depends only on the
+    feature index ``j`` and the vector ``h_j``, and low-cardinality or missing
+    attributes give many pairs the same vector.  Built once per fit and domain:
+    the byte-distinct rows of ``features[:, j, :]`` for every ``j``, stacked
+    CSR-style into one ``(U, D)`` matrix with per-feature ``offsets``, plus the
+    ``(N, F)`` ``index`` of every pair's row.  Each call evaluates the energies
+    of the ``U`` rows with the network's *current* parameters, gathers them to
+    ``(N, F)`` and applies the row softmax, in buffers allocated here.  Equal
+    to ``attention_numpy`` up to GEMM rounding (the product shapes differ).
+    """
+
+    def __init__(self, network: AdaMELNetwork, features: np.ndarray) -> None:
+        dtype = network.V.data.dtype
+        num_pairs, num_features, dim = features.shape
+        if num_features != network.num_features or dim != network.embedding_dim:
+            raise ValueError(
+                f"expected features of shape (N, {network.num_features}, "
+                f"{network.embedding_dim}), got {features.shape}")
+        self.network = network
+        self.index = np.empty((num_pairs, num_features), dtype=np.intp)
+        self.offsets = [0]
+        distinct = []
+        for j in range(num_features):
+            column = np.ascontiguousarray(features[:, j, :], dtype=dtype)
+            # Rows compared as opaque bytes: +0.0 and -0.0 stay apart.
+            keys = column.view(np.dtype((np.void, dim * column.itemsize))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            distinct.append(column[first])
+            self.index[:, j] = inverse + self.offsets[-1]
+            self.offsets.append(self.offsets[-1] + len(first))
+        self.rows = np.concatenate(distinct)                              # (U, D)
+        self._latent = np.empty((len(self.rows), network.hidden_dim), dtype=dtype)
+        self._projected = np.empty((len(self.rows), network.attention_dim), dtype=dtype)
+        self._energy = np.empty(len(self.rows), dtype=dtype)
+        self._attention = np.empty((num_pairs, num_features), dtype=dtype)
+        self._row = np.empty((num_pairs, 1), dtype=dtype)
+
+    def __call__(self) -> np.ndarray:
+        """Attention scores ``(N, F)``: the plan's own buffer, overwritten by
+        the next call."""
+        network = self.network
+        V, b = network.V.data, network.b.data
+        latent, projected, energy = self._latent, self._projected, self._energy
+        for j, (start, stop) in enumerate(zip(self.offsets, self.offsets[1:])):
+            np.matmul(self.rows[start:stop], V[j], out=latent[start:stop])
+            latent[start:stop] += b[j]
+        np.maximum(latent, 0.0, out=latent)
+        np.matmul(latent, network.attention_fn.W.data.T, out=projected)
+        np.tanh(projected, out=projected)
+        np.matmul(projected, network.attention_fn.a.data, out=energy)
+        attention, row = self._attention, self._row
+        np.take(energy, self.index, out=attention)
+        np.amax(attention, axis=-1, keepdims=True, out=row)
+        np.subtract(attention, row, out=attention)
+        np.exp(attention, out=attention)
+        np.sum(attention, axis=-1, keepdims=True, out=row)
+        np.divide(attention, row, out=attention)
+        return attention

@@ -18,22 +18,24 @@ Execution engines (``AdaMELConfig.execution``, see ``docs/autograd.md``):
 
 * ``"eager"`` rebuilds the autograd graph for every mini-batch — the
   historical behaviour, kept as the reference path;
-* ``"auto"``/``"replay"`` record the per-step graph **once** (first full-size
-  mini-batch) into a :class:`~repro.nn.graph.CompiledGraph` and replay it for
-  every following step with zero per-step tensor/closure allocation; the
-  per-epoch target-mean and centroid recomputations replay forward-only
-  graphs over buffers captured once per fit.  Odd-shaped batches (the last
-  partial mini-batch of an epoch) transparently fall back to the eager
-  engine.  With the default float64 dtype the two engines are bit-exact
-  (see ``tests/core/test_replay_lockstep.py``).
+* ``"auto"``/``"replay"`` record the per-step graph **once** per mini-batch
+  size (the first full-size batch, and the recurring last partial one) into a
+  :class:`~repro.nn.graph.CompiledGraph` and replay it for every following
+  step with zero per-step tensor/closure allocation.  With the default
+  float64 dtype the two engines are bit-exact (see
+  ``tests/core/test_replay_lockstep.py``).
 
 Both engines execute one numerics path: the fused kernels of
-:mod:`repro.nn.fused` and one seeded ``choice`` draw per step for the support
-mini-batch.
+:mod:`repro.nn.fused`, one seeded ``choice`` draw per step for the support
+mini-batch, and — for the two per-epoch recomputations above — one
+:class:`~repro.core.model.DomainAttention` per domain, built once per fit,
+which evaluates the attention on the domain's distinct (feature, vector) rows
+only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -51,7 +53,7 @@ from ..features.importance import ImportanceReport, aggregate_importance
 from ..nn.dtypes import using_dtype
 from ..nn.graph import CompiledGraph, Tape
 from ..nn.optim import Adam, clip_grad_norm
-from ..nn.tensor import Tensor, no_grad, recomputed_leaf
+from ..nn.tensor import Tensor, recomputed_leaf
 from ..text.embeddings import HashedEmbedder, TokenEmbedder
 from ..text.tokenizer import Tokenizer
 from ..utils.rng import spawn_rng
@@ -63,9 +65,8 @@ from .losses import (
     combine_losses,
     support_weights,
     target_adaptation_loss,
-    weighted_support_loss,
 )
-from .model import AdaMELNetwork
+from .model import AdaMELNetwork, DomainAttention
 
 __all__ = ["TrainingHistory", "AdaMELTrainer"]
 
@@ -131,8 +132,6 @@ class AdaMELTrainer:
                  embedder: Optional[TokenEmbedder] = None) -> None:
         # First, so that __del__ finds them even if construction fails below.
         self._step_graphs: Dict[int, CompiledGraph] = {}
-        self._target_graph: Optional[CompiledGraph] = None
-        self._source_graph: Optional[CompiledGraph] = None
         self.config = config or AdaMELConfig()
         self._external_embedder = embedder
         self.encoder: Optional[PairEncoder] = None
@@ -142,14 +141,13 @@ class AdaMELTrainer:
         self._reset_compiled_state()
 
     def __del__(self) -> None:
-        # A dropped trainer's graphs pin whole-target-set buffers in reference
-        # cycles; release them now instead of at the next full collection.
+        # A dropped trainer's graphs pin their buffers in reference cycles;
+        # release them now instead of at the next full collection.
         self._release_graphs()
 
     def _release_graphs(self) -> None:
-        for graph in (*self._step_graphs.values(), self._target_graph, self._source_graph):
-            if graph is not None:
-                graph.release()
+        for graph in self._step_graphs.values():
+            graph.release()
 
     def _reset_compiled_state(self) -> None:
         """Drop graphs compiled against a previous network's buffers."""
@@ -159,10 +157,6 @@ class AdaMELTrainer:
         # final partial batch.  Anything else falls back to eager.
         self._step_graphs: Dict[int, CompiledGraph] = {}
         self._step_losses: Dict[int, _StepLosses] = {}
-        self._target_graph: Optional[CompiledGraph] = None
-        self._target_attention: Optional[Tensor] = None
-        self._source_graph: Optional[CompiledGraph] = None
-        self._source_attention: Optional[Tensor] = None
         # [c_plus, c_minus, d_plus, d_minus]; mutated in place every epoch so
         # the recomputed-leaf weight closure always reads the current values.
         self._centroid_state: List[object] = [None, None, None, None]
@@ -236,12 +230,19 @@ class AdaMELTrainer:
             # it rebinds param.data to views of the flat buffer).
             optimizer = Adam(self.network.parameters(), lr=config.learning_rate,
                              flatten=True)
+            # One per domain and fit; they read the parameters live each epoch.
+            target_attention = source_attention = None
+            if target_batch is not None and len(target_batch):
+                target_attention = DomainAttention(self.network, target_batch.features)
+            if support_batch is not None:
+                source_attention = DomainAttention(self.network, source_batch.features)
 
             for epoch in range(config.epochs):
                 epoch_started = time.perf_counter()
                 with obs.trace("train.epoch", epoch=epoch, variant=self.variant):
-                    epoch_losses = self._train_epoch(epoch, source_batch, target_batch,
-                                                     support_batch, optimizer)
+                    epoch_losses = self._train_epoch(epoch, source_batch, support_batch,
+                                                     target_attention, source_attention,
+                                                     optimizer)
                 if epoch_hist is not None:
                     epoch_hist.observe(time.perf_counter() - epoch_started)
                     epochs_total.inc()
@@ -294,58 +295,33 @@ class AdaMELTrainer:
     # ------------------------------------------------------------------ #
     # Per-epoch recomputations (Algorithm 1 line 5, Algorithm 2 line 10)
     # ------------------------------------------------------------------ #
-    def _compile_attention_forward(self, features: np.ndarray):
-        """Capture a forward-only attention graph over a fixed batch.
+    def _begin_epoch(self, epoch: int, source_batch: EncodedBatch,
+                     support_batch: Optional[EncodedBatch],
+                     target_attention: Optional[DomainAttention],
+                     source_attention: Optional[DomainAttention]):
+        """The target-mean attention, the refreshed source centroids and the
+        epoch's support mini-batch draw, with the current parameters.
 
-        The feature buffer is constant across epochs; the parameters are read
-        through live references, so replaying the graph after each optimiser
-        step recomputes the attention in the captured buffers without
-        rebuilding tensors.
+        Returns ``(target_mean, draw_support)``; each is None for a variant
+        that does not use it.
         """
-        network = self.network
-        assert network is not None
-        with no_grad():
-            tape = Tape()
-            with tape:
-                feat_t = Tensor(np.asarray(features, dtype=network.V.data.dtype))
-                latent = network.latent_features(feat_t)
-                attention = network.attention_scores(latent)
-        return CompiledGraph(tape, inputs={}), attention
+        target_mean = draw_support = None
+        if target_attention is not None:
+            target_mean = target_attention().mean(axis=0)
+        if source_attention is not None:
+            attention, labels = source_attention(), source_batch.labels
+            c_plus, c_minus = attention_centroids(attention, labels)
+            d_plus, d_minus = centroid_mean_distances(attention, labels, c_plus, c_minus)
+            self._centroid_state[:] = [c_plus, c_minus, d_plus, d_minus]
+            support_rng = spawn_rng(self.config.seed * 7919 + epoch)
+            take = min(self.config.batch_size, len(support_batch))
 
-    def _epoch_target_mean(self, target_batch: Optional[EncodedBatch],
-                           use_graph: bool) -> Optional[np.ndarray]:
-        if not (self.uses_target and target_batch is not None and len(target_batch)):
-            return None
-        if use_graph:
-            if self._target_graph is None:
-                self._target_graph, self._target_attention = \
-                    self._compile_attention_forward(target_batch.features)
-            else:
-                self._target_graph.forward()
-            return self._target_attention.data.mean(axis=0)
-        return self.network.attention_numpy(target_batch.features).mean(axis=0)
-
-    def _epoch_centroids(self, source_batch: EncodedBatch,
-                         support_batch: Optional[EncodedBatch], use_graph: bool) -> bool:
-        if not (self.uses_support and support_batch is not None and len(support_batch)):
-            return False
-        if use_graph:
-            if self._source_graph is None:
-                self._source_graph, self._source_attention = \
-                    self._compile_attention_forward(source_batch.features)
-            else:
-                self._source_graph.forward()
-            source_attention = self._source_attention.data
-        else:
-            source_attention = self.network.attention_numpy(source_batch.features)
-        c_plus, c_minus = attention_centroids(source_attention, source_batch.labels)
-        d_plus, d_minus = centroid_mean_distances(source_attention, source_batch.labels,
-                                                  c_plus, c_minus)
-        self._centroid_state[:] = [c_plus, c_minus, d_plus, d_minus]
-        return True
+            def draw_support() -> np.ndarray:
+                return support_rng.choice(len(support_batch), size=take, replace=False)
+        return target_mean, draw_support
 
     # ------------------------------------------------------------------ #
-    # One training step (shared by eager, capture and fallback paths)
+    # One training step (shared by the eager, capture and replay paths)
     # ------------------------------------------------------------------ #
     def _build_step_losses(self, feat_t: Tensor, lab_t: Tensor,
                            mean_t: Optional[object],
@@ -372,7 +348,7 @@ class AdaMELTrainer:
             weights = recomputed_leaf(lambda: support_weights(
                 support_attention.data, slab_t.data,
                 state[0], state[1], state[2], state[3]))
-            l_support = weighted_support_loss(support_forward.probabilities, slab_t, weights)
+            l_support = base_loss(support_forward.probabilities, slab_t, weights)
         loss = combine_losses(l_base=l_base, l_target=l_target, l_support=l_support,
                               adaptation_weight=config.adaptation_weight,
                               support_weight=config.support_weight)
@@ -382,7 +358,8 @@ class AdaMELTrainer:
         optimizer.zero_grad()
         losses.loss.backward()
         if self.config.grad_clip > 0:
-            clip_grad_norm(self.network.parameters(), self.config.grad_clip)
+            # The optimiser's list: no walk of the module tree per step.
+            clip_grad_norm(optimizer.parameters, self.config.grad_clip)
         optimizer.step()
 
     def _accumulate_sums(self, sums: Dict[str, float], losses: _StepLosses) -> None:
@@ -391,141 +368,66 @@ class AdaMELTrainer:
         sums["target"] += float(losses.target.data) if losses.target is not None else 0.0
         sums["support"] += float(losses.support.data) if losses.support is not None else 0.0
 
-    def _make_support_drawer(self, support_batch: Optional[EncodedBatch],
-                             have_support: bool, epoch: int):
-        """The per-step support mini-batch index draw (None without a support set)."""
-        if not have_support:
-            return None
-        support_rng = spawn_rng(self.config.seed * 7919 + epoch)
-        take = min(self.config.batch_size, len(support_batch))
-        return lambda: support_rng.choice(len(support_batch), size=take, replace=False)
+    # ------------------------------------------------------------------ #
+    # Epoch loop
+    # ------------------------------------------------------------------ #
+    def _first_step(self, features: np.ndarray, labels: np.ndarray,
+                    target_mean: Optional[np.ndarray],
+                    support_features: Optional[np.ndarray],
+                    support_labels: Optional[np.ndarray], capture: bool) -> _StepLosses:
+        """Build one step's loss graph eagerly; with ``capture`` also record it.
 
-    # ------------------------------------------------------------------ #
-    # Epoch loops
-    # ------------------------------------------------------------------ #
+        The capture run *is* that step's forward pass — the caller follows it
+        with an eager backward/step and replays the graph from the next batch
+        of this size on.
+        """
+        dtype = self.network.V.data.dtype
+        # np.array under capture: the graph's input buffers must own their
+        # memory — a view into the current epoch's arrays would be overwritten
+        # by later replays.
+        wrap = np.array if capture else np.asarray
+        arrays = {"features": features, "labels": labels, "target_mean": target_mean,
+                  "support_features": support_features, "support_labels": support_labels}
+        tape = Tape()
+        with tape if capture else contextlib.nullcontext():
+            inputs = {name: Tensor(wrap(value, dtype=dtype))
+                      for name, value in arrays.items() if value is not None}
+            losses = self._build_step_losses(*(inputs.get(name) for name in arrays))
+        if capture:
+            self._step_graphs[len(labels)] = CompiledGraph(tape, inputs=inputs,
+                                                           loss=losses.loss)
+            self._step_losses[len(labels)] = losses
+        return losses
+
     def _train_epoch(self, epoch: int, source_batch: EncodedBatch,
-                     target_batch: Optional[EncodedBatch],
-                     support_batch: Optional[EncodedBatch], optimizer: Adam) -> Dict[str, float]:
-        if self.config.execution in ("auto", "replay"):
-            return self._train_epoch_replay(epoch, source_batch, target_batch,
-                                            support_batch, optimizer)
-        return self._train_epoch_eager(epoch, source_batch, target_batch,
-                                       support_batch, optimizer)
+                     support_batch: Optional[EncodedBatch],
+                     target_attention: Optional[DomainAttention],
+                     source_attention: Optional[DomainAttention],
+                     optimizer: Adam) -> Dict[str, float]:
+        """One epoch of mini-batch steps, in either engine.
 
-    def _train_epoch_eager(self, epoch: int, source_batch: EncodedBatch,
-                           target_batch: Optional[EncodedBatch],
-                           support_batch: Optional[EncodedBatch],
-                           optimizer: Adam) -> Dict[str, float]:
-        """Reference engine: rebuild the autograd graph every mini-batch."""
+        ``"eager"`` builds every step's graph afresh.  ``"auto"``/``"replay"``
+        record one graph per mini-batch size at its first sighting — in
+        practice two, ``batch_size`` and the recurring final partial batch;
+        beyond eight sizes the stragglers stay eager rather than caching ever
+        more graphs — and replay it for every later batch of that size.
+        """
         config = self.config
-        network = self.network
-        assert network is not None
-        dtype = network.V.data.dtype
+        replaying = config.execution in ("auto", "replay")
         profile = config.profile_steps
         step_hist = self._obs_step_hist
         steps_total = self._obs_steps_total
         timing = profile or step_hist is not None
 
         # Algorithm 1 line 5 / Algorithm 2 line 10, with current parameters.
-        target_mean = self._epoch_target_mean(target_batch, use_graph=False)
-        have_support = self._epoch_centroids(source_batch, support_batch, use_graph=False)
-        draw_support = self._make_support_drawer(support_batch, have_support, epoch)
-
-        sampler = BatchSampler(len(source_batch), config.batch_size, shuffle=True,
-                               seed=config.seed * 1000 + epoch)
-        sums = {"total": 0.0, "base": 0.0, "target": 0.0, "support": 0.0}
-        num_batches = 0
-        for indices in sampler:
-            started = time.perf_counter() if timing else 0.0
-            batch = source_batch.subset(indices)
-            feat_t = Tensor(np.asarray(batch.features, dtype=dtype))
-            lab_t = Tensor(np.asarray(batch.labels, dtype=dtype))
-            sfeat_t = slab_t = None
-            if draw_support is not None:
-                support_view = support_batch.subset(draw_support())
-                sfeat_t = Tensor(np.asarray(support_view.features, dtype=dtype))
-                slab_t = Tensor(np.asarray(support_view.labels, dtype=dtype))
-            losses = self._build_step_losses(feat_t, lab_t, target_mean, sfeat_t, slab_t)
-            self._apply_eager_step(losses, optimizer)
-            self._accumulate_sums(sums, losses)
-            num_batches += 1
-            if timing:
-                # One reading feeds both sinks, so the history list and the
-                # histogram sum stay bit-identical.
-                elapsed = time.perf_counter() - started
-                if profile:
-                    self._step_seconds.append(elapsed)
-                if step_hist is not None:
-                    step_hist.observe(elapsed)
-                    steps_total.inc()
-        if num_batches == 0:
-            raise RuntimeError("no training batches were produced; source domain is empty")
-        return {key: value / num_batches for key, value in sums.items()}
-
-    def _compile_step(self, features: np.ndarray, labels: np.ndarray,
-                      target_mean: Optional[np.ndarray],
-                      support_features: Optional[np.ndarray],
-                      support_labels: Optional[np.ndarray]) -> _StepLosses:
-        """Record the per-step graph on the first full-size mini-batch.
-
-        The capture run *is* the first step's forward pass — callers follow it
-        with an eager backward/step, then replay the graph from the second
-        full-size batch on.
-        """
-        network = self.network
-        dtype = network.V.data.dtype
-        inputs: Dict[str, Tensor] = {}
-        tape = Tape()
-        with tape:
-            # np.array (not asarray): the graph's input buffers must own their
-            # memory — a view into the current epoch's permuted arrays would
-            # be overwritten by later replays.
-            feat_t = Tensor(np.array(features, dtype=dtype))
-            lab_t = Tensor(np.array(labels, dtype=dtype))
-            inputs["features"] = feat_t
-            inputs["labels"] = lab_t
-            mean_t: Optional[Tensor] = None
-            if target_mean is not None:
-                mean_t = Tensor(np.asarray(target_mean, dtype=dtype))
-                inputs["target_mean"] = mean_t
-            sfeat_t = slab_t = None
-            if support_features is not None:
-                sfeat_t = Tensor(np.asarray(support_features, dtype=dtype))
-                slab_t = Tensor(np.asarray(support_labels, dtype=dtype))
-                inputs["support_features"] = sfeat_t
-                inputs["support_labels"] = slab_t
-            losses = self._build_step_losses(feat_t, lab_t, mean_t, sfeat_t, slab_t)
-        size = len(labels)
-        self._step_graphs[size] = CompiledGraph(tape, inputs=inputs, loss=losses.loss)
-        self._step_losses[size] = losses
-        return losses
-
-    def _train_epoch_replay(self, epoch: int, source_batch: EncodedBatch,
-                            target_batch: Optional[EncodedBatch],
-                            support_batch: Optional[EncodedBatch],
-                            optimizer: Adam) -> Dict[str, float]:
-        """Fast engine: replay the recorded step graph for full-size batches."""
-        config = self.config
-        network = self.network
-        assert network is not None
-        dtype = network.V.data.dtype
-        profile = config.profile_steps
-        step_hist = self._obs_step_hist
-        steps_total = self._obs_steps_total
-        timing = profile or step_hist is not None
-
-        target_mean = self._epoch_target_mean(target_batch, use_graph=True)
-        have_support = self._epoch_centroids(source_batch, support_batch, use_graph=True)
-        draw_support = self._make_support_drawer(support_batch, have_support, epoch)
-
-        sampler = BatchSampler(len(source_batch), config.batch_size, shuffle=True,
-                               seed=config.seed * 1000 + epoch)
-
-        # target_mean changes once per epoch, not per step.
+        target_mean, draw_support = self._begin_epoch(
+            epoch, source_batch, support_batch, target_attention, source_attention)
         if target_mean is not None:
             for graph in self._step_graphs.values():
                 graph.load_inputs({"target_mean": target_mean})
 
+        sampler = BatchSampler(len(source_batch), config.batch_size, shuffle=True,
+                               seed=config.seed * 1000 + epoch)
         sums = {"total": 0.0, "base": 0.0, "target": 0.0, "support": 0.0}
         num_batches = 0
         for indices in sampler:
@@ -555,39 +457,25 @@ class AdaMELTrainer:
                         support_batch.labels[support_indices]
                 graph.step()
                 if config.grad_clip > 0:
-                    clip_grad_norm(network.parameters(), config.grad_clip)
+                    clip_grad_norm(optimizer.parameters, config.grad_clip)
                 optimizer.step()
                 losses = self._step_losses[size]
             else:
-                features = source_batch.features[indices]
-                labels = source_batch.labels[indices]
                 support_features = support_labels = None
                 if support_indices is not None:
                     support_features = support_batch.features[support_indices]
                     support_labels = support_batch.labels[support_indices]
-                if len(self._step_graphs) < 8:
-                    # First sighting of this batch size: record a graph for it
-                    # (the capture run doubles as this step's forward pass).
-                    # In practice there are at most two sizes — batch_size and
-                    # the recurring final partial batch.
-                    losses = self._compile_step(features, labels, target_mean,
-                                                support_features, support_labels)
-                else:
-                    # Pathological shape churn: stay eager rather than caching
-                    # ever more graphs.
-                    feat_t = Tensor(np.asarray(features, dtype=dtype))
-                    lab_t = Tensor(np.asarray(labels, dtype=dtype))
-                    sfeat_t = slab_t = None
-                    if support_features is not None:
-                        sfeat_t = Tensor(np.asarray(support_features, dtype=dtype))
-                        slab_t = Tensor(np.asarray(support_labels, dtype=dtype))
-                    losses = self._build_step_losses(feat_t, lab_t, target_mean,
-                                                     sfeat_t, slab_t)
+                losses = self._first_step(
+                    source_batch.features[indices], source_batch.labels[indices],
+                    target_mean, support_features, support_labels,
+                    capture=replaying and len(self._step_graphs) < 8)
                 self._apply_eager_step(losses, optimizer)
 
             self._accumulate_sums(sums, losses)
             num_batches += 1
             if timing:
+                # One reading feeds both sinks, so the history list and the
+                # histogram sum stay bit-identical.
                 elapsed = time.perf_counter() - started
                 if profile:
                     self._step_seconds.append(elapsed)

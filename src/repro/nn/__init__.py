@@ -10,8 +10,11 @@ from .attention import AdditiveAttention, ScaledDotProductAttention, SelfAttenti
 from .dtypes import DtypePolicy, get_default_dtype, set_default_dtype, using_dtype
 from .fused import (
     fused_attention_softmax,
+    fused_binary_cross_entropy,
+    fused_feature_affine_relu,
     fused_kl_divergence,
-    fused_linear_sigmoid,
+    fused_linear,
+    fused_scale_relu_flatten,
     fused_softmax_cross_entropy,
 )
 from .gradcheck import check_gradient, numerical_gradient
@@ -46,7 +49,10 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "using_dtype",
-    "fused_linear_sigmoid",
+    "fused_feature_affine_relu",
+    "fused_linear",
+    "fused_scale_relu_flatten",
+    "fused_binary_cross_entropy",
     "fused_attention_softmax",
     "fused_softmax_cross_entropy",
     "fused_kl_divergence",

@@ -45,29 +45,12 @@ class AdditiveAttention(Module):
         self.W = Parameter(init.xavier_uniform((attention_dim, in_features), rng), name="W")
         self.a = Parameter(init.xavier_uniform((attention_dim,), rng), name="a")
 
-    def energies(self, x: Tensor) -> Tensor:
-        """Return unnormalised energy scores ``e_j = a^T tanh(W x_j)``.
-
-        Accepts ``(batch, F, H)`` or ``(F, H)`` inputs and returns
-        ``(batch, F)`` or ``(F,)`` respectively.
-        """
-        x = as_tensor(x)
-        if x.ndim > 2:
-            # Flatten the leading axes so the projection is one GEMM instead
-            # of a batched matmul whose backward materialises a per-batch
-            # (H', H) gradient block before summing it down to W's shape.
-            lead = x.shape[:-1]
-            projected = (x.reshape(-1, x.shape[-1]) @ self.W.T).tanh()
-            return (projected @ self.a).reshape(lead)
-        projected = (x @ self.W.T).tanh()
-        return projected @ self.a
-
     def forward(self, x: Tensor) -> Tensor:
         """Return softmax-normalised attention scores over the feature axis.
 
         Runs as one fused graph node (projection GEMM + tanh + energy dot +
-        softmax with an analytic jacobian) — the eager composition survives as
-        :meth:`energies` for callers that need unnormalised scores.
+        softmax with an analytic jacobian); the eager composition is the
+        kernel's oracle in ``tests/nn/composed_oracle.py``.
         """
         return fused_attention_softmax(as_tensor(x), self.W, self.a)
 

@@ -3,18 +3,36 @@
 Each kernel collapses a chain of eager ops into a *single* graph node with an
 analytic backward — fewer python closures and ``Tensor`` allocations per step
 in eager mode, and a shorter forward program when captured on a
-:class:`~repro.nn.graph.Tape`.  All four are validated against
-finite-difference gradients in ``tests/nn/test_fused.py``:
+:class:`~repro.nn.graph.Tape`.  A kernel states its forward **once**: it
+allocates its output and scratch buffers, and :func:`_node` runs the in-place
+``forward`` closure to fill them — the same closure a captured graph replays.
 
-* :func:`fused_linear_sigmoid` — ``sigmoid(x @ W.T + b)`` (the classifier
-  head Θ's output layer, Eq. 7);
+Stage kernels — each issues the ufunc/GEMM sequence of the composition it
+replaces, operand layouts included (BLAS rounds a product differently for a
+transposed or strided operand), so float64 values and gradients are
+``np.array_equal`` to it:
+
+* :func:`fused_feature_affine_relu` — ``relu(h_j V_j + b_j)`` for every
+  feature ``j`` (Eq. 4);
+* :func:`fused_linear` — ``act(x @ W.T + b)`` with ``act`` sigmoid (the
+  classifier head Θ's output layer, Eq. 7) or ReLU (its hidden layers);
+* :func:`fused_scale_relu_flatten` — ``relu(f(x)_j · x_j)`` flattened to the
+  classifier input (Eq. 7);
+* :func:`fused_binary_cross_entropy` — mean, optionally weighted, clipped BCE
+  (``L_base`` Eq. 8, ``L_support`` Eq. 12).
+
+Analytic-jacobian kernels — forward equal to the composition, gradients equal
+up to rounding order:
+
 * :func:`fused_attention_softmax` — ``softmax_j(a^T tanh(W x_j))`` (the whole
   attention embedding function ``f``, Eq. 5/6);
 * :func:`fused_softmax_cross_entropy` — mean NLL from logits and integer
   class labels (the deep baselines' heads);
-* :func:`fused_kl_divergence` — ``KL(p ‖ q)`` with the clip-to-``[eps, 1]``
-  semantics of the eager implementation (the ``L_target`` adaptation loss,
-  Eq. 10).
+* :func:`fused_kl_divergence` — ``KL(p ‖ q)`` with clip-to-``[eps, 1]``
+  semantics (the ``L_target`` adaptation loss, Eq. 10).
+
+``tests/nn/test_fused.py`` checks every name in ``__all__`` against its
+composition in ``tests/nn/composed_oracle.py`` and by finite differences.
 """
 
 from __future__ import annotations
@@ -25,7 +43,8 @@ import numpy as np
 
 from .tensor import Tensor, _Capture, _unbroadcast, as_tensor, is_grad_enabled
 
-__all__ = ["fused_linear_sigmoid", "fused_attention_softmax",
+__all__ = ["fused_feature_affine_relu", "fused_linear", "fused_scale_relu_flatten",
+           "fused_binary_cross_entropy", "fused_attention_softmax",
            "fused_softmax_cross_entropy", "fused_kl_divergence"]
 
 _EPS = 1e-9
@@ -33,8 +52,16 @@ _EPS = 1e-9
 
 def _node(data: np.ndarray, parents: Tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None],
-          forward: Optional[Callable[[], None]] = None) -> Tensor:
-    """Create a single fused graph node (mirrors ``Tensor._make_child``)."""
+          forward: Callable[[], None]) -> Tensor:
+    """Run ``forward`` to fill the kernel's buffers; wrap ``data`` as one node.
+
+    Buffers are C-contiguous whatever the operands' layout (never
+    ``empty_like`` of an operand): the reshapes inside the closures must stay
+    views, and BLAS rounds into a transposed ``out`` differently.  Backward
+    scratch is allocated on first use and reused on every replay (an eager
+    closure only runs once).
+    """
+    forward()
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
@@ -47,71 +74,215 @@ def _node(data: np.ndarray, parents: Tuple[Tensor, ...],
     return out
 
 
-def fused_linear_sigmoid(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``sigmoid(x @ weight.T + bias)`` as one op.
+def _empty(shape: Tuple[int, ...], *operands: Tensor) -> np.ndarray:
+    return np.empty(shape, dtype=np.result_type(*(t.data for t in operands)))
 
-    ``x`` may have arbitrary leading dimensions over a trailing feature axis;
-    ``weight`` is ``(out_features, in_features)`` and ``bias``
-    ``(out_features,)``.
+
+def _relu(y: np.ndarray, mask: np.ndarray) -> None:
+    """``Tensor.relu`` in place: ``y * (y > 0)``, keeping the mask."""
+    np.greater(y, 0, out=mask)
+    np.multiply(y, mask, out=y)
+
+
+def fused_feature_affine_relu(h: Tensor, V: Tensor, b: Tensor) -> Tensor:
+    """``relu((h.transpose(1, 0, 2) @ V).transpose(1, 0, 2) + b)`` as one op.
+
+    ``h`` is ``(N, F, D)``, ``V`` ``(F, D, H)``, ``b`` ``(F, H)``: one GEMM per
+    feature, written straight into a contiguous ``(N, F, H)`` result.
+    """
+    h, V, b = as_tensor(h), as_tensor(V), as_tensor(b)
+    if h.ndim != 3 or V.ndim != 3 or h.shape[1:] != V.shape[:2] or b.shape != (
+            V.shape[0], V.shape[2]):
+        raise ValueError(f"expected h (N, F, D), V (F, D, H), b (F, H); got "
+                         f"{h.shape}, {V.shape}, {b.shape}")
+    n, f, hidden = h.shape[0], V.shape[0], V.shape[2]
+    y = _empty((n, f, hidden), h, V, b)
+    mask = np.empty_like(y)
+    scratch: list = []
+
+    def forward() -> None:
+        np.matmul(h.data.transpose(1, 0, 2), V.data, out=y.transpose(1, 0, 2))
+        np.add(y, b.data, out=y)
+        _relu(y, mask)
+
+    def backward(grad: np.ndarray) -> None:
+        if not scratch:
+            scratch.extend([np.empty_like(y), np.empty((f, n, hidden), dtype=y.dtype),
+                            np.empty(b.shape, dtype=y.dtype), np.empty(V.shape, dtype=y.dtype),
+                            np.empty((f, n, h.shape[2]), dtype=y.dtype)
+                            if h.requires_grad else None])
+        gz, by_feature, gb, gv, gh = scratch
+        np.multiply(grad, mask, out=gz)
+        b._accumulate(np.sum(gz, axis=0, out=gb))
+        # The GEMMs read the gradient feature-major and contiguous, as the
+        # composed matmul node's grad buffer is.
+        np.copyto(by_feature, gz.transpose(1, 0, 2))
+        if V.requires_grad:
+            V._accumulate(np.matmul(h.data.transpose(1, 2, 0), by_feature, out=gv))
+        if h.requires_grad:
+            np.matmul(by_feature, V.data.transpose(0, 2, 1), out=gh)
+            h._accumulate(gh.transpose(1, 0, 2))
+
+    return _node(y, (h, V, b), backward, forward)
+
+
+def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+                 activation: str = "sigmoid") -> Tensor:
+    """``sigmoid(x @ weight.T + bias)`` or ``relu(...)`` as one op.
+
+    ``x`` is ``(..., in_features)`` with at least one leading axis; ``weight``
+    is ``(out_features, in_features)`` and ``bias`` ``(out_features,)``.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
     bias_t = as_tensor(bias) if bias is not None else None
-
-    z = x.data @ weight.data.T
-    if bias_t is not None:
-        z = z + bias_t.data
-    y = 1.0 / (1.0 + np.exp(-z))
-    scratch: dict = {}
-
-    def backward(grad: np.ndarray) -> None:
-        # Scratch buffers: allocated once, reused on every graph replay (an
-        # eager closure only runs once).  Same ufunc sequence as the
-        # unbuffered expressions — values stay bit-identical.
-        if not scratch:
-            # np.empty (not empty_like): these buffers are reshaped below, and
-            # a reshape of a non-C-contiguous buffer would silently return a
-            # copy — matmul would fill the copy and the buffer would stay
-            # uninitialised.  C-contiguous allocation keeps reshape a view.
-            scratch["s"] = np.empty(y.shape, dtype=y.dtype)
-            scratch["one_minus"] = np.empty(y.shape, dtype=y.dtype)
-            scratch["gx"] = np.empty(x.data.shape, dtype=x.data.dtype)
-            scratch["gw"] = np.empty(weight.data.shape, dtype=weight.data.dtype)
-            if bias_t is not None:
-                scratch["gb"] = np.empty(bias_t.data.shape, dtype=bias_t.data.dtype)
-        # d loss / d z through the sigmoid, then the standard affine grads.
-        s = scratch["s"]
-        np.multiply(grad, y, out=s)
-        np.subtract(1.0, y, out=scratch["one_minus"])
-        np.multiply(s, scratch["one_minus"], out=s)
-        s2 = s.reshape(-1, s.shape[-1])
-        x2 = x.data.reshape(-1, x.data.shape[-1])
-        gx = scratch["gx"]
-        np.matmul(s, weight.data, out=gx.reshape(s.shape[:-1] + (weight.data.shape[1],)))
-        x._accumulate(gx)
-        weight._accumulate(np.matmul(s2.T, x2, out=scratch["gw"]))
-        if bias_t is not None:
-            bias_t._accumulate(np.sum(s2, axis=0, out=scratch["gb"]))
+    if activation not in ("sigmoid", "relu"):
+        raise ValueError(f"activation must be 'sigmoid' or 'relu', got {activation!r}")
+    if x.ndim < 2:
+        raise ValueError("fused_linear expects input of shape (..., N, in_features)")
+    relu = activation == "relu"
+    y = _empty(x.shape[:-1] + weight.shape[:1], x, weight)
+    mask = np.empty_like(y) if relu else None
+    lead_axes = tuple(range(y.ndim - 1))
+    scratch: list = []
 
     def forward() -> None:
         np.matmul(x.data, weight.data.T, out=y)
         if bias_t is not None:
             np.add(y, bias_t.data, out=y)
-        np.negative(y, out=y)
-        np.exp(y, out=y)
-        np.add(y, 1.0, out=y)
-        np.divide(1.0, y, out=y)
+        if relu:
+            _relu(y, mask)
+        else:
+            np.negative(y, out=y)
+            np.exp(y, out=y)
+            np.add(y, 1.0, out=y)
+            np.divide(1.0, y, out=y)
+
+    def backward(grad: np.ndarray) -> None:
+        if not scratch:
+            scratch.extend([np.empty_like(y), np.empty_like(y), np.empty(x.shape, dtype=y.dtype),
+                            np.empty(x.shape[:-2] + weight.shape[::-1], dtype=y.dtype),
+                            None if bias_t is None else np.empty(bias_t.shape, dtype=y.dtype)])
+        gz, one_minus, gx, gw, gb = scratch
+        if relu:
+            np.multiply(grad, mask, out=gz)
+        else:
+            np.multiply(grad, y, out=gz)
+            np.subtract(1.0, y, out=one_minus)
+            np.multiply(gz, one_minus, out=gz)
+        if bias_t is not None:
+            bias_t._accumulate(np.sum(gz, axis=lead_axes, out=gb))
+        if x.requires_grad:
+            x._accumulate(np.matmul(gz, weight.data, out=gx))
+        if weight.requires_grad:
+            # (in, out) like the composed ``x @ weight.T`` produces, then
+            # accumulated through the transposed view.
+            np.matmul(np.swapaxes(x.data, -1, -2), gz, out=gw)
+            weight._accumulate(_unbroadcast(gw, gw.shape[-2:]).T)
 
     parents = (x, weight) if bias_t is None else (x, weight, bias_t)
     return _node(y, parents, backward, forward)
+
+
+def fused_scale_relu_flatten(attention: Tensor, x: Tensor) -> Tensor:
+    """``relu(attention.unsqueeze(-1) * x)`` with the last two axes flattened.
+
+    ``attention`` is ``(..., F)``, ``x`` ``(..., F, H)``; the result is
+    ``(..., F*H)`` — the classifier input of Eq. 7.
+    """
+    attention, x = as_tensor(attention), as_tensor(x)
+    if x.ndim < 2 or attention.shape != x.shape[:-1]:
+        raise ValueError(f"expected attention (..., F) and x (..., F, H); got "
+                         f"{attention.shape}, {x.shape}")
+    y = _empty(x.shape, attention, x)
+    mask = np.empty_like(y)
+    scratch: list = []
+
+    def forward() -> None:
+        np.multiply(attention.data[..., None], x.data, out=y)
+        _relu(y, mask)
+
+    def backward(grad: np.ndarray) -> None:
+        if not scratch:
+            scratch.extend([np.empty_like(y), np.empty_like(y),
+                            np.empty(attention.shape, dtype=y.dtype)])
+        gz, product, ga = scratch
+        np.multiply(grad.reshape(y.shape), mask, out=gz)
+        if attention.requires_grad:
+            np.multiply(gz, x.data, out=product)
+            attention._accumulate(np.sum(product, axis=-1, out=ga))
+        if x.requires_grad:
+            x._accumulate(np.multiply(gz, attention.data[..., None], out=product))
+
+    return _node(y.reshape(x.shape[:-2] + (-1,)), (attention, x), backward, forward)
+
+
+def fused_binary_cross_entropy(predictions: Tensor, targets: Tensor,
+                               weights: Optional[Tensor] = None,
+                               eps: float = _EPS) -> Tensor:
+    """Mean of ``-(t log p + (1-t) log(1-p)) [* w]`` with ``p`` clipped to
+    ``[eps, 1-eps]``, as one op.
+
+    ``targets`` and ``weights`` have the shape of ``predictions`` and are
+    constants: re-read on every replay, never differentiated.  The gradient
+    is masked where ``predictions`` was clipped, as ``Tensor.clip`` does.
+    """
+    p, t = as_tensor(predictions), as_tensor(targets)
+    w = as_tensor(weights) if weights is not None else None
+    if t.shape != p.shape or (w is not None and w.shape != p.shape):
+        raise ValueError("targets and weights must have the shape of predictions")
+    high = 1.0 - eps
+    count = float(p.size)
+    clipped, one_minus_t, one_minus_p, per_sample, other = (
+        _empty(p.shape, p, t) for _ in range(5))
+    loss = np.empty((), dtype=per_sample.dtype)
+    scratch: list = []
+
+    def forward() -> None:
+        np.clip(p.data, eps, high, out=clipped)
+        np.log(clipped, out=per_sample)
+        np.multiply(t.data, per_sample, out=per_sample)
+        np.subtract(1.0, t.data, out=one_minus_t)
+        np.subtract(1.0, clipped, out=one_minus_p)
+        np.log(one_minus_p, out=other)
+        np.multiply(one_minus_t, other, out=other)
+        np.add(per_sample, other, out=per_sample)
+        np.negative(per_sample, out=per_sample)
+        if w is not None:
+            np.multiply(per_sample, w.data, out=per_sample)
+        np.sum(per_sample, out=loss)
+        np.divide(loss, count, out=loss)
+
+    def backward(grad: np.ndarray) -> None:
+        if not scratch:
+            scratch.extend([np.empty_like(per_sample), np.empty(p.shape, dtype=bool),
+                            np.empty(p.shape, dtype=bool)])
+        g, inside, below = scratch
+        np.divide(grad, count, out=g)
+        if w is not None:
+            np.multiply(g, w.data, out=g)
+        np.negative(g, out=g)
+        np.multiply(g, one_minus_t, out=other)
+        np.divide(other, one_minus_p, out=other)
+        np.negative(other, out=other)
+        np.multiply(g, t.data, out=g)
+        np.divide(g, clipped, out=g)
+        np.add(g, other, out=g)
+        np.greater_equal(p.data, eps, out=inside)
+        np.less_equal(p.data, high, out=below)
+        inside &= below
+        g *= inside
+        p._accumulate(g)
+
+    return _node(loss, (p,), backward, forward)
 
 
 def fused_attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
     """``softmax_j(a^T tanh(W x_j))`` over the trailing-but-one axis.
 
     ``x`` is ``(..., F, H)``; the result is ``(..., F)`` with rows summing to
-    one.  Equivalent to ``F.softmax(AdditiveAttention.energies(x), axis=-1)``
-    collapsed into one node: the projection runs as a single GEMM over the
+    one.  ``F.softmax`` of the energies ``e_j = a^T tanh(W x_j)`` collapsed
+    into one node: the projection runs as a single GEMM over the
     flattened leading axes, and the softmax jacobian is applied analytically.
     """
     x = as_tensor(x)
@@ -121,56 +292,42 @@ def fused_attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
         raise ValueError("fused_attention_softmax expects input of shape (..., F, H)")
     lead = x.data.shape[:-1]
     hidden = x.data.shape[-1]
+    t = _empty((int(np.prod(lead)), W.shape[0]), x, W)         # (M, H')
+    y = np.empty(lead, dtype=t.dtype)                           # (..., F)
+    row = np.empty(lead[:-1] + (1,), dtype=t.dtype)
+    scratch: list = []
 
-    # Record-time forward; the same buffers are refreshed in place on replay.
-    t = np.tanh(x.data.reshape(-1, hidden) @ W.data.T)     # (M, H')
-    e = (t @ a.data).reshape(lead)                         # (..., F)
-    m = e.max(axis=-1, keepdims=True)
-    ex = np.exp(e - m)
-    s = ex.sum(axis=-1, keepdims=True)
-    y = ex / s
-
-    scratch: dict = {}
+    def forward() -> None:
+        np.matmul(x.data.reshape(-1, hidden), W.data.T, out=t)
+        np.tanh(t, out=t)
+        np.matmul(t, a.data, out=y.reshape(-1))
+        np.amax(y, axis=-1, keepdims=True, out=row)
+        np.subtract(y, row, out=y)
+        np.exp(y, out=y)
+        np.sum(y, axis=-1, keepdims=True, out=row)
+        np.divide(y, row, out=y)
 
     def backward(grad: np.ndarray) -> None:
         if not scratch:
-            # C-contiguous allocations: gy/gx are reshaped below, and reshape
-            # must stay a view (see fused_linear_sigmoid).
-            scratch["gy"] = np.empty(y.shape, dtype=y.dtype)
-            scratch["dot"] = np.empty(lead[:-1] + (1,), dtype=y.dtype)
-            scratch["ga"] = np.empty(a.data.shape, dtype=a.data.dtype)
-            scratch["gz"] = np.empty(t.shape, dtype=t.dtype)
-            scratch["tt"] = np.empty(t.shape, dtype=t.dtype)
-            scratch["gw"] = np.empty(W.data.shape, dtype=W.data.dtype)
-            scratch["gx"] = np.empty(x.data.shape, dtype=x.data.dtype)
-        gy, dot = scratch["gy"], scratch["dot"]
+            scratch.extend([np.empty_like(y), np.empty_like(row),
+                            np.empty(a.shape, dtype=t.dtype), np.empty_like(t),
+                            np.empty_like(t), np.empty(W.shape, dtype=t.dtype),
+                            np.empty(x.shape, dtype=t.dtype)])
+        gy, dot, ga, gz, tt, gw, gx = scratch
         # Softmax jacobian: g_e = y * (g - <g, y>).
         np.multiply(grad, y, out=gy)
         np.sum(gy, axis=-1, keepdims=True, out=dot)
         np.subtract(grad, dot, out=gy)
         np.multiply(y, gy, out=gy)
         ge = gy.reshape(-1)                                # (M,)
-        x2 = x.data.reshape(-1, hidden)
-        a._accumulate(np.matmul(t.T, ge, out=scratch["ga"]))
-        gz, tt = scratch["gz"], scratch["tt"]
+        a._accumulate(np.matmul(t.T, ge, out=ga))
         np.multiply(ge[:, None], a.data, out=gz)
         np.power(t, 2, out=tt)
         np.subtract(1.0, tt, out=tt)
         np.multiply(gz, tt, out=gz)                        # (M, H')
-        W._accumulate(np.matmul(gz.T, x2, out=scratch["gw"]))
-        gx = scratch["gx"]
+        W._accumulate(np.matmul(gz.T, x.data.reshape(-1, hidden), out=gw))
         np.matmul(gz, W.data, out=gx.reshape(-1, hidden))
         x._accumulate(gx)
-
-    def forward() -> None:
-        np.matmul(x.data.reshape(-1, hidden), W.data.T, out=t)
-        np.tanh(t, out=t)
-        np.matmul(t, a.data, out=e.reshape(-1))
-        np.amax(e, axis=-1, keepdims=True, out=m)
-        np.subtract(e, m, out=ex)
-        np.exp(ex, out=ex)
-        np.sum(ex, axis=-1, keepdims=True, out=s)
-        np.divide(ex, s, out=y)
 
     return _node(y, (x, W, a), backward, forward)
 
@@ -185,35 +342,30 @@ def fused_softmax_cross_entropy(logits: Tensor, target_indices: np.ndarray) -> T
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ValueError("fused_softmax_cross_entropy expects 2-D logits (batch, classes)")
-    targets = np.asarray(target_indices, dtype=np.int64)
-    if targets.shape != (logits.shape[0],):
+    if np.shape(target_indices) != (logits.shape[0],):
         raise ValueError("target_indices must have shape (batch,)")
-    rows = np.arange(targets.shape[0])
+    rows = np.arange(logits.shape[0])
+    shifted, ex, log_probs = (np.empty(logits.shape, dtype=logits.dtype) for _ in range(3))
+    denom = np.empty((logits.shape[0], 1), dtype=logits.dtype)
+    loss = np.empty((), dtype=logits.dtype)
 
-    def current_targets() -> np.ndarray:
-        # Read through the caller's array on every call: asarray would copy a
-        # non-int64 input at record time, silently freezing the labels for
-        # replays.
-        return np.asarray(target_indices, dtype=np.int64)
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    denom = ex.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    loss = np.asarray(-(log_probs[rows, targets].mean()))
-
-    def backward(grad: np.ndarray) -> None:
-        g = ex / denom                                     # softmax
-        g[rows, current_targets()] -= 1.0
-        g *= np.asarray(grad) / float(targets.shape[0])
-        logits._accumulate(g)
+    def picked() -> Tuple[np.ndarray, np.ndarray]:
+        # Read through the caller's array on every call: converting once at
+        # record time would silently freeze the labels for replays.
+        return rows, np.asarray(target_indices, dtype=np.int64)
 
     def forward() -> None:
         np.subtract(logits.data, logits.data.max(axis=1, keepdims=True), out=shifted)
         np.exp(shifted, out=ex)
         np.sum(ex, axis=1, keepdims=True, out=denom)
         np.subtract(shifted, np.log(denom), out=log_probs)
-        loss[...] = -(log_probs[rows, current_targets()].mean())
+        loss[...] = -(log_probs[picked()].mean())
+
+    def backward(grad: np.ndarray) -> None:
+        g = ex / denom                                     # softmax
+        g[picked()] -= 1.0
+        g *= np.asarray(grad) / float(rows.size)
+        logits._accumulate(g)
 
     return _node(loss, (logits,), backward, forward)
 
@@ -222,27 +374,30 @@ def fused_kl_divergence(p: Tensor, q: Tensor, axis: int = -1,
                         eps: float = _EPS) -> Tensor:
     """``KL(p ‖ q)`` summed over ``axis``, averaged over the rest, as one op.
 
-    Matches the eager composition in :func:`repro.nn.losses.kl_divergence`
-    including its clip-to-``[eps, 1]`` guards: the gradient is masked where an
-    operand was clipped, exactly as the eager ``clip`` backward would.  Both
+    Both operands are clipped to ``[eps, 1]`` and the gradient is masked where
+    an operand was clipped, exactly as an eager ``clip`` backward would.  Both
     operands may broadcast (the ``L_target`` use has ``p`` of shape ``(F,)``
     against ``q`` of shape ``(N, F)``); gradients are summed back to each
     operand's shape.
     """
     p = as_tensor(p)
     q = as_tensor(q)
-
-    ps = np.clip(p.data, eps, 1.0)
-    qs = np.clip(q.data, eps, 1.0)
-    log_ps = np.log(ps)
-    log_qs = np.log(qs)
-    log_ratio = log_ps - log_qs
-    prod = ps * log_ratio
-    div = prod.sum(axis=axis)
-    count = max(int(np.asarray(div).size), 1)
-    loss = np.asarray(np.asarray(div).mean())
-
+    shape = np.broadcast_shapes(p.shape, q.shape)
+    ps, log_ps = _empty(p.shape, p), _empty(p.shape, p)
+    qs, log_qs = _empty(q.shape, q), _empty(q.shape, q)
+    log_ratio, prod = _empty(shape, p, q), _empty(shape, p, q)
+    count = max(prod.size // max(prod.shape[axis], 1), 1)
+    loss = np.empty((), dtype=prod.dtype)
     scratch: dict = {}
+
+    def forward() -> None:
+        np.clip(p.data, eps, 1.0, out=ps)
+        np.clip(q.data, eps, 1.0, out=qs)
+        np.log(ps, out=log_ps)
+        np.log(qs, out=log_qs)
+        np.subtract(log_ps, log_qs, out=log_ratio)
+        np.multiply(ps, log_ratio, out=prod)
+        loss[...] = prod.sum(axis=axis).mean()
 
     def backward(grad: np.ndarray) -> None:
         scale = np.asarray(grad) / float(count)
@@ -264,14 +419,5 @@ def fused_kl_divergence(p: Tensor, q: Tensor, axis: int = -1,
             gp = np.where(mask_p, log_ratio + 1.0, 0.0) * scale
             p._accumulate(_unbroadcast(np.broadcast_to(gp, prod.shape).astype(p.data.dtype),
                                        p.data.shape))
-
-    def forward() -> None:
-        np.clip(p.data, eps, 1.0, out=ps)
-        np.clip(q.data, eps, 1.0, out=qs)
-        np.log(ps, out=log_ps)
-        np.log(qs, out=log_qs)
-        np.subtract(log_ps, log_qs, out=log_ratio)
-        np.multiply(ps, log_ratio, out=prod)
-        loss[...] = prod.sum(axis=axis).mean()
 
     return _node(loss, (p, q), backward, forward)

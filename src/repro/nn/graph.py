@@ -76,8 +76,8 @@ class CompiledGraph:
         Named leaf tensors whose ``data`` buffers are refreshed on every
         replay.  Shapes are frozen at record time.
     loss:
-        The scalar output to backpropagate from.  Omit for forward-only
-        graphs (e.g. the per-epoch attention recomputation).
+        The scalar output to backpropagate from.  Omit for a forward-only
+        graph (``forward()`` replays it; ``step()`` needs a loss).
     """
 
     def __init__(self, tape: Tape, inputs: Mapping[str, Tensor],

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .fused import fused_linear_sigmoid
+from .fused import fused_linear
 from .module import Module, Parameter
 from .tensor import Tensor, as_tensor
 
@@ -137,21 +137,28 @@ class MLP(Module):
             previous = hidden
         layers.append(Linear(previous, out_features, rng=rng))
         self.network = Sequential(*layers)
+        self._fuse_relu = activation == "relu"
+
+    def _hidden(self, x: Tensor) -> Tensor:
+        """Everything before the output layer; ``Linear`` + ``ReLU`` pairs run
+        as one :func:`repro.nn.fused.fused_linear` node each."""
+        layers = iter(self.network._layers[:-1])
+        for layer in layers:
+            if isinstance(layer, Linear) and self._fuse_relu:
+                next(layers)  # the ReLU module, folded into the kernel
+                x = fused_linear(x, layer.weight, layer.bias, activation="relu")
+            else:
+                x = layer(x)
+        return x
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.network(x)
+        return self.network._layers[-1](self._hidden(x))
 
     def forward_sigmoid(self, x: Tensor) -> Tensor:
-        """Forward pass with the output layer fused into ``sigmoid(xW^T+b)``.
-
-        Equivalent to ``sigmoid(self(x))`` but the final affine + sigmoid run
-        as one graph node (:func:`repro.nn.fused.fused_linear_sigmoid`) — the
-        shape AdaMEL's classifier head Θ uses every training step.
-        """
-        for layer in self.network._layers[:-1]:
-            x = layer(x)
+        """``sigmoid(self(x))`` with the output layer's affine + sigmoid as one
+        graph node — the shape AdaMEL's classifier head Θ uses every step."""
         head: Linear = self.network._layers[-1]
-        return fused_linear_sigmoid(x, head.weight, head.bias)
+        return fused_linear(self._hidden(x), head.weight, head.bias, activation="sigmoid")
 
 
 class Embedding(Module):

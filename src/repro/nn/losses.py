@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fused import fused_kl_divergence, fused_softmax_cross_entropy
+from .fused import (fused_binary_cross_entropy, fused_kl_divergence,
+                    fused_softmax_cross_entropy)
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -37,15 +38,11 @@ def binary_cross_entropy(predictions: Tensor, targets: Tensor,
     """Mean binary cross-entropy between probabilities and 0/1 targets.
 
     This is the paper's ``L_base`` (Eq. 8).  ``weights`` allows per-sample
-    re-weighting, which the support-set loss (Eq. 12) builds on.
+    re-weighting, which the support-set loss (Eq. 12) builds on.  Runs as one
+    fused node (:func:`repro.nn.fused.fused_binary_cross_entropy`); ``targets``
+    and ``weights`` are constants of the shape of ``predictions``.
     """
-    predictions = as_tensor(predictions)
-    targets = as_tensor(targets)
-    clipped = predictions.clip(_EPS, 1.0 - _EPS)
-    per_sample = -(targets * clipped.log() + (1.0 - targets) * (1.0 - clipped).log())
-    if weights is not None:
-        per_sample = per_sample * as_tensor(weights)
-    return per_sample.mean()
+    return fused_binary_cross_entropy(predictions, targets, weights, eps=_EPS)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor,

@@ -421,39 +421,52 @@ class Tensor:
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
         data = self.data @ other_t.data
-        scratch: list = []
+        scratch: list = [None, None]
+
+        def product(slot: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            # Allocated by the first call, refilled in place on graph replays.
+            if scratch[slot] is None:
+                scratch[slot] = np.matmul(left, right)
+            else:
+                np.matmul(left, right, out=scratch[slot])
+            return scratch[slot]
 
         def backward(grad: np.ndarray) -> None:
+            # Each side's product is computed only for an operand that wants it
+            # (a constant input batch would otherwise cost a GEMM per step).
             a, b = self.data, other_t.data
             grad = np.asarray(grad)
+            need_a, need_b = self.requires_grad, other_t.requires_grad
             if a.ndim == 1 and b.ndim == 1:
                 # dot product: out is scalar
-                self._accumulate(grad * b)
-                other_t._accumulate(grad * a)
-            elif a.ndim == 1 and b.ndim >= 2:
+                if need_a:
+                    self._accumulate(grad * b)
+                if need_b:
+                    other_t._accumulate(grad * a)
+            elif a.ndim == 1:
                 # (k,) @ (..., k, n) -> (..., n)
-                grad_a = (np.expand_dims(grad, -2) @ np.swapaxes(b, -1, -2)).reshape(b.shape[:-2] + (a.shape[0],))
-                self._accumulate(_unbroadcast(grad_a, a.shape))
-                grad_b = np.expand_dims(a, -1) @ np.expand_dims(grad, -2)
-                other_t._accumulate(_unbroadcast(grad_b, b.shape))
-            elif b.ndim == 1 and a.ndim >= 2:
+                if need_a:
+                    grad_a = (np.expand_dims(grad, -2) @ np.swapaxes(b, -1, -2)).reshape(b.shape[:-2] + (a.shape[0],))
+                    self._accumulate(_unbroadcast(grad_a, a.shape))
+                if need_b:
+                    grad_b = np.expand_dims(a, -1) @ np.expand_dims(grad, -2)
+                    other_t._accumulate(_unbroadcast(grad_b, b.shape))
+            elif b.ndim == 1:
                 # (..., m, k) @ (k,) -> (..., m)
-                grad_a = np.expand_dims(grad, -1) @ np.expand_dims(b, 0)
-                self._accumulate(_unbroadcast(grad_a, a.shape))
-                grad_b = (np.swapaxes(a, -1, -2) @ np.expand_dims(grad, -1)).reshape(a.shape[:-2] + (b.shape[0],))
-                other_t._accumulate(_unbroadcast(grad_b.reshape(-1, b.shape[0]).sum(axis=0)
-                                                 if grad_b.ndim > 1 else grad_b, b.shape))
+                if need_a:
+                    grad_a = np.expand_dims(grad, -1) @ np.expand_dims(b, 0)
+                    self._accumulate(_unbroadcast(grad_a, a.shape))
+                if need_b:
+                    grad_b = (np.swapaxes(a, -1, -2) @ np.expand_dims(grad, -1)).reshape(a.shape[:-2] + (b.shape[0],))
+                    other_t._accumulate(_unbroadcast(grad_b.reshape(-1, b.shape[0]).sum(axis=0)
+                                                     if grad_b.ndim > 1 else grad_b, b.shape))
             else:
-                if not scratch:
-                    scratch.append(grad @ np.swapaxes(b, -1, -2))
-                    scratch.append(np.swapaxes(a, -1, -2) @ grad)
-                    grad_a, grad_b = scratch
-                else:
-                    grad_a, grad_b = scratch
-                    np.matmul(grad, np.swapaxes(b, -1, -2), out=grad_a)
-                    np.matmul(np.swapaxes(a, -1, -2), grad, out=grad_b)
-                self._accumulate(_unbroadcast(grad_a, a.shape))
-                other_t._accumulate(_unbroadcast(grad_b, b.shape))
+                if need_a:
+                    self._accumulate(_unbroadcast(
+                        product(0, grad, np.swapaxes(b, -1, -2)), a.shape))
+                if need_b:
+                    other_t._accumulate(_unbroadcast(
+                        product(1, np.swapaxes(a, -1, -2), grad), b.shape))
 
         out = self._make_child(data, (self, other_t), backward)
         if _Capture.tape is not None:
@@ -722,28 +735,6 @@ class Tensor:
 
         out = self._make_child(data, (self,), backward)
         return self._attach_view_forward(out, lambda: np.expand_dims(self.data, axis))
-
-    def contiguous(self) -> "Tensor":
-        """Return a C-contiguous tensor with the same values (identity grad).
-
-        A no-op for already-contiguous data.  Used after layout-changing ops
-        (e.g. the transpose in the AdaMEL latent projection) so downstream
-        elementwise kernels and flattening reshapes run on contiguous memory
-        instead of strided views.
-        """
-        if self.data.flags.c_contiguous:
-            return self
-        data = np.ascontiguousarray(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.copyto(data, self.data)
-            out._forward = forward
-        return out
 
     def __getitem__(self, index: object) -> "Tensor":
         data = self.data[index]

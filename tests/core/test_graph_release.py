@@ -2,9 +2,8 @@
 cycle collector.
 
 Every recorded node is a cycle with its own closures, and a step graph pins
-whole-batch buffers (the forward-only attention graphs pin whole-set ones), so
-a dropped trainer used to sit in memory until a generation-2 collection
-happened to run.
+whole-batch buffers, so a dropped trainer used to sit in memory until a
+generation-2 collection happened to run.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, concatenate, no_grad, stack
+from repro.nn import Tensor, as_tensor, check_gradient, concatenate, no_grad, stack
+from repro.nn.fused import fused_feature_affine_relu, fused_linear
 from repro.nn.tensor import _unbroadcast
 
 
@@ -72,6 +73,46 @@ class TestGradients:
         (a @ b).sum().backward()
         assert a.grad.shape == (5, 4, 1, 3)
         assert b.grad.shape == (4, 3, 2)
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (3, 2)), ((5, 4, 1, 3), (4, 3, 2)),
+                                        ((3,), (3, 2)), ((4, 3), (3,)), ((3,), (3,))])
+    @pytest.mark.parametrize("wanted", ["both", "left", "right"])
+    def test_matmul_gradcheck_for_every_grad_requirement(self, shapes, wanted):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=shapes[0]), requires_grad=wanted != "right")
+        b = Tensor(rng.normal(size=shapes[1]), requires_grad=wanted != "left")
+        check_gradient(lambda: ((a @ b) ** 2).sum(), [t for t in (a, b) if t.requires_grad])
+        assert (a.grad is None) == (wanted == "right")
+        assert (b.grad is None) == (wanted == "left")
+
+    @pytest.mark.parametrize("op", ["matmul", "fused_linear", "fused_feature_affine_relu"])
+    def test_backward_runs_no_gemm_for_a_constant_operand(self, op, monkeypatch):
+        """Counted through a wrapped ``np.matmul``: one product per operand
+        that requires grad, none for a constant input batch."""
+        rng = np.random.default_rng(0)
+
+        def products_in_backward(input_requires_grad: bool) -> int:
+            weight = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+            if op == "matmul":
+                out = Tensor(rng.normal(size=(4, 3)), requires_grad=input_requires_grad) @ weight
+            elif op == "fused_linear":
+                out = fused_linear(Tensor(rng.normal(size=(4, 2)),
+                                          requires_grad=input_requires_grad), weight)
+            else:
+                out = fused_feature_affine_relu(
+                    Tensor(rng.normal(size=(4, 5, 3)), requires_grad=input_requires_grad),
+                    Tensor(rng.normal(size=(5, 3, 2)), requires_grad=True),
+                    Tensor(np.ones((5, 2)), requires_grad=True))
+            loss = out.sum()
+            calls = []
+            matmul = np.matmul
+            monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+            loss.backward()
+            monkeypatch.setattr(np, "matmul", matmul)
+            return len(calls)
+
+        assert products_in_backward(input_requires_grad=True) == 2
+        assert products_in_backward(input_requires_grad=False) == 1
 
     def test_grad_accumulates_over_uses(self):
         a = Tensor([1.0, 2.0], requires_grad=True)

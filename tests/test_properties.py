@@ -2,8 +2,9 @@
 
 These cover the numerical substrate (autograd, softmax, metrics), the text
 pipeline (tokenisation, similarity bounds, hashing determinism) and the data
-structures (schema alignment, contrastive features), the flat pair encoder
-and the entity store's incremental clustering.
+structures (schema alignment, contrastive features), the flat pair encoder,
+the trainer's per-domain attention plan and the entity store's incremental
+clustering.
 """
 
 from zlib import crc32
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import AdaMELConfig
+from repro.core.model import AdaMELNetwork, DomainAttention
 from repro.data import EntityPair, Record, Schema, align_pairs
 from repro.eval.metrics import average_precision, best_f1, precision_recall_curve
 from repro.features import EncodingCache, PairEncoder
 from repro.features.relational import extract_relational_features
-from repro.nn import Tensor
+from repro.nn import Adam, Tensor, using_dtype
 from repro.nn import functional as F
 from repro.serve import EntityStore, StoreConfig
 from repro.text import (
@@ -234,6 +237,61 @@ def test_encode_equals_stacked_encode_pair(case):
             assert np.array_equal(batch.feature_mask, expected.feature_mask)
             assert np.array_equal(batch.labels, expected.labels)
             assert batch.pair_ids == [pair.pair_id for pair in pairs]
+
+
+# --------------------------------------------------------------------------- #
+# Domain attention: priced by distinct (feature, vector) rows, equal to the
+# whole-set forward
+# --------------------------------------------------------------------------- #
+@st.composite
+def _domain_features(draw):
+    """``(N, F, D)`` features whose columns repeat rows in a drawn pattern."""
+    pairs, features, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(
+        st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    out = np.empty((pairs, features, dim))
+    for j in range(features):
+        pattern = draw(st.sampled_from(["duplicates", "all-distinct", "one-row", "signed-zero"]))
+        if pattern == "all-distinct":
+            out[:, j, :] = rng.normal(size=(pairs, dim))
+            continue
+        pool = rng.normal(size=(1 if pattern == "one-row" else draw(st.integers(1, 3)), dim))
+        if pattern == "signed-zero":   # equal as numbers, distinct as bytes
+            pool = np.concatenate([pool, np.zeros((1, dim)), -np.zeros((1, dim))])
+        out[:, j, :] = pool[rng.integers(0, len(pool), size=pairs)]
+    return out, draw(st.sampled_from(["float32", "float64"])), rng
+
+
+@given(_domain_features())
+@settings(max_examples=150, deadline=None)
+def test_domain_attention_equals_whole_set_forward_on_distinct_rows_only(case):
+    features, dtype, rng = case
+    with using_dtype(dtype):
+        network = AdaMELNetwork(features.shape[1], features.shape[2],
+                                AdaMELConfig(embedding_dim=features.shape[2], hidden_dim=4,
+                                             attention_dim=3, classifier_hidden_dim=2), rng=rng)
+    plan = DomainAttention(network, features)
+    # Count guard: the work is proportional to the distinct rows, not to N*F.
+    distinct = sum(len({row.tobytes() for row in features[:, j, :].astype(dtype)})
+                   for j in range(features.shape[1]))
+    assert len(plan.rows) == len(plan._latent) == len(plan._projected) \
+        == len(plan._energy) == distinct
+    tolerance = 4 * np.finfo(dtype).eps
+
+    def assert_equal_to_whole_set_forward():
+        attention = plan()
+        assert attention.dtype == np.dtype(dtype)
+        assert np.abs(attention - network.attention_numpy(features)).max() <= tolerance
+        assert np.abs(attention.sum(axis=1) - 1.0).max() <= features.shape[1] * tolerance
+
+    assert_equal_to_whole_set_forward()
+    # No stale capture: the optimiser rebinds every ``param.data`` to a view of
+    # its flat buffer, then parameters move in place.
+    Adam(network.parameters(), flatten=True)
+    assert_equal_to_whole_set_forward()
+    for param in network.parameters():
+        param.data += rng.normal(scale=0.3, size=param.shape).astype(dtype)
+    assert_equal_to_whole_set_forward()
 
 
 # --------------------------------------------------------------------------- #
