@@ -53,14 +53,6 @@ class PairCollection:
     def labeled_pairs(self) -> List[EntityPair]:
         return [pair for pair in self.pairs if pair.is_labeled]
 
-    @property
-    def positive_pairs(self) -> List[EntityPair]:
-        return [pair for pair in self.pairs if pair.label == 1]
-
-    @property
-    def negative_pairs(self) -> List[EntityPair]:
-        return [pair for pair in self.pairs if pair.label == 0]
-
     def sources(self) -> Set[str]:
         """All data sources touched by these pairs (``D*`` in the paper)."""
         found: Set[str] = set()

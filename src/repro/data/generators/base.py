@@ -56,12 +56,6 @@ class MultiSourceCorpus:
     schema: Schema
     entity_type: Optional[str] = None
 
-    def records_by_source(self) -> Dict[str, List[Record]]:
-        grouped: Dict[str, List[Record]] = {source: [] for source in self.sources}
-        for record in self.records:
-            grouped.setdefault(record.source, []).append(record)
-        return grouped
-
     def pair_collection(self, name: Optional[str] = None) -> PairCollection:
         return PairCollection(self.pairs, name=name or self.name)
 

@@ -32,10 +32,6 @@ class Table6Result:
     def as_dict(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         return self.results
 
-    def best_mode(self, dataset: str, method: str) -> str:
-        scores = self.results[dataset][method]
-        return max(scores, key=scores.get)
-
     def format(self) -> str:
         blocks: List[str] = []
         for dataset, methods in self.results.items():

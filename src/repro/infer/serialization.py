@@ -13,7 +13,7 @@ their configuration, and the weights round-trip through npz without loss.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -105,6 +105,15 @@ def load_model(path: Union[str, Path],
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
     config_payload = dict(meta["config"])
+    known = {spec.name for spec in fields(AdaMELConfig)}
+    unknown = sorted(set(config_payload) - known)
+    missing = sorted(known - set(config_payload))
+    if unknown or missing:
+        raise ValueError(
+            f"model bundle {path} has a config this build cannot read "
+            f"(unknown keys: {unknown}, missing keys: {missing}); "
+            f"re-save the bundle with this build's save_model"
+        )
     config_payload["feature_kinds"] = tuple(config_payload["feature_kinds"])
     config = AdaMELConfig(**config_payload)
 

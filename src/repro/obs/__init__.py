@@ -36,8 +36,6 @@ from typing import Iterator, Optional
 from . import stats
 from .export import (EXPORT_SCHEMA_VERSION, ExportError,
                      SUPPORTED_EXPORT_SCHEMAS, load_export, write_export)
-from .merge import (TelemetryPayload, capture_payload, merge_metric_entries,
-                    merge_payload)
 from .metrics import (BoundHandles, Counter, DEFAULT_LATENCY_BUCKETS,
                       DEFAULT_SIZE_BUCKETS, Gauge, Histogram, MetricsRegistry,
                       NOOP_INSTRUMENT, active_registry, counter, gauge,
@@ -46,8 +44,7 @@ from .slo import (SLO, SLOConfig, SLOMonitor, default_service_objectives,
                   format_health, worst_status)
 from .timeline import render_timeline, render_timelines, timeline_roots
 from .tracing import (NOOP_SPAN, Span, TraceCollector, active_collector,
-                      current_span, detached_stack, set_active_collector,
-                      trace)
+                      current_span, set_active_collector, trace)
 
 __all__ = [
     "stats",
@@ -57,13 +54,10 @@ __all__ = [
     "valid_metric_name", "DEFAULT_LATENCY_BUCKETS", "DEFAULT_SIZE_BUCKETS",
     # tracing
     "Span", "TraceCollector", "NOOP_SPAN", "trace", "current_span",
-    "active_collector", "detached_stack",
+    "active_collector",
     # export
     "write_export", "load_export", "ExportError",
     "EXPORT_SCHEMA_VERSION", "SUPPORTED_EXPORT_SCHEMAS",
-    # merge
-    "TelemetryPayload", "capture_payload", "merge_metric_entries",
-    "merge_payload",
     # slo
     "SLO", "SLOConfig", "SLOMonitor", "default_service_objectives",
     "format_health", "worst_status",

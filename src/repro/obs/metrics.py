@@ -49,8 +49,8 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
 # The repo-wide naming convention, asserted by a lint test: a known subsystem
 # prefix, a descriptive middle, and a unit suffix.
 METRIC_SUBSYSTEMS = ("pipeline", "index", "serve", "store", "storage",
-                     "coalescer", "cache", "infer", "training", "bench",
-                     "obs", "resilience")
+                     "coalescer", "cache", "infer", "training", "obs",
+                     "resilience")
 METRIC_UNITS = ("total", "seconds", "bytes", "pairs", "records", "entries",
                 "ratio", "count", "ops")
 METRIC_NAME_PATTERN = re.compile(
@@ -103,10 +103,6 @@ class Counter:
 
     def snapshot(self) -> Dict[str, object]:
         return {"value": self.value}
-
-    def merge_snapshot(self, entry: Mapping[str, object]) -> None:
-        """Fold another counter's snapshot into this one (values sum)."""
-        self.inc(float(entry.get("value", 0.0)))  # type: ignore[arg-type]
 
 
 class Gauge:
@@ -163,22 +159,6 @@ class Gauge:
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return {"value": self._value, "max": self._max}
-
-    def merge_snapshot(self, entry: Mapping[str, object]) -> None:
-        """Fold another gauge's snapshot into this one (watermark max).
-
-        Across processes a gauge has no meaningful sum ("workers of the last
-        run" from two workers does not add), so merging keeps the maximum of
-        the values and the maximum of the high watermarks — the conservative
-        reading for the queue-depth/watermark gauges merge exists for.
-        """
-        value = float(entry.get("value", 0.0))  # type: ignore[arg-type]
-        peak = float(entry.get("max", value))  # type: ignore[arg-type]
-        with self._lock:
-            if value > self._value:
-                self._value = value
-            if peak > self._max:
-                self._max = peak
 
 
 class Histogram:
@@ -244,38 +224,6 @@ class Histogram:
                             in zip(self.bounds, self._counts)]
                            + [["+Inf", self._counts[-1]]],
             }
-
-    def merge_snapshot(self, entry: Mapping[str, object]) -> None:
-        """Fold another histogram's snapshot into this one, bucket-wise.
-
-        Both sides must share the same fixed bucket bounds (mismatched
-        layouts cannot be added without losing resolution — raises
-        ``ValueError``).  Counts add per bucket, ``sum``/``count`` add, and
-        ``min``/``max`` take the extrema; an empty snapshot is a no-op so
-        min/max are never polluted by the 0.0 placeholders.
-        """
-        buckets = list(entry.get("buckets") or ())  # type: ignore[arg-type]
-        bounds = tuple(float(bound) for bound, _ in buckets
-                       if not isinstance(bound, str))
-        counts = [int(count) for _, count in buckets]
-        if bounds != self.bounds or len(counts) != len(self._counts):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge snapshot with bucket "
-                f"bounds {bounds!r} into bounds {self.bounds!r}")
-        count = int(entry.get("count", sum(counts)))  # type: ignore[arg-type]
-        if count == 0:
-            return
-        with self._lock:
-            for index, bucket_count in enumerate(counts):
-                self._counts[index] += bucket_count
-            self._sum += float(entry.get("sum", 0.0))  # type: ignore[arg-type]
-            self._count += count
-            low = float(entry.get("min", float("inf")))  # type: ignore[arg-type]
-            high = float(entry.get("max", float("-inf")))  # type: ignore[arg-type]
-            if low < self._min:
-                self._min = low
-            if high > self._max:
-                self._max = high
 
 
 class _NoopInstrument:

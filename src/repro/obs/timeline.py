@@ -2,15 +2,15 @@
 
 The trace outline (:func:`repro.obs.dashboard.render_trace_tree`) answers
 "how long did each span take"; the timeline answers the *concurrency*
-question — did the shard workers actually overlap, which shard straggled,
-where is the driver-side gap.  Each span becomes one row whose bar is
-positioned by its wall-clock ``started_at`` offset from the root and sized
-by its ``seconds``, so a balanced 4-worker run shows four stacked bars of
-equal length and a skewed one shows the straggler at a glance.
+question — did the scoring chunks actually run in parallel, which chunk
+straggled, where is the driver-side gap.  Each span becomes one row whose
+bar is positioned by its wall-clock ``started_at`` offset from the root and
+sized by its ``seconds``, so a 4-worker run shows its chunks stacked four
+deep and a straggler at a glance.
 
-Spans from forked workers carry ``started_at`` stamps from ``time.time()``
-in their own process; those clocks are comparable on one machine, which is
-all the sharded driver/worker topology needs.
+A ``sharded.worker`` span carries the ``started_at`` stamp its worker took
+with ``time.time()`` in its own process; those clocks are comparable on one
+machine, which is all the sharded driver/worker topology needs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def timeline_roots(traces: Sequence[Mapping[str, object]],
     """Pick the root trees worth a timeline, newest first.
 
     Preference order: roots containing ``sharded.worker`` spans (the
-    per-shard story the timeline exists for), then pipeline-shaped roots
-    (``sharded.run`` / ``pipeline.run``), then simply the longest root.  An
+    per-chunk story the timeline exists for), then ``pipeline.run`` roots,
+    then simply the longest root.  An
     export from ``--export`` also carries training-epoch and per-request
     roots; rendering hundreds of those as Gantts would bury the answer.
     """
@@ -45,8 +45,7 @@ def timeline_roots(traces: Sequence[Mapping[str, object]],
     sharded = [r for r in roots if _contains(r, "sharded.worker")]
     if sharded:
         return sharded[-max_roots:][::-1]
-    pipelines = [r for r in roots
-                 if r.get("name") in ("sharded.run", "pipeline.run")]
+    pipelines = [r for r in roots if r.get("name") == "pipeline.run"]
     if pipelines:
         return pipelines[-max_roots:][::-1]
     return [max(roots, key=lambda r: float(r.get("seconds", 0.0)))]

@@ -20,8 +20,7 @@ from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional
 
 __all__ = ["Span", "TraceCollector", "NOOP_SPAN", "trace",
-           "active_collector", "set_active_collector", "current_span",
-           "detached_stack"]
+           "active_collector", "set_active_collector", "current_span"]
 
 
 class Span:
@@ -67,9 +66,9 @@ class Span:
         """Rebuild a finished span tree from its :meth:`to_dict` form.
 
         The inverse of :meth:`to_dict` up to float round-tripping — used to
-        adopt span trees shipped across a process boundary (see
-        :mod:`repro.obs.merge`).  The rebuilt span is already finished: its
-        clocks are not re-armed.
+        adopt spans timed in another process (the sharded pipeline's
+        ``sharded.worker`` chunks).  The rebuilt span is already finished:
+        its clocks are not re-armed.
         """
         span = cls.__new__(cls)
         span.name = str(node["name"])
@@ -158,26 +157,6 @@ def current_span() -> Optional[Span]:
         return None
     stack = _stack()
     return stack[-1] if stack else None
-
-
-@contextmanager
-def detached_stack() -> Iterator[None]:
-    """Run a block on a fresh span stack, restoring the caller's stack after.
-
-    The span stack is thread-local and shared by every :func:`trace` on the
-    thread, so a worker that installs a fresh telemetry scope *while the
-    driver has an open span on the same thread* (the in-process sharded
-    path) would see its root span swallowed as a child of the driver's span.
-    Detaching swaps in an empty stack for the block: spans opened inside
-    form their own trees and land in whatever collector is active at their
-    entry.
-    """
-    previous = getattr(_STACKS, "spans", None)
-    _STACKS.spans = []
-    try:
-        yield
-    finally:
-        _STACKS.spans = previous if previous is not None else []
 
 
 @contextmanager

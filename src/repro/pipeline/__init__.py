@@ -13,9 +13,9 @@ This package provides the surrounding production pipeline:
   transitivity-violation report and pairwise cluster metrics;
 * :mod:`~repro.pipeline.engine` — the :class:`LinkagePipeline` orchestrator,
   also runnable as ``python -m repro.pipeline``;
-* :mod:`~repro.pipeline.sharded` — the :class:`ShardedPipeline` runner that
-  partitions blocking and scoring across worker processes behind a
-  skew-aware :class:`ShardRouter` (``python -m repro.pipeline --workers N``).
+* :mod:`~repro.pipeline.sharded` — :class:`ShardedPipeline`, the batch
+  engine with its scoring stage fanned out over forked worker processes one
+  scoring chunk at a time (``python -m repro.pipeline --workers N``).
 """
 
 from .candidates import (CandidateGenerationStage, CandidateResult,
@@ -28,7 +28,7 @@ from .index import (InitialsKeyIndex, InvertedTokenIndex, MinHashLSHIndex,
                     build_blocking_indexes, record_tokens)
 from .scoring import ScoredCandidates, ScoringStage
 from .sharded import (ShardConfig, ShardedPipeline, ShardedPipelineResult,
-                      ShardReport, ShardRouter, shard_of_key)
+                      ShardReport)
 
 __all__ = [
     "CandidateGenerationStage",
@@ -47,7 +47,6 @@ __all__ = [
     "ScoringStage",
     "ShardConfig",
     "ShardReport",
-    "ShardRouter",
     "ShardedPipeline",
     "ShardedPipelineResult",
     "UnionFind",
@@ -58,5 +57,4 @@ __all__ = [
     "pairwise_cluster_metrics",
     "possible_cross_source_pairs",
     "record_tokens",
-    "shard_of_key",
 ]

@@ -68,13 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated blocking attributes (default: all)")
     tuning.add_argument("--chunk-size", type=int, default=2048,
                         help="ingest/scoring chunk size (default: 2048)")
-    sharding = parser.add_argument_group("sharded execution")
-    sharding.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="run the sharded pipeline with N worker "
-                               "processes (default: single-process engine)")
-    sharding.add_argument("--shards", type=int, default=None, metavar="M",
-                          help="shard count for --workers (default: one "
-                               "shard per worker)")
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="score candidate chunks on N worker processes "
+                             "(default: single-process engine)")
     parser.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR,
                         help=f"where to write clusters/matches/stats "
                              f"(default: {DEFAULT_OUTPUT_DIR})")
@@ -146,12 +142,11 @@ def _run(args: argparse.Namespace) -> int:
         ingest_chunk_size=args.chunk_size,
         **overrides,
     )
-    if args.workers is not None or args.shards is not None:
+    if args.workers is not None:
         from .sharded import ShardConfig, ShardedPipeline
 
-        shard_config = ShardConfig(workers=args.workers or 1,
-                                   num_shards=args.shards)
-        pipeline = ShardedPipeline(predictor, config=config, shards=shard_config)
+        pipeline = ShardedPipeline(predictor, config=config,
+                                   shards=ShardConfig(workers=args.workers))
     else:
         pipeline = LinkagePipeline(predictor, config=config)
     result = pipeline.run(records)
@@ -180,13 +175,10 @@ def _run(args: argparse.Namespace) -> int:
           f"transitivity violations: {int(cluster_stats['transitivity_violations'])}")
     sharding = summary.get("sharding")
     if sharding:
-        print(f"sharding: {sharding['num_shards']} shard(s) / "
-              f"{sharding['workers']} worker(s) "
+        print(f"sharding: {sharding['workers']} worker(s) "
               f"(processes: {sharding['used_processes']}); "
-              f"load gini {sharding['gini_hashed']:.3f} -> "
-              f"{sharding['gini_balanced']:.3f}; "
-              f"{sharding['hot_buckets_split']} hot bucket(s) split; "
-              f"{sharding['duplicate_scored_pairs']} duplicate-scored pair(s)")
+              f"{sharding['chunks']} scoring chunk(s); "
+              f"rescored chunks: {sharding['rescored_chunks']}")
     if "pairwise_f1" in cluster_stats:
         print(f"pairwise precision/recall/F1 vs ground truth: "
               f"{cluster_stats['pairwise_precision']:.4f} / "

@@ -354,10 +354,9 @@ def eligible_match_edges(scored: ScoredCandidates, threshold: float) -> List[Mat
     """The thresholded match edges of ``scored``, in canonical best-first order.
 
     Below-threshold pairs never become merge edges, so they are dropped
-    before the Python-level sort.  Both the batch :class:`ClusteringStage`
-    and the cross-shard merge of :class:`~repro.pipeline.sharded.ShardedPipeline`
-    resolve from exactly this edge list, which is what makes their cluster
-    output comparable edge-for-edge.
+    before the Python-level sort.  The batch :class:`ClusteringStage` (and
+    with it :class:`~repro.pipeline.sharded.ShardedPipeline`) resolves from
+    exactly this edge list.
     """
     eligible = np.flatnonzero(np.asarray(scored.scores) >= threshold)
     return order_match_edges(

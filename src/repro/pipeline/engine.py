@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import obs
-from ..data.records import Record
+from ..data.records import EntityPair, Record
 from ..infer.predictor import BatchedPredictor
 from ..utils.serialization import save_json
 from .candidates import CandidateGenerationStage, CandidateResult
@@ -194,10 +194,9 @@ class LinkagePipeline:
                 candidates = stage.generate()
             seconds["pair"] = time.perf_counter() - start
 
-            scoring = ScoringStage(self.predictor, chunk_size=config.scoring_chunk_size)
             start = time.perf_counter()
             with obs.trace("score", pairs=len(candidates.pairs)):
-                scored = scoring.run(candidates.pairs)
+                scored = self._score(candidates.pairs)
             seconds["score"] = time.perf_counter() - start
             if len(scored):
                 scored.stats["pairs_per_second"] = len(scored) / max(seconds["score"], 1e-9)
@@ -219,6 +218,11 @@ class LinkagePipeline:
         if obs.enabled():
             self._record_run_metrics(result, stage)
         return result
+
+    def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
+        """Score the canonically ordered candidates (the sharded engine's hook)."""
+        return ScoringStage(self.predictor,
+                            chunk_size=self.config.scoring_chunk_size).run(pairs)
 
     def _record_run_metrics(self, result: PipelineResult,
                             stage: CandidateGenerationStage) -> None:

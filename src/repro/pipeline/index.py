@@ -169,18 +169,10 @@ class _BucketedIndex:
         """The bucket keys ``record`` lands in (public, read-only).
 
         A pure function of the record and the index configuration — nothing
-        is registered or mutated.  This is the routing primitive shared by
-        the online :meth:`probe` path and the shard router of
-        :mod:`repro.pipeline.sharded`: any process that computes a record's
+        is registered or mutated, and any process that computes a record's
         keys under an equally-configured index gets the identical key set.
         """
         return list(self._record_keys(record))
-
-    def bucket_keys_batch(self, records: Sequence[Record]) -> List[List[Hashable]]:
-        """Per-record bucket keys for a batch (read-only; vectorized where the
-        subclass supports it).  ``bucket_keys_batch(batch)[i]`` equals
-        ``bucket_keys(batch[i])`` for every ``i``."""
-        return [list(self._record_keys(record)) for record in records]
 
     def preview_one(self, record: Record
                     ) -> Tuple[int, List[Tuple[int, int]], List[List[int]], List[Hashable]]:
@@ -552,14 +544,6 @@ class MinHashLSHIndex(_BucketedIndex):
         band, value = key  # type: ignore[misc]
         return (int(band), int(value))
 
-    def bucket_keys_batch(self, records: Sequence[Record]) -> List[List[Tuple[int, int]]]:
-        """Vectorized batch variant: one signature pass for all ``records``."""
-        if not records:
-            return []
-        keys = self._band_keys(self.signatures(list(records)))
-        return [[(band, int(keys[band, i])) for band in range(self.bands)]
-                for i in range(len(records))]
-
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
@@ -597,11 +581,10 @@ def build_blocking_indexes(attributes: Optional[Sequence[str]] = None,
     """The canonical blocking-index triple, from the shared config knobs.
 
     One construction site for the three complementary indexes so the batch
-    candidate stage (:class:`~repro.pipeline.candidates.CandidateGenerationStage`),
-    the online :class:`~repro.serve.EntityStore` and the shard workers of
-    :mod:`repro.pipeline.sharded` can never drift apart: equal knobs produce
-    indexes with identical bucket keys and cap semantics, which is the
-    foundation of every streamed==batch and sharded==single-process parity
+    candidate stage (:class:`~repro.pipeline.candidates.CandidateGenerationStage`)
+    and the online :class:`~repro.serve.EntityStore` can never drift apart:
+    equal knobs produce indexes with identical bucket keys and cap
+    semantics, which is the foundation of every streamed==batch parity
     guarantee in this codebase.
 
     ``bucket_stores`` (optional, one per index in the returned order) swaps

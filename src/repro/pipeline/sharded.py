@@ -1,515 +1,84 @@
-"""Sharded linkage pipeline: shared-nothing blocking/scoring across processes.
+"""Sharded linkage pipeline: the batch engine plus a chunked scoring fan-out.
 
-:class:`~repro.pipeline.engine.LinkagePipeline` runs every stage in one
-process.  This module partitions the expensive middle of the pipeline —
-bucket pair emission and candidate scoring — into *shared-nothing shards*
-executed by a pool of worker processes, while keeping the cheap global
-stages (ingest, routing, cross-shard merge, union-find clustering) in the
-driver.  See ``docs/sharding.md`` for the full design.
+:class:`ShardedPipeline` *is* :class:`~repro.pipeline.engine.LinkagePipeline`
+with one hook overridden.  Ingest, blocking, candidate generation,
+clustering, ``index_stats`` and the candidate statistics are the batch
+engine's own code, run in the driver; only scoring — the dominant cost —
+fans out over a pool of forked worker processes.  See ``docs/sharding.md``.
 
-The partitioning unit is the **bucket**, not the record.  Every blocking
-index assigns each record a set of bucket keys (:meth:`bucket_keys`, a pure
-function of record + index config), and a bucket's candidate pairs depend
-only on its own member list.  Routing whole buckets to shards by a stable
-key hash therefore yields shards that can emit and score their pairs with
-zero communication:
+The unit of work is one **scoring chunk**: the canonically ordered candidate
+list cut at multiples of ``PipelineConfig.scoring_chunk_size``, i.e. exactly
+the chunks the single-process :class:`~repro.pipeline.scoring.ScoringStage`
+hands to the predictor one after another.  A task scores its slice through
+that same stage and the driver concatenates the slices in chunk order, so
+pairs, scores (``np.array_equal``), clusters and assignments are
+**bit-identical to** :class:`LinkagePipeline` **at every worker count**.
 
-* **Phase A (sketch)** — workers compute per-record bucket keys in parallel
-  (the MinHash signature pass is the bulk of blocking CPU).  The driver
-  assembles the global bucket membership lists in record-insertion order,
-  applying the same ``cap + 1`` overflow semantics as the single-process
-  indexes, so the bucket state is bit-identical to a batch build.
-* **Routing** — :class:`ShardRouter` assigns each live bucket to
-  ``stable_hash(index_id | key) % num_shards`` and estimates its pair load
-  as ``C(size, 2)``.  Buckets whose load exceeds a hot threshold are
-  *split*: their pair enumeration is partitioned round-robin into slices
-  placed on the least-loaded shards.  Because a split changes only *where*
-  a bucket's pairs are enumerated — never *which* pairs exist — any
-  assignment produces the same global pair set, which is the deterministic
-  fallback guarantee: sharded output equals single-process output
-  regardless of how aggressively the router rebalances.
-* **Phase B (emit + score)** — each worker enumerates its buckets' pairs,
-  dedupes within the shard, sorts them into the canonical
-  ``(record_id, record_id)`` order and scores them through the inherited
-  :class:`~repro.infer.BatchedPredictor` in ``scoring_chunk_size`` chunks.
-* **Merge** — the driver dedupes pairs scored by more than one shard
-  (keeping the lowest shard id's score, a deterministic rule), re-sorts the
-  union into canonical order, and runs the ordinary global
-  :class:`~repro.pipeline.clustering.ClusteringStage` — cross-shard match
-  edges meet in the union-find here, exactly as single-process edges do.
+The candidate list and the predictor reach the workers by fork inheritance
+(a module global set before the pool forks); only chunk indexes go out and
+only score arrays come back.  ``workers=1``, a single chunk, or a platform
+without ``fork`` score in-process through the same task function.
 
-Worker state (records, predictor, config) travels by **fork inheritance**
-through module globals — nothing heavyweight is pickled.  On platforms
-without ``fork``, or with ``workers=1``, the same code runs sequentially
-in-process; ``workers=1`` with one shard is *bit-identical* to
-``LinkagePipeline.run`` (same pair order, same scoring chunks).
+One failure rule replaces a retry policy: a chunk whose future raises (a
+worker exception, or ``BrokenProcessPool`` after a worker died) or whose
+answer is not one score per pair is rescored in the driver, and the run's
+:class:`ShardReport` lists it in ``rescored_chunks``.  A failure of the
+driver rescore propagates.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..data.blocking import ground_truth_pairs, possible_cross_source_pairs
 from ..data.records import EntityPair, Record
 from ..infer.predictor import BatchedPredictor
 from ..resilience import faults
-from ..resilience.retry import FaultReport, RetryPolicy, TaskExecutor
-from ..text.hashing import stable_hash
-from .candidates import CandidateResult
-from .clustering import ClusteringStage
-from .engine import STAGE_ORDER, PipelineConfig, PipelineResult
-from .index import build_blocking_indexes
+from .engine import LinkagePipeline, PipelineConfig, PipelineResult
 from .scoring import ScoredCandidates, ScoringStage
 
-__all__ = ["BucketTask", "ShardConfig", "ShardReport", "ShardRouter",
-           "ShardedPipeline", "ShardedPipelineResult", "shard_of_key"]
+__all__ = ["ShardConfig", "ShardReport", "ShardedPipeline",
+           "ShardedPipelineResult"]
 
-# One unit of shard work: (index_id, member positions, slice_index, num_slices).
-# An unsplit bucket is the single slice ``(…, 0, 1)``; a split bucket appears
-# as ``num_slices`` tasks that partition its pair enumeration round-robin.
-BucketTask = Tuple[int, Tuple[int, ...], int, int]
-
-# Index order must match build_blocking_indexes(); labels must match
-# CandidateGenerationStage._index_labels() so index_stats keys line up.
-_INDEX_LABELS = ("MinHashLSHIndex", "InvertedTokenIndex", "InitialsKeyIndex")
-
-
-def shard_of_key(index_id: int, key: Hashable, num_shards: int) -> int:
-    """The home shard of a bucket: a stable hash of ``(index_id, key)``.
-
-    Uses :func:`~repro.text.hashing.stable_hash` (FNV-1a over the key's
-    ``repr``), so the assignment is identical across processes, runs and
-    machines — the router and any worker agree on bucket placement without
-    coordination.
-    """
-    return stable_hash(f"{index_id}|{key!r}") % num_shards
+# (scores, per-chunk ScoringStage stats, (time.time() start, wall s, CPU s))
+_ChunkAnswer = Tuple[np.ndarray, Dict[str, float], Tuple[float, float, float]]
 
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Tuning knobs for the sharded execution layer.
-
-    ``workers`` is the process count; ``num_shards`` (default: ``workers``)
-    is the partition count — more shards than workers is legal and simply
-    queues shards on the pool.  A bucket is *hot* when its estimated pair
-    load ``C(size, 2)`` exceeds ``max(min_split_pairs, hot_bucket_factor ×
-    fair_share)`` where ``fair_share`` is ``total_load / num_shards``; hot
-    buckets are split across shards.  If the balanced assignment still has a
-    load Gini above ``rebalance_gini``, the router falls back to a full
-    greedy repack (deterministic, load-descending).
-
-    ``retry`` governs fault tolerance around worker tasks: bounded pool
-    attempts with backoff, an optional per-attempt deadline, and in-process
-    fallback after exhaustion (see :class:`~repro.resilience.RetryPolicy`).
-    Because shard tasks are pure functions of forked state, any schedule of
-    retries/fallbacks that eventually succeeds yields output bit-identical
-    to a fault-free run.
-    """
+    """The one sharding knob: how many worker processes score chunks."""
 
     workers: int = 4
-    num_shards: Optional[int] = None
-    hot_bucket_factor: float = 4.0
-    min_split_pairs: int = 256
-    rebalance_gini: float = 0.5
-    sketch_chunk_size: int = 2048
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.hot_bucket_factor <= 0:
-            raise ValueError("hot_bucket_factor must be positive")
-        if self.sketch_chunk_size < 1:
-            raise ValueError("sketch_chunk_size must be >= 1")
-
-    @property
-    def resolved_shards(self) -> int:
-        return self.num_shards if self.num_shards is not None else self.workers
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workers": self.workers,
-            "num_shards": self.resolved_shards,
-            "hot_bucket_factor": self.hot_bucket_factor,
-            "min_split_pairs": self.min_split_pairs,
-            "rebalance_gini": self.rebalance_gini,
-            "sketch_chunk_size": self.sketch_chunk_size,
-            "retry": self.retry.as_dict(),
-        }
 
 
 @dataclass
 class ShardReport:
-    """What the router and the workers did during one sharded run."""
+    """How one run's scoring was fanned out, and which chunks the driver redid."""
 
-    num_shards: int
     workers: int
     used_processes: bool
-    routed_buckets: int = 0
-    dead_buckets: int = 0
-    trivial_buckets: int = 0
-    hot_buckets_split: int = 0
-    slices_created: int = 0
-    rebalanced: bool = False
-    estimated_pair_load: int = 0
-    shard_loads: List[int] = field(default_factory=list)
-    gini_hashed: float = 0.0
-    gini_balanced: float = 0.0
-    duplicate_scored_pairs: int = 0
-    shard_candidates: List[int] = field(default_factory=list)
-    shard_emit_seconds: List[float] = field(default_factory=list)
-    shard_score_seconds: List[float] = field(default_factory=list)
-    fault_report: FaultReport = field(default_factory=FaultReport)
+    chunks: int
+    rescored_chunks: List[int] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly payload for bench records and ``stats.json``."""
-        return {
-            "num_shards": self.num_shards,
-            "workers": self.workers,
-            "used_processes": self.used_processes,
-            "routed_buckets": self.routed_buckets,
-            "dead_buckets": self.dead_buckets,
-            "trivial_buckets": self.trivial_buckets,
-            "hot_buckets_split": self.hot_buckets_split,
-            "slices_created": self.slices_created,
-            "rebalanced": self.rebalanced,
-            "estimated_pair_load": self.estimated_pair_load,
-            "shard_loads": list(self.shard_loads),
-            "gini_hashed": round(self.gini_hashed, 6),
-            "gini_balanced": round(self.gini_balanced, 6),
-            "duplicate_scored_pairs": self.duplicate_scored_pairs,
-            "shard_candidates": list(self.shard_candidates),
-            "shard_emit_seconds": [round(s, 4) for s in self.shard_emit_seconds],
-            "shard_score_seconds": [round(s, 4) for s in self.shard_score_seconds],
-            "faults": self.fault_report.as_dict(),
-        }
+        """JSON-friendly payload for ``stats.json["sharding"]``."""
+        return asdict(self)
 
-
-@dataclass
-class RouterPlan:
-    """Per-shard task lists plus the load accounting behind them."""
-
-    tasks: List[List[BucketTask]]
-    loads: List[int]
-    report: ShardReport
-
-
-class ShardRouter:
-    """Deterministically assign live buckets (and hot-bucket slices) to shards.
-
-    The router never looks at record *content* — only at bucket membership
-    sizes — so planning is O(buckets) and independent of scoring cost.  All
-    tie-breaks are total orders (load, index id, key string, shard id),
-    which makes the plan a pure function of the bucket state and the config.
-    """
-
-    def __init__(self, num_shards: int, hot_bucket_factor: float = 4.0,
-                 min_split_pairs: int = 256, rebalance_gini: float = 0.5) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.num_shards = num_shards
-        self.hot_bucket_factor = hot_bucket_factor
-        self.min_split_pairs = min_split_pairs
-        self.rebalance_gini = rebalance_gini
-
-    def plan(self, buckets: Sequence[Dict[Hashable, List[int]]],
-             caps: Sequence[int]) -> RouterPlan:
-        """Build the shard plan for one run's bucket state.
-
-        ``buckets[i]`` maps bucket key to member positions for index ``i``
-        (insertion order, ``caps[i] + 1``-truncated, matching the
-        single-process indexes); overflowed and single-member buckets are
-        recorded in the report but emit no tasks.
-        """
-        from ..obs.stats import gini
-
-        shards = self.num_shards
-        report = ShardReport(num_shards=shards, workers=0, used_processes=False)
-
-        # (load, index_id, key_string, key, members) for every live bucket.
-        live: List[Tuple[int, int, str, Hashable, Tuple[int, ...]]] = []
-        for index_id, (index_buckets, cap) in enumerate(zip(buckets, caps)):
-            for key, members in index_buckets.items():
-                size = len(members)
-                if size < 2:
-                    report.trivial_buckets += 1
-                    continue
-                if size > cap:
-                    report.dead_buckets += 1
-                    continue
-                load = size * (size - 1) // 2
-                live.append((load, index_id, str(key), key, tuple(members)))
-        report.routed_buckets = len(live)
-        report.estimated_pair_load = sum(entry[0] for entry in live)
-
-        # Baseline: what pure hashing would have produced (for the skew gap).
-        hashed_loads = [0] * shards
-        for load, index_id, _, key, _ in live:
-            hashed_loads[shard_of_key(index_id, key, shards)] += load
-        report.gini_hashed = gini(hashed_loads)
-
-        fair_share = report.estimated_pair_load / shards if shards else 0.0
-        hot_threshold = max(self.min_split_pairs,
-                            self.hot_bucket_factor * fair_share)
-
-        # Placement list: (load, index_id, key_string, key, task).  Kept flat
-        # so the rebalance fallback can repack deterministically from scratch.
-        placements: List[Tuple[int, int, str, Hashable, BucketTask]] = []
-        hot: List[Tuple[int, int, str, Hashable, Tuple[int, ...]]] = []
-        for entry in live:
-            load, index_id, key_string, key, members = entry
-            if shards > 1 and load > hot_threshold:
-                hot.append(entry)
-                continue
-            placements.append((load, index_id, key_string, key,
-                               (index_id, members, 0, 1)))
-        for load, index_id, key_string, key, members in sorted(
-                hot, key=lambda e: (-e[0], e[1], e[2])):
-            num_slices = min(shards, max(2, math.ceil(load / hot_threshold)))
-            slice_load = math.ceil(load / num_slices)
-            for slice_index in range(num_slices):
-                placements.append((slice_load, index_id,
-                                   f"{key_string}#{slice_index}", key,
-                                   (index_id, members, slice_index, num_slices)))
-            report.hot_buckets_split += 1
-            report.slices_created += num_slices
-
-        tasks, loads = self._place(placements)
-        if shards > 1 and gini(loads) > self.rebalance_gini:
-            # Fallback: ignore hashing entirely and repack greedily.
-            report.rebalanced = True
-            tasks, loads = self._place(placements, greedy_all=True)
-
-        report.shard_loads = loads
-        report.gini_balanced = gini(loads)
-        return RouterPlan(tasks=tasks, loads=loads, report=report)
-
-    # ------------------------------------------------------------------ #
-    def _place(self, placements: Sequence[Tuple[int, int, str, Hashable, BucketTask]],
-               greedy_all: bool = False,
-               ) -> Tuple[List[List[BucketTask]], List[int]]:
-        """Assign placements to shards; returns (per-shard tasks, loads).
-
-        Default policy: unsplit buckets go to their :func:`shard_of_key`
-        hash shard; hot-bucket slices go to the least-loaded shard at
-        placement time (slices placed in descending load order).  With
-        ``greedy_all`` every placement is packed least-loaded-first (the
-        rebalance fallback).  Both policies are deterministic, and neither
-        changes *which* pairs each task emits — only where — so the merged
-        output is assignment-invariant.
-        """
-        shards = self.num_shards
-        tasks: List[List[BucketTask]] = [[] for _ in range(shards)]
-        loads = [0] * shards
-
-        def place_least_loaded(load: int, task: BucketTask) -> None:
-            shard = min(range(shards), key=lambda s: (loads[s], s))
-            tasks[shard].append(task)
-            loads[shard] += load
-
-        if greedy_all:
-            for load, _, _, _, task in sorted(placements,
-                                              key=lambda p: (-p[0], p[1], p[2])):
-                place_least_loaded(load, task)
-            return tasks, loads
-
-        deferred: List[Tuple[int, int, str, Hashable, BucketTask]] = []
-        for placement in placements:
-            load, index_id, _, key, task = placement
-            if task[3] > 1:  # a hot-bucket slice: defer to least-loaded pass
-                deferred.append(placement)
-                continue
-            shard = shard_of_key(index_id, key, shards)
-            tasks[shard].append(task)
-            loads[shard] += load
-        for load, _, _, _, task in sorted(deferred,
-                                          key=lambda p: (-p[0], p[1], p[2])):
-            place_least_loaded(load, task)
-        return tasks, loads
-
-
-# ---------------------------------------------------------------------- #
-# Worker side.  State travels by fork inheritance: the driver populates
-# _WORKER_STATE *before* creating the process pool, each forked child gets a
-# copy-on-write snapshot, and nothing heavyweight (records, the fitted
-# predictor) is ever pickled.  The in-process path uses the same globals so
-# both paths execute identical code.
-# ---------------------------------------------------------------------- #
-
-@dataclass
-class _WorkerState:
-    """Everything a worker needs, installed as a module global pre-fork.
-
-    ``capture_telemetry`` mirrors ``obs.enabled()`` in the driver at run
-    start: when set, each worker runs its phase under a fresh telemetry
-    scope and ships the result back as a :class:`~repro.obs.TelemetryPayload`
-    (see :mod:`repro.obs.merge`) — a forked child's registry/collector would
-    otherwise die with the process.
-    """
-
-    records: List[Record]
-    record_ids: List[str]
-    sources: List[str]
-    predictor: BatchedPredictor
-    config: PipelineConfig
-    capture_telemetry: bool = False
-
-
-_WORKER_STATE: Optional[_WorkerState] = None
-_WORKER_INDEXES = None  # lazily-built per-process index triple (key fns only)
-
-
-def _worker_indexes():
-    """The blocking-index triple in this process (built once, lazily).
-
-    Workers use the indexes purely as *key functions* (``bucket_keys_batch``
-    is read-only); the canonical factory guarantees the keys match whatever
-    any other process computes under the same config.
-    """
-    global _WORKER_INDEXES
-    if _WORKER_INDEXES is None:
-        config = _WORKER_STATE.config
-        _WORKER_INDEXES = build_blocking_indexes(
-            attributes=config.blocking_attributes,
-            num_perm=config.num_perm, bands=config.bands,
-            lsh_max_bucket_size=config.lsh_max_bucket_size,
-            max_postings=config.max_postings,
-            initials_max_bucket_size=config.initials_max_bucket_size,
-            min_token_length=config.min_token_length, seed=config.seed)
-    return _WORKER_INDEXES
-
-
-def _sketch_slice(bounds: Tuple[int, int]) -> List[List[List[Hashable]]]:
-    """Phase A: bucket keys for records[start:end], one list per index.
-
-    Returns ``keys[index_id][i]`` = bucket keys of record ``start + i``.
-    The MinHash signature pass inside ``bucket_keys_batch`` is the dominant
-    blocking cost, which is why Phase A parallelises over record slices.
-    """
-    start, end = bounds
-    if faults.check("sharded.sketch", start=start) == "partial":
-        return faults.partial_result(start=start)
-    batch = _WORKER_STATE.records[start:end]
-    return [index.bucket_keys_batch(batch) for index in _worker_indexes()]
-
-
-def _score_shard(payload: Tuple[int, List[BucketTask]]) -> Dict[str, object]:
-    """Phase B entry: run one shard, optionally under a fresh telemetry scope.
-
-    While the driver had telemetry enabled at run start, the worker installs
-    its own registry + collector (on a detached span stack, so the in-process
-    path's open driver spans cannot swallow the worker tree), runs the phase
-    under a ``sharded.worker`` root span, and attaches the resulting
-    picklable payload to the result under ``"telemetry"``.  The driver
-    re-roots those spans under its ``sharded.score`` span and folds the
-    metrics in — one observation site per shard per phase, whichever process
-    ran it.
-    """
-    shard_id = payload[0]
-    # Fault site ahead of the telemetry scope: a failed attempt ships no
-    # payload, so retries cannot double-observe the per-shard histograms.
-    if faults.check("sharded.score", shard=shard_id) == "partial":
-        return faults.partial_result(shard=shard_id)
-    if not _WORKER_STATE.capture_telemetry:
-        return _score_shard_impl(payload)
-    with obs.detached_stack(), obs.telemetry() as session:
-        with obs.trace("sharded.worker", shard=shard_id):
-            result = _score_shard_impl(payload)
-    result["telemetry"] = obs.capture_payload(session.registry,
-                                              session.collector,
-                                              shard=shard_id)
-    return result
-
-
-def _score_shard_impl(payload: Tuple[int, List[BucketTask]]) -> Dict[str, object]:
-    """Phase B: emit, dedupe, canonically order and score one shard's pairs.
-
-    Enumeration within a bucket follows member insertion order (positions
-    ascend), and a split slice keeps every ``ordinal % num_slices ==
-    slice_index`` pair — a partition of the bucket's pair set, so the union
-    over slices is exactly the unsplit bucket's output.  Pairs are deduped
-    within the shard, mapped to the canonical sorted ``(record_id,
-    record_id)`` key and scored in ``scoring_chunk_size`` chunks — the same
-    order and chunking the single-process stage uses, which is what makes
-    one-shard runs bit-identical to :class:`LinkagePipeline`.
-    """
-    shard_id, tasks = payload
-    state = _WORKER_STATE
-    sources = state.sources
-    cross_source_only = state.config.cross_source_only
-
-    emit_start = time.perf_counter()
-    with obs.trace("emit", shard=shard_id):
-        position_pairs: Set[Tuple[int, int]] = set()
-        for _, members, slice_index, num_slices in tasks:
-            ordinal = 0
-            for left, right in combinations(members, 2):
-                selected = num_slices == 1 or ordinal % num_slices == slice_index
-                ordinal += 1
-                if not selected:
-                    continue
-                if cross_source_only and sources[left] == sources[right]:
-                    continue
-                position_pairs.add((left, right))
-
-        record_ids = state.record_ids
-        keyed: List[Tuple[Tuple[str, str], int, int]] = []
-        for left, right in position_pairs:
-            key = (record_ids[left], record_ids[right])
-            if key[0] > key[1]:
-                key = (key[1], key[0])
-                left, right = right, left
-            keyed.append((key, left, right))
-        keyed.sort(key=lambda item: item[0])
-        records = state.records
-        pairs = [EntityPair(left=records[left], right=records[right], label=None)
-                 for _, left, right in keyed]
-    emit_seconds = time.perf_counter() - emit_start
-
-    score_start = time.perf_counter()
-    with obs.trace("score", shard=shard_id, pairs=len(pairs)):
-        scoring = ScoringStage(state.predictor,
-                               chunk_size=state.config.scoring_chunk_size)
-        scored = scoring.run(pairs)
-    score_seconds = time.perf_counter() - score_start
-
-    # The one observation site for per-shard phase timings: in the worker,
-    # inside its telemetry scope, so each shard's emit/score seconds land in
-    # the histogram exactly once regardless of where the shard ran.
-    help_text = "Wall-clock per shard per phase"
-    obs.histogram("pipeline_sharded_shard_seconds", help_text,
-                  {"phase": "emit"}).observe(emit_seconds)
-    obs.histogram("pipeline_sharded_shard_seconds", help_text,
-                  {"phase": "score"}).observe(score_seconds)
-    return {
-        "shard": shard_id,
-        "positions": [(left, right) for _, left, right in keyed],
-        "scores": scored.scores,
-        "stats": scored.stats,
-        "emit_seconds": emit_seconds,
-        "score_seconds": score_seconds,
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Driver.
-# ---------------------------------------------------------------------- #
 
 @dataclass
 class ShardedPipelineResult(PipelineResult):
-    """A :class:`PipelineResult` plus the shard plan/execution report."""
+    """A :class:`PipelineResult` plus the fan-out report."""
 
     shard_report: Optional[ShardReport] = None
 
@@ -520,286 +89,133 @@ class ShardedPipelineResult(PipelineResult):
         return payload
 
 
-class ShardedPipeline:
-    """Run the linkage pipeline sharded across worker processes.
+# Set by the driver before the pool forks, so every worker inherits the
+# stage and the candidate list copy-on-write; cleared when scoring ends.
+_SCORING: Optional[Tuple[ScoringStage, List[EntityPair]]] = None
 
-    Drop-in alternative to :class:`~repro.pipeline.engine.LinkagePipeline`:
-    same predictor, same :class:`PipelineConfig`, same result type (plus a
-    :class:`ShardReport`), same clusters.  ``ShardConfig(workers=1)`` with
-    one shard is bit-identical to the single-process engine and is also the
-    automatic fallback on platforms without the ``fork`` start method.
+
+def _score_chunk(chunk: int) -> _ChunkAnswer:
+    """Score chunk ``chunk`` of the inherited candidate list (the task body).
+
+    An injected ``partial`` fault truncates the answer, which the driver's
+    one-score-per-pair check then rejects.
+    """
+    stage, pairs = _SCORING
+    started_at, wall, cpu = time.time(), time.perf_counter(), time.process_time()
+    partial = faults.check("sharded.score", chunk=chunk) == "partial"
+    start = chunk * stage.chunk_size
+    scored = stage.run(pairs[start:start + stage.chunk_size])
+    scores = scored.scores[:len(scored) // 2] if partial else scored.scores
+    return scores, scored.stats, (started_at, time.perf_counter() - wall,
+                                  time.process_time() - cpu)
+
+
+class ShardedPipeline(LinkagePipeline):
+    """:class:`LinkagePipeline` whose scoring stage fans out over processes.
 
     Parameters
     ----------
     predictor:
-        The fitted :class:`~repro.infer.BatchedPredictor`; inherited by
+        The fitted :class:`~repro.infer.BatchedPredictor`; inherited by the
         worker processes via fork, never pickled.
     config:
-        Stage tuning knobs shared with the single-process engine.
+        Stage tuning knobs shared with the single-process engine; its
+        ``scoring_chunk_size`` is also the unit of the fan-out.
     shards:
-        Sharding knobs; see :class:`ShardConfig`.
+        The worker count; see :class:`ShardConfig`.
     """
 
     def __init__(self, predictor: BatchedPredictor,
                  config: Optional[PipelineConfig] = None,
                  shards: Optional[ShardConfig] = None) -> None:
-        self.predictor = predictor
-        self.config = config or PipelineConfig()
+        super().__init__(predictor, config)
         self.shards = shards or ShardConfig()
+        self._report: Optional[ShardReport] = None
 
-    # ------------------------------------------------------------------ #
     @staticmethod
     def fork_available() -> bool:
         """Whether this platform supports the ``fork`` start method."""
         return "fork" in multiprocessing.get_all_start_methods()
 
     def run(self, records: Iterable[Record]) -> ShardedPipelineResult:
-        """Run ingest → sketch → route → emit/score → merge → cluster.
+        """Run the batch engine with the scoring fan-out; adds the report."""
+        result = super().run(records)
+        return ShardedPipelineResult(**vars(result), shard_report=self._report)
 
-        With telemetry enabled the whole run is one ``sharded.run`` span
-        tree: driver stages as children, and each worker's shipped
-        ``sharded.worker`` tree re-rooted under ``sharded.score`` (see
-        :mod:`repro.obs.merge`), so the export shows one coherent story
-        instead of per-process fragments.
-        """
-        with obs.trace("sharded.run", workers=self.shards.workers,
-                       shards=self.shards.resolved_shards) as run_span:
-            result = self._run(records)
-            run_span.set("records", len(result.records))
-        return result
-
-    def _run(self, records: Iterable[Record]) -> ShardedPipelineResult:
-        global _WORKER_STATE, _WORKER_INDEXES
-        config = self.config
-        shard_config = self.shards
-        num_shards = shard_config.resolved_shards
-        seconds: Dict[str, float] = {name: 0.0 for name in STAGE_ORDER}
-
-        start = time.perf_counter()
-        with obs.trace("sharded.ingest"):
-            record_list = list(records)
-        seconds["ingest"] = time.perf_counter() - start
-
-        use_processes = shard_config.workers > 1 and self.fork_available()
-        state = _WorkerState(
-            records=record_list,
-            record_ids=[record.record_id for record in record_list],
-            sources=[record.source for record in record_list],
-            predictor=self.predictor,
-            config=config,
-            capture_telemetry=obs.enabled(),
-        )
-        _WORKER_STATE, _WORKER_INDEXES = state, None
-        pool_factory = None
-        if use_processes:
-            # The pool must fork *after* the state global is populated; the
-            # factory re-forks that same state whenever the executor
-            # replaces a pool lost to a worker death or deadline breach.
-            def pool_factory() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
-                    max_workers=shard_config.workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=faults.mark_worker_process)
-        executor = TaskExecutor(policy=shard_config.retry,
-                                pool_factory=pool_factory)
+    def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
+        """Score ``pairs`` chunk by chunk on the pool, rescoring failures here."""
+        global _SCORING
+        stage = ScoringStage(self.predictor,
+                             chunk_size=self.config.scoring_chunk_size)
+        num_chunks = -(-len(pairs) // stage.chunk_size)
+        workers = min(self.shards.workers, num_chunks)
+        use_processes = workers > 1 and self.fork_available()
+        answers: List[Optional[_ChunkAnswer]] = [None] * num_chunks
+        rescored: List[int] = []
+        _SCORING = (stage, pairs)
         try:
-            # Phase A: per-record bucket keys, then global bucket assembly.
-            start = time.perf_counter()
-            with obs.trace("sharded.sketch", records=len(record_list)):
-                slices = [(lo, min(lo + shard_config.sketch_chunk_size,
-                                   len(record_list)))
-                          for lo in range(0, len(record_list),
-                                          shard_config.sketch_chunk_size)]
-                sketched = executor.run(
-                    _sketch_slice, slices,
-                    labels=[f"sketch-{lo}" for lo, _ in slices])
-            caps = (config.lsh_max_bucket_size, config.max_postings,
-                    config.initials_max_bucket_size)
-            buckets: List[Dict[Hashable, List[int]]] = [{} for _ in caps]
-            position = 0
-            for slice_keys in sketched:
-                slice_len = len(slice_keys[0]) if slice_keys else 0
-                for offset in range(slice_len):
-                    for index_id, cap in enumerate(caps):
-                        index_buckets = buckets[index_id]
-                        for key in slice_keys[index_id][offset]:
-                            bucket = index_buckets.setdefault(key, [])
-                            if len(bucket) <= cap:  # extra entry marks overflow
-                                bucket.append(position + offset)
-                position += slice_len
-            seconds["block"] = time.perf_counter() - start
-
-            # Route buckets to shards.
-            start = time.perf_counter()
-            router = ShardRouter(num_shards,
-                                 hot_bucket_factor=shard_config.hot_bucket_factor,
-                                 min_split_pairs=shard_config.min_split_pairs,
-                                 rebalance_gini=shard_config.rebalance_gini)
-            with obs.trace("sharded.route"):
-                plan = router.plan(buckets, caps)
-            report = plan.report
-            report.workers = shard_config.workers
-            report.used_processes = use_processes
-            report.fault_report = executor.report
-            routing_seconds = time.perf_counter() - start
-
-            # Phase B: emit + score per shard.
-            start = time.perf_counter()
-            payloads = [(shard_id, tasks)
-                        for shard_id, tasks in enumerate(plan.tasks) if tasks]
-            with obs.trace("sharded.score", shards=len(payloads)) as score_span:
-                shard_results = executor.run(
-                    _score_shard, payloads,
-                    labels=[f"shard-{shard_id}" for shard_id, _ in payloads])
-                # Fold each worker's shipped telemetry into the live session:
-                # metrics merge under the snapshot algebra, span trees re-root
-                # under this score span tagged with their shard id.
-                for shard_result in sorted(shard_results,
-                                           key=lambda r: r["shard"]):
-                    worker_telemetry = shard_result.pop("telemetry", None)
-                    if worker_telemetry is not None:
-                        obs.merge_payload(worker_telemetry, parent=score_span,
-                                          shard=shard_result["shard"])
-            phase_b_seconds = time.perf_counter() - start
+            if use_processes:
+                futures = []
+                with ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=multiprocessing.get_context("fork"),
+                        initializer=faults.mark_worker_process) as pool:
+                    try:
+                        for chunk in range(num_chunks):
+                            futures.append(pool.submit(_score_chunk, chunk))
+                    except BrokenProcessPool:  # unsubmitted chunks: rescored below
+                        pass
+                for chunk, future in enumerate(futures):
+                    try:
+                        answers[chunk] = future.result()
+                    except Exception:  # rescored in the driver below
+                        pass
+            for chunk in range(num_chunks):
+                answer = answers[chunk] if use_processes else _score_chunk(chunk)
+                expected = min(stage.chunk_size, len(pairs) - chunk * stage.chunk_size)
+                if answer is None or len(answer[0]) != expected:
+                    rescored.append(chunk)
+                    answer = _score_chunk(chunk)
+                    if len(answer[0]) != expected:
+                        raise RuntimeError(
+                            f"chunk {chunk}: driver rescore returned "
+                            f"{len(answer[0])} scores for {expected} pairs")
+                answers[chunk] = answer
         finally:
-            executor.shutdown()
-            _WORKER_STATE, _WORKER_INDEXES = None, None
+            _SCORING = None
 
-        # Stage attribution: the emit critical path counts as "pair", the
-        # rest of the worker phase as "score" (approximate by construction —
-        # workers overlap the two freely).
-        emit_critical = max((r["emit_seconds"] for r in shard_results), default=0.0)
-        seconds["pair"] = routing_seconds + emit_critical
-        seconds["score"] = max(phase_b_seconds - emit_critical, 0.0)
-
-        scored, candidates = self._merge(state, shard_results, report, seconds)
-
-        clustering = ClusteringStage(threshold=config.score_threshold,
-                                     source_consistent=config.source_consistent)
-        start = time.perf_counter()
-        with obs.trace("sharded.cluster"):
-            clusters = clustering.run(record_list, scored)
-        seconds["cluster"] = time.perf_counter() - start
-
-        result = ShardedPipelineResult(
-            records=record_list, candidates=candidates, scored=scored,
-            clusters=clusters, stage_seconds=seconds, config=config,
-            index_stats=self._index_stats(buckets, caps, len(record_list)),
-            shard_report=report)
+        self._report = ShardReport(workers=self.shards.workers,
+                                   used_processes=use_processes,
+                                   chunks=num_chunks, rescored_chunks=rescored)
         if obs.enabled():
-            self._record_run_metrics(report)
-        return result
-
-    # ------------------------------------------------------------------ #
-    def _merge(self, state: _WorkerState,
-               shard_results: List[Dict[str, object]], report: ShardReport,
-               seconds: Dict[str, float],
-               ) -> Tuple[ScoredCandidates, CandidateResult]:
-        """Union shard outputs into canonical scored candidates.
-
-        A pair emitted by several shards (the same two records can share
-        buckets routed to different shards) keeps the score from the lowest
-        shard id — a deterministic rule; the duplicate count is the actual
-        cross-shard coordination overhead and lands in the report.
-        """
-        records, record_ids = state.records, state.record_ids
-        merged: Dict[Tuple[str, str], Tuple[int, int, float]] = {}
-        duplicates = 0
-        chunks = 0.0
-        cache_hits = 0.0
-        for result in sorted(shard_results, key=lambda r: r["shard"]):
-            chunks += result["stats"].get("chunks", 0.0)
-            cache_hits += result["stats"].get("encoding_cache_hits", 0.0)
-            for (left, right), score in zip(result["positions"], result["scores"]):
-                key = (record_ids[left], record_ids[right])
-                if key in merged:
-                    duplicates += 1
-                    continue
-                merged[key] = (left, right, float(score))
-        report.duplicate_scored_pairs = duplicates
-        report.shard_candidates = [len(r["positions"]) for r in
-                                   sorted(shard_results, key=lambda r: r["shard"])]
-        report.shard_emit_seconds = [r["emit_seconds"] for r in
-                                     sorted(shard_results, key=lambda r: r["shard"])]
-        report.shard_score_seconds = [r["score_seconds"] for r in
-                                      sorted(shard_results, key=lambda r: r["shard"])]
-
-        ordered = sorted(merged)
-        pairs = [EntityPair(left=records[merged[key][0]],
-                            right=records[merged[key][1]], label=None)
-                 for key in ordered]
-        scores = np.asarray([merged[key][2] for key in ordered])
-
-        score_stats: Dict[str, float] = {
+            self._record_chunk_telemetry(answers, rescored)
+        scores = (np.concatenate([answer[0] for answer in answers])
+                  if answers else np.zeros(0))
+        stats: Dict[str, float] = {
             "num_pairs": float(len(pairs)),
-            "chunks": chunks,
+            "chunks": float(num_chunks),
             "micro_batch_size": float(self.predictor.micro_batch_size),
-            "encoding_cache_hits": cache_hits,
+            "encoding_cache_hits": float(sum(
+                answer[1].get("encoding_cache_hits", 0.0) for answer in answers)),
         }
         if len(pairs):
-            score_stats["mean_score"] = float(scores.mean())
-            score_stats["pairs_per_second"] = len(pairs) / max(seconds["score"], 1e-9)
-        scored = ScoredCandidates(pairs=pairs, scores=scores, stats=score_stats)
+            stats["mean_score"] = float(scores.mean())
+        return ScoredCandidates(pairs=pairs, scores=scores, stats=stats)
 
-        retrieved = set(ordered)
-        possible = possible_cross_source_pairs(records, self.config.cross_source_only)
-        truth = ground_truth_pairs(records, self.config.cross_source_only)
-        pair_stats: Dict[str, float] = {
-            "num_records": float(len(records)),
-            "num_candidates": float(len(pairs)),
-            "possible_pairs": float(possible),
-            "reduction_ratio": len(pairs) / possible if possible else 0.0,
-            "pair_reduction_factor": possible / max(len(pairs), 1),
-            "duplicate_scored_pairs": float(duplicates),
-        }
-        if truth:
-            pair_stats["num_true_pairs"] = float(len(truth))
-            pair_stats["recall"] = len(truth & retrieved) / len(truth)
-        candidates = CandidateResult(pairs=pairs, stats=pair_stats)
-        return scored, candidates
-
-    def _index_stats(self, buckets: Sequence[Dict[Hashable, List[int]]],
-                     caps: Sequence[int], num_records: int) -> Dict[str, float]:
-        """Per-index counters matching the batch stage's ``index_stats`` keys."""
-        config = self.config
-        overflow = [sum(1 for members in index_buckets.values()
-                        if len(members) > cap)
-                    for index_buckets, cap in zip(buckets, caps)]
-        return {
-            "MinHashLSHIndex_records": float(num_records),
-            "MinHashLSHIndex_buckets": float(len(buckets[0])),
-            "MinHashLSHIndex_overflowed_buckets": float(overflow[0]),
-            "MinHashLSHIndex_bands": float(config.bands),
-            "MinHashLSHIndex_rows": float(config.num_perm // config.bands),
-            "InvertedTokenIndex_records": float(num_records),
-            "InvertedTokenIndex_tokens": float(len(buckets[1])),
-            "InvertedTokenIndex_overflowed_tokens": float(overflow[1]),
-            "InitialsKeyIndex_records": float(num_records),
-            "InitialsKeyIndex_keys": float(len(buckets[2])),
-            "InitialsKeyIndex_overflowed_keys": float(overflow[2]),
-        }
-
-    def _record_run_metrics(self, report: ShardReport) -> None:
-        """Publish one sharded run's counters/gauges (only while enabled)."""
-        obs.counter("pipeline_sharded_runs_total", "Sharded pipeline runs completed").inc()
-        obs.counter("pipeline_sharded_splits_total",
-                    "Hot buckets split across shards").inc(report.hot_buckets_split)
-        obs.counter("pipeline_sharded_duplicates_total",
-                    "Pairs scored by more than one shard").inc(
-            report.duplicate_scored_pairs)
-        obs.gauge("pipeline_sharded_workers_count",
-                  "Worker processes of the last run").set(
-            report.workers if report.used_processes else 1)
-        obs.gauge("pipeline_sharded_gini_ratio",
-                  "Shard pair-load Gini (0 = even)",
-                  {"assignment": "hashed"}).set(report.gini_hashed)
-        obs.gauge("pipeline_sharded_gini_ratio",
-                  "Shard pair-load Gini (0 = even)",
-                  {"assignment": "balanced"}).set(report.gini_balanced)
-        for shard_id, load in enumerate(report.shard_loads):
-            obs.gauge("pipeline_sharded_load_pairs",
-                      "Estimated candidate-pair load per shard",
-                      {"shard": str(shard_id)}).set(load)
-        # pipeline_sharded_shard_seconds is observed in the workers (one
-        # observation per shard per phase, merged back into this registry);
-        # re-observing the report's per-shard timings here would double-count.
+    @staticmethod
+    def _record_chunk_telemetry(answers: List[_ChunkAnswer],
+                                rescored: List[int]) -> None:
+        """One ``sharded.worker`` span under ``score`` and one observation per chunk."""
+        parent = obs.current_span()
+        for chunk, (scores, _, (started_at, seconds, cpu_seconds)) in enumerate(answers):
+            if parent is not None:
+                parent.children.append(obs.Span.from_dict({
+                    "name": "sharded.worker", "started_at": started_at,
+                    "seconds": seconds, "cpu_seconds": cpu_seconds,
+                    "attributes": {"shard": chunk, "pairs": len(scores)}}))
+            obs.histogram("pipeline_sharded_shard_seconds",
+                          "Wall-clock per scoring chunk",
+                          {"phase": "score"}).observe(seconds)
+        obs.counter("pipeline_sharded_rescored_chunks_total",
+                    "Scoring chunks the driver rescored after a worker "
+                    "failure").inc(len(rescored))

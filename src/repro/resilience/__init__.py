@@ -1,4 +1,4 @@
-"""repro.resilience — fault injection, bounded retry, graceful degradation.
+"""repro.resilience — fault injection and graceful degradation.
 
 The fault-tolerance layer the rest of the system plugs into (see
 ``docs/resilience.md``):
@@ -6,11 +6,6 @@ The fault-tolerance layer the rest of the system plugs into (see
 * :mod:`repro.resilience.faults` — a cross-subsystem fault-injection
   registry (named sites, raise/delay/kill/partial kinds, env or in-process
   arming);
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (bounded attempts,
-  exponential backoff, deterministic jitter, per-attempt deadlines) and
-  :class:`TaskExecutor`, which the sharded pipeline uses to survive worker
-  deaths, timeouts and poisoned tasks, accounting everything it absorbed in
-  a :class:`FaultReport`;
 * :mod:`repro.resilience.breaker` — the :class:`CircuitBreaker` the serving
   layer wraps around its scoring path, enabling index-only degraded queries
   while the model executor is unhealthy.
@@ -23,12 +18,10 @@ from . import faults
 from .breaker import BREAKER_STATES, CircuitBreaker, CircuitOpen
 from .faults import (FAULT_KINDS, FAULT_PLAN_ENV, FaultInjected, FaultPlan,
                      FaultSpec, KILL_EXIT_CODE, SITES)
-from .retry import FaultReport, RetryPolicy, TaskExecutor
 
 __all__ = [
     "faults",
     "BREAKER_STATES", "CircuitBreaker", "CircuitOpen",
     "FAULT_KINDS", "FAULT_PLAN_ENV", "FaultInjected", "FaultPlan",
     "FaultSpec", "KILL_EXIT_CODE", "SITES",
-    "FaultReport", "RetryPolicy", "TaskExecutor",
 ]

@@ -8,7 +8,7 @@ Instrumented code calls :func:`check` at a **named site**::
 
     from repro.resilience import faults
 
-    faults.check("sharded.score", shard=shard_id)
+    faults.check("sharded.score", chunk=chunk)
 
 which is a single global read (no plan installed → return immediately).  A
 harness arms a :class:`FaultPlan` of :class:`FaultSpec` entries, either
@@ -19,8 +19,8 @@ children).  Four fault kinds:
 
 ``raise``
     Raise :class:`FaultInjected` at the site — a simulated runtime error
-    (scoring bug, I/O failure) the caller's retry / degradation machinery
-    must absorb.
+    (scoring bug, I/O failure) the caller's rescoring / degradation
+    machinery must absorb.
 ``delay``
     Sleep ``delay_seconds`` at the site — latency injection for deadline
     and timeout paths; never changes results, only wall-clock.
@@ -29,9 +29,9 @@ children).  Four fault kinds:
     exactly like a power cut or an OOM kill at that instruction.
 ``partial``
     Return ``"partial"`` from :func:`check`; the call site is expected to
-    truncate its output and mark it with :data:`PARTIAL_KEY` (see
-    :func:`partial_result`), modelling a worker that answers incompletely
-    instead of dying.  Retry layers treat partial results as failures.
+    truncate its output, modelling a worker that answers incompletely
+    instead of dying (the sharded pipeline's one-score-per-pair check
+    rejects such an answer and rescores the chunk).
 
 Triggering is counted per spec: ``at_hit`` picks the first eligible hit,
 ``every`` re-triggers periodically after it (``every=10`` → a deterministic
@@ -57,10 +57,9 @@ from .. import obs
 
 __all__ = [
     "FAULT_KINDS", "FAULT_SCOPES", "FAULT_PLAN_ENV", "KILL_EXIT_CODE",
-    "PARTIAL_KEY", "SITES", "FaultInjected", "FaultSpec", "FaultPlan",
-    "armed", "check", "clear_plan", "current_plan", "install_plan",
-    "is_partial", "mark_worker_process", "partial_result", "plan_scope",
-    "reset_hits",
+    "SITES", "FaultInjected", "FaultSpec", "FaultPlan", "armed", "check",
+    "clear_plan", "current_plan", "install_plan", "mark_worker_process",
+    "plan_scope", "reset_hits",
 ]
 
 FAULT_KINDS = ("raise", "delay", "kill", "partial")
@@ -72,14 +71,10 @@ KILL_EXIT_CODE = 86
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Result-dict key marking a deliberately truncated worker answer.
-PARTIAL_KEY = "fault_partial"
-
 #: The catalog of instrumented sites (documentation + docs/resilience.md
 #: source of truth; ``check`` accepts any name so tests can add ad-hoc ones).
 SITES: Dict[str, str] = {
-    "sharded.sketch": "Phase A worker task entry (per record slice)",
-    "sharded.score": "Phase B worker task entry (per shard)",
+    "sharded.score": "scoring fan-out task entry (per scoring chunk)",
     "scoring.batch": "ScoringStage chunk boundary (per scoring micro-batch)",
     "serve.score": "LinkageService scoring call, ahead of the coalescer",
     "storage.wal_append": "WAL append about to run (raise => append I/O error)",
@@ -233,9 +228,6 @@ class FaultPlan:
                 partial = True
         return "partial" if partial else None
 
-    def as_dicts(self) -> List[Dict[str, object]]:
-        return [spec.as_dict() for spec in self.specs]
-
     @classmethod
     def from_dicts(cls, payload: Iterable[Mapping[str, object]]) -> "FaultPlan":
         return cls(FaultSpec.from_dict(entry) for entry in payload)
@@ -259,7 +251,7 @@ def mark_worker_process() -> None:
 
     Installed as the process-pool initializer by the sharded pipeline, so
     ``kill`` faults scoped to workers can never shoot the driver — which
-    matters once the driver re-executes failed tasks in-process.
+    matters because the driver rescores failed chunks in-process.
     """
     global _IS_WORKER
     _IS_WORKER = True
@@ -354,22 +346,11 @@ def armed(site: str, kind: Optional[str] = None) -> bool:
 def check(site: str, **info: object) -> Optional[str]:
     """The universal injection hook; a no-op unless a plan is armed.
 
-    Returns ``"partial"`` when the caller should truncate its answer (see
-    :func:`partial_result`), else ``None``.
+    Returns ``"partial"`` when the caller should truncate its answer, else
+    ``None``.
     """
     plan = current_plan()
     if plan is None:
         return None
     return plan.check(site, info)
 
-
-def partial_result(**payload: object) -> Dict[str, object]:
-    """Build the marker dict a task returns for an injected partial answer."""
-    marked = dict(payload)
-    marked[PARTIAL_KEY] = True
-    return marked
-
-
-def is_partial(result: object) -> bool:
-    """Whether a task result is an injected-partial marker (treat as failed)."""
-    return isinstance(result, dict) and bool(result.get(PARTIAL_KEY))

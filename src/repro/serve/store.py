@@ -662,44 +662,6 @@ class EntityStore:
             return {type(index).__name__: index.skew_stats(top_k=top_k)
                     for index in self._indexes}
 
-    def bucket_load_report(self, num_shards: int) -> Dict[str, object]:
-        """How this store's buckets would distribute over ``num_shards``.
-
-        Maps every live bucket through the shard hash of
-        :mod:`repro.pipeline.sharded` and sums estimated pair loads
-        (``C(size, 2)``) per shard — the capacity-planning view for moving a
-        store's corpus onto the sharded batch pipeline.  Diagnostics call:
-        walks every bucket under the store lock.
-        """
-        from ..obs.stats import gini
-        from ..pipeline.sharded import shard_of_key
-
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        loads = [0] * num_shards
-        live_buckets = 0
-        dead_buckets = 0
-        with self._lock:
-            for index_id, index in enumerate(self._indexes):
-                cap = index.max_bucket_size
-                for key, size in index.bucket_sizes().items():
-                    if size > cap:
-                        dead_buckets += 1
-                        continue
-                    if size < 2:
-                        continue
-                    live_buckets += 1
-                    loads[shard_of_key(index_id, key, num_shards)] += (
-                        size * (size - 1) // 2)
-        return {
-            "num_shards": num_shards,
-            "live_buckets": live_buckets,
-            "dead_buckets": dead_buckets,
-            "shard_loads": loads,
-            "total_pair_load": sum(loads),
-            "gini": gini(loads),
-        }
-
     def _is_probe_candidate(self, record: Record, position: int) -> bool:
         if not self.config.cross_source_only:
             return True

@@ -70,6 +70,21 @@ class TestModelBundle:
         with pytest.raises(ValueError, match="format version"):
             load_model(bundle)
 
+    def test_config_with_unknown_or_missing_keys_asks_for_a_resave(
+            self, fitted_trainer, tmp_path):
+        bundle = save_model(fitted_trainer, tmp_path / "bundle")
+        meta = load_json(bundle / "model.json")
+        meta["config"]["legacy_kernels"] = False  # a field older builds had
+        save_json(meta, bundle / "model.json")
+        with pytest.raises(ValueError, match=r"unknown keys: \['legacy_kernels'\]"
+                                             r".*re-save the bundle"):
+            load_model(bundle)
+        del meta["config"]["legacy_kernels"]
+        del meta["config"]["epochs"]
+        save_json(meta, bundle / "model.json")
+        with pytest.raises(ValueError, match=r"missing keys: \['epochs'\]"):
+            load_model(bundle)
+
     def test_custom_embedder_rejected_with_guidance(self, music_scenario, fast_config,
                                                     tmp_path):
         embedder = HashedEmbedder(dim=fast_config.embedding_dim,

@@ -21,15 +21,16 @@ def span(name, started_at, seconds, children=(), **attrs):
 def sharded_root():
     workers = [span("sharded.worker", 10.0 + 0.1 * shard, 0.5, shard=shard)
                for shard in range(3)]
-    return span("sharded.run", 10.0, 1.0,
-                children=[span("sharded.score", 10.0, 0.8, children=workers)])
+    return span("pipeline.run", 10.0, 1.0,
+                children=[span("score", 10.0, 0.8, children=workers)])
 
 
 class TestTimelineRoots:
     def test_prefers_roots_with_worker_spans(self):
         roots = timeline_roots([span("train.epoch", 0.0, 9.0), sharded_root(),
                                 span("pipeline.run", 0.0, 2.0)])
-        assert [r["name"] for r in roots] == ["sharded.run"]
+        assert [r["seconds"] for r in roots] == [1.0]
+        assert roots[0]["children"][0]["name"] == "score"
 
     def test_falls_back_to_pipeline_shaped_roots_newest_first(self):
         first = span("pipeline.run", 0.0, 1.0)
@@ -51,7 +52,7 @@ class TestRenderTimeline:
     def test_rows_bars_and_shard_labels(self):
         text = render_timeline(sharded_root(), width=40)
         lines = text.splitlines()
-        assert "sharded.run" in lines[0] and "total 1.0000s" in lines[0]
+        assert "pipeline.run" in lines[0] and "total 1.0000s" in lines[0]
         assert all("|" in line for line in lines[1:])
         for shard in range(3):
             assert any(f"sharded.worker[shard={shard}]" in line
@@ -89,11 +90,10 @@ class TestCliTimeline:
     @staticmethod
     def export_with_workers(path):
         with obs.telemetry() as session:
-            with obs.trace("sharded.run"):
-                with obs.trace("sharded.score"):
-                    with obs.detached_stack():
-                        with obs.trace("sharded.worker", shard=0):
-                            pass
+            with obs.trace("pipeline.run"):
+                with obs.trace("score"):
+                    with obs.trace("sharded.worker", shard=0):
+                        pass
         return write_export(path, registry=session.registry,
                             collector=session.collector)
 

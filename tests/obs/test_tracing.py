@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.tracing import NOOP_SPAN, TraceCollector
+from repro.obs.tracing import NOOP_SPAN, Span, TraceCollector
 
 
 class TestTraceScope:
@@ -62,6 +62,17 @@ class TestTraceScope:
         assert tree["attributes"] == {"records": 5, "candidates": 9}
         assert [child["name"] for child in tree["children"]] == ["score"]
         assert tree["seconds"] >= tree["children"][0]["seconds"]
+
+    def test_from_dict_inverts_to_dict(self):
+        with obs.telemetry() as session:
+            with obs.trace("score", pairs=9):
+                with obs.trace("sharded.worker", shard=2):
+                    pass
+        (root,) = session.collector.roots()
+        rebuilt = Span.from_dict(root.to_dict())
+        assert rebuilt.to_dict() == root.to_dict()
+        assert [child.name for child in rebuilt.children] == ["sharded.worker"]
+        assert rebuilt.children[0].attributes == {"shard": 2}
 
 
 class TestCollector:

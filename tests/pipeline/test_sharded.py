@@ -1,4 +1,9 @@
-"""Tests for the sharded pipeline: parity, hot-bucket splits, the router."""
+"""ShardedPipeline is LinkagePipeline with a chunked scoring fan-out.
+
+The contract: pairs, scores (``np.array_equal``), clusters, assignments,
+``index_stats`` and candidate stats are bit-identical to the single-process
+engine at every worker count and scoring chunk size.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import AdaMELHybrid
-from repro.data.records import Record
 from repro.data.storage import write_records_csv
 from repro.infer import BatchedPredictor, save_model
 from repro.pipeline import (
@@ -17,10 +21,10 @@ from repro.pipeline import (
     PipelineConfig,
     ShardConfig,
     ShardedPipeline,
-    ShardRouter,
-    shard_of_key,
 )
 from repro.pipeline.__main__ import main as pipeline_main
+
+FORK = ShardedPipeline.fork_available()
 
 
 @pytest.fixture(scope="module")
@@ -35,208 +39,67 @@ def _pair_keys(result):
             for pair in result.scored.pairs]
 
 
-class TestSingleWorkerParity:
-    """ShardedPipeline(workers=1, one shard) must be bit-identical to batch."""
+def _assert_parity(predictor, records, workers, chunk_size):
+    """Run both engines over ``records``; assert bit-identity; return both."""
+    config = PipelineConfig(scoring_chunk_size=chunk_size)
+    batch = LinkagePipeline(predictor, config=config).run(list(records))
+    sharded = ShardedPipeline(predictor, config=config,
+                              shards=ShardConfig(workers=workers)).run(list(records))
+    assert _pair_keys(sharded) == _pair_keys(batch)
+    assert np.array_equal(sharded.scored.scores, batch.scored.scores)
+    assert sharded.clusters.clusters == batch.clusters.clusters
+    assert sharded.clusters.assignments == batch.clusters.assignments
+    assert sharded.index_stats == batch.index_stats
+    assert sharded.candidates.stats == batch.candidates.stats
+    report = sharded.shard_report
+    assert report.chunks == -(-len(batch.scored) // chunk_size)
+    assert report.used_processes == (FORK and workers > 1 and report.chunks > 1)
+    assert report.rescored_chunks == []
+    return batch, sharded
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bit_identical_on_shuffled_inputs(self, predictor, tiny_music_corpus,
-                                              seed):
+
+class TestParity:
+    @pytest.mark.parametrize("chunk_size", [7, 64, 2048])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_linkage_pipeline(self, predictor, tiny_music_corpus,
+                                               workers, chunk_size):
         records = list(tiny_music_corpus.records)
-        random.Random(seed).shuffle(records)
-        batch = LinkagePipeline(predictor).run(list(records))
-        sharded = ShardedPipeline(
-            predictor, shards=ShardConfig(workers=1, num_shards=1)).run(list(records))
-        assert _pair_keys(sharded) == _pair_keys(batch)
-        assert np.array_equal(sharded.scored.scores, batch.scored.scores)
-        assert sharded.clusters.clusters == batch.clusters.clusters
-        assert sharded.clusters.assignments == batch.clusters.assignments
-        assert sharded.index_stats == batch.index_stats
+        random.Random(workers * 10_000 + chunk_size).shuffle(records)
+        batch, _ = _assert_parity(predictor, records, workers, chunk_size)
+        assert len(batch.scored) > chunk_size or chunk_size == 2048
 
-    def test_pair_stats_match_batch_core_keys(self, predictor, tiny_music_corpus):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_candidate_count_an_exact_multiple_of_the_chunk_size(
+            self, predictor, tiny_music_corpus, workers):
         records = list(tiny_music_corpus.records)
-        batch = LinkagePipeline(predictor).run(list(records))
-        sharded = ShardedPipeline(
-            predictor, shards=ShardConfig(workers=1, num_shards=1)).run(list(records))
-        for key in ("num_records", "num_candidates", "possible_pairs",
-                    "reduction_ratio", "pair_reduction_factor", "recall",
-                    "num_true_pairs"):
-            assert sharded.candidates.stats[key] == batch.candidates.stats[key]
+        count = len(LinkagePipeline(predictor).run(list(records)).scored)
+        chunk_size = next(size for size in range(2, count + 1) if count % size == 0)
+        _, sharded = _assert_parity(predictor, records, workers, chunk_size)
+        assert sharded.shard_report.chunks == count // chunk_size
 
-
-class TestMultiShardParity:
-    """Any shard count must reproduce the batch pair set and clusters."""
-
-    @pytest.mark.parametrize("num_shards", [2, 4, 7])
-    def test_in_process_shards_match_batch(self, predictor, tiny_music_corpus,
-                                           num_shards):
-        records = list(tiny_music_corpus.records)
-        batch = LinkagePipeline(predictor).run(list(records))
-        sharded = ShardedPipeline(
-            predictor,
-            shards=ShardConfig(workers=1, num_shards=num_shards)).run(list(records))
-        assert _pair_keys(sharded) == _pair_keys(batch)
-        assert sharded.clusters.clusters == batch.clusters.clusters
-        assert sharded.index_stats == batch.index_stats
-        assert sharded.shard_report.num_shards == num_shards
-        assert not sharded.shard_report.used_processes
-
-    @pytest.mark.skipif(not ShardedPipeline.fork_available(),
-                        reason="fork start method unavailable")
-    def test_process_pool_matches_batch(self, predictor, tiny_music_corpus):
-        records = list(tiny_music_corpus.records)
-        batch = LinkagePipeline(predictor).run(list(records))
-        sharded = ShardedPipeline(
-            predictor, shards=ShardConfig(workers=2)).run(list(records))
-        assert sharded.shard_report.used_processes
-        assert _pair_keys(sharded) == _pair_keys(batch)
-        assert sharded.clusters.clusters == batch.clusters.clusters
-        # Cross-shard duplicates were deduped, not double-counted.
-        assert len(sharded.scored.pairs) == len(batch.scored.pairs)
-
-    def test_sharded_run_is_deterministic(self, predictor, tiny_music_corpus):
-        records = list(tiny_music_corpus.records)
-        config = ShardConfig(workers=1, num_shards=3)
-        first = ShardedPipeline(predictor, shards=config).run(list(records))
-        second = ShardedPipeline(predictor, shards=config).run(list(records))
-        assert np.array_equal(first.scored.scores, second.scored.scores)
-        assert first.clusters.clusters == second.clusters.clusters
-        assert first.shard_report.shard_loads == second.shard_report.shard_loads
-
-
-class TestHotBucketSplit:
-    """An adversarially hot bucket is split across shards without changing output."""
-
-    @pytest.fixture()
-    def skewed_records(self, tiny_music_corpus):
-        # Inject one stop-word-like token into the name of many records, so a
-        # single posting list dominates the pair load.
-        records = []
-        for i, record in enumerate(tiny_music_corpus.records):
-            if i < 40:
-                attributes = dict(record.attributes)
-                attributes["name"] = f"{attributes.get('name', '')} zzhotkey"
-                records.append(Record(record_id=record.record_id,
-                                      source=record.source,
-                                      attributes=attributes,
-                                      entity_id=record.entity_id))
-            else:
-                records.append(record)
-        return records
-
-    def test_hot_bucket_is_split_and_output_unchanged(self, predictor,
-                                                      skewed_records):
-        # Raise the posting cap so the hot bucket stays live (40 <= 64).
-        config = PipelineConfig(max_postings=64)
-        batch = LinkagePipeline(predictor, config=config).run(list(skewed_records))
-        shard_config = ShardConfig(workers=1, num_shards=4,
-                                   hot_bucket_factor=0.5, min_split_pairs=32)
-        sharded = ShardedPipeline(predictor, config=config,
-                                  shards=shard_config).run(list(skewed_records))
-        report = sharded.shard_report
-        assert report.hot_buckets_split >= 1
-        assert report.slices_created >= 2
-        # The split partitions enumeration; the merged output is unchanged.
-        assert _pair_keys(sharded) == _pair_keys(batch)
-        assert sharded.clusters.clusters == batch.clusters.clusters
-        # Least-loaded slice placement never increases skew over pure hashing.
-        assert report.gini_balanced <= report.gini_hashed + 1e-9
-
-    def test_split_disabled_on_single_shard(self, predictor, skewed_records):
-        config = PipelineConfig(max_postings=64)
-        sharded = ShardedPipeline(
-            predictor, config=config,
-            shards=ShardConfig(workers=1, num_shards=1,
-                               hot_bucket_factor=0.5,
-                               min_split_pairs=32)).run(list(skewed_records))
-        assert sharded.shard_report.hot_buckets_split == 0
-
-
-class TestShardRouter:
-    def _buckets(self):
-        # index 1 (token index) holds one giant bucket plus a spread of small
-        # ones; indexes 0/2 stay empty.
-        small = {f"tok{i}": [2 * i, 2 * i + 1] for i in range(20)}
-        small["giant"] = list(range(40, 80))
-        return [{}, small, {}]
-
-    def test_plan_is_deterministic(self):
-        router = ShardRouter(4, min_split_pairs=32, hot_bucket_factor=1.5)
-        caps = (8, 64, 16)
-        first = router.plan(self._buckets(), caps)
-        second = router.plan(self._buckets(), caps)
-        assert first.tasks == second.tasks
-        assert first.loads == second.loads
-
-    def test_hot_bucket_slices_partition_enumeration(self):
-        router = ShardRouter(4, min_split_pairs=32, hot_bucket_factor=1.5)
-        plan = router.plan(self._buckets(), (8, 64, 16))
-        assert plan.report.hot_buckets_split == 1
-        slices = [task for tasks in plan.tasks for task in tasks if task[3] > 1]
-        assert len(slices) == plan.report.slices_created
-        # Slices cover the same bucket with distinct slice indexes.
-        members = {task[1] for task in slices}
-        assert members == {tuple(range(40, 80))}
-        assert sorted(task[2] for task in slices) == list(range(len(slices)))
-
-    def test_dead_and_trivial_buckets_emit_no_tasks(self):
-        router = ShardRouter(2)
-        buckets = [{}, {"dead": list(range(70)), "single": [3],
-                        "live": [0, 1]}, {}]
-        plan = router.plan(buckets, (8, 64, 16))
-        assert plan.report.dead_buckets == 1
-        assert plan.report.trivial_buckets == 1
-        assert plan.report.routed_buckets == 1
-        all_tasks = [task for tasks in plan.tasks for task in tasks]
-        assert len(all_tasks) == 1
-        assert all_tasks[0][1] == (0, 1)
-
-    def test_rebalance_fallback_reduces_skew(self):
-        # rebalance_gini=0 forces the greedy repack whenever hashing is uneven.
-        balanced = ShardRouter(4, rebalance_gini=0.0, min_split_pairs=10 ** 6)
-        hashed = ShardRouter(4, rebalance_gini=1.0, min_split_pairs=10 ** 6)
-        caps = (8, 64, 16)
-        buckets = [{}, {f"tok{i}": list(range(5 * i, 5 * i + i % 6 + 2))
-                        for i in range(25)}, {}]
-        plan_balanced = balanced.plan(buckets, caps)
-        plan_hashed = hashed.plan(buckets, caps)
-        if plan_hashed.report.gini_balanced > 0.0:
-            assert plan_balanced.report.rebalanced
-            assert (plan_balanced.report.gini_balanced
-                    <= plan_hashed.report.gini_balanced)
-        # Both plans carry every task exactly once.
-        for plan in (plan_balanced, plan_hashed):
-            tasks = sorted(task for shard in plan.tasks for task in shard)
-            assert len(tasks) == plan.report.routed_buckets
-
-    def test_shard_of_key_is_stable_and_in_range(self):
-        keys = ["token", ("band", 17), "zz", (0, 123456789)]
-        for key in keys:
-            for shards in (1, 2, 7):
-                shard = shard_of_key(1, key, shards)
-                assert 0 <= shard < shards
-                assert shard == shard_of_key(1, key, shards)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_zero_candidates_on_a_single_source_corpus(self, predictor,
+                                                       tiny_music_corpus, workers):
+        source = tiny_music_corpus.records[0].source
+        records = [record for record in tiny_music_corpus.records
+                   if record.source == source]
+        _, sharded = _assert_parity(predictor, records, workers, 64)
+        assert len(sharded.scored) == 0
+        assert sharded.shard_report.chunks == 0
 
 
 class TestShardedTelemetry:
-    def test_run_records_convention_valid_metrics(self, predictor,
-                                                  tiny_music_corpus):
-        import repro.obs as obs
-        from repro.obs.metrics import valid_metric_name
+    CHUNK = 64
 
+    def _run_with_telemetry(self, predictor, records, workers):
+        import repro.obs as obs
+
+        config = PipelineConfig(scoring_chunk_size=self.CHUNK)
         with obs.telemetry() as session:
-            ShardedPipeline(
-                predictor,
-                shards=ShardConfig(workers=1, num_shards=2)).run(
-                list(tiny_music_corpus.records))
-        names = {entry["name"] for entry in session.registry.snapshot()}
-        expected = {"pipeline_sharded_runs_total",
-                    "pipeline_sharded_workers_count",
-                    "pipeline_sharded_gini_ratio",
-                    "pipeline_sharded_load_pairs",
-                    "pipeline_sharded_shard_seconds"}
-        assert expected <= names
-        offenders = [name for name in names if not valid_metric_name(name)]
-        assert offenders == []
+            result = ShardedPipeline(
+                predictor, config=config,
+                shards=ShardConfig(workers=workers)).run(list(records))
+        return result, session
 
     @staticmethod
     def _span_shape(span):
@@ -245,75 +108,63 @@ class TestShardedTelemetry:
                 tuple(sorted(TestShardedTelemetry._span_shape(child)
                              for child in span.children)))
 
-    def _run_with_telemetry(self, predictor, records, workers, num_shards=4):
-        import repro.obs as obs
+    @staticmethod
+    def _shard_seconds_counts(session):
+        return {entry["labels"]["phase"]: entry["count"]
+                for entry in session.registry.snapshot()
+                if entry["name"] == "pipeline_sharded_shard_seconds"}
 
-        with obs.telemetry() as session:
-            result = ShardedPipeline(
-                predictor,
-                shards=ShardConfig(workers=workers,
-                                   num_shards=num_shards)).run(list(records))
-        return result, session
+    def test_run_records_convention_valid_metrics(self, predictor,
+                                                  tiny_music_corpus):
+        from repro.obs.metrics import valid_metric_name
+
+        _, session = self._run_with_telemetry(
+            predictor, tiny_music_corpus.records, workers=1)
+        names = {entry["name"] for entry in session.registry.snapshot()}
+        assert {"pipeline_sharded_shard_seconds",
+                "pipeline_sharded_rescored_chunks_total"} <= names
+        assert [name for name in names if not valid_metric_name(name)] == []
 
     def test_worker_spans_merge_into_one_driver_tree(self, predictor,
                                                      tiny_music_corpus):
         result, session = self._run_with_telemetry(
-            predictor, tiny_music_corpus.records, workers=1)
-        (root,) = [span for span in session.collector.roots()
-                   if span.name == "sharded.run"]
-        (score,) = [span for span in root.children
-                    if span.name == "sharded.score"]
-        workers = [span for span in score.children
-                   if span.name == "sharded.worker"]
-        expected = len(result.shard_report.shard_emit_seconds)
-        assert len(workers) == expected > 0
-        assert sorted(span.attributes["shard"] for span in workers) == \
-            sorted(range(expected))
-        for span in workers:
-            phases = [child.name for child in span.children]
-            assert phases == ["emit", "score"]
-        # In-process workers run back to back inside sharded.score, so
-        # their wall time accounts for most of it (soft bound: the driver
-        # also merges payloads inside the span).
-        assert sum(span.seconds for span in workers) >= 0.5 * score.seconds
+            predictor, tiny_music_corpus.records, workers=3)
+        (root,) = session.collector.roots()
+        assert root.name == "pipeline.run"
+        (score,) = [span for span in root.children if span.name == "score"]
+        workers = score.children
+        assert [span.name for span in workers] == ["sharded.worker"] * len(workers)
+        assert [span.attributes["shard"] for span in workers] == \
+            list(range(result.shard_report.chunks))
+        assert sum(span.attributes["pairs"] for span in workers) == len(result.scored)
+        assert all(span.seconds > 0.0 for span in workers)
 
     def test_shard_seconds_observed_once_per_shard_per_phase(self, predictor,
                                                              tiny_music_corpus):
-        """Regression: the driver must not re-observe what the workers
-        already shipped — one observation per shard per phase, exactly."""
         result, session = self._run_with_telemetry(
             predictor, tiny_music_corpus.records, workers=1)
-        expected = len(result.shard_report.shard_emit_seconds)
-        counts = {entry["labels"]["phase"]: entry["count"]
-                  for entry in session.registry.snapshot()
-                  if entry["name"] == "pipeline_sharded_shard_seconds"}
-        assert counts == {"emit": expected, "score": expected}
+        assert self._shard_seconds_counts(session) == {
+            "score": result.shard_report.chunks}
 
-    @pytest.mark.skipif(not ShardedPipeline.fork_available(),
-                        reason="fork start method unavailable")
+    @pytest.mark.skipif(not FORK, reason="fork start method unavailable")
     def test_forked_run_has_identical_span_structure(self, predictor,
                                                      tiny_music_corpus):
-        """A 4-worker forked export must be span-identical (same tree shape)
-        to the in-process 1-worker run — worker payloads ship across the
-        pipe instead of the call stack, but the story reads the same."""
         _, inline = self._run_with_telemetry(
             predictor, tiny_music_corpus.records, workers=1)
-        _, forked = self._run_with_telemetry(
-            predictor, tiny_music_corpus.records, workers=4)
+        forked_result, forked = self._run_with_telemetry(
+            predictor, tiny_music_corpus.records, workers=3)
+        assert forked_result.shard_report.used_processes
         shape = [self._span_shape(span) for span in inline.collector.roots()]
         assert [self._span_shape(span)
                 for span in forked.collector.roots()] == shape
 
-    @pytest.mark.skipif(not ShardedPipeline.fork_available(),
-                        reason="fork start method unavailable")
+    @pytest.mark.skipif(not FORK, reason="fork start method unavailable")
     def test_forked_metrics_match_inline(self, predictor, tiny_music_corpus):
         result, session = self._run_with_telemetry(
-            predictor, tiny_music_corpus.records, workers=4)
-        expected = len(result.shard_report.shard_emit_seconds)
-        counts = {entry["labels"]["phase"]: entry["count"]
-                  for entry in session.registry.snapshot()
-                  if entry["name"] == "pipeline_sharded_shard_seconds"}
-        assert counts == {"emit": expected, "score": expected}
+            predictor, tiny_music_corpus.records, workers=3)
+        assert result.shard_report.used_processes
+        assert self._shard_seconds_counts(session) == {
+            "score": result.shard_report.chunks}
 
 
 class TestShardedCLI:
@@ -330,9 +181,21 @@ class TestShardedCLI:
             "--records", str(records_csv),
             "--model", str(bundle),
             "--workers", "2",
+            "--chunk-size", "64",
             "--output-dir", str(tmp_path / "out"),
         ])
         assert exit_code == 0
         stats = json.loads((tmp_path / "out" / "stats.json").read_text())
-        assert stats["sharding"]["num_shards"] == 2
-        assert stats["sharding"]["workers"] == 2
+        sharding = stats["sharding"]
+        assert set(sharding) == {"workers", "used_processes", "chunks",
+                                 "rescored_chunks"}
+        assert sharding["workers"] == 2
+        assert sharding["used_processes"] == FORK
+        assert sharding["chunks"] == -(-stats["stages"]["pair"]["num_candidates"] // 64)
+        assert sharding["rescored_chunks"] == []
+
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            pipeline_main(["--workers", "2", "--shards", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err

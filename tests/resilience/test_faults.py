@@ -66,13 +66,10 @@ class TestFaultPlan:
                 plan.check("s", {})
         assert plan.check("s", {}) is None  # exhausted
 
-    def test_partial_kind_returns_partial_and_marker_helpers_agree(self):
+    def test_partial_kind_returns_partial_once(self):
         plan = FaultPlan([FaultSpec(site="s", kind="partial")])
         assert plan.check("s", {}) == "partial"
-        marked = faults.partial_result(shard=3)
-        assert faults.is_partial(marked)
-        assert not faults.is_partial({"shard": 3})
-        assert not faults.is_partial([1, 2])
+        assert plan.check("s", {}) is None
 
     def test_match_restricts_to_call_info(self):
         plan = FaultPlan([FaultSpec(site="s", kind="raise",
