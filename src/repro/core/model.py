@@ -13,19 +13,22 @@ dimension ``D``:
    attention-scaled features ``σ(f(x)_j · x_j)``, ending in a sigmoid that
    yields the matching probability ``ŷ``.
 
-:class:`DomainAttention` evaluates steps 1-2 for a whole fixed domain — the
-per-epoch recomputations of Algorithms 1 and 2 — on its distinct
-(feature, vector) rows only.
+Training runs the :class:`Tensor` forward (:meth:`AdaMELNetwork.forward`).
+Inference runs :meth:`AdaMELNetwork.forward_numpy`: plain numpy over an
+encoded batch's :class:`~repro.features.encoder.SlotPlan`, with steps 1-2 once
+per distinct attribute slot.  :class:`DomainAttention` evaluates steps 1-2 for
+a whole fixed domain — the per-epoch recomputations of Algorithms 1 and 2 —
+on its distinct (feature, vector) rows, through the same routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .. import nn
+from ..features.encoder import EncodedBatch, SlotPlan
 from ..nn.dtypes import get_default_dtype
 from ..nn.attention import AdditiveAttention
 from ..nn.fused import fused_feature_affine_relu, fused_scale_relu_flatten
@@ -33,6 +36,9 @@ from ..nn.layers import MLP
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
 from .config import AdaMELConfig
+
+# What the numpy forward accepts: an encoded batch, or dense (N, F, D) features.
+NumpyInputs = Union[EncodedBatch, np.ndarray]
 
 __all__ = ["AdaMELNetwork", "AdaMELForward", "DomainAttention"]
 
@@ -131,16 +137,75 @@ class AdaMELNetwork(Module):
         return AdaMELForward(probabilities=probabilities, attention=attention, latent=latent)
 
     # ------------------------------------------------------------------ #
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Inference-only matching probabilities (no autograd graph)."""
-        with nn.no_grad():
-            return self.forward(features).probabilities.data.copy()
+    def forward_numpy(self, inputs: NumpyInputs) -> Tuple[np.ndarray, np.ndarray]:
+        """Inference forward, Eq. 4-7: ``(probabilities (N,), attention (N, F))``.
 
-    def attention_numpy(self, features: np.ndarray) -> np.ndarray:
-        """Inference-only attention scores ``f(x)`` as a numpy array (N, F)."""
-        with nn.no_grad():
-            latent = self.latent_features(features)
-            return self.attention_scores(latent).data.copy()
+        Eq. 4-6 run once per distinct slot row of the batch's plan; the
+        gather, the softmax and the classifier run per pair.  Plain numpy: no
+        autograd graph and no dropout, so the result depends on the
+        parameters alone, whatever the training mode.  Dense features are
+        planned over their byte-distinct rows first.
+        """
+        plan = self._plan(inputs)
+        latent, attention = self._attend(plan)
+        # (N, A, K, H) = (N, F, H): feature a K + k of pair n is latent[index[n, a], k].
+        x = np.take(latent, plan.index, axis=0).reshape(
+            len(plan), self.num_features, self.hidden_dim)
+        # Eq. 7's ReLU of f(x)_j * x_j is the identity: x_j >= 0, f(x)_j > 0.
+        np.multiply(attention[..., None], x, out=x)
+        probabilities = self.classifier.forward_sigmoid_numpy(
+            x.reshape(len(plan), self.num_features * self.hidden_dim))
+        return probabilities[:, 0], attention
+
+    def predict_proba(self, inputs: NumpyInputs) -> np.ndarray:
+        """Matching probabilities ``(N,)`` (:meth:`forward_numpy`)."""
+        return self.forward_numpy(inputs)[0]
+
+    def attention_numpy(self, inputs: NumpyInputs) -> np.ndarray:
+        """Attention scores ``f(x)`` ``(N, F)``: Eq. 4-6 of :meth:`forward_numpy`."""
+        return self._attend(self._plan(inputs))[1]
+
+    def _plan(self, inputs: NumpyInputs) -> SlotPlan:
+        plan = (inputs.plan if isinstance(inputs, EncodedBatch)
+                else SlotPlan.from_features(np.asarray(inputs)))
+        if plan.num_features != self.num_features or plan.rows.shape[2] != self.embedding_dim:
+            raise ValueError(
+                f"expected {self.num_features} features of dimension {self.embedding_dim}, "
+                f"got {plan.num_features} of dimension {plan.rows.shape[2]}")
+        return plan
+
+    def _attend(self, plan: SlotPlan) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. 4-6 on a plan: the slot latents ``(S, K, H)`` and the
+        attention ``(N, F)``."""
+        latent, energy = self._slot_latent_energy(plan.rows, plan.offsets)
+        logits = np.take(energy, plan.index, axis=0).reshape(len(plan), plan.num_features)
+        return latent, _softmax_rows(logits)
+
+    def _slot_latent_energy(self, rows: np.ndarray, offsets: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. 4 and the energies ``a^T tanh(W x)`` of Eq. 5 for every slot row.
+
+        ``rows`` ``(S, K, D)`` are attribute-major, attribute ``a``'s slots at
+        ``offsets[a]:offsets[a + 1]``, so each attribute is one
+        ``(K, S_a, D) @ (K, D, H)`` GEMM.  Returns the latents ``(S, K, H)``
+        and the energies ``(S, K)``.
+        """
+        dtype, hidden = self.V.data.dtype, self.hidden_dim
+        rows = rows.astype(dtype, copy=False)
+        num_slots, kinds, dim = rows.shape
+        V = self.V.data.reshape(-1, kinds, dim, hidden)
+        latent = np.empty((num_slots, kinds, hidden), dtype=dtype)
+        by_kind, latent_by_kind = rows.transpose(1, 0, 2), latent.transpose(1, 0, 2)
+        bounds = offsets.tolist()
+        for a, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            np.matmul(by_kind[:, start:stop], V[a], out=latent_by_kind[:, start:stop])
+        # Each slot's bias b_{a K + k}, added in one pass.
+        latent += np.repeat(self.b.data.reshape(-1, kinds, hidden), np.diff(offsets), axis=0)
+        np.maximum(latent, 0.0, out=latent)
+        projected = np.matmul(latent.reshape(-1, hidden), self.attention_fn.W.data.T)
+        np.tanh(projected, out=projected)
+        energy = np.matmul(projected, self.attention_fn.a.data)
+        return latent, energy.reshape(num_slots, kinds)
 
     def parameter_breakdown(self) -> dict:
         """Learnable-parameter counts per component (paper Section 4.5)."""
@@ -155,64 +220,37 @@ class AdaMELNetwork(Module):
         }
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis, in place."""
+    row = np.amax(logits, axis=-1, keepdims=True)
+    np.subtract(logits, row, out=logits)
+    np.exp(logits, out=logits)
+    np.sum(logits, axis=-1, keepdims=True, out=row)
+    np.divide(logits, row, out=logits)
+    return logits
+
+
 class DomainAttention:
     """``attention_numpy`` of one fixed set of pairs, priced by its distinct rows.
 
     By Eq. 4-6 the attention *energy* of a (pair, feature) depends only on the
     feature index ``j`` and the vector ``h_j``, and low-cardinality or missing
     attributes give many pairs the same vector.  Built once per fit and domain:
-    the byte-distinct rows of ``features[:, j, :]`` for every ``j``, stacked
-    CSR-style into one ``(U, D)`` matrix with per-feature ``offsets``, plus the
-    ``(N, F)`` ``index`` of every pair's row.  Each call evaluates the energies
-    of the ``U`` rows with the network's *current* parameters, gathers them to
-    ``(N, F)`` and applies the row softmax, in buffers allocated here.  Equal
-    to ``attention_numpy`` up to GEMM rounding (the product shapes differ).
+    the :class:`~repro.features.encoder.SlotPlan` of the byte-distinct rows of
+    ``features[:, j, :]`` for every ``j``.  Each call evaluates the energies of
+    those ``U`` rows with the network's *current* parameters, gathers them to
+    ``(N, F)`` and applies the row softmax.  Equal to the whole-set forward up
+    to GEMM rounding (the product shapes differ).
     """
 
     def __init__(self, network: AdaMELNetwork, features: np.ndarray) -> None:
-        dtype = network.V.data.dtype
-        num_pairs, num_features, dim = features.shape
-        if num_features != network.num_features or dim != network.embedding_dim:
+        if features.shape[1:] != (network.num_features, network.embedding_dim):
             raise ValueError(
                 f"expected features of shape (N, {network.num_features}, "
                 f"{network.embedding_dim}), got {features.shape}")
         self.network = network
-        self.index = np.empty((num_pairs, num_features), dtype=np.intp)
-        self.offsets = [0]
-        distinct = []
-        for j in range(num_features):
-            column = np.ascontiguousarray(features[:, j, :], dtype=dtype)
-            # Rows compared as opaque bytes: +0.0 and -0.0 stay apart.
-            keys = column.view(np.dtype((np.void, dim * column.itemsize))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            distinct.append(column[first])
-            self.index[:, j] = inverse + self.offsets[-1]
-            self.offsets.append(self.offsets[-1] + len(first))
-        self.rows = np.concatenate(distinct)                              # (U, D)
-        self._latent = np.empty((len(self.rows), network.hidden_dim), dtype=dtype)
-        self._projected = np.empty((len(self.rows), network.attention_dim), dtype=dtype)
-        self._energy = np.empty(len(self.rows), dtype=dtype)
-        self._attention = np.empty((num_pairs, num_features), dtype=dtype)
-        self._row = np.empty((num_pairs, 1), dtype=dtype)
+        self.slots = SlotPlan.from_features(np.asarray(features, dtype=network.V.data.dtype))
 
     def __call__(self) -> np.ndarray:
-        """Attention scores ``(N, F)``: the plan's own buffer, overwritten by
-        the next call."""
-        network = self.network
-        V, b = network.V.data, network.b.data
-        latent, projected, energy = self._latent, self._projected, self._energy
-        for j, (start, stop) in enumerate(zip(self.offsets, self.offsets[1:])):
-            np.matmul(self.rows[start:stop], V[j], out=latent[start:stop])
-            latent[start:stop] += b[j]
-        np.maximum(latent, 0.0, out=latent)
-        np.matmul(latent, network.attention_fn.W.data.T, out=projected)
-        np.tanh(projected, out=projected)
-        np.matmul(projected, network.attention_fn.a.data, out=energy)
-        attention, row = self._attention, self._row
-        np.take(energy, self.index, out=attention)
-        np.amax(attention, axis=-1, keepdims=True, out=row)
-        np.subtract(attention, row, out=attention)
-        np.exp(attention, out=attention)
-        np.sum(attention, axis=-1, keepdims=True, out=row)
-        np.divide(attention, row, out=attention)
-        return attention
+        """Attention scores ``(N, F)`` with the current parameters."""
+        return self.network._attend(self.slots)[1]

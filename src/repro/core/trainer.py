@@ -199,11 +199,15 @@ class AdaMELTrainer:
         # labeled target pairs).  The distance-weighted L_support term is
         # computed on the support set alone.
         labeled_pairs = list(scenario.source.pairs)
-        support_batch: Optional[EncodedBatch] = None
-        if self.uses_support and scenario.support is not None and len(scenario.support):
-            support_batch = self.encoder.encode(scenario.support.pairs)
+        with_support = bool(self.uses_support and scenario.support is not None
+                            and len(scenario.support))
+        if with_support:
             labeled_pairs.extend(scenario.support.pairs)
         source_batch = self.encoder.encode(labeled_pairs)
+        support_batch: Optional[EncodedBatch] = None
+        if with_support:
+            support_batch = source_batch.subset(
+                np.arange(len(scenario.source.pairs), len(labeled_pairs)))
         target_batch = self.encoder.encode(scenario.target.pairs) if self.uses_target else None
 
         self._reset_compiled_state()
@@ -509,12 +513,11 @@ class AdaMELTrainer:
             raise RuntimeError("the model must be fitted before inference; call fit() first")
 
     def predict_proba(self, pairs: Sequence[EntityPair]) -> np.ndarray:
-        """Matching probability for every pair."""
+        """Matching probability for every pair (never with dropout)."""
         self._require_fitted()
         if len(pairs) == 0:
             return np.zeros(0)
-        batch = self.encoder.encode(pairs)
-        return self.network.predict_proba(batch.features)
+        return self.network.predict_proba(self.encoder.encode(pairs))
 
     def predict(self, pairs: Sequence[EntityPair], threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions at the given probability threshold."""
@@ -525,8 +528,7 @@ class AdaMELTrainer:
         self._require_fitted()
         if len(pairs) == 0:
             return np.zeros((0, self.encoder.num_features))
-        batch = self.encoder.encode(pairs)
-        return self.network.attention_numpy(batch.features)
+        return self.network.attention_numpy(self.encoder.encode(pairs))
 
     def feature_importance(self, pairs: Sequence[EntityPair]) -> ImportanceReport:
         """Learned feature importance averaged over ``pairs`` (Table 4)."""

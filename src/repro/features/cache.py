@@ -1,23 +1,36 @@
-"""Process-wide cache of encoded pair features.
+"""Process-wide cache of encoded attribute slots.
 
-Training and evaluating one multi-source scenario encodes the same support,
-target and test pairs many times: once per AdaMEL variant, once per baseline
-that shares the encoder, and once per figure/table that revisits the scenario.
-The :class:`EncodingCache` memoises the ``(F, D)`` feature matrix and feature
-mask of every pair so that work is done once per process.
+By Eq. (2)-(3) the contrastive features of one attribute depend only on the
+pair's two values of it, so the unit this cache holds is a *slot row*: the
+``(K, D)`` feature vectors and ``(K,)`` feature mask of one
+``(left text, right text)`` value pair.  Training and evaluating a scenario
+encodes the same support, target and test pairs many times (once per AdaMEL
+variant, baseline and figure that revisits it), and a linkage corpus repeats
+value pairs across its candidate pairs (missing values, low-cardinality
+attributes); the :class:`EncodingCache` encodes and stores each distinct value
+pair once per process.
 
-Keys are exact, not probabilistic: a cache key combines the encoder
-fingerprint (schema, contrastive feature kinds, tokenizer and embedder
-configuration), the ``pair_id``, and the tuple of raw attribute values of both
-records.  Two pairs that share an id but differ in content (e.g. the same
-record ids generated under different corpus seeds) therefore never collide.
+Each encoder configuration has its own *arena*: ``(left text, right text) ->
+row id`` over one ``(capacity, K, D)`` array, allocated with ``np.empty`` on the
+first store so that pages are only touched as rows are written.  Rows are
+appended and never rewritten.  A store that would exceed the byte budget first
+drops the least recently used arenas of other configurations, then, if it still
+does not fit, starts this arena over with fresh arrays — as the tokenizer memos
+do.  A reader that looked ids up keeps the arrays it read them from, so the rows
+it gets stay right across a reset.
+
+Keys are exact, not probabilistic: an arena belongs to one encoder fingerprint
+(schema, contrastive feature kinds, tokenizer and embedder configuration) and
+its keys are the raw texts, so two pairs that share ids but differ in content
+never collide.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +38,13 @@ from ..obs import BoundHandles
 
 __all__ = ["EncodingCache", "get_default_cache", "set_default_cache"]
 
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+# Covers ≈ 120 k slot rows of the benchmark encoder (K = 2, D = 32: 528 B a
+# row), about 56 k linkage candidate pairs at their measured share of distinct
+# value pairs.
+DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
-CacheKey = Tuple[Hashable, ...]
-CacheEntry = Tuple[np.ndarray, np.ndarray]  # (features (F, D), mask (F,))
+# Computes the rows of the keys at the given positions: (M, K, D) + (M, K).
+RowEncoder = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 class _CacheInstruments(NamedTuple):
@@ -41,29 +57,40 @@ class _CacheInstruments(NamedTuple):
 
 def _bind_cache_instruments(registry) -> _CacheInstruments:
     return _CacheInstruments(
-        hits=registry.counter("cache_hits_total", "Encoding cache lookups served"),
-        misses=registry.counter("cache_misses_total", "Encoding cache lookups missed"),
+        hits=registry.counter("cache_hits_total", "Encoding cache slot lookups served"),
+        misses=registry.counter("cache_misses_total", "Encoding cache slot lookups missed"),
         evictions=registry.counter("cache_evictions_total",
-                                   "Entries evicted to stay within the byte budget"),
-        size_bytes=registry.gauge("cache_size_bytes", "Bytes held by cached arrays"),
-        entries=registry.gauge("cache_entries_count", "Entries in the encoding cache"),
+                                   "Slot rows dropped to stay within the byte budget"),
+        size_bytes=registry.gauge("cache_size_bytes", "Bytes held by cached slot rows"),
+        entries=registry.gauge("cache_entries_count", "Slot rows in the encoding cache"),
     )
 
 
-class EncodingCache:
-    """Byte-bounded LRU cache of per-pair encoded features.
+class _Arena:
+    """Append-only slot rows of one encoder configuration."""
 
-    All operations are thread-safe: concurrent serve workers share the
-    process-wide cache, and the LRU reordering, byte-budget eviction and
-    hit/miss counters are guarded by one internal lock.  The cached arrays
-    themselves are immutable (write flag cleared), so handing the same entry
-    to several threads is safe.
+    __slots__ = ("index", "features", "mask", "count", "row_bytes")
+
+    def __init__(self, capacity: int, shape: Tuple[int, ...]) -> None:
+        self.index: Dict[Hashable, int] = {}
+        self.features = np.empty((capacity,) + shape, dtype=np.float64)
+        self.mask = np.empty((capacity, shape[0]), dtype=np.float64)
+        self.count = 0
+        self.row_bytes = self.features[0].nbytes + self.mask[0].nbytes
+
+
+class EncodingCache:
+    """Byte-bounded arena of encoded slot rows, one per encoder configuration.
+
+    Thread-safe: concurrent serve workers share the process-wide cache.  A
+    :meth:`fetch` takes the internal lock once to look its keys up and once to
+    store the rows it had to encode; reading the hit rows needs no lock,
+    because a row below an arena's ``count`` is never rewritten.
 
     Parameters
     ----------
     max_bytes:
-        Approximate memory budget for the cached arrays; least-recently-used
-        entries are evicted once the budget is exceeded.
+        Memory budget for the stored rows (features plus mask).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
@@ -71,74 +98,118 @@ class EncodingCache:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        # Least recently used first.
+        self._arenas: "OrderedDict[str, _Arena]" = OrderedDict()
         self.current_bytes = 0
+        self.entries = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Per-pair hot path: registry lookups are cached, one identity check
-        # per event while telemetry stays in one state.
         self._obs = BoundHandles(_bind_cache_instruments)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self.entries
 
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
+    def fetch(self, fingerprint: str, keys: Sequence[Hashable],
+              encode: RowEncoder) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(len(keys), K, D)`` rows and ``(len(keys), K)`` mask of ``keys``.
 
-    def lookup(self, key: CacheKey) -> Optional[CacheEntry]:
-        """Return the cached ``(features, mask)`` for ``key`` or ``None``."""
+        ``keys`` (non-empty) are value pairs of the encoder ``fingerprint``,
+        one per slot.  Rows its arena holds are read from it;
+        ``encode(positions)`` computes the rows of ``keys[i]`` for every other
+        ``i``, and they are stored.  Every key counts as one lookup, a hit or
+        a miss.
+        """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
+            arena = self._arenas.get(fingerprint)
+            if arena is None:
+                ids = np.full(len(keys), -1, dtype=np.intp)
             else:
-                self._entries.move_to_end(key)
-                self.hits += 1
+                self._arenas.move_to_end(fingerprint)
+                ids = np.fromiter(map(arena.index.get, keys, itertools.repeat(-1)),
+                                  dtype=np.intp, count=len(keys))
+                features, mask = arena.features, arena.mask
+            missing = np.flatnonzero(ids < 0)
+            self.hits += len(keys) - len(missing)
+            self.misses += len(missing)
         instruments = self._obs.get()
         if instruments is not None:
-            (instruments.misses if entry is None else instruments.hits).inc()
-        return entry
+            instruments.hits.inc(len(keys) - len(missing))
+            instruments.misses.inc(len(missing))
+        if not len(missing):
+            return features[ids], mask[ids]
+        fresh_features, fresh_mask = encode(missing)
+        self._store(fingerprint, list(map(keys.__getitem__, missing.tolist())),
+                    fresh_features, fresh_mask)
+        if len(missing) == len(keys):
+            return fresh_features, fresh_mask
+        # The arrays read under the lock: a reset since then has not touched them.
+        hit = np.flatnonzero(ids >= 0)
+        out_features = np.empty((len(keys),) + fresh_features.shape[1:], dtype=np.float64)
+        out_mask = np.empty((len(keys),) + fresh_mask.shape[1:], dtype=np.float64)
+        out_features[hit] = features[ids[hit]]
+        out_mask[hit] = mask[ids[hit]]
+        out_features[missing] = fresh_features
+        out_mask[missing] = fresh_mask
+        return out_features, out_mask
 
-    def store(self, key: CacheKey, features: np.ndarray, mask: np.ndarray) -> None:
-        """Insert a pair's encoded arrays (copied, so later mutation of the
-        batch the arrays were sliced from cannot corrupt the cache)."""
-        # Copy outside the lock — only the structure mutation needs it.
-        features = np.array(features, dtype=np.float64, copy=True)
-        mask = np.array(mask, dtype=np.float64, copy=True)
-        features.setflags(write=False)
-        mask.setflags(write=False)
-        nbytes = features.nbytes + mask.nbytes
+    def _store(self, fingerprint: str, keys: Sequence[Hashable], features: np.ndarray,
+               mask: np.ndarray) -> None:
+        """Append the rows of ``keys`` (repeats stored once) to the arena of
+        ``fingerprint``."""
+        row_bytes = features[0].nbytes + mask[0].nbytes
         evicted = 0
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
+            arena = self._arenas.get(fingerprint)
+            new = dict(zip(keys, itertools.count()))  # a repeated key: its last position
+            if arena is not None:
+                for key in new.keys() & arena.index.keys():
+                    del new[key]
+            needed = len(new) * row_bytes
+            # Rows that can never fit must not flush the cache.
+            if not new or needed > self.max_bytes:
                 return
-            if nbytes > self.max_bytes:
-                # An entry that can never fit must not flush the whole cache.
-                return
-            while self._entries and self.current_bytes + nbytes > self.max_bytes:
-                _, (old_features, old_mask) = self._entries.popitem(last=False)
-                self.current_bytes -= old_features.nbytes + old_mask.nbytes
-                self.evictions += 1
-                evicted += 1
-            self._entries[key] = (features, mask)
-            self.current_bytes += nbytes
-            current_bytes, num_entries = self.current_bytes, len(self._entries)
+            for other in [name for name in self._arenas if name != fingerprint]:
+                if self.current_bytes + needed <= self.max_bytes:
+                    break
+                evicted += self._drop(other)
+            if arena is not None and self.current_bytes + needed > self.max_bytes:
+                evicted += self._drop(fingerprint)
+                arena = None
+            if arena is None:
+                arena = _Arena(self.max_bytes // row_bytes, features.shape[1:])
+                self._arenas[fingerprint] = arena
+            start, stop = arena.count, arena.count + len(new)
+            positions = list(new.values())
+            arena.features[start:stop] = features[positions]
+            arena.mask[start:stop] = mask[positions]
+            arena.index.update(zip(new, range(start, stop)))
+            arena.count = stop
+            self.entries += len(new)
+            self.current_bytes += needed
+            self.evictions += evicted
+            current_bytes, entries = self.current_bytes, self.entries
         instruments = self._obs.get()
         if instruments is not None:
             if evicted:
                 instruments.evictions.inc(evicted)
             instruments.size_bytes.set(current_bytes)
-            instruments.entries.set(num_entries)
+            instruments.entries.set(entries)
+
+    def _drop(self, fingerprint: str) -> int:
+        """Forget one arena (lock held); returns the rows it held."""
+        arena = self._arenas.pop(fingerprint)
+        self.current_bytes -= arena.count * arena.row_bytes
+        self.entries -= arena.count
+        return arena.count
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
+        """Drop every arena and reset the hit/miss counters."""
         with self._lock:
-            self._entries.clear()
+            self._arenas.clear()
             self.current_bytes = 0
+            self.entries = 0
             self.hits = 0
             self.misses = 0
             self.evictions = 0
@@ -155,16 +226,16 @@ class EncodingCache:
             return self.hits, self.misses
 
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 before any lookup)."""
+        """Fraction of slot lookups served from the cache (0.0 before any)."""
         hits, misses = self.lookup_counts()
         total = hits + misses
         return hits / total if total else 0.0
 
     def stats(self) -> Dict[str, int]:
-        """Counters for diagnostics and benchmark reports."""
+        """Counters for diagnostics and benchmark reports (in slot rows)."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": self.entries,
                 "bytes": self.current_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -172,7 +243,7 @@ class EncodingCache:
             }
 
     def __repr__(self) -> str:
-        return (f"EncodingCache(entries={len(self._entries)}, "
+        return (f"EncodingCache(entries={self.entries}, "
                 f"bytes={self.current_bytes}, hits={self.hits}, misses={self.misses})")
 
 

@@ -1,53 +1,61 @@
 """Pair encoding: entity pairs -> fixed-shape token-embedding feature tensors.
 
-Following Eq. (3) of the paper, an entity pair is represented by ``F = 2|A|``
-token-embedding features ``h = [h_1, ..., h_F]`` where each ``h_j`` is the sum
-of the (fixed, pretrained-style) embeddings of that relational feature's word
-tokens.  Features with no tokens — missing attribute values, challenges C1/C2 —
-are encoded with a fixed normalised non-zero vector so that their per-feature
-affine transformation still receives gradient.
+Following Eq. (3) of the paper, an entity pair is represented by ``F = K|A|``
+token-embedding features ``h = [h_1, ..., h_F]`` (``K`` contrastive kinds per
+attribute) where each ``h_j`` is the sum of the (fixed, pretrained-style)
+embeddings of that relational feature's word tokens.  Features with no tokens
+— missing attribute values, challenges C1/C2 — are encoded with a fixed
+normalised non-zero vector so that their per-feature affine transformation
+still receives gradient.
 
-``PairEncoder.encode`` never works pair by pair.  Every record appears in
-many candidate pairs and a corpus has far fewer distinct attribute texts than
-record x attribute slots, so a call is planned per *distinct record* and
-executed as flat array operations:
+By Eq. (2) the ``K`` features of an attribute depend only on the pair's two
+values of it.  ``PairEncoder.encode`` therefore works neither pair by pair nor
+(pair, attribute) by (pair, attribute): a call is planned over its distinct
+*slots* ``(attribute, left value, right value)`` and executed as flat array
+operations:
 
-1. **Vocabulary table** (:class:`~repro.text.embeddings.TokenTable`): token ->
-   row id in one append-only ``(V, D)`` matrix per embedder configuration,
-   shared process-wide.  A call pins one table; ids never move within it.
-2. **Value memo** (:meth:`~repro.text.tokenizer.Tokenizer.ids_memo`):
-   attribute text -> the row ids of its tokens, kept with the tokenizer's
-   memo (``Tokenizer.clear_memo()`` drops it) and bounded by its
-   ``cache_size``.
-3. **CSR layout**: the call's distinct records are looked up once each
-   (``A`` memo reads per record) and their ids laid out as one token stream
-   with per-(record, attribute) lengths and offsets; ragged gathers expand it
-   to one stream per side over the (pair, attribute) slots.
+1. **Slot plan**: every distinct text of the call gets a call-local integer
+   id, and one ``np.unique`` over the keys ``(attribute, left id, right id)``
+   (attribute-major) gives the ``S`` distinct slots and the slot of every
+   (pair, attribute) — a :class:`SlotPlan`.
+2. **Encoding cache** (:class:`~repro.features.cache.EncodingCache`): a
+   slot's rows depend on its two texts only, so the cache maps the value pair
+   ``(left text, right text)`` to a row of an append-only arena per encoder
+   configuration (slots of different attributes with the same two texts
+   share it); only the slots it does not hold are encoded below.
+3. **Text-level CSR**: the token row ids of each text of those slots —
+   :class:`~repro.text.embeddings.TokenTable` ids through the tokenizer's
+   value memo (:meth:`~repro.text.tokenizer.Tokenizer.ids_memo`) — laid out as
+   one token stream with per-text lengths and offsets; ragged gathers expand it
+   to one stream per side, one segment per slot.
 4. **Integer-key membership**: with the key ``slot * V + token``, one sort
-   tells for every token of either side whether the other side's value of
-   the same slot holds it — the *shared* / *unique* split of Eq. (2), with the
-   token order and multiplicity of
+   tells for every token of either side whether the other side's value holds
+   it — the *shared* / *unique* split of Eq. (2), with the token order and
+   multiplicity of
    :func:`~repro.features.relational.extract_relational_features`.
 5. **Grouped sums**: slots are grouped by token count and summed with
    ``rows[ids].sum(axis=1)``, then normalised with batched row norms.
 
 This is bit-identical to the per-pair definition
 (:meth:`PairEncoder.encode_pair`, which the tests stack as their oracle:
-``tests/features/encode_oracle.py``) because the same table rows are
-added in the same row-sequential order and the norm is the same BLAS dot.  It
-pays off when records are reused across the pairs of a call and texts across
-calls: with warm memos a one-pair call costs 1.25x what the per-pair
-extraction did (136 vs 109 us), two pairs break even, 256 pairs take 3.3 ms
-instead of 12.0.  Encoded rows are memoised per pair in a process-wide
-:class:`~repro.features.cache.EncodingCache`, so support/target sets encoded
-once are reused across epochs, variants and experiments.
+``tests/features/encode_oracle.py``) because the same table rows are added in
+the same row-sequential order and the norm is the same BLAS dot.  The batch's
+``features`` are the plan laid out per pair, materialised on first access; the
+network's inference forward (``AdaMELNetwork.forward_numpy``) reads the plan
+itself and evaluates Eq. 4-6 once per slot.  Per call on one core, with warm
+memos and a cold cache, against the per-pair extraction stacked: one pair
+0.19 vs 0.075 ms, two pairs 0.23 vs 0.15 ms, 19 pairs 0.41 vs 1.5 ms, 256 pairs
+2.3 vs 20 ms, 2 048 pairs 12 vs 159 ms.  A 13-pair call whose slots all hit the
+cache takes 0.1 ms: plan overhead that pays off only when the forward reads
+the plan.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +66,7 @@ from ..text.tokenizer import Tokenizer
 from .cache import EncodingCache, get_default_cache
 from .relational import SHARED_SUFFIX, UNIQUE_SUFFIX, RelationalFeatureExtractor
 
-__all__ = ["EncodedPair", "EncodedBatch", "PairEncoder"]
+__all__ = ["EncodedPair", "EncodedBatch", "PairEncoder", "SlotPlan"]
 
 # Fingerprint tokens for tokenizers/embedders that expose no fingerprint():
 # monotonic, so they are never reused within a process (unlike ``id()``).
@@ -75,45 +83,106 @@ class EncodedPair:
     feature_mask: np.ndarray  # shape (F,): 1.0 where the feature had tokens
 
 
-@dataclass
-class EncodedBatch:
-    """A batch of encoded pairs stacked into arrays."""
+@dataclass(eq=False)
+class SlotPlan:
+    """Pairs as the distinct attribute slots their features come from.
 
-    features: np.ndarray  # shape (N, F, D)
-    labels: np.ndarray  # shape (N,), -1 for unlabeled
-    pair_ids: List[str]
-    feature_mask: np.ndarray  # shape (N, F)
+    ``rows`` ``(S, K, D)`` holds the ``K`` feature vectors of every distinct
+    slot, attribute-major: attribute ``a``'s slots are
+    ``rows[offsets[a]:offsets[a + 1]]``.  ``index`` ``(N, A)`` is the slot of
+    every (pair, attribute), so feature ``a * K + k`` of pair ``n`` is
+    ``rows[index[n, a], k]``.
+    """
+
+    rows: np.ndarray
+    index: np.ndarray
+    offsets: np.ndarray
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return len(self.index)
 
     @property
     def num_features(self) -> int:
-        return self.features.shape[1]
+        return self.index.shape[1] * self.rows.shape[1]
+
+    def expand(self, per_slot: np.ndarray) -> np.ndarray:
+        """``(S, K, ...)`` per-slot values laid out per pair: ``(N, F, ...)``."""
+        return per_slot[self.index].reshape(
+            (len(self.index), self.num_features) + per_slot.shape[2:])
+
+    def take(self, indices: np.ndarray) -> "SlotPlan":
+        """The plan of the pairs at ``indices`` (the rows are shared)."""
+        return SlotPlan(self.rows, self.index[indices], self.offsets)
+
+    @classmethod
+    def from_features(cls, features: np.ndarray) -> "SlotPlan":
+        """The plan of dense ``(N, F, D)`` features: every feature is its own
+        attribute (``K = 1``) whose slots are the byte-distinct rows of its
+        column (compared as opaque bytes: +0.0 and -0.0 stay apart)."""
+        num_pairs, num_features, dim = features.shape
+        index = np.empty((num_pairs, num_features), dtype=np.intp)
+        offsets = [0]
+        distinct = []
+        for j in range(num_features):
+            column = np.ascontiguousarray(features[:, j, :])
+            keys = column.view(np.dtype((np.void, dim * column.itemsize))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            distinct.append(column[first])
+            index[:, j] = inverse.ravel() + offsets[-1]
+            offsets.append(offsets[-1] + len(first))
+        rows = np.concatenate(distinct)[:, None, :]
+        return cls(rows, index, np.asarray(offsets, dtype=np.intp))
+
+
+class EncodedBatch:
+    """A batch of encoded pairs: their :class:`SlotPlan`, labels and ids.
+
+    ``features`` ``(N, F, D)`` and ``feature_mask`` ``(N, F)`` are the plan
+    laid out per pair, materialised on first access.
+    """
+
+    def __init__(self, plan: SlotPlan, slot_mask: np.ndarray, labels: np.ndarray,
+                 pair_ids: List[str]) -> None:
+        self.plan = plan
+        self.slot_mask = slot_mask  # (S, K): 1.0 where the slot's feature had tokens
+        self.labels = labels  # (N,), -1 for unlabeled
+        self.pair_ids = pair_ids
+        self._features: Optional[np.ndarray] = None
+        self._feature_mask: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def num_features(self) -> int:
+        return self.plan.num_features
 
     @property
     def embedding_dim(self) -> int:
-        return self.features.shape[2]
+        return self.plan.rows.shape[2]
+
+    @property
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            self._features = self.plan.expand(self.plan.rows)
+        return self._features
+
+    @property
+    def feature_mask(self) -> np.ndarray:
+        if self._feature_mask is None:
+            self._feature_mask = self.plan.expand(self.slot_mask)
+        return self._feature_mask
 
     def labeled_view(self) -> "EncodedBatch":
         """Return the subset of the batch that carries labels."""
-        mask = self.labels >= 0
-        return EncodedBatch(
-            features=self.features[mask],
-            labels=self.labels[mask],
-            pair_ids=[pid for pid, keep in zip(self.pair_ids, mask) if keep],
-            feature_mask=self.feature_mask[mask],
-        )
+        return self.subset(np.flatnonzero(self.labels >= 0))
 
     def subset(self, indices: Sequence[int]) -> "EncodedBatch":
         """Return the pairs at ``indices`` as a new batch."""
-        index_array = np.asarray(indices, dtype=np.int64)
-        return EncodedBatch(
-            features=self.features[index_array],
-            labels=self.labels[index_array],
-            pair_ids=[self.pair_ids[i] for i in index_array],
-            feature_mask=self.feature_mask[index_array],
-        )
+        index_array = np.asarray(indices, dtype=np.intp)
+        return EncodedBatch(self.plan.take(index_array), self.slot_mask,
+                            self.labels[index_array],
+                            [self.pair_ids[i] for i in index_array])
 
 
 class PairEncoder:
@@ -131,8 +200,8 @@ class PairEncoder:
         Which contrastive features to produce (``("shared", "unique")`` by
         default; the ablation of Table 6 uses single-kind encoders).
     cache:
-        Encoding cache to reuse per-pair feature rows across calls; defaults
-        to the process-wide cache from :func:`~repro.features.cache.get_default_cache`.
+        Encoding cache to reuse slot rows across calls; defaults to the
+        process-wide cache from :func:`~repro.features.cache.get_default_cache`.
     use_cache:
         Set ``False`` to always encode from scratch (diagnostics, benchmarks).
     """
@@ -164,7 +233,7 @@ class PairEncoder:
 
     @property
     def fingerprint(self) -> str:
-        """Identity of this encoder's configuration (part of cache keys)."""
+        """Identity of this encoder's configuration (names its cache arena)."""
         return self._fingerprint
 
     @property
@@ -205,126 +274,119 @@ class PairEncoder:
                            feature_mask=mask)
 
     def encode(self, pairs: Sequence[EntityPair]) -> EncodedBatch:
-        """Encode a sequence of pairs into a stacked :class:`EncodedBatch`.
+        """Encode a sequence of pairs into an :class:`EncodedBatch`.
 
-        Cached pair rows are reused; the remaining pairs are encoded with the
-        vectorised array path.  The output is bit-identical to stacking
+        Value pairs the cache holds are reused; the others are encoded with
+        the array path.  The batch's features are bit-identical to stacking
         :meth:`encode_pair` over ``pairs``.
         """
         pairs = list(pairs)
         if not pairs:
             return self._empty_batch()
-        num_pairs = len(pairs)
-        features = np.empty((num_pairs, self.num_features, self.embedding_dim),
-                            dtype=np.float64)
-        mask = np.empty((num_pairs, self.num_features), dtype=np.float64)
+        texts, index, offsets, left, right = self._plan(pairs)
 
-        # Each distinct record's attribute values, read once per call and used
-        # both for the (exact-by-value) cache keys and for the array path.
-        # Keyed by identity: ``pairs`` keeps every record alive for the call.
-        attributes = self.schema.attributes
-        records = {id(record): record for pair in pairs for record in (pair.left, pair.right)}
-        values = {key: record.value_tuple(attributes) for key, record in records.items()}
+        def encode_slots(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return self._encode_value_pairs(texts, left[positions], right[positions])
 
-        cache = self.cache
-        keys: List[Tuple[Hashable, ...]] = []
-        if cache is not None:
-            fingerprint = self._fingerprint
-            keys = [(fingerprint, pair.pair_id, values[id(pair.left)], values[id(pair.right)])
-                    for pair in pairs]
-            missing_rows: List[int] = []
-            for i, key in enumerate(keys):
-                entry = cache.lookup(key)
-                if entry is None:
-                    missing_rows.append(i)
-                else:
-                    features[i] = entry[0]
-                    mask[i] = entry[1]
+        if self.cache is None:
+            rows, mask = encode_slots(np.arange(len(left)))
         else:
-            missing_rows = list(range(num_pairs))
-
-        if missing_rows:
-            fresh_features, fresh_mask = self._encode_arrays(
-                [pairs[i] for i in missing_rows], values)
-            features[missing_rows] = fresh_features
-            mask[missing_rows] = fresh_mask
-            if cache is not None:
-                for j, i in enumerate(missing_rows):
-                    cache.store(keys[i], fresh_features[j], fresh_mask[j])
-
+            # A slot's rows depend on its two texts only: slots of different
+            # attributes with the same value pair share a cache row.
+            keys = list(zip(map(texts.__getitem__, left.tolist()),
+                            map(texts.__getitem__, right.tolist())))
+            rows, mask = self.cache.fetch(self._fingerprint, keys, encode_slots)
         labels = np.array([pair.label if pair.label is not None else -1 for pair in pairs],
                           dtype=np.int64)
-        return EncodedBatch(features=features, labels=labels,
-                            pair_ids=[pair.pair_id for pair in pairs], feature_mask=mask)
+        return EncodedBatch(SlotPlan(rows, index, offsets), mask, labels,
+                            [pair.pair_id for pair in pairs])
 
     def _empty_batch(self) -> EncodedBatch:
-        empty = np.zeros((0, self.num_features, self.embedding_dim))
-        return EncodedBatch(features=empty, labels=np.zeros(0, dtype=np.int64),
-                            pair_ids=[], feature_mask=np.zeros((0, self.num_features)))
+        kinds = len(self.extractor.feature_kinds)
+        attributes = len(self.schema.attributes)
+        plan = SlotPlan(np.zeros((0, kinds, self.embedding_dim)),
+                        np.zeros((0, attributes), dtype=np.intp),
+                        np.zeros(attributes + 1, dtype=np.intp))
+        return EncodedBatch(plan, np.zeros((0, kinds)), np.zeros(0, dtype=np.int64), [])
 
-    def _token_streams(self, pairs: Sequence[EntityPair], values: Dict[int, Tuple[str, ...]]
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Token row ids of both sides of every (pair, attribute) slot.
+    def _plan(self, pairs: Sequence[EntityPair]
+              ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The call's texts and slots.
 
-        Returns ``(left_tokens, left_slots, right_tokens, right_slots, rows)``:
-        the flat token-id stream of each side with the slot ``n * A + a``
-        every token belongs to (slots ascending, tokens in value order), and
-        the embedding matrix the ids index.  Python work is O(A) per distinct
-        record; the expansion to pairs is ragged gathers.
+        Returns ``(texts, index, offsets, left, right)``: the texts of the
+        call's distinct records; the ``(N, A)`` slot of every (pair,
+        attribute) and the ``(A + 1,)`` attribute offsets of the slots (see
+        :class:`SlotPlan`); and, per slot, the positions in ``texts`` of its
+        two texts.  The per-record and per-text work runs in C-level
+        ``map``/``dict`` loops.
         """
-        num_attributes = len(self.schema.attributes)
-        record_index: Dict[int, int] = {}
-        left = [record_index.setdefault(id(pair.left), len(record_index)) for pair in pairs]
-        right = [record_index.setdefault(id(pair.right), len(record_index)) for pair in pairs]
-        texts = [text for key in record_index for text in values[key]]
+        attributes = self.schema.attributes
+        num_attributes = len(attributes)
+        sides = [record for pair in pairs for record in (pair.left, pair.right)]
+        # Keyed by identity: ``pairs`` keeps every record alive for the call.
+        records = dict(zip(map(id, sides), sides))
+        ordinal = dict(zip(records, itertools.count()))
+        side_rows = np.fromiter(map(ordinal.__getitem__, map(id, sides)),
+                                dtype=np.intp, count=len(sides))
+        texts = list(itertools.chain.from_iterable(
+            map(operator.methodcaller("value_tuple", attributes), records.values())))
+        # A text's id is the position of its first occurrence in ``texts``.
+        cells = np.fromiter(map({}.setdefault, texts, itertools.count()), dtype=np.int64,
+                            count=len(texts)).reshape(len(records), num_attributes)
+        num_texts = len(texts)
+        # Attribute-major keys a T^2 + left T + right; A T^2 stays far below
+        # 2**63 for any call that fits in memory (T <= 2 N A texts).
+        as_left = (np.arange(num_attributes) * num_texts + cells) * num_texts
+        keys = as_left[side_rows[0::2]] + cells[side_rows[1::2]]
+        slot_keys, index = np.unique(keys.ravel(), return_inverse=True)
+        offsets = np.searchsorted(slot_keys, np.arange(num_attributes + 1)
+                                  * (num_texts * num_texts))
+        left, right = np.divmod(slot_keys % (num_texts * num_texts), num_texts)
+        return texts, index.reshape(len(pairs), num_attributes), offsets, left, right
+
+    def _encode_value_pairs(self, texts: Sequence[str], left: np.ndarray, right: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+        """Encode the value pairs ``(texts[left[m]], texts[right[m]])`` into
+        ``(M, K, D)`` rows + ``(M, K)`` masks.
+
+        The contrastive features of :func:`extract_relational_features` are
+        computed for all value pairs at once as set algebra on integer keys
+        ``m * V + token``: *shared* is the left tokens whose key occurs on
+        the right (left order, left multiplicity); *unique* is the left tokens
+        that do not, followed by the right tokens whose key does not occur on
+        the left.  The per-feature embedding sums then run as grouped
+        reductions (one per distinct token count), whose row-sequential
+        accumulation order and batched-BLAS row norms are bit-identical to the
+        sequential ``embed_tokens`` + ``np.linalg.norm`` of
+        :meth:`encode_pair`.
+        """
+        num_pairs = len(left)
+        kinds = self.extractor.feature_kinds
+        num_kinds, dim = len(kinds), self.embedding_dim
+        needed, position = np.unique(np.concatenate((left, right)), return_inverse=True)
 
         # Pin one vocabulary table for the call: every id below is a row of it.
         table = self.embedder.vocabulary()
-        value_ids = list(map(self.tokenizer.ids_memo(table).get, texts))
-        unseen = list(dict.fromkeys(
-            text for text, ids in zip(texts, value_ids) if ids is None))
+        needed_texts = [texts[i] for i in needed.tolist()]
+        value_ids = list(map(self.tokenizer.ids_memo(table).get, needed_texts))
+        unseen = [text for text, ids in zip(needed_texts, value_ids) if ids is None]
         if unseen:
             resolved = dict(zip(unseen, self.tokenizer.token_ids(unseen, table)))
             value_ids = [resolved[text] if ids is None else ids
-                         for text, ids in zip(texts, value_ids)]
+                         for text, ids in zip(needed_texts, value_ids)]
         rows = table.rows  # read after the ids: holds every row they name
 
-        # CSR over (record, attribute): tokens, lengths, start offsets.
-        record_tokens = np.concatenate(value_ids)
+        # CSR over the texts, expanded to one token stream per side.
+        text_tokens = np.concatenate(value_ids)
         lengths = np.fromiter(map(len, value_ids), dtype=np.int64, count=len(value_ids))
-        offsets = np.cumsum(lengths) - lengths
-        attribute = np.arange(num_attributes)
-        streams = []
-        for side in (left, right):
-            cells = (np.asarray(side, dtype=np.int64)[:, None] * num_attributes
-                     + attribute).ravel()
-            streams.extend(_ragged_gather(record_tokens, offsets[cells], lengths[cells]))
-        return (*streams, rows)
+        starts = np.cumsum(lengths) - lengths
+        position = position.ravel()
+        left_tokens, left_slots = _ragged_gather(
+            text_tokens, starts[position[:num_pairs]], lengths[position[:num_pairs]])
+        right_tokens, right_slots = _ragged_gather(
+            text_tokens, starts[position[num_pairs:]], lengths[position[num_pairs:]])
 
-    def _encode_arrays(self, pairs: Sequence[EntityPair], values: Dict[int, Tuple[str, ...]]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised encoding of ``pairs`` into ``(N, F, D)`` + ``(N, F)`` arrays.
-
-        ``values`` maps ``id(record)`` to the record's attribute values.  The
-        contrastive features of :func:`extract_relational_features` are
-        computed for all slots at once as set algebra on integer keys
-        ``slot * V + token``: *shared* is the left tokens whose key occurs on
-        the right (left order, left multiplicity); *unique* is the left
-        tokens that do not, followed by the right tokens whose key does not
-        occur on the left.  The per-feature embedding sums then run as
-        grouped reductions (one per distinct token count), whose
-        row-sequential accumulation order and batched-BLAS row norms are
-        bit-identical to the sequential ``embed_tokens`` + ``np.linalg.norm``
-        of :meth:`encode_pair`.
-        """
-        num_pairs = len(pairs)
-        num_features, dim = self.num_features, self.embedding_dim
-        kinds = self.extractor.feature_kinds
-        left_tokens, left_slots, right_tokens, right_slots, rows = \
-            self._token_streams(pairs, values)
-
-        # len(rows) exceeds every id, so a key names one (slot, token); slots
-        # times vocabulary stays far below 2**63 for anything that fits in RAM.
+        # len(rows) exceeds every id, so a key names one (value pair, token).
         left_shared, right_shared = _on_both_sides(left_slots * len(rows) + left_tokens,
                                                    right_slots * len(rows) + right_tokens)
         left_only, right_only = ~left_shared, ~right_shared
@@ -334,33 +396,33 @@ class PairEncoder:
                             [left_slots[left_only], right_slots[right_only]]),
         }
 
-        # One token stream ordered by output feature slot (n * F + a * K + k);
-        # the stable sort keeps left-only tokens ahead of right-only ones.
+        # One token stream ordered by output feature (m * K + k); the stable
+        # sort keeps left-only tokens ahead of right-only ones.
         tokens = np.concatenate([part for kind in kinds for part in by_kind[kind][0]])
-        feature_slots = np.concatenate([part * len(kinds) + k for k, kind in enumerate(kinds)
+        feature_slots = np.concatenate([part * num_kinds + k for k, kind in enumerate(kinds)
                                         for part in by_kind[kind][1]])
         tokens = tokens[np.argsort(feature_slots, kind="stable")]
-        counts = np.bincount(feature_slots, minlength=num_pairs * num_features)
-        starts = np.cumsum(counts) - counts
+        counts = np.bincount(feature_slots, minlength=num_pairs * num_kinds)
+        offsets = np.cumsum(counts) - counts
 
-        # Summed token embeddings per feature slot; empty slots stay zero.
-        flat_features = np.zeros((num_pairs * num_features, dim), dtype=np.float64)
+        # Summed token embeddings per feature; empty features stay zero.
+        flat_features = np.zeros((num_pairs * num_kinds, dim), dtype=np.float64)
         for length in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             slots = np.flatnonzero(counts == length)
-            ids = tokens[starts[slots][:, None] + np.arange(length)]  # (M, length)
+            ids = tokens[offsets[slots][:, None] + np.arange(length)]  # (M, length)
             # Reducing axis 1 of the C-contiguous (M, length, D) gather
             # accumulates rows sequentially — the same order as the
             # token-by-token sum of TokenEmbedder.embed_tokens.
             flat_features[slots] = rows[ids].sum(axis=1)
         # Batched row norms via BLAS dot, matching np.linalg.norm on each 1-D
-        # row exactly.  A zero norm is an empty slot or a sum that cancelled.
+        # row exactly.  A zero norm is an empty feature or a sum that cancelled.
         norms = np.sqrt(np.matmul(flat_features[:, None, :], flat_features[:, :, None]))[:, 0, 0]
         zero_norm = norms == 0.0
         np.divide(flat_features, np.where(zero_norm, 1.0, norms)[:, None], out=flat_features)
         flat_features[zero_norm] = self._missing
 
-        return (flat_features.reshape(num_pairs, num_features, dim),
-                (counts > 0).astype(np.float64).reshape(num_pairs, num_features))
+        return (flat_features.reshape(num_pairs, num_kinds, dim),
+                (counts > 0).astype(np.float64).reshape(num_pairs, num_kinds))
 
 
 def _on_both_sides(left_keys: np.ndarray, right_keys: np.ndarray

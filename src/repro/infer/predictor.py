@@ -2,8 +2,9 @@
 
 ``BatchedPredictor`` serves matching probabilities for many target domains
 without retraining: ``predict_proba(pairs)`` scores a pair list in
-micro-batches, each a fused forward pass under ``no_grad``, reusing the
-process-wide encoding cache so repeated pairs are never re-encoded.
+micro-batches, each encoded into its distinct attribute slots (reusing the
+process-wide encoding cache, so a value pair is never re-encoded) and scored
+by the network's plain-numpy forward over those slots.
 
 The predictor holds no queue.  Fusing requests from many call sites is the
 job of the one batching layer, :class:`repro.serve.RequestCoalescer`, whose
@@ -23,7 +24,6 @@ from ..core.trainer import AdaMELTrainer
 from ..data.records import EntityPair
 from ..features.cache import EncodingCache
 from ..features.encoder import PairEncoder
-from ..nn import no_grad
 from ..obs import BoundHandles, DEFAULT_SIZE_BUCKETS
 from .serialization import load_model
 
@@ -51,7 +51,7 @@ def _bind_predictor_instruments(registry) -> _PredictorInstruments:
 
 
 class BatchedPredictor:
-    """Micro-batched, no-grad inference front end for a fitted AdaMEL model.
+    """Micro-batched inference front end for a fitted AdaMEL model.
 
     Parameters
     ----------
@@ -59,14 +59,14 @@ class BatchedPredictor:
         The fitted pair encoder and network (for example from a loaded model
         bundle or a trained :class:`~repro.core.trainer.AdaMELTrainer`).
     micro_batch_size:
-        Maximum number of pairs per fused forward pass.  Batched predictions
+        Maximum number of pairs per encode + forward.  Batched predictions
         are numerically equal to one-by-one predictions; micro-batching only
-        bounds peak memory while keeping the forward pass fused.
+        bounds peak memory.
 
-    The forward pass is **not** re-entrant (autograd mode is process-wide),
-    so concurrent ``predict_proba`` calls from several threads must be
-    serialized by the caller — see :class:`repro.serve.RequestCoalescer`,
-    which funnels all scoring through one executor thread.
+    Scoring runs ``network.forward_numpy``, which builds no autograd graph
+    and applies no dropout, so it neither reads nor flips the network's
+    training mode.  Serving funnels all scoring through one executor thread
+    (:class:`repro.serve.RequestCoalescer`) to fuse requests into batches.
     """
 
     def __init__(self, encoder: PairEncoder, network,
@@ -109,25 +109,18 @@ class BatchedPredictor:
             return np.zeros(0)
         outputs: List[np.ndarray] = []
         instruments = self._obs.get()
-        was_training = self.network.training
-        self.network.eval()
-        try:
-            with no_grad():
-                for start in range(0, len(pairs), self.micro_batch_size):
-                    chunk = pairs[start:start + self.micro_batch_size]
-                    batch = self.encoder.encode(chunk)
-                    forward = self.network.forward(batch.features)
-                    outputs.append(np.atleast_1d(forward.probabilities.data.copy()))
-                    self.batches_run += 1
-                    if instruments is not None:
-                        instruments.batches.inc()
-                        instruments.batch_pairs.observe(len(chunk))
-        finally:
-            self.network.train(was_training)
+        for start in range(0, len(pairs), self.micro_batch_size):
+            chunk = pairs[start:start + self.micro_batch_size]
+            probabilities, _ = self.network.forward_numpy(self.encoder.encode(chunk))
+            outputs.append(probabilities)
+            self.batches_run += 1
+            if instruments is not None:
+                instruments.batches.inc()
+                instruments.batch_pairs.observe(len(chunk))
         self.requests_served += len(pairs)
         if instruments is not None:
             instruments.requests.inc(len(pairs))
-        return np.concatenate(outputs)
+        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
 
     def predict(self, pairs: Sequence[EntityPair], threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions at the given probability threshold."""

@@ -138,6 +138,7 @@ class MLP(Module):
         layers.append(Linear(previous, out_features, rng=rng))
         self.network = Sequential(*layers)
         self._fuse_relu = activation == "relu"
+        self._linears = tuple(layer for layer in layers if isinstance(layer, Linear))
 
     def _hidden(self, x: Tensor) -> Tensor:
         """Everything before the output layer; ``Linear`` + ``ReLU`` pairs run
@@ -159,6 +160,22 @@ class MLP(Module):
         graph node — the shape AdaMEL's classifier head Θ uses every step."""
         head: Linear = self.network._layers[-1]
         return fused_linear(self._hidden(x), head.weight, head.bias, activation="sigmoid")
+
+    def forward_sigmoid_numpy(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward_sigmoid` for inference in plain numpy: no graph and
+        no dropout, whatever the training mode."""
+        if not self._fuse_relu:
+            raise NotImplementedError("forward_sigmoid_numpy supports ReLU hidden layers only")
+        for layer in self._linears:
+            x = np.matmul(x, layer.weight.data.T)
+            if layer.bias is not None:
+                np.add(x, layer.bias.data, out=x)
+            if layer is not self._linears[-1]:
+                np.maximum(x, 0.0, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        np.add(x, 1.0, out=x)
+        return np.divide(1.0, x, out=x)
 
 
 class Embedding(Module):

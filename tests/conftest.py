@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import AdaMELConfig
 from repro.data.generators import (
@@ -14,6 +15,10 @@ from repro.data.generators import (
 )
 from repro.experiments import ExperimentScale
 from repro.text import HashedEmbedder, Tokenizer
+
+# `pytest --hypothesis-profile=ci`: ten times the examples of the default
+# profile, for properties that take their count from the profile.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture(scope="session")

@@ -69,6 +69,12 @@ class TestNetwork:
         attention = network.attention_numpy(np.random.rand(4, 6, fast_config.embedding_dim))
         assert np.allclose(attention.sum(axis=1), 1.0)
 
+    def test_forward_numpy_on_no_pairs(self, network, fast_config):
+        probabilities, attention = network.forward_numpy(
+            np.zeros((0, 6, fast_config.embedding_dim)))
+        assert probabilities.shape == (0,)
+        assert attention.shape == (0, 6)
+
     def test_input_shape_validation(self, network):
         with pytest.raises(ValueError):
             network.forward(np.random.rand(3, 4, 5))

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.data.records import EntityPair
-from repro.features import EncodedBatch, PairEncoder
+from repro.features import PairEncoder
 
 
-def stacked_encode_pair(encoder: PairEncoder, pairs: Sequence[EntityPair]) -> EncodedBatch:
+class StackedPairs(NamedTuple):
+    """What ``encode`` must reproduce: features, labels, ids and masks."""
+
+    features: np.ndarray  # (N, F, D)
+    labels: np.ndarray  # (N,), -1 for unlabeled
+    pair_ids: List[str]
+    feature_mask: np.ndarray  # (N, F)
+
+
+def stacked_encode_pair(encoder: PairEncoder, pairs: Sequence[EntityPair]) -> StackedPairs:
     """``encode_pair`` over a non-empty ``pairs``; ``encode`` must equal it bit for bit."""
     encoded = [encoder.encode_pair(pair) for pair in pairs]
-    return EncodedBatch(
+    return StackedPairs(
         features=np.stack([item.features for item in encoded]),
         labels=np.array([-1 if item.label is None else item.label for item in encoded],
                         dtype=np.int64),

@@ -1,10 +1,10 @@
-"""Hammer tests: EncodingCache under concurrent lookup/store/clear traffic.
+"""Hammer tests: the EncodingCache slot arena under concurrent fetch/clear traffic.
 
-Before the serve subsystem, the process-wide cache was only touched from one
-thread; online serving hits it from many.  These tests drive it hard from
-worker threads and then check the structural invariants the byte-budget
-eviction relies on (tracked bytes == sum of entry bytes <= budget, consistent
-hit/miss accounting).
+Online serving fetches from the process-wide cache on many threads.  These
+tests drive it hard from worker threads and then check what the arena
+promises: every row a fetch returns is the row of its key (also when the
+arena was reset while the fetch held ids into it), the byte budget holds,
+and every lookup counts once, as a hit or a miss.
 
 The encoders in front of the cache share more than it: the vocabulary table
 and the text -> token-id memo are process-wide per configuration, so the last
@@ -24,29 +24,23 @@ from repro.data.schema import Schema
 from repro.features import EncodingCache, PairEncoder
 from repro.text import HashedEmbedder, Tokenizer
 
+from arena_oracle import cache_invariants_hold, fetch_checked, reference_rows
 from encode_oracle import stacked_encode_pair
 
-
-def entry_arrays(rng: np.random.Generator, size: int = 8):
-    features = rng.normal(size=(size, size))
-    mask = np.ones(size)
-    return features, mask
+ROW_BYTES = (2 * 4 + 2) * 8  # the oracle's rows: (2, 4) features + (2,) mask
 
 
-def cache_invariants_hold(cache: EncodingCache) -> bool:
-    entries = list(cache._entries.values())
-    tracked = sum(features.nbytes + mask.nbytes for features, mask in entries)
-    return cache.current_bytes == tracked and cache.current_bytes <= cache.max_bytes
+def random_keys(rng, pool: int, size: int):
+    return [(f"l{i}", f"r{i % 7}") for i in rng.integers(0, pool, size=size)]
 
 
 class TestEncodingCacheHammer:
     @pytest.mark.slow
     def test_concurrent_lookup_store_keeps_budget_and_counters(self):
-        # Budget fits only a fraction of the keyspace, so eviction churns
-        # constantly while every thread hammers overlapping keys.
-        entry_bytes = 8 * 8 * 8 + 8 * 8
-        cache = EncodingCache(max_bytes=entry_bytes * 10)
-        num_threads, ops = 8, 400
+        # The budget holds ten rows of a forty-key space, so the arena starts
+        # over again and again while every thread fetches overlapping keys.
+        cache = EncodingCache(max_bytes=ROW_BYTES * 10)
+        num_threads, calls = 8, 300
         lookups_per_thread = []
         errors = []
 
@@ -54,44 +48,45 @@ class TestEncodingCacheHammer:
             rng = np.random.default_rng(seed)
             lookups = 0
             try:
-                for index in range(ops):
-                    key = ("pair", int(rng.integers(0, 40)))
-                    if cache.lookup(key) is None:
-                        features, mask = entry_arrays(rng)
-                        cache.store(key, features, mask)
-                    lookups += 1
+                for _ in range(calls):
+                    keys = random_keys(rng, 40, int(rng.integers(1, 6)))
+                    fetch_checked(cache, keys)
+                    lookups += len(keys)
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
             lookups_per_thread.append(lookups)
 
-        threads = [threading.Thread(target=worker, args=(seed,))
-                   for seed in range(num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
 
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert cache_invariants_hold(cache)
         # Every lookup increments exactly one of hits/misses, atomically.
         assert cache.hits + cache.misses == sum(lookups_per_thread)
+        assert cache.evictions > 0
         assert len(cache) <= 10
 
     @pytest.mark.slow
     def test_concurrent_clear_does_not_corrupt_the_budget(self):
-        entry_bytes = 8 * 8 * 8 + 8 * 8
-        cache = EncodingCache(max_bytes=entry_bytes * 6)
+        cache = EncodingCache(max_bytes=ROW_BYTES * 6)
         stop = threading.Event()
         errors = []
 
-        def mutator(seed: int) -> None:
+        def fetcher(seed: int) -> None:
             rng = np.random.default_rng(seed)
             try:
                 while not stop.is_set():
-                    key = ("pair", int(rng.integers(0, 24)))
-                    if cache.lookup(key) is None:
-                        features, mask = entry_arrays(rng)
-                        cache.store(key, features, mask)
+                    fetch_checked(cache, random_keys(rng, 24, int(rng.integers(1, 4))))
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -102,24 +97,43 @@ class TestEncodingCacheHammer:
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        threads = ([threading.Thread(target=mutator, args=(seed,)) for seed in range(6)]
+        threads = ([threading.Thread(target=fetcher, args=(seed,)) for seed in range(6)]
                    + [threading.Thread(target=clearer)])
         for thread in threads:
             thread.start()
         timer = threading.Timer(0.5, stop.set)
         timer.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
         timer.cancel()
 
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert cache_invariants_hold(cache)
         # The cache must still work normally after the storm.
-        features, mask = entry_arrays(np.random.default_rng(0))
-        cache.store(("after", 0), features, mask)
-        cached = cache.lookup(("after", 0))
-        assert cached is not None
-        np.testing.assert_array_equal(cached[0], features)
+        cache.clear()
+        fetch_checked(cache, [("l1", "r1")])
+        fetch_checked(cache, [("l1", "r1")])
+        assert cache.lookup_counts() == (1, 1)
+
+    def test_reset_under_a_reader_holding_ids_returns_correct_rows(self):
+        """A fetch reads its hits' ids, then encodes its misses; if another
+        fetch resets the arena meanwhile, the hits still come back right."""
+        cache = EncodingCache(max_bytes=ROW_BYTES * 4)
+        held = [("l1", "r1"), ("l2", "r2"), ("l3", "r3")]
+        fetch_checked(cache, held)
+        arrays_before = cache._arenas["enc"].features
+
+        def encode_while_another_fetch_resets(positions):
+            fetch_checked(cache, [("l7", "r7"), ("l8", "r8"), ("l9", "r9")])
+            assert cache._arenas["enc"].features is not arrays_before  # reset happened
+            return reference_rows([keys[i] for i in positions])
+
+        keys = held + [("l4", "r4")]
+        features, mask = cache.fetch("enc", keys, encode_while_another_fetch_resets)
+        assert np.array_equal(features, reference_rows(keys)[0])
+        assert np.array_equal(mask, reference_rows(keys)[1])
+        assert cache_invariants_hold(cache)
 
 
 class TestConcurrentEncoders:
@@ -138,16 +152,25 @@ class TestConcurrentEncoders:
         return [EntityPair(records[i], records[j], pair_id=f"p{n}")
                 for n, (i, j) in enumerate(picks)]
 
-    def encoder(self, seed: int, values: int, tokens: int) -> PairEncoder:
+    def encoder(self, seed: int, values: int, tokens: int, cache=None) -> PairEncoder:
         # Same configuration -> same process-wide vocabulary and text memo.
         tokenizer = Tokenizer(crop_size=4, cache_size=values)
         embedder = HashedEmbedder(dim=8, seed=seed, tokenizer=tokenizer, cache_size=tokens)
         return PairEncoder(self.SCHEMA, embedder=embedder, tokenizer=tokenizer,
-                           use_cache=False)
+                           cache=cache, use_cache=cache is not None)
 
     @pytest.mark.parametrize("values,tokens", [(1 << 16, 100_000), (8, 16)],
                              ids=["roomy", "resetting"])
     def test_threads_equal_the_sequential_result(self, values, tokens):
+        self.assert_threads_equal_the_sequential_result(values, tokens, shared_cache=None)
+
+    def test_threads_sharing_a_small_cache_equal_the_sequential_result(self):
+        # Room for 40 slot rows: the shared arena starts over many times.
+        row_bytes = (2 * 8 + 2) * 8
+        self.assert_threads_equal_the_sequential_result(
+            1 << 16, 100_000, shared_cache=EncodingCache(max_bytes=row_bytes * 40))
+
+    def assert_threads_equal_the_sequential_result(self, values, tokens, shared_cache):
         pairs = self.corpus()
         reference = self.encoder(53, values, tokens)
         expected = stacked_encode_pair(reference, pairs)
@@ -161,7 +184,7 @@ class TestConcurrentEncoders:
         start = threading.Barrier(num_threads)
 
         def worker(index: int) -> None:
-            encoder = self.encoder(53, values, tokens)
+            encoder = self.encoder(53, values, tokens, cache=shared_cache)
             batch_size = (1, 7, 32, 240)[index]
             try:
                 start.wait(timeout=10)
@@ -189,3 +212,6 @@ class TestConcurrentEncoders:
         for features, mask in results:
             assert np.array_equal(features, expected.features)
             assert np.array_equal(mask, expected.feature_mask)
+        if shared_cache is not None:
+            assert cache_invariants_hold(shared_cache)
+            assert shared_cache.evictions > 0

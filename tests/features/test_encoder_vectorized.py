@@ -73,6 +73,29 @@ class TestVectorizedEquivalence:
         assert len(batch) == 0
         assert batch.features.shape == (0, encoder.num_features, encoder.embedding_dim)
 
+    def test_plan_holds_each_distinct_slot_once(self, scenario_pairs):
+        schema, pairs = scenario_pairs
+        encoder = make_encoder(schema, use_cache=False)
+        batch = encoder.encode(pairs)
+        slots = {(a, pair.left.value(attribute), pair.right.value(attribute))
+                 for pair in pairs for a, attribute in enumerate(schema.attributes)}
+        assert len(batch.plan.rows) == len(slots) < len(pairs) * len(schema.attributes)
+        # Attribute-major: attribute a's slots are rows[offsets[a]:offsets[a + 1]].
+        index, offsets = batch.plan.index, batch.plan.offsets
+        assert np.all((index >= offsets[:-1]) & (index < offsets[1:]))
+
+    def test_subset_equals_encoding_the_subset(self, scenario_pairs):
+        """The trainer takes the support batch as a subset of the labeled one."""
+        schema, pairs = scenario_pairs
+        encoder = make_encoder(schema, use_cache=False)
+        head, tail = pairs[:30], pairs[30:45]
+        subset = encoder.encode(head + tail).subset(np.arange(len(head), len(head) + len(tail)))
+        alone = encoder.encode(tail)
+        assert np.array_equal(subset.features, alone.features)
+        assert np.array_equal(subset.feature_mask, alone.feature_mask)
+        assert np.array_equal(subset.labels, alone.labels)
+        assert subset.pair_ids == alone.pair_ids
+
 
 class TestEncodingCache:
     def test_cache_hits_return_identical_arrays(self, scenario_pairs):
@@ -81,8 +104,10 @@ class TestEncodingCache:
         encoder = make_encoder(schema, cache=cache)
         cold = encoder.encode(pairs)
         assert cache.hits == 0
+        slots = cache.misses
+        assert slots == len(cold.plan.rows)
         warm = encoder.encode(pairs)
-        assert cache.hits == len(pairs)
+        assert cache.lookup_counts() == (slots, slots)
         assert np.array_equal(cold.features, warm.features)
         assert np.array_equal(cold.feature_mask, warm.feature_mask)
 
@@ -105,8 +130,21 @@ class TestEncodingCache:
         assert first.fingerprint == second.fingerprint
         cold = first.encode(pairs[:40])
         warm = second.encode(pairs[:40])
-        assert cache.hits == 40
+        assert cache.hits == len(cold.plan.rows)
         assert np.array_equal(cold.features, warm.features)
+
+    def test_a_value_pair_is_one_row_across_attributes(self):
+        """Slots of different attributes with the same two texts share a row."""
+        schema = Schema(("name", "alias", "title"))
+        cache = EncodingCache()
+        encoder = make_encoder(schema, cache=cache)
+        left = Record("l", "s1", {"name": "neil diamond", "alias": "neil diamond", "title": ""})
+        right = Record("r", "s2", {"name": "n. diamond", "alias": "n. diamond", "title": ""})
+        batch = encoder.encode([EntityPair(left, right, pair_id="p")])
+        assert len(batch.plan.rows) == 3
+        assert len(cache) == 2
+        assert np.array_equal(batch.features,
+                              stacked_encode_pair(encoder, [EntityPair(left, right)]).features)
 
     def test_different_configs_never_collide(self, scenario_pairs):
         schema, pairs = scenario_pairs
@@ -138,38 +176,53 @@ class TestEncodingCache:
         assert np.array_equal(batch_v2.features,
                               stacked_encode_pair(encoder, [pair_v2]).features)
 
+    @staticmethod
+    def row_bytes(encoder):
+        kinds = len(encoder.extractor.feature_kinds)
+        return (kinds * encoder.embedding_dim + kinds) * 8
+
     def test_eviction_respects_byte_budget(self, scenario_pairs):
         schema, pairs = scenario_pairs
-        probe = make_encoder(schema, cache=EncodingCache())
-        probe_batch = probe.encode(pairs[:1])
-        entry_bytes = probe_batch.features[0].nbytes + probe_batch.feature_mask[0].nbytes
-        cache = EncodingCache(max_bytes=entry_bytes * 5)
+        probe = make_encoder(schema, use_cache=False)
+        cache = EncodingCache(max_bytes=self.row_bytes(probe) * 40)
         encoder = make_encoder(schema, cache=cache)
-        encoder.encode(pairs[:20])
-        assert len(cache) <= 5
-        assert cache.current_bytes <= cache.max_bytes
+        for start in range(0, 60, 3):
+            batch = encoder.encode(pairs[start:start + 3])
+            assert np.array_equal(batch.features,
+                                  stacked_encode_pair(probe, pairs[start:start + 3]).features)
+            assert len(cache) <= 40
+            assert cache.current_bytes == len(cache) * self.row_bytes(probe) <= cache.max_bytes
         assert cache.evictions > 0
 
-    def test_oversized_entry_does_not_flush_cache(self):
-        """Regression: an entry that can never fit must be rejected up front,
-        not after evicting everything already cached."""
-        cache = EncodingCache(max_bytes=1000)
-        for i in range(5):
-            cache.store((f"k{i}",), np.ones((2, 3)), np.ones(2))
-        assert len(cache) == 5
-        cache.store(("huge",), np.ones((100, 100)), np.ones(100))
-        assert len(cache) == 5
+    def test_oversized_entry_does_not_flush_cache(self, scenario_pairs):
+        """Regression: rows that can never fit must be rejected up front, not
+        after evicting everything already cached."""
+        schema, pairs = scenario_pairs
+        probe = make_encoder(schema, use_cache=False)
+        cache = EncodingCache(max_bytes=self.row_bytes(probe) * 30)
+        encoder = make_encoder(schema, cache=cache)
+        encoder.encode(pairs[:1])
+        held = len(cache)
+        assert 0 < held <= 30
+        encoder.encode(pairs[1:200])  # far more than 30 new slot rows in one call
+        assert len(cache) == held
         assert cache.evictions == 0
-        assert ("huge",) not in cache
+        hits = cache.hits
+        again = encoder.encode(pairs[:1])
+        assert cache.hits - hits == len(again.plan.rows)  # still cached
 
-    def test_clear_resets_counters(self):
+    def test_clear_resets_counters(self, scenario_pairs):
+        schema, pairs = scenario_pairs
         cache = EncodingCache()
-        cache.store(("k",), np.ones((2, 3)), np.ones(2))
-        assert len(cache) == 1
+        encoder = make_encoder(schema, cache=cache)
+        encoder.encode(pairs[:5])
+        encoder.encode(pairs[:5])
+        assert len(cache) > 0 and cache.hits > 0
         cache.clear()
         assert len(cache) == 0
         assert cache.current_bytes == 0
-        assert cache.stats()["hits"] == 0
+        assert cache.stats() == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0,
+                                 "evictions": 0}
 
     def test_default_cache_used_when_none_given(self, scenario_pairs):
         schema, _ = scenario_pairs
@@ -184,5 +237,8 @@ class TestEncodingCache:
         first = encoder.encode(pairs[:5])
         clean = first.features.copy()
         first.features[:] = -1.0
+        first.plan.rows[:] = -1.0
         second = encoder.encode(pairs[:5])
         assert np.array_equal(second.features, clean)
+        third = encoder.encode(pairs[:5])  # every slot a hit, read from the arena
+        assert np.array_equal(third.features, clean)

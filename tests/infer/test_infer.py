@@ -159,6 +159,20 @@ class TestBatchedPredictor:
         predictor.predict_proba(test_pairs[:4])
         assert fitted_trainer.network.training is True
 
+    def test_inference_never_applies_dropout(self, music_scenario, fast_config, test_pairs):
+        """Regression: after ``fit`` the network stays in training mode, and
+        the trainer's own inference used to run its dropout."""
+        trainer = AdaMELHybrid(fast_config.with_updates(dropout=0.3, epochs=1))
+        trainer.fit(music_scenario)
+        assert trainer.network.training
+        scores = trainer.predict_proba(test_pairs)
+        assert np.array_equal(scores, trainer.predict_proba(test_pairs))
+        assert np.array_equal(scores,
+                              BatchedPredictor.from_trainer(trainer).predict_proba(test_pairs))
+        assert np.array_equal(trainer.attention_scores(test_pairs),
+                              trainer.attention_scores(test_pairs))
+        assert trainer.evaluate(test_pairs).pr_auc == trainer.evaluate(test_pairs).pr_auc
+
     def test_stats_track_batches(self, fitted_trainer, test_pairs):
         predictor = BatchedPredictor.from_trainer(fitted_trainer, micro_batch_size=4)
         predictor.predict_proba(test_pairs[:10])

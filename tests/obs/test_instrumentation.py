@@ -133,34 +133,33 @@ class TestServeInstrumentation:
 
 class TestCacheInstrumentation:
     @staticmethod
-    def _arrays():
+    def _fetch(cache, *keys):
+        """Fetch slot rows of ``keys``: (1, 3) features + (1,) mask, 32 bytes each."""
         import numpy as np
 
-        return np.ones(4), np.ones(4)  # 32 + 32 bytes as float64
+        return cache.fetch("enc", list(keys),
+                           lambda positions: (np.ones((len(positions), 1, 3)),
+                                              np.ones((len(positions), 1))))
 
     def test_lookup_counts_is_an_atomic_pair_read(self):
         cache = EncodingCache()
-        cache.store("a", *self._arrays())
-        cache.lookup("a")
-        cache.lookup("b")
-        assert cache.lookup_counts() == (1, 1)
-        assert cache.hit_rate() == pytest.approx(0.5)
+        self._fetch(cache, "a")
+        assert cache.lookup_counts() == (0, 1)
+        self._fetch(cache, "a", "b")
+        assert cache.lookup_counts() == (1, 2)
+        assert cache.hit_rate() == pytest.approx(1 / 3)
 
     def test_cache_counters_route_through_obs(self):
-        features, mask = self._arrays()
         with obs.telemetry() as session:
-            cache = EncodingCache(max_bytes=128)  # room for two entries
-            cache.store("a", features, mask)
-            cache.store("b", features, mask)
-            cache.lookup("a")
-            cache.lookup("missing")
-            cache.store("c", features, mask)  # evicts the LRU entry
+            cache = EncodingCache(max_bytes=64)  # room for two slot rows
+            self._fetch(cache, "a", "b")
+            self._fetch(cache, "a", "missing")  # the arena is full: it starts over
         by_name = _snapshot_by_name(session.registry)
         assert by_name["cache_hits_total"][0]["value"] == 1.0
-        assert by_name["cache_misses_total"][0]["value"] == 1.0
-        assert by_name["cache_evictions_total"][0]["value"] == 1.0
-        assert by_name["cache_entries_count"][0]["value"] == 2.0
-        assert by_name["cache_size_bytes"][0]["value"] == 128.0
+        assert by_name["cache_misses_total"][0]["value"] == 3.0
+        assert by_name["cache_evictions_total"][0]["value"] == 2.0
+        assert by_name["cache_entries_count"][0]["value"] == 1.0
+        assert by_name["cache_size_bytes"][0]["value"] == 32.0
 
 
 class TestTrainingInstrumentation:

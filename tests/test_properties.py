@@ -20,7 +20,7 @@ from repro.data import EntityPair, Record, Schema, align_pairs
 from repro.eval.metrics import average_precision, best_f1, precision_recall_curve
 from repro.features import EncodingCache, PairEncoder
 from repro.features.relational import extract_relational_features
-from repro.nn import Adam, Tensor, using_dtype
+from repro.nn import Adam, Tensor, no_grad, using_dtype
 from repro.nn import functional as F
 from repro.serve import EntityStore, StoreConfig
 from repro.text import (
@@ -199,37 +199,49 @@ _VALUE = st.one_of(
     st.text(max_size=12),
 )
 _RECORD_VALUES = st.fixed_dictionaries({}, optional={name: _VALUE for name in _ATTRIBUTES})
+# Whole texts shared across records and attributes, so one value pair fills
+# slots of several attributes and records.
+_SHARED_TEXTS = st.sampled_from(["", "neil diamond", "n. diamond", "the remix", "remix the",
+                                 "café 1989", "😀"])
+_SHARED_RECORD_VALUES = st.fixed_dictionaries({name: _SHARED_TEXTS for name in _ATTRIBUTES})
 
 
 @st.composite
 def _encoding_cases(draw):
     attributes = draw(st.lists(st.sampled_from(_ATTRIBUTES), min_size=1, max_size=4,
                                unique=True))
+    values = st.one_of(_RECORD_VALUES, _SHARED_RECORD_VALUES)
     records = [Record(f"r{i}", f"s{i % 3}",
                       {key: value for key, value in values.items() if value is not None})
-               for i, values in enumerate(draw(st.lists(_RECORD_VALUES, min_size=1,
-                                                        max_size=6)))]
+               for i, values in enumerate(draw(st.lists(values, min_size=1, max_size=6)))]
     sides = st.integers(0, len(records) - 1)
-    # Free index pairs: left is right, one record in many pairs, repeated
-    # pairs and any order all occur; the list length is the batch size.
+    # Free index pairs: left is right (equal texts on both sides), one record
+    # in many pairs, repeated pairs and any order all occur; the list length
+    # is the batch size, down to one pair.
     index_pairs = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=12))
     pairs = [EntityPair(records[i], records[j], label=draw(st.sampled_from([0, 1, None])))
              for i, j in index_pairs]
     kinds = draw(st.sampled_from([("shared", "unique"), ("unique", "shared"),
                                   ("shared",), ("unique",)]))
-    return Schema(tuple(attributes)), pairs, kinds, draw(st.integers(1, 4))
+    # A warm-up call over some of the pairs makes the checked call mix hits
+    # and misses (all hits when it covers them all).
+    warm = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return Schema(tuple(attributes)), pairs, kinds, draw(st.integers(1, 4)), warm
 
 
 @given(_encoding_cases())
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 def test_encode_equals_stacked_encode_pair(case):
-    schema, pairs, kinds, crop_size = case
+    schema, pairs, kinds, crop_size, warm = case
     for cache in (None, EncodingCache()):
         tokenizer = Tokenizer(crop_size=crop_size)
         encoder = PairEncoder(schema, embedder=HashedEmbedder(dim=8, tokenizer=tokenizer),
                               tokenizer=tokenizer, feature_kinds=kinds, cache=cache,
                               use_cache=cache is not None)
         expected = stacked_encode_pair(encoder, pairs)
+        if cache is not None and warm:
+            encoder.encode(warm)
+        hits, misses = cache.lookup_counts() if cache is not None else (0, 0)
         # Twice with a cache: the second pass is served from it.
         for _ in range(1 if cache is None else 2):
             batch = encoder.encode(pairs)
@@ -237,6 +249,12 @@ def test_encode_equals_stacked_encode_pair(case):
             assert np.array_equal(batch.feature_mask, expected.feature_mask)
             assert np.array_equal(batch.labels, expected.labels)
             assert batch.pair_ids == [pair.pair_id for pair in pairs]
+        if cache is not None:
+            # One lookup per distinct slot and call; the second call hits all.
+            slots = len(batch.plan.rows)
+            hits_after, misses_after = cache.lookup_counts()
+            assert (hits_after - hits) + (misses_after - misses) == 2 * slots
+            assert hits_after - hits >= slots
 
 
 # --------------------------------------------------------------------------- #
@@ -274,14 +292,15 @@ def test_domain_attention_equals_whole_set_forward_on_distinct_rows_only(case):
     # Count guard: the work is proportional to the distinct rows, not to N*F.
     distinct = sum(len({row.tobytes() for row in features[:, j, :].astype(dtype)})
                    for j in range(features.shape[1]))
-    assert len(plan.rows) == len(plan._latent) == len(plan._projected) \
-        == len(plan._energy) == distinct
+    assert len(plan.slots.rows) == distinct
     tolerance = 4 * np.finfo(dtype).eps
 
     def assert_equal_to_whole_set_forward():
         attention = plan()
         assert attention.dtype == np.dtype(dtype)
-        assert np.abs(attention - network.attention_numpy(features)).max() <= tolerance
+        with no_grad():
+            whole_set = network.forward(features).attention.data
+        assert np.abs(attention - whole_set).max() <= tolerance
         assert np.abs(attention.sum(axis=1) - 1.0).max() <= features.shape[1] * tolerance
 
     assert_equal_to_whole_set_forward()
