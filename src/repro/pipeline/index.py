@@ -31,7 +31,7 @@ import numpy as np
 
 from ..data.records import Record
 from ..text.hashing import stable_hash
-from ..text.tokenizer import tokenize
+from ..text.tokenizer import admit, tokenize
 
 __all__ = ["InitialsKeyIndex", "InvertedTokenIndex", "MemoryBucketStore",
            "MinHashLSHIndex", "build_blocking_indexes", "record_tokens"]
@@ -401,28 +401,33 @@ class InitialsKeyIndex(_BucketedIndex):
         super().__init__(max_bucket_size=max_bucket_size, bucket_store=bucket_store)
         self.attributes = list(attributes) if attributes is not None else None
         self.max_prefix_tokens = max_prefix_tokens
+        # Attribute values repeat across records; memoised process-locally.
+        self._value_keys_memo: Dict[str, Tuple[str, ...]] = {}
 
-    def keys_for_record(self, record: Record) -> Set[str]:
-        """The initials blocking keys of one record."""
-        names = record.attribute_names() if self.attributes is None else self.attributes
-        keys: Set[str] = set()
-        for attribute in names:
-            tokens = [token for token in tokenize(record.value(attribute))
-                      if any(ch.isalnum() for ch in token)]
-            initials = [token[0] for token in tokens]
-            for length in range(2, min(len(initials), self.max_prefix_tokens) + 1):
-                keys.add("".join(sorted(initials[:length])))
+    def _value_keys(self, text: str) -> Tuple[str, ...]:
+        """The initials keys of one attribute value, memoised per text."""
+        keys = self._value_keys_memo.get(text)
+        if keys is None:
+            initials = [token[0] for token in tokenize(text)
+                        if any(ch.isalnum() for ch in token)]
+            lengths = range(2, min(len(initials), self.max_prefix_tokens) + 1)
+            keys = tuple(sorted({"".join(sorted(initials[:length])) for length in lengths}))
+            admit(self._value_keys_memo, text, keys)
         return keys
 
     def _record_keys(self, record: Record) -> List[str]:
-        return sorted(self.keys_for_record(record))
+        names = record.attribute_names() if self.attributes is None else self.attributes
+        keys: Set[str] = set()
+        for attribute in names:
+            keys.update(self._value_keys(record.value(attribute)))
+        return sorted(keys)
 
     def add_records(self, records: Iterable[Record]) -> int:
         """Index a batch of records; returns how many were added."""
         added = 0
         for record in records:
             position = self._register(record)
-            for key in self.keys_for_record(record):
+            for key in self._record_keys(record):
                 self._bucket_add(key, position)
             added += 1
         return added
@@ -494,7 +499,7 @@ class MinHashLSHIndex(_BucketedIndex):
             value = memo.get(token)
             if value is None:
                 value = stable_hash(token, salt=self.seed) % _MERSENNE_PRIME
-                memo[token] = value
+                admit(memo, token, value)
             hashes.append(value)
         if not hashes:
             # An all-empty record must not collide with every other empty
@@ -520,22 +525,20 @@ class MinHashLSHIndex(_BucketedIndex):
     def _band_keys(self, signatures: np.ndarray) -> np.ndarray:
         """Combine each band's rows into one integer key per record: (bands, N).
 
-        Polynomial hash over the band's rows; ``combined < 2**31`` and the
-        mixer is below 2**20, so the uint64 products are exact.
+        Polynomial hash over the band's rows, folded for all bands at once
+        (one step per row); ``combined < 2**31`` and the mixer is below
+        2**20, so the uint64 products are exact.
         """
-        keys = np.empty((self.bands, signatures.shape[1]), dtype=np.uint64)
+        blocks = signatures.reshape(self.bands, self.rows, signatures.shape[1])
+        combined = blocks[:, 0].copy()
         mixer = np.uint64(1_000_003)
-        for band in range(self.bands):
-            block = signatures[band * self.rows:(band + 1) * self.rows]
-            combined = block[0].copy()
-            for row in block[1:]:
-                combined = (combined * mixer + row) % _HASH_RANGE
-            keys[band] = combined
-        return keys
+        for row in range(1, self.rows):
+            combined = (combined * mixer + blocks[:, row]) % _HASH_RANGE
+        return combined
 
     def _record_keys(self, record: Record) -> List[Tuple[int, int]]:
         keys = self._band_keys(self.signatures([record]))
-        return [(band, int(keys[band, 0])) for band in range(self.bands)]
+        return list(enumerate(keys[:, 0].tolist()))
 
     def _encode_key(self, key: Hashable) -> object:
         return list(key)  # (band, value) tuples are not JSON keys
@@ -553,10 +556,10 @@ class MinHashLSHIndex(_BucketedIndex):
         if not batch:
             return 0
         keys = self._band_keys(self.signatures(batch))
-        for i, record in enumerate(batch):
+        for record, record_keys in zip(batch, keys.T.tolist()):
             position = self._register(record)
-            for band in range(self.bands):
-                self._bucket_add((band, int(keys[band, i])), position)
+            for key in enumerate(record_keys):
+                self._bucket_add(key, position)
         return len(batch)
 
     def stats(self) -> Dict[str, int]:

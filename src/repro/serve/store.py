@@ -564,8 +564,9 @@ class EntityStore:
         # config (the CPU-heavy part of a probe, e.g. MinHash sketching), so
         # they are computed outside the lock: concurrent probes don't
         # serialize, and only the bucket lookups contend with upserts.  (The
-        # MinHash token-hash memo is written benignly-racily: values are
-        # deterministic, so a lost update merely recomputes.)
+        # MinHash token-hash memo and the initials value-keys memo are
+        # written benignly-racily: values are deterministic, so a lost update
+        # or a start-over at the memo's bound merely recomputes.)
         probe_keys = [index.bucket_keys(record) for index in self._indexes]
         with self._lock:
             positions: Set[int] = set()

@@ -17,7 +17,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-__all__ = ["tokenize", "normalize_text", "crop_tokens", "Tokenizer"]
+__all__ = ["MEMO_SIZE", "admit", "tokenize", "normalize_text", "crop_tokens", "Tokenizer"]
 
 # Words may contain internal dots (e.g. "ebay.com") and keep a trailing dot so
 # that abbreviations such as "n." remain single tokens close to their full form.
@@ -26,8 +26,9 @@ DEFAULT_CROP_SIZE = 20
 
 # Attribute values repeat heavily across entity pairs (every record appears in
 # many pairs), so tokenisation results are memoised process-wide.  Tokenisation
-# is a pure function of the input text, which keeps the memo exact.
-_TOKENIZE_CACHE_SIZE = 1 << 16
+# is a pure function of the input text, which keeps the memo exact.  The same
+# bound caps every text-keyed memo, here and in the blocking indexes.
+MEMO_SIZE = 1 << 16
 
 # Monotonic tokens for per-instance subclass fingerprints: unlike ``id()``,
 # never reused after an instance is garbage collected.
@@ -50,7 +51,7 @@ def _tokenize(text: str) -> Tuple[str, ...]:
     return tuple(match.group(0) for match in _TOKEN_PATTERN.finditer(normalized))
 
 
-_tokenize_cached = lru_cache(maxsize=_TOKENIZE_CACHE_SIZE)(_tokenize)
+_tokenize_cached = lru_cache(maxsize=MEMO_SIZE)(_tokenize)
 
 
 def tokenize(text: str) -> List[str]:
@@ -58,6 +59,20 @@ def tokenize(text: str) -> List[str]:
     if not isinstance(text, str):
         text = "" if text is None else str(text)
     return list(_tokenize_cached(text))
+
+
+def admit(memo: Dict[str, object], text: str, value: object,
+          bound: int = MEMO_SIZE) -> None:
+    """Store ``memo[text]``; a memo at ``bound`` starts over rather than
+    refusing new texts for the rest of the process.
+
+    Not locked: a memo shared across threads needs a lock around this, or
+    values that are a pure function of their text, so that a racing clear or
+    lost write only means a later recompute.
+    """
+    if len(memo) >= bound:
+        memo.clear()
+    memo[text] = value
 
 
 def crop_tokens(tokens: Sequence[str], crop_size: int = DEFAULT_CROP_SIZE) -> List[str]:
@@ -109,7 +124,7 @@ class Tokenizer:
     _shared_caches: Dict[Tuple[type, int, bool], _TextMemo] = {}
 
     def __init__(self, crop_size: int = DEFAULT_CROP_SIZE, keep_punctuation: bool = False,
-                 cache_size: int = _TOKENIZE_CACHE_SIZE) -> None:
+                 cache_size: int = MEMO_SIZE) -> None:
         if crop_size <= 0:
             raise ValueError(f"crop_size must be positive, got {crop_size}")
         self.crop_size = crop_size
@@ -151,12 +166,9 @@ class Tokenizer:
         return tuple(tokens[:self.crop_size])
 
     def _admit(self, memo: Dict[str, object], text: str, value: object) -> None:
-        """Store ``memo[text]``; a memo at its bound starts over rather than
-        refusing new texts for the rest of the process."""
+        """:func:`admit` at this tokenizer's bound, under the memo lock."""
         with self._memo.lock:
-            if len(memo) >= self._cache_size:
-                memo.clear()
-            memo[text] = value
+            admit(memo, text, value, self._cache_size)
 
     def ids_memo(self, table: object) -> Dict[str, np.ndarray]:
         """The text -> token-row-id memo kept for vocabulary ``table``.

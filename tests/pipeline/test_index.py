@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+import repro.pipeline.index as index_module
 from repro.data import TokenBlocker
 from repro.data.records import Record
 from repro.pipeline import (
@@ -14,6 +17,7 @@ from repro.pipeline import (
     ground_truth_pairs,
     record_tokens,
 )
+from repro.text.tokenizer import admit
 
 
 def _record(record_id, source, name, extra=""):
@@ -162,6 +166,9 @@ class TestIngestOneAndProbe:
             streamed.ingest_one(record)
         assert streamed._buckets == bulk._buckets
         assert streamed.record_ids == bulk.record_ids
+        # Bucket order too: a bulk build inserts each record's keys in the
+        # same (sorted) order as a streamed one, whatever the hash seed.
+        assert streamed.state_dict() == bulk.state_dict()
         assert (streamed.candidate_pairs(cross_source_only=True)
                 == bulk.candidate_pairs(cross_source_only=True))
 
@@ -199,6 +206,24 @@ class TestIngestOneAndProbe:
         index = InvertedTokenIndex(min_token_length=3, max_postings=2)
         index.add_records([_record(f"r{i}", f"s{i}", "diamond") for i in range(4)])
         assert index.probe(_record("px", "s9", "diamond")) == set()
+
+
+class TestKeyMemos:
+    """The per-index key memos are bounded and start over when full."""
+
+    @pytest.mark.parametrize("make_index, memo", [
+        (lambda: MinHashLSHIndex(num_perm=32, bands=8), "_token_hash_memo"),
+        (lambda: InitialsKeyIndex(), "_value_keys_memo"),
+    ], ids=["minhash", "initials"])
+    def test_keys_identical_across_a_start_over(self, make_index, memo,
+                                                tiny_music_corpus, monkeypatch):
+        records = tiny_music_corpus.records[:40]
+        expected = [make_index().bucket_keys(record) for record in records]
+        monkeypatch.setattr(index_module, "admit", partial(admit, bound=3))
+        bounded = make_index()
+        for record, keys in zip(records, expected):
+            assert bounded.bucket_keys(record) == keys
+            assert 0 < len(getattr(bounded, memo)) <= 3
 
 
 class TestLSHRecallVsTokenBlocker:
