@@ -6,8 +6,8 @@ abbreviations, missing genders, locale-specific strings).  It shows the
 pipeline a practitioner would run:
 
 1. pool records from every website;
-2. generate candidate pairs with token blocking (instead of comparing all
-   record pairs);
+2. generate candidate pairs from inverted token indexes (instead of
+   comparing all record pairs);
 3. train AdaMEL variants and the strongest baselines on the labeled websites;
 4. score the candidates, compare PRAUC on the held-out test pairs, and print
    the linked record pairs AdaMEL is most confident about.
@@ -21,20 +21,22 @@ import numpy as np
 
 from repro import AdaMELConfig, AdaMELHybrid, AdaMELZero
 from repro.baselines import BaselineConfig, CorDelAttention, TLER
-from repro.data import CandidateGenerator, TokenBlocker
 from repro.data.generators import MUSIC_SEEN_SOURCES, MusicCorpusGenerator, MusicGeneratorConfig
 from repro.eval import compare_models, format_results_table
+from repro.pipeline import CandidateGenerationStage, InvertedTokenIndex
 
 
 def main() -> None:
     corpus = MusicCorpusGenerator("track", MusicGeneratorConfig(num_entities=60), seed=21).generate()
 
     # --- Blocking: build candidate pairs without comparing every record pair.
-    blocker = CandidateGenerator([TokenBlocker("title"), TokenBlocker("main_performer")])
-    candidates = blocker.generate(corpus.records)
-    recall = blocker.recall(corpus.records)
+    stage = CandidateGenerationStage([InvertedTokenIndex([attribute], max_postings=50)
+                                      for attribute in ("title", "main_performer")])
+    stage.add_records(corpus.records)
+    result = stage.generate()
+    candidates = result.pairs
     print(f"Blocking produced {len(candidates)} candidate pairs "
-          f"(recall of true matches: {recall:.0%}).")
+          f"(recall of true matches: {result.stats['recall']:.0%}).")
 
     # --- Scenario: 3 labeled websites, adapt to all 7.
     scenario = corpus.build_scenario(seen_sources=MUSIC_SEEN_SOURCES, mode="overlapping",

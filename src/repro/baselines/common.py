@@ -50,11 +50,11 @@ class BaselineConfig:
     seed: int = 0
     use_support_set: bool = False
     verbose: bool = False
-    # Autograd execution for the training loop: "auto"/"replay" record the
-    # per-step graph once and replay it for networks that declare themselves
+    # Autograd execution for the training loop: "replay" records the
+    # per-step graph once and replays it for networks that declare themselves
     # ``replay_safe`` (see docs/autograd.md); "eager" forces the historical
     # rebuild-every-step behaviour.  Float64 replay is bit-exact with eager.
-    execution: str = "auto"
+    execution: str = "replay"
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "tokens_per_attribute", "hidden_dim",
@@ -63,9 +63,8 @@ class BaselineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.execution not in ("auto", "replay", "eager"):
-            raise ValueError(
-                f"execution must be 'auto', 'replay' or 'eager', got {self.execution!r}")
+        if self.execution not in ("replay", "eager"):
+            raise ValueError(f"execution must be 'replay' or 'eager', got {self.execution!r}")
 
 
 class SupervisedPairModel:
@@ -135,7 +134,7 @@ class SupervisedPairModel:
         # reads its features through views of a stable batch buffer — and
         # replay it for every later step.  Float64 replay is bit-exact with
         # the eager loop below.
-        use_replay = (config.execution in ("auto", "replay")
+        use_replay = (config.execution == "replay"
                       and getattr(self.network, "replay_safe", False))
         step_graphs: Dict[int, tuple] = {}
 

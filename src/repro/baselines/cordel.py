@@ -42,8 +42,7 @@ class CorDelNetwork(Module):
         self.token_proj = Linear(embedding_dim, hidden_dim, rng=rng)
         self.word_attention = AdditiveAttention(hidden_dim, hidden_dim, rng=rng)
         # Two groups (shared / difference) per attribute.
-        self.classifier = MLP(num_attributes * 2 * hidden_dim, [classifier_hidden_dim], 1,
-                              activation="relu", rng=rng)
+        self.classifier = MLP(num_attributes * 2 * hidden_dim, [classifier_hidden_dim], 1, rng=rng)
 
     def forward(self, features: np.ndarray) -> Tensor:
         """``features``: (N, A, 2, L, D) — per attribute the shared-token and

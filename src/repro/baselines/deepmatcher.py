@@ -46,8 +46,7 @@ class DeepMatcherNetwork(Module):
         self.token_attention = AdditiveAttention(self.summary_dim, hidden_dim, rng=rng)
         # Similarity representation per attribute: [|left-right| ; left*right].
         self.classifier = MLP(num_attributes * 2 * self.summary_dim,
-                              [classifier_hidden_dim, classifier_hidden_dim], 1,
-                              activation="relu", rng=rng)
+                              [classifier_hidden_dim, classifier_hidden_dim], 1, rng=rng)
 
     def _summarize(self, tokens: Tensor) -> Tensor:
         """Summarise token matrices ``(B, L, D)`` into ``(B, 2H)`` vectors."""

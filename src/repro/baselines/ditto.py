@@ -49,7 +49,7 @@ class DittoNetwork(Module):
         # Learnable position embeddings stand in for the pretrained LM's.
         self.position_embedding = Parameter(rng.normal(0.0, 0.02, size=(sequence_length, embedding_dim)),
                                             name="position_embedding")
-        self.classifier = MLP(embedding_dim, [classifier_hidden_dim], 1, activation="relu", rng=rng)
+        self.classifier = MLP(embedding_dim, [classifier_hidden_dim], 1, rng=rng)
 
     def forward(self, features: np.ndarray) -> Tensor:
         """``features``: (N, T, D) serialised token embeddings."""

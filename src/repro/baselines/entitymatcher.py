@@ -44,8 +44,7 @@ class EntityMatcherNetwork(Module):
         self.compare_proj = Linear(2 * embedding_dim, hidden_dim, rng=rng)
         self.attribute_encoder = GRU(hidden_dim, hidden_dim, bidirectional=True, rng=rng)
         self.attribute_attention = AdditiveAttention(2 * hidden_dim, hidden_dim, rng=rng)
-        self.classifier = MLP(2 * 2 * hidden_dim, [classifier_hidden_dim], 1,
-                              activation="relu", rng=rng)
+        self.classifier = MLP(2 * 2 * hidden_dim, [classifier_hidden_dim], 1, rng=rng)
 
     def _align(self, queries: Tensor, keys: Tensor) -> Tensor:
         """Soft-align each query token against all key tokens (cross-attribute)."""

@@ -47,11 +47,11 @@ class AdaMELConfig:
     seed:
         Seed controlling weight init and batch shuffling.
     execution:
-        Autograd execution mode for training: ``"auto"`` (default) records
+        Autograd execution mode for training: ``"replay"`` (default) records
         the per-step graph once and replays it (falling back to the eager
-        engine for odd-shaped batches), ``"replay"`` forces the same,
-        ``"eager"`` rebuilds the graph every step (the historical behaviour;
-        float64 replay is bit-exact with it).  See ``docs/autograd.md``.
+        engine for odd-shaped batches), ``"eager"`` rebuilds the graph every
+        step (the historical behaviour; float64 replay is bit-exact with it).
+        See ``docs/autograd.md``.
     dtype:
         Compute dtype for training: ``"float64"`` (default, exact) or
         ``"float32"`` (≈2× less memory bandwidth, small accuracy drift).
@@ -75,7 +75,7 @@ class AdaMELConfig:
     dropout: float = 0.0
     seed: int = 0
     verbose: bool = False
-    execution: str = "auto"
+    execution: str = "replay"
     dtype: str = "float64"
     profile_steps: bool = False
 
@@ -98,9 +98,8 @@ class AdaMELConfig:
             raise ValueError(f"invalid feature kinds: {invalid}")
         if self.dropout < 0 or self.dropout >= 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.execution not in ("auto", "replay", "eager"):
-            raise ValueError(
-                f"execution must be 'auto', 'replay' or 'eager', got {self.execution!r}")
+        if self.execution not in ("replay", "eager"):
+            raise ValueError(f"execution must be 'replay' or 'eager', got {self.execution!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 

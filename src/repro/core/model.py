@@ -84,7 +84,7 @@ class AdaMELNetwork(Module):
         # Classifier Θ (Eq. 7): 2-layer feed-forward network over F·H inputs.
         self.classifier = MLP(num_features * config.hidden_dim,
                               [config.classifier_hidden_dim], 1,
-                              activation="relu", dropout=config.dropout, rng=rng)
+                              dropout=config.dropout, rng=rng)
 
     # ------------------------------------------------------------------ #
     def latent_features(self, features: "np.ndarray | Tensor") -> Tensor:

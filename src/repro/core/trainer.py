@@ -18,9 +18,9 @@ Execution engines (``AdaMELConfig.execution``, see ``docs/autograd.md``):
 
 * ``"eager"`` rebuilds the autograd graph for every mini-batch — the
   historical behaviour, kept as the reference path;
-* ``"auto"``/``"replay"`` record the per-step graph **once** per mini-batch
+* ``"replay"`` (the default) records the per-step graph **once** per mini-batch
   size (the first full-size batch, and the recurring last partial one) into a
-  :class:`~repro.nn.graph.CompiledGraph` and replay it for every following
+  :class:`~repro.nn.graph.CompiledGraph` and replays it for every following
   step with zero per-step tensor/closure allocation.  With the default
   float64 dtype the two engines are bit-exact (see
   ``tests/core/test_replay_lockstep.py``).
@@ -410,14 +410,14 @@ class AdaMELTrainer:
                      optimizer: Adam) -> Dict[str, float]:
         """One epoch of mini-batch steps, in either engine.
 
-        ``"eager"`` builds every step's graph afresh.  ``"auto"``/``"replay"``
-        record one graph per mini-batch size at its first sighting — in
-        practice two, ``batch_size`` and the recurring final partial batch;
-        beyond eight sizes the stragglers stay eager rather than caching ever
-        more graphs — and replay it for every later batch of that size.
+        ``"eager"`` builds every step's graph afresh.  ``"replay"`` records one
+        graph per mini-batch size at its first sighting — in practice two,
+        ``batch_size`` and the recurring final partial batch; beyond eight
+        sizes the stragglers stay eager rather than caching ever more graphs
+        — and replays it for every later batch of that size.
         """
         config = self.config
-        replaying = config.execution in ("auto", "replay")
+        replaying = config.execution == "replay"
         profile = config.profile_steps
         step_hist = self._obs_step_hist
         steps_total = self._obs_steps_total

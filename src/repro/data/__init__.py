@@ -1,20 +1,11 @@
-"""Data substrate: records, schemas, domains, sampling, blocking, storage."""
+"""Data substrate: records, schemas, domains, sampling, storage."""
 
 from . import generators
-from .blocking import (
-    AttributeEqualityBlocker,
-    BlockingStats,
-    CandidateGenerator,
-    CandidateSet,
-    TokenBlocker,
-    ground_truth_pairs,
-    possible_cross_source_pairs,
-)
 from .domain import MELScenario, PairCollection, SourceDomain, SupportSet, TargetDomain
 from .records import MISSING_VALUE, EntityPair, Record
-from .sampling import BatchSampler, negative_pairs_from_records, sample_balanced, sample_support_set
-from .schema import Schema, align_ontology, align_pairs, align_records, union_schema
-from .splits import split_by_sources, stratified_split, train_test_split
+from .sampling import BatchSampler, sample_balanced, sample_support_set
+from .schema import Schema, align_ontology, align_pairs, union_schema
+from .splits import stratified_split
 from .storage import (
     iter_pairs_jsonl,
     iter_records_csv,
@@ -33,7 +24,6 @@ __all__ = [
     "MISSING_VALUE",
     "Schema",
     "align_ontology",
-    "align_records",
     "align_pairs",
     "union_schema",
     "PairCollection",
@@ -44,17 +34,7 @@ __all__ = [
     "BatchSampler",
     "sample_balanced",
     "sample_support_set",
-    "negative_pairs_from_records",
-    "TokenBlocker",
-    "AttributeEqualityBlocker",
-    "BlockingStats",
-    "CandidateGenerator",
-    "CandidateSet",
-    "ground_truth_pairs",
-    "possible_cross_source_pairs",
-    "train_test_split",
     "stratified_split",
-    "split_by_sources",
     "write_records_csv",
     "read_records_csv",
     "iter_records_csv",

@@ -16,7 +16,7 @@ import numpy as np
 from ..utils.rng import SeedLike, spawn_rng
 from .records import EntityPair
 
-__all__ = ["BatchSampler", "sample_balanced", "sample_support_set", "negative_pairs_from_records"]
+__all__ = ["BatchSampler", "sample_balanced", "sample_support_set"]
 
 
 class BatchSampler:
@@ -131,26 +131,3 @@ def sample_support_set(pairs: Sequence[EntityPair], size: int, balanced: bool = 
     take = min(size, len(labeled))
     indices = rng.choice(len(labeled), size=take, replace=False)
     return [labeled[i] for i in indices]
-
-
-def negative_pairs_from_records(records: Sequence, num_pairs: int, seed: SeedLike = 0,
-                                entity_key: str = "entity_id") -> List[EntityPair]:
-    """Create non-matching pairs by sampling records of different entities.
-
-    Used by the synthetic corpus generators to produce hard negatives in the
-    same way production EL pipelines sample candidates after blocking.
-    """
-    rng = spawn_rng(seed)
-    negatives: List[EntityPair] = []
-    if len(records) < 2:
-        return negatives
-    attempts = 0
-    max_attempts = num_pairs * 20
-    while len(negatives) < num_pairs and attempts < max_attempts:
-        attempts += 1
-        i, j = rng.choice(len(records), size=2, replace=False)
-        left, right = records[i], records[j]
-        if getattr(left, entity_key) == getattr(right, entity_key):
-            continue
-        negatives.append(EntityPair(left=left, right=right, label=0))
-    return negatives

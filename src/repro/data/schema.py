@@ -10,11 +10,11 @@ the union of the attribute sets and filling absent attributes with blank
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .records import MISSING_VALUE, EntityPair, Record
 
-__all__ = ["Schema", "align_ontology", "align_records", "align_pairs", "union_schema"]
+__all__ = ["Schema", "align_ontology", "align_pairs", "union_schema"]
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,6 @@ def union_schema(*schemas: Schema) -> Schema:
     for schema in schemas[1:]:
         merged = merged.union(schema)
     return merged
-
-
-def align_records(records: Sequence[Record], schema: Schema) -> List[Record]:
-    """Project records onto ``schema``; absent attributes become empty strings."""
-    aligned: List[Record] = []
-    for record in records:
-        values: Dict[str, str] = {attr: record.value(attr) for attr in schema}
-        aligned.append(record.with_attributes(values))
-    return aligned
 
 
 def align_pairs(pairs: Sequence[EntityPair], schema: Schema) -> List[EntityPair]:

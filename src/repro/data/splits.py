@@ -1,4 +1,4 @@
-"""Train / test splitting helpers."""
+"""Train / test splitting helper."""
 
 from __future__ import annotations
 
@@ -9,21 +9,7 @@ import numpy as np
 from ..utils.rng import SeedLike, spawn_rng
 from .records import EntityPair
 
-__all__ = ["train_test_split", "stratified_split", "split_by_sources"]
-
-
-def train_test_split(pairs: Sequence[EntityPair], test_fraction: float = 0.25,
-                     seed: SeedLike = 0) -> Tuple[List[EntityPair], List[EntityPair]]:
-    """Random split of pairs into (train, test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = spawn_rng(seed)
-    order = np.arange(len(pairs))
-    rng.shuffle(order)
-    cut = int(round(len(pairs) * (1.0 - test_fraction)))
-    train = [pairs[i] for i in order[:cut]]
-    test = [pairs[i] for i in order[cut:]]
-    return train, test
+__all__ = ["stratified_split"]
 
 
 def stratified_split(pairs: Sequence[EntityPair], test_fraction: float = 0.25,
@@ -47,22 +33,3 @@ def stratified_split(pairs: Sequence[EntityPair], test_fraction: float = 0.25,
     rng.shuffle(train)
     rng.shuffle(test)
     return train, test
-
-
-def split_by_sources(pairs: Sequence[EntityPair], seen_sources: Sequence[str]
-                     ) -> Tuple[List[EntityPair], List[EntityPair]]:
-    """Split pairs into (seen-only, touching-unseen) based on record sources.
-
-    A pair goes to the first list only when *both* records come from
-    ``seen_sources``; otherwise (at least one unseen source) it goes to the
-    second list, which is how the target domain is defined (Definition 3.1).
-    """
-    seen = set(seen_sources)
-    seen_only: List[EntityPair] = []
-    touching_unseen: List[EntityPair] = []
-    for pair in pairs:
-        if pair.source_set() <= seen:
-            seen_only.append(pair)
-        else:
-            touching_unseen.append(pair)
-    return seen_only, touching_unseen

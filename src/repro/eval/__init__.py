@@ -8,7 +8,6 @@ from .metrics import (
     best_f1,
     classification_report,
     confusion_counts,
-    f1_at_threshold,
     pr_auc,
     precision_recall_curve,
     precision_recall_f1,
@@ -21,7 +20,6 @@ __all__ = [
     "average_precision",
     "precision_recall_curve",
     "precision_recall_f1",
-    "f1_at_threshold",
     "best_f1",
     "accuracy",
     "confusion_counts",

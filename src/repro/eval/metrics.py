@@ -18,7 +18,6 @@ __all__ = [
     "average_precision",
     "pr_auc",
     "precision_recall_f1",
-    "f1_at_threshold",
     "best_f1",
     "confusion_counts",
     "accuracy",
@@ -107,13 +106,6 @@ def precision_recall_f1(labels: Sequence[int], predictions: Sequence[int]
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
-
-
-def f1_at_threshold(labels: Sequence[int], scores: Sequence[float], threshold: float = 0.5) -> float:
-    """F1 after thresholding scores at ``threshold``."""
-    labels_arr, scores_arr = _validate(np.asarray(labels), np.asarray(scores))
-    predictions = (scores_arr >= threshold).astype(np.int64)
-    return precision_recall_f1(labels_arr, predictions)[2]
 
 
 def best_f1(labels: Sequence[int], scores: Sequence[float]) -> Tuple[float, float]:

@@ -1,6 +1,6 @@
 """Feature pipeline: contrastive relational features and pair encoding."""
 
-from .cache import EncodingCache, get_default_cache, set_default_cache
+from .cache import EncodingCache, get_default_cache
 from .encoder import EncodedBatch, EncodedPair, PairEncoder
 from .importance import FeatureImportance, ImportanceReport, aggregate_importance, top_attributes
 from .relational import (
@@ -20,7 +20,6 @@ __all__ = [
     "EncodedBatch",
     "EncodingCache",
     "get_default_cache",
-    "set_default_cache",
     "FeatureImportance",
     "ImportanceReport",
     "aggregate_importance",

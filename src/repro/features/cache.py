@@ -36,7 +36,7 @@ import numpy as np
 
 from ..obs import BoundHandles
 
-__all__ = ["EncodingCache", "get_default_cache", "set_default_cache"]
+__all__ = ["EncodingCache", "get_default_cache"]
 
 # Covers ≈ 120 k slot rows of the benchmark encoder (K = 2, D = 32: 528 B a
 # row), about 56 k linkage candidate pairs at their measured share of distinct
@@ -253,13 +253,3 @@ _DEFAULT_CACHE = EncodingCache()
 def get_default_cache() -> EncodingCache:
     """The process-wide cache shared by every encoder unless told otherwise."""
     return _DEFAULT_CACHE
-
-
-def set_default_cache(cache: EncodingCache) -> EncodingCache:
-    """Replace the process-wide default cache; returns the previous one."""
-    global _DEFAULT_CACHE
-    if not isinstance(cache, EncodingCache):
-        raise TypeError(f"expected an EncodingCache, got {type(cache).__name__}")
-    previous = _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
-    return previous

@@ -7,7 +7,7 @@ losses and optimisers that the AdaMEL model and its deep baselines require.
 
 from . import functional
 from .attention import AdditiveAttention, ScaledDotProductAttention, SelfAttentionEncoder
-from .dtypes import DtypePolicy, get_default_dtype, set_default_dtype, using_dtype
+from .dtypes import DtypePolicy, get_default_dtype, using_dtype
 from .fused import (
     fused_attention_softmax,
     fused_binary_cross_entropy,
@@ -15,21 +15,14 @@ from .fused import (
     fused_kl_divergence,
     fused_linear,
     fused_scale_relu_flatten,
-    fused_softmax_cross_entropy,
 )
 from .gradcheck import check_gradient, numerical_gradient
 from .graph import CompiledGraph, GraphShapeMismatch, Tape
-from .layers import MLP, Dropout, Embedding, Linear, ReLU, Sequential, Sigmoid, Tanh
-from .losses import (
-    binary_cross_entropy,
-    binary_cross_entropy_with_logits,
-    cross_entropy,
-    kl_divergence,
-    mse_loss,
-)
+from .layers import MLP, Dropout, Linear, ReLU, Sequential
+from .losses import binary_cross_entropy, kl_divergence
 from .module import Module, Parameter
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .recurrent import GRU, GRUCell, RNNCell
+from .optim import Adam, Optimizer, clip_grad_norm
+from .recurrent import GRU, GRUCell
 from .tensor import (Tensor, as_tensor, concatenate, is_grad_enabled, no_grad,
                      recomputed_leaf, stack)
 
@@ -47,14 +40,12 @@ __all__ = [
     "GraphShapeMismatch",
     "DtypePolicy",
     "get_default_dtype",
-    "set_default_dtype",
     "using_dtype",
     "fused_feature_affine_relu",
     "fused_linear",
     "fused_scale_relu_flatten",
     "fused_binary_cross_entropy",
     "fused_attention_softmax",
-    "fused_softmax_cross_entropy",
     "fused_kl_divergence",
     "Module",
     "Parameter",
@@ -62,23 +53,15 @@ __all__ = [
     "MLP",
     "Sequential",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Dropout",
-    "Embedding",
     "AdditiveAttention",
     "ScaledDotProductAttention",
     "SelfAttentionEncoder",
-    "RNNCell",
     "GRUCell",
     "GRU",
     "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
-    "cross_entropy",
     "kl_divergence",
-    "mse_loss",
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "check_gradient",

@@ -24,8 +24,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-__all__ = ["DtypePolicy", "get_default_dtype", "set_default_dtype", "using_dtype",
-           "resolve_dtype"]
+__all__ = ["DtypePolicy", "get_default_dtype", "using_dtype", "resolve_dtype"]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -58,11 +57,6 @@ _ACTIVE = DtypePolicy(np.float64)
 def get_default_dtype() -> np.dtype:
     """Return the dtype new float tensors are created with."""
     return _ACTIVE.compute_dtype
-
-
-def set_default_dtype(dtype: DtypeLike) -> None:
-    """Install ``dtype`` as the process-wide compute dtype."""
-    _ACTIVE.compute_dtype = resolve_dtype(dtype)
 
 
 @contextmanager

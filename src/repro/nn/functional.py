@@ -17,7 +17,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "softmax",
-    "log_softmax",
     "dropout",
     "concatenate",
     "stack",
@@ -55,13 +54,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - recomputed_leaf(lambda: x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Logarithm of the softmax, computed stably."""
-    x = as_tensor(x)
-    shifted = x - recomputed_leaf(lambda: x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,

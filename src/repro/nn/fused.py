@@ -26,8 +26,6 @@ up to rounding order:
 
 * :func:`fused_attention_softmax` — ``softmax_j(a^T tanh(W x_j))`` (the whole
   attention embedding function ``f``, Eq. 5/6);
-* :func:`fused_softmax_cross_entropy` — mean NLL from logits and integer
-  class labels (the deep baselines' heads);
 * :func:`fused_kl_divergence` — ``KL(p ‖ q)`` with clip-to-``[eps, 1]``
   semantics (the ``L_target`` adaptation loss, Eq. 10).
 
@@ -45,7 +43,7 @@ from .tensor import Tensor, _Capture, _unbroadcast, as_tensor, is_grad_enabled
 
 __all__ = ["fused_feature_affine_relu", "fused_linear", "fused_scale_relu_flatten",
            "fused_binary_cross_entropy", "fused_attention_softmax",
-           "fused_softmax_cross_entropy", "fused_kl_divergence"]
+           "fused_kl_divergence"]
 
 _EPS = 1e-9
 
@@ -330,44 +328,6 @@ def fused_attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
         x._accumulate(gx)
 
     return _node(y, (x, W, a), backward, forward)
-
-
-def fused_softmax_cross_entropy(logits: Tensor, target_indices: np.ndarray) -> Tensor:
-    """Mean multi-class cross-entropy from ``(N, C)`` logits, as one op.
-
-    ``target_indices`` is a plain integer array; it is re-read (and
-    re-converted) on every call, so callers that capture this op may refresh
-    the array in place between replays regardless of its integer dtype.
-    """
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ValueError("fused_softmax_cross_entropy expects 2-D logits (batch, classes)")
-    if np.shape(target_indices) != (logits.shape[0],):
-        raise ValueError("target_indices must have shape (batch,)")
-    rows = np.arange(logits.shape[0])
-    shifted, ex, log_probs = (np.empty(logits.shape, dtype=logits.dtype) for _ in range(3))
-    denom = np.empty((logits.shape[0], 1), dtype=logits.dtype)
-    loss = np.empty((), dtype=logits.dtype)
-
-    def picked() -> Tuple[np.ndarray, np.ndarray]:
-        # Read through the caller's array on every call: converting once at
-        # record time would silently freeze the labels for replays.
-        return rows, np.asarray(target_indices, dtype=np.int64)
-
-    def forward() -> None:
-        np.subtract(logits.data, logits.data.max(axis=1, keepdims=True), out=shifted)
-        np.exp(shifted, out=ex)
-        np.sum(ex, axis=1, keepdims=True, out=denom)
-        np.subtract(shifted, np.log(denom), out=log_probs)
-        loss[...] = -(log_probs[picked()].mean())
-
-    def backward(grad: np.ndarray) -> None:
-        g = ex / denom                                     # softmax
-        g[picked()] -= 1.0
-        g *= np.asarray(grad) / float(rows.size)
-        logits._accumulate(g)
-
-    return _node(loss, (logits,), backward, forward)
 
 
 def fused_kl_divergence(p: Tensor, q: Tensor, axis: int = -1,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dtypes import get_default_dtype
 
-__all__ = ["xavier_uniform", "xavier_normal", "he_uniform", "he_normal", "zeros", "normal"]
+__all__ = ["xavier_uniform", "zeros"]
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -31,32 +31,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     fan_in, fan_out = _fan_in_out(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialisation, appropriate before ReLU layers."""
-    fan_in, _ = _fan_in_out(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal initialisation."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
-    """Plain zero-mean Gaussian initialisation."""
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Standard layers: Linear, MLP, Embedding, Dropout, Sequential."""
+"""Standard layers: Linear, MLP, Dropout, Sequential."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .fused import fused_linear
 from .module import Module, Parameter
 from .tensor import Tensor, as_tensor
 
-__all__ = ["Linear", "Sequential", "ReLU", "Tanh", "Sigmoid", "Dropout", "MLP", "Embedding"]
+__all__ = ["Linear", "Sequential", "ReLU", "Dropout", "MLP"]
 
 
 class Linear(Module):
@@ -60,20 +60,6 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class Tanh(Module):
-    """Tanh activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-class Sigmoid(Module):
-    """Sigmoid activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
 class Dropout(Module):
     """Inverted dropout layer, active only in training mode."""
 
@@ -110,34 +96,28 @@ class Sequential(Module):
         return self._layers[index]
 
 
-_ACTIVATIONS: dict = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
-
-
 class MLP(Module):
-    """Multi-layer perceptron with configurable hidden sizes and activation.
+    """Multi-layer perceptron with configurable hidden sizes and ReLU hidden
+    activations.
 
     The AdaMEL classifier Θ (Eq. 7) is a 2-layer feed-forward network; this
     class also serves the deep baselines' classification heads.
     """
 
     def __init__(self, in_features: int, hidden_sizes: Sequence[int], out_features: int,
-                 activation: str = "relu", dropout: float = 0.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 dropout: float = 0.0, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; expected one of {sorted(_ACTIVATIONS)}")
         rng = rng if rng is not None else np.random.default_rng()
         layers: List[Module] = []
         previous = in_features
         for hidden in hidden_sizes:
             layers.append(Linear(previous, hidden, rng=rng))
-            layers.append(_ACTIVATIONS[activation]())
+            layers.append(ReLU())
             if dropout > 0.0:
                 layers.append(Dropout(dropout, rng=rng))
             previous = hidden
         layers.append(Linear(previous, out_features, rng=rng))
         self.network = Sequential(*layers)
-        self._fuse_relu = activation == "relu"
         self._linears = tuple(layer for layer in layers if isinstance(layer, Linear))
 
     def _hidden(self, x: Tensor) -> Tensor:
@@ -145,7 +125,7 @@ class MLP(Module):
         as one :func:`repro.nn.fused.fused_linear` node each."""
         layers = iter(self.network._layers[:-1])
         for layer in layers:
-            if isinstance(layer, Linear) and self._fuse_relu:
+            if isinstance(layer, Linear):
                 next(layers)  # the ReLU module, folded into the kernel
                 x = fused_linear(x, layer.weight, layer.bias, activation="relu")
             else:
@@ -164,8 +144,6 @@ class MLP(Module):
     def forward_sigmoid_numpy(self, x: np.ndarray) -> np.ndarray:
         """:meth:`forward_sigmoid` for inference in plain numpy: no graph and
         no dropout, whatever the training mode."""
-        if not self._fuse_relu:
-            raise NotImplementedError("forward_sigmoid_numpy supports ReLU hidden layers only")
         for layer in self._linears:
             x = np.matmul(x, layer.weight.data.T)
             if layer.bias is not None:
@@ -176,27 +154,3 @@ class MLP(Module):
         np.exp(x, out=x)
         np.add(x, 1.0, out=x)
         return np.divide(1.0, x, out=x)
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors.
-
-    Used by the trainable-embedding baselines (Ditto's transformer-lite).
-    """
-
-    def __init__(self, num_embeddings: int, embedding_dim: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if num_embeddings <= 0 or embedding_dim <= 0:
-            raise ValueError("Embedding dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng, std=0.1),
-                                name="embedding")
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
-            raise IndexError("embedding index out of range")
-        return self.weight[indices]

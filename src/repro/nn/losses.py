@@ -16,19 +16,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from .fused import (fused_binary_cross_entropy, fused_kl_divergence,
-                    fused_softmax_cross_entropy)
+from .fused import fused_binary_cross_entropy, fused_kl_divergence
 from .tensor import Tensor, as_tensor
 
-__all__ = [
-    "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
-    "cross_entropy",
-    "kl_divergence",
-    "mse_loss",
-]
+__all__ = ["binary_cross_entropy", "kl_divergence"]
 
 _EPS = 1e-9
 
@@ -45,21 +36,6 @@ def binary_cross_entropy(predictions: Tensor, targets: Tensor,
     return fused_binary_cross_entropy(predictions, targets, weights, eps=_EPS)
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor,
-                                     weights: Optional[Tensor] = None) -> Tensor:
-    """Binary cross-entropy applied to raw logits (numerically safer)."""
-    return binary_cross_entropy(as_tensor(logits).sigmoid(), targets, weights)
-
-
-def cross_entropy(logits: Tensor, target_indices: np.ndarray) -> Tensor:
-    """Mean multi-class cross-entropy from logits and integer class labels.
-
-    Runs as one fused softmax+NLL node with an analytic backward
-    (:func:`repro.nn.fused.fused_softmax_cross_entropy`).
-    """
-    return fused_softmax_cross_entropy(as_tensor(logits), target_indices)
-
-
 def kl_divergence(p: Tensor, q: Tensor, axis: int = -1) -> Tensor:
     """KL(p || q) summed over ``axis`` then averaged over remaining dims.
 
@@ -70,8 +46,3 @@ def kl_divergence(p: Tensor, q: Tensor, axis: int = -1) -> Tensor:
     """
     return fused_kl_divergence(as_tensor(p), as_tensor(q), axis=axis, eps=_EPS)
 
-
-def mse_loss(predictions: Tensor, targets: Tensor) -> Tensor:
-    """Mean squared error."""
-    diff = as_tensor(predictions) - as_tensor(targets)
-    return (diff * diff).mean()

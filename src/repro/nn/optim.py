@@ -1,4 +1,4 @@
-"""Gradient-based optimisers (SGD with momentum, Adam).
+"""Gradient-based optimiser (Adam) and gradient-norm clipping.
 
 The paper trains AdaMEL with Adam (Kingma & Ba, 2014), learning rate 1e-4.
 """
@@ -11,7 +11,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -32,35 +32,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            # In place: compiled-graph replays hold views of this buffer.
-            param.data -= self.lr * update
 
 
 class Adam(Optimizer):

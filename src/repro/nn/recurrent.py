@@ -2,7 +2,7 @@
 
 DeepMatcher's hybrid variant summarises the word tokens of each attribute with
 an attention-weighted bidirectional RNN; EntityMatcher uses bi-GRU encoders.
-These layers provide the minimal RNN/GRU machinery those baselines need on top
+These layers provide the minimal GRU machinery those baselines need on top
 of the :mod:`repro.nn` autograd engine.
 """
 
@@ -18,23 +18,7 @@ from .layers import Linear
 from .module import Module
 from .tensor import Tensor, as_tensor, stack
 
-__all__ = ["RNNCell", "GRUCell", "GRU"]
-
-
-class RNNCell(Module):
-    """Elman RNN cell: ``h' = tanh(W_ih x + W_hh h + b)``."""
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.input_proj = Linear(input_size, hidden_size, rng=rng)
-        self.hidden_proj = Linear(hidden_size, hidden_size, bias=False, rng=rng)
-
-    def forward(self, x: Tensor, hidden: Tensor) -> Tensor:
-        return (self.input_proj(x) + self.hidden_proj(hidden)).tanh()
+__all__ = ["GRUCell", "GRU"]
 
 
 class GRUCell(Module):

@@ -36,11 +36,6 @@ class ScoredCandidates:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def above(self, threshold: float) -> List[EntityPair]:
-        """The pairs scored at or above ``threshold``."""
-        return [pair for pair, score in zip(self.pairs, self.scores)
-                if score >= threshold]
-
 
 class ScoringStage:
     """Score candidate pairs with a fitted model in bounded chunks.

@@ -135,20 +135,6 @@ class StoreConfig:
     def from_dict(cls, payload: Mapping[str, object]) -> "StoreConfig":
         return cls(**payload)  # type: ignore[arg-type]
 
-    @classmethod
-    def from_pipeline_config(cls, config: PipelineConfig) -> "StoreConfig":
-        """The store config that mirrors a batch pipeline config."""
-        return cls(blocking_attributes=config.blocking_attributes,
-                   num_perm=config.num_perm, bands=config.bands,
-                   lsh_max_bucket_size=config.lsh_max_bucket_size,
-                   max_postings=config.max_postings,
-                   initials_max_bucket_size=config.initials_max_bucket_size,
-                   min_token_length=config.min_token_length,
-                   cross_source_only=config.cross_source_only,
-                   score_threshold=config.score_threshold,
-                   source_consistent=config.source_consistent,
-                   seed=config.seed)
-
     def to_pipeline_config(self, **overrides: object) -> PipelineConfig:
         """The batch pipeline config this store is parity-equivalent to."""
         payload = self.as_dict()

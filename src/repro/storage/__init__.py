@@ -22,7 +22,7 @@ from .engine import (META_FILENAME, RecoveryReport, STORAGE_FORMAT_VERSION,
                      Storage, StorageConfig, StorageError, StorageLocked,
                      StorageReadOnly)
 from .locks import DirectoryLock
-from .snapshots import SnapshotError, SnapshotManager
+from .snapshots import SnapshotManager
 from .wal import WALAppend, WALError, WriteAheadLog
 
 __all__ = [
@@ -30,6 +30,6 @@ __all__ = [
     "StorageReadOnly", "RecoveryReport",
     "STORAGE_FORMAT_VERSION", "META_FILENAME", "DirectoryLock",
     "WriteAheadLog", "WALAppend", "WALError",
-    "SnapshotManager", "SnapshotError",
+    "SnapshotManager",
     "SQLiteIndexBackend", "SQLiteBucketStore",
 ]

@@ -29,15 +29,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..resilience import faults
 
-__all__ = ["SnapshotManager", "SnapshotError", "SNAPSHOT_PREFIX"]
+__all__ = ["SnapshotManager", "SNAPSHOT_PREFIX"]
 
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
 _TMP_SUFFIX = ".tmp"
-
-
-class SnapshotError(RuntimeError):
-    """No loadable snapshot where one was required."""
 
 
 def _snapshot_name(lsn: int) -> str:

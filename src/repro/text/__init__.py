@@ -17,14 +17,13 @@ from .similarity import (
     similarity_vector,
     token_cosine_similarity,
 )
-from .tokenizer import DEFAULT_CROP_SIZE, Tokenizer, crop_tokens, normalize_text, tokenize
+from .tokenizer import DEFAULT_CROP_SIZE, Tokenizer, normalize_text, tokenize
 from .vocab import Vocabulary
 
 __all__ = [
     "Tokenizer",
     "tokenize",
     "normalize_text",
-    "crop_tokens",
     "DEFAULT_CROP_SIZE",
     "Vocabulary",
     "HashedEmbedder",

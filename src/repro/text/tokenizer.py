@@ -17,7 +17,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-__all__ = ["MEMO_SIZE", "admit", "tokenize", "normalize_text", "crop_tokens", "Tokenizer"]
+__all__ = ["MEMO_SIZE", "admit", "tokenize", "normalize_text", "Tokenizer"]
 
 # Words may contain internal dots (e.g. "ebay.com") and keep a trailing dot so
 # that abbreviations such as "n." remain single tokens close to their full form.
@@ -73,13 +73,6 @@ def admit(memo: Dict[str, object], text: str, value: object,
     if len(memo) >= bound:
         memo.clear()
     memo[text] = value
-
-
-def crop_tokens(tokens: Sequence[str], crop_size: int = DEFAULT_CROP_SIZE) -> List[str]:
-    """Keep at most ``crop_size`` tokens, as in the paper's configuration."""
-    if crop_size <= 0:
-        raise ValueError(f"crop_size must be positive, got {crop_size}")
-    return list(tokens[:crop_size])
 
 
 class _TextMemo:

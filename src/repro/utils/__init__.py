@@ -3,7 +3,7 @@
 from .rng import RandomState, spawn_rng
 from .serialization import load_json, load_npz, save_json, save_npz
 from .timer import Timer
-from .validation import require_fraction, require_non_empty, require_positive
+from .validation import require_fraction, require_positive
 
 __all__ = [
     "RandomState",
@@ -15,5 +15,4 @@ __all__ = [
     "load_npz",
     "require_positive",
     "require_fraction",
-    "require_non_empty",
 ]

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sized
-
-__all__ = ["require_positive", "require_fraction", "require_non_empty"]
+__all__ = ["require_positive", "require_fraction"]
 
 
 def require_positive(value: float, name: str) -> float:
@@ -23,10 +21,3 @@ def require_fraction(value: float, name: str, inclusive: bool = True) -> float:
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must be in (0, 1), got {value}")
     return value
-
-
-def require_non_empty(collection: Sized, name: str) -> Sized:
-    """Raise ``ValueError`` when ``collection`` is empty."""
-    if len(collection) == 0:
-        raise ValueError(f"{name} must not be empty")
-    return collection

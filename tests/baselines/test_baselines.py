@@ -159,5 +159,6 @@ class TestBaselineReplayEngine:
         assert not getattr(model.network, "replay_safe", False)
 
     def test_invalid_execution_rejected(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(execution="jit")
+        for execution in ("jit", "auto"):
+            with pytest.raises(ValueError):
+                BaselineConfig(execution=execution)

@@ -66,7 +66,7 @@ class TestLockstep:
 
     def test_auto_mode_is_replay(self, smoke_scale, music_scenario):
         config = smoke_scale.adamel_config(epochs=1)
-        model = AdaMELHybrid(config)  # execution defaults to "auto"
+        model = AdaMELHybrid(config)  # execution defaults to "replay"
         model.fit(music_scenario)
         assert model.replay_stats() is not None
         stats = model.replay_stats()
@@ -132,8 +132,9 @@ class TestDtypePolicy:
     def test_invalid_dtype_rejected(self):
         with pytest.raises(ValueError):
             AdaMELConfig(dtype="float16")
-        with pytest.raises(ValueError):
-            AdaMELConfig(execution="jit")
+        for execution in ("jit", "auto"):
+            with pytest.raises(ValueError):
+                AdaMELConfig(execution=execution)
 
 
 class TestHistoryExtras:

@@ -1,4 +1,4 @@
-"""Tests for domains, scenarios, sampling, splits, blocking and storage."""
+"""Tests for domains, scenarios, sampling, splits and storage."""
 
 import gc
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.data import (
     BatchSampler,
-    CandidateGenerator,
     EntityPair,
     MELScenario,
     PairCollection,
@@ -15,15 +14,12 @@ from repro.data import (
     SourceDomain,
     SupportSet,
     TargetDomain,
-    TokenBlocker,
     read_pair_labels_csv,
     read_pairs_jsonl,
     read_records_csv,
     sample_balanced,
     sample_support_set,
-    split_by_sources,
     stratified_split,
-    train_test_split,
     write_pair_labels_csv,
     write_pairs_jsonl,
     write_records_csv,
@@ -184,47 +180,14 @@ class TestSampling:
 
 
 class TestSplits:
-    def test_train_test_split_sizes(self, labeled_pairs):
-        train, test = train_test_split(labeled_pairs, test_fraction=0.25, seed=0)
-        assert len(train) + len(test) == len(labeled_pairs)
-        assert len(test) == 5
-
     def test_stratified_split_preserves_ratio(self, labeled_pairs):
         train, test = stratified_split(labeled_pairs, test_fraction=0.3, seed=0)
         train_rate = np.mean([pair.label for pair in train])
         assert train_rate == pytest.approx(0.5, abs=0.1)
 
-    def test_split_by_sources(self, labeled_pairs):
-        mixed = labeled_pairs + [_make_pair(50, 1, "s1", "s9")]
-        seen_only, touching_unseen = split_by_sources(mixed, ["s1", "s2"])
-        assert len(seen_only) == 20
-        assert len(touching_unseen) == 1
-
     def test_invalid_fraction(self, labeled_pairs):
         with pytest.raises(ValueError):
-            train_test_split(labeled_pairs, test_fraction=1.5)
-
-
-class TestBlocking:
-    def test_token_blocker_groups_shared_tokens(self, tiny_music_corpus):
-        blocker = TokenBlocker("name")
-        blocks = blocker.blocks(tiny_music_corpus.records[:40])
-        assert blocks
-        assert all(len(records) >= 1 for records in blocks.values())
-
-    def test_candidate_generator_recall(self, tiny_music_corpus):
-        generator = CandidateGenerator([TokenBlocker("name"), TokenBlocker("main_performer")])
-        recall = generator.recall(tiny_music_corpus.records)
-        assert recall > 0.5
-
-    def test_candidate_generator_cross_source_only(self, tiny_music_corpus):
-        generator = CandidateGenerator([TokenBlocker("name")], cross_source_only=True)
-        candidates = generator.generate(tiny_music_corpus.records[:60])
-        assert all(pair.left.source != pair.right.source for pair in candidates)
-
-    def test_candidate_generator_requires_blockers(self):
-        with pytest.raises(ValueError):
-            CandidateGenerator([])
+            stratified_split(labeled_pairs, test_fraction=1.5)
 
 
 class TestStorage:

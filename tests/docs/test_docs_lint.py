@@ -7,6 +7,9 @@ Walks ``README.md`` and every ``docs/*.md``:
   query strings stripped);
 * every fenced ``python`` code block must survive ``ast.parse`` — examples in
   the docs are kept at least syntactically honest;
+* every ``repro`` import in such a block, and every backticked dotted
+  ``repro.…`` path in the text, must resolve to a real module or attribute,
+  so a renamed or deleted name cannot linger in the docs;
 * the architecture page must cross-link every other subsystem doc, and every
   subsystem doc must link back to it, so the doc graph stays navigable.
 """
@@ -14,6 +17,7 @@ Walks ``README.md`` and every ``docs/*.md``:
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -26,6 +30,8 @@ DOC_PATHS = sorted(
 # [text](target) — but not images ![...](...) and not footnote-style refs.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^```(\w*)\s*$")
+# `repro.pkg.module.Name` — a whole backticked span that is one dotted path.
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _links(text):
@@ -47,6 +53,36 @@ def _fenced_blocks(text, language):
         elif inside:
             current.append(line)
     return blocks
+
+
+def _resolves(dotted):
+    """Import the longest module prefix of ``dotted``; getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def _repro_imports(block):
+    """Dotted names a python block imports from ``repro``."""
+    names = []
+    for node in ast.walk(ast.parse(block)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            names.extend(f"{module}.{alias.name}" for alias in node.names
+                         if module.split(".")[0] == "repro")
+        elif isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "repro")
+    return names
 
 
 @pytest.mark.parametrize("doc_path", DOC_PATHS,
@@ -75,6 +111,23 @@ class TestDocsLint:
                 pytest.fail(
                     f"{doc_path.relative_to(REPO_ROOT)} python block at line "
                     f"{start_line} does not parse: {error}")
+
+    def test_repro_imports_resolve(self, doc_path):
+        text = doc_path.read_text(encoding="utf-8")
+        dead = [(start_line, name)
+                for start_line, block in _fenced_blocks(text, "python")
+                for name in _repro_imports(block) if not _resolves(name)]
+        assert dead == [], (
+            f"{doc_path.relative_to(REPO_ROOT)} imports names that do not "
+            f"exist (block line, name): {dead}")
+
+    def test_repro_paths_resolve(self, doc_path):
+        text = doc_path.read_text(encoding="utf-8")
+        dead = sorted({path for path in _DOTTED.findall(text)
+                       if not _resolves(path)})
+        assert dead == [], (
+            f"{doc_path.relative_to(REPO_ROOT)} names repro paths that do "
+            f"not exist: {dead}")
 
 
 class TestDocGraph:

@@ -13,7 +13,6 @@ from repro.eval import (
     confusion_counts,
     domain_alignment_score,
     evaluate_model,
-    f1_at_threshold,
     format_results_table,
     format_series,
     format_table,
@@ -78,14 +77,12 @@ class TestMetrics:
         assert recall == 0.5
         assert f1 == pytest.approx(2 / 3)
 
-    def test_f1_at_threshold(self):
-        assert f1_at_threshold([1, 0], [0.9, 0.1], threshold=0.5) == 1.0
-
     def test_best_f1_at_least_threshold_f1(self):
         labels = [1, 0, 1, 0, 1]
         scores = [0.6, 0.55, 0.5, 0.4, 0.35]
         best, threshold = best_f1(labels, scores)
-        assert best >= f1_at_threshold(labels, scores, 0.5)
+        predictions = [int(score >= 0.5) for score in scores]
+        assert best >= precision_recall_f1(labels, predictions)[2]
         assert 0 <= threshold <= 1
 
     def test_accuracy(self):

@@ -80,11 +80,6 @@ def attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
     return F.softmax(energies, axis=-1)
 
 
-def softmax_cross_entropy(logits: Tensor, target_indices: np.ndarray) -> Tensor:
-    rows = np.arange(len(target_indices))
-    return -(F.log_softmax(logits, axis=1)[rows, target_indices].mean())
-
-
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     p_safe, q_safe = p.clip(EPS, 1.0), q.clip(EPS, 1.0)
     return (p_safe * (p_safe.log() - q_safe.log())).sum(axis=-1).mean()
@@ -147,12 +142,6 @@ def _attention_operands(batched: bool):
     return operands
 
 
-def _sce_operands(rng, n, edge) -> Arrays:
-    classes = int(rng.integers(2, 6))
-    return {"logits": rng.normal(size=(n, classes)),
-            "target_indices": rng.integers(0, classes, size=n)}
-
-
 def _kl_operands(rng, n, edge) -> Arrays:
     f = int(rng.integers(2, 7))
     q = rng.dirichlet(np.ones(f), size=n)
@@ -192,9 +181,6 @@ ORACLES: Dict[str, Tuple[Oracle, ...]] = {
                _attention_operands(batched=True), ("x", "W", "a"), exact_gradients=False),
         Oracle("two-dimensional", fused.fused_attention_softmax, attention_softmax,
                _attention_operands(batched=False), ("x", "W", "a"), exact_gradients=False),),
-    "fused_softmax_cross_entropy": (
-        Oracle("nll", fused.fused_softmax_cross_entropy, softmax_cross_entropy,
-               _sce_operands, ("logits",), exact_gradients=False),),
     "fused_kl_divergence": (
         Oracle("target-mean", fused.fused_kl_divergence, kl_divergence,
                _kl_operands, ("p", "q"), exact_gradients=False),),

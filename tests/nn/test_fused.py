@@ -11,8 +11,7 @@ import pytest
 from composed_oracle import ORACLES, Oracle
 from repro.nn import fused
 from repro.nn.dtypes import using_dtype
-from repro.nn.fused import (fused_attention_softmax, fused_kl_divergence,
-                            fused_linear, fused_softmax_cross_entropy)
+from repro.nn.fused import fused_attention_softmax, fused_kl_divergence, fused_linear
 from repro.nn.gradcheck import check_gradient, numerical_gradient
 from repro.nn.graph import CompiledGraph, Tape
 from repro.nn.losses import kl_divergence
@@ -227,25 +226,6 @@ class TestFusedAttentionSoftmax:
         assert out.shape == (4,)
         check_gradient(lambda: (fused_attention_softmax(x, w, a) ** 2).sum(),
                        [x, w, a])
-
-
-class TestFusedSoftmaxCrossEntropy:
-    def test_matches_manual_nll(self, rng):
-        logits = Tensor(rng.normal(size=(6, 4)))
-        targets = rng.integers(0, 4, size=6)
-        loss = fused_softmax_cross_entropy(logits, targets)
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        expected = -log_probs[np.arange(6), targets].mean()
-        assert np.isclose(float(loss.data), expected, atol=1e-12)
-
-    def test_rejects_bad_shapes(self, rng):
-        with pytest.raises(ValueError):
-            fused_softmax_cross_entropy(Tensor(rng.normal(size=(2, 3, 4))),
-                                        np.array([0, 1]))
-        with pytest.raises(ValueError):
-            fused_softmax_cross_entropy(Tensor(rng.normal(size=(2, 3))),
-                                        np.array([0, 1, 2]))
 
 
 class TestFusedKLDivergence:

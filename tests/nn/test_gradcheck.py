@@ -31,7 +31,7 @@ def test_linear_gradcheck(rng):
 
 
 def test_mlp_gradcheck(rng):
-    mlp = MLP(3, [4], 1, activation="tanh", rng=rng)
+    mlp = MLP(3, [4], 1, rng=rng)
     x = Tensor(rng.standard_normal((6, 3)))
 
     def loss():

@@ -9,20 +9,15 @@ from repro.nn import (
     MLP,
     Adam,
     Dropout,
-    Embedding,
     Linear,
     Module,
     Parameter,
-    RNNCell,
-    SGD,
     ScaledDotProductAttention,
     SelfAttentionEncoder,
     Sequential,
     Tensor,
     binary_cross_entropy,
     clip_grad_norm,
-    cross_entropy,
-    mse_loss,
 )
 from repro.nn import functional as F
 
@@ -49,10 +44,6 @@ class TestLinearAndMLP:
     def test_mlp_output_shape(self, rng):
         mlp = MLP(4, [8, 8], 2, rng=rng)
         assert mlp(Tensor(np.zeros((3, 4)))).shape == (3, 2)
-
-    def test_mlp_invalid_activation(self, rng):
-        with pytest.raises(ValueError):
-            MLP(4, [8], 1, activation="swish", rng=rng)
 
     def test_sequential_indexing(self, rng):
         seq = Sequential(Linear(2, 3, rng=rng), Linear(3, 1, rng=rng))
@@ -108,16 +99,6 @@ class TestDropoutAndEmbedding:
         with pytest.raises(ValueError):
             Dropout(1.0)
 
-    def test_embedding_lookup(self, rng):
-        emb = Embedding(10, 4, rng=rng)
-        out = emb(np.array([1, 3, 1]))
-        assert out.shape == (3, 4)
-        assert np.allclose(out.data[0], out.data[2])
-
-    def test_embedding_out_of_range(self, rng):
-        emb = Embedding(5, 4, rng=rng)
-        with pytest.raises(IndexError):
-            emb(np.array([7]))
 
 
 class TestLosses:
@@ -134,14 +115,6 @@ class TestLosses:
         loss = binary_cross_entropy(Tensor([p]), Tensor([y]))
         assert np.isclose(float(loss.data), -np.log(p))
 
-    def test_cross_entropy_prefers_correct_class(self):
-        good = cross_entropy(Tensor([[5.0, -5.0]]), np.array([0]))
-        bad = cross_entropy(Tensor([[5.0, -5.0]]), np.array([1]))
-        assert float(good.data) < float(bad.data)
-
-    def test_mse(self):
-        loss = mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 4.0]))
-        assert np.isclose(float(loss.data), 2.0)
 
 
 class TestOptimizers:
@@ -155,15 +128,6 @@ class TestOptimizers:
 
         return param, target, loss
 
-    def test_sgd_converges(self):
-        param, target, loss = self._quadratic_problem()
-        optimizer = SGD([param], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            loss().backward()
-            optimizer.step()
-        assert np.allclose(param.data, target, atol=1e-3)
-
     def test_adam_converges(self):
         param, target, loss = self._quadratic_problem()
         optimizer = Adam([param], lr=0.2)
@@ -173,30 +137,13 @@ class TestOptimizers:
             optimizer.step()
         assert np.allclose(param.data, target, atol=1e-2)
 
-    def test_sgd_momentum_changes_trajectory(self):
-        param1, _, loss1 = self._quadratic_problem()
-        param2 = Parameter(np.zeros(2))
-        optim1 = SGD([param1], lr=0.05)
-        optim2 = SGD([param2], lr=0.05, momentum=0.9)
-
-        def loss2():
-            diff = param2 - Tensor(np.array([3.0, -2.0]))
-            return (diff * diff).sum()
-
-        for _ in range(10):
-            for optim, loss in ((optim1, loss1), (optim2, loss2)):
-                optim.zero_grad()
-                loss().backward()
-                optim.step()
-        assert not np.allclose(param1.data, param2.data)
-
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
     def test_invalid_lr_rejected(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
+            Adam([Parameter(np.zeros(1))], lr=0.0)
 
     def test_clip_grad_norm(self):
         param = Parameter(np.zeros(4))
@@ -239,11 +186,6 @@ class TestAttentionModules:
 
 
 class TestRecurrent:
-    def test_rnn_cell_shape(self, rng):
-        cell = RNNCell(4, 6, rng=rng)
-        out = cell(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 6))))
-        assert out.shape == (3, 6)
-
     def test_gru_cell_gate_behaviour(self, rng):
         cell = GRUCell(4, 6, rng=rng)
         hidden = Tensor(np.random.rand(2, 6))
@@ -284,10 +226,6 @@ class TestFunctional:
     def test_softmax_stability_large_values(self):
         out = F.softmax(Tensor([[1000.0, 1000.0]]))
         assert np.allclose(out.data, [[0.5, 0.5]])
-
-    def test_log_softmax_consistency(self):
-        x = Tensor(np.random.rand(3, 5))
-        assert np.allclose(F.log_softmax(x).data, np.log(F.softmax(x).data))
 
     def test_normalize_unit_norm(self):
         out = F.normalize(Tensor(np.random.rand(4, 6)))

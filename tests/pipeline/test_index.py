@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
+from itertools import combinations
 
 import pytest
 
 import repro.pipeline.index as index_module
-from repro.data import TokenBlocker
 from repro.data.records import Record
 from repro.pipeline import (
     CandidateGenerationStage,
@@ -17,7 +18,7 @@ from repro.pipeline import (
     ground_truth_pairs,
     record_tokens,
 )
-from repro.text.tokenizer import admit
+from repro.text.tokenizer import admit, tokenize
 
 
 def _record(record_id, source, name, extra=""):
@@ -65,6 +66,33 @@ class TestInvertedTokenIndex:
         index.add_records([_record(f"r{i}", f"s{i}", "common stopword") for i in range(6)])
         assert _id_pairs(index) == set()
         assert index.stats()["overflowed_tokens"] == 2
+
+    def test_degenerate_max_postings_rejected(self):
+        # A cap below two would skip every block: refused, not silently empty.
+        with pytest.raises(ValueError):
+            InvertedTokenIndex(["name"], max_postings=1)
+
+    def test_min_token_length_zero_still_works(self):
+        # 0 means "keep every token", identical to 1.
+        index = InvertedTokenIndex(["name"], min_token_length=0)
+        index.add_records([_record("a", "s1", "x y"), _record("b", "s2", "x z")])
+        assert _id_pairs(index) == {("a", "b")}
+
+    def test_matches_block_semantics(self, tiny_music_corpus):
+        """Naive oracle: group records by token, skip blocks over the cap,
+        enumerate every pair inside each remaining block."""
+        records = tiny_music_corpus.records
+        index = InvertedTokenIndex(["name"], max_postings=50)
+        index.add_records(records)
+        blocks = defaultdict(list)
+        for record in records:
+            for token in set(tokenize(record.value("name"))):
+                if len(token) >= 3:
+                    blocks[token].append(record.record_id)
+        expected = {tuple(sorted(pair))
+                    for block in blocks.values() if len(block) <= 50
+                    for pair in combinations(block, 2)}
+        assert _id_pairs(index) == expected
 
     def test_incremental_add_equals_bulk_build(self, tiny_music_corpus):
         records = tiny_music_corpus.records
@@ -234,12 +262,9 @@ class TestLSHRecallVsTokenBlocker:
         truth = ground_truth_pairs(records)
         assert truth
 
-        blocker = TokenBlocker("name")
-        blocker_pairs = {
-            tuple(sorted((left.record_id, right.record_id)))
-            for left, right in blocker.candidate_pairs(records, max_block_size=50)
-            if left.source != right.source
-        }
+        blocker = InvertedTokenIndex(["name"], max_postings=50)
+        blocker.add_records(records)
+        blocker_pairs = _id_pairs(blocker, cross_source_only=True)
 
         stage = CandidateGenerationStage()
         stage.add_records(records)

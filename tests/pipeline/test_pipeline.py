@@ -10,8 +10,10 @@ import pytest
 from repro.core import AdaMELHybrid
 from repro.data.storage import write_records_csv
 from repro.infer import BatchedPredictor, save_model
+from repro.data.records import Record
 from repro.pipeline import (
     CandidateGenerationStage,
+    InvertedTokenIndex,
     LinkagePipeline,
     PipelineConfig,
     ScoringStage,
@@ -50,10 +52,33 @@ class TestCandidateGeneration:
         assert stats["pair_reduction_factor"] >= 5.0
         assert 0.0 < stats["reduction_ratio"] < 1.0
 
+    def test_stats_fields(self):
+        records = [
+            Record(record_id=record_id, source=source, attributes={"name": name},
+                   entity_id=entity_id)
+            for record_id, source, name, entity_id in (
+                ("a1", "s1", "neil diamond", "e1"), ("a2", "s2", "neil diamond", "e1"),
+                ("b1", "s1", "aretha franklin", "e2"), ("b2", "s2", "aretha franklin", "e2"),
+                ("c1", "s1", "completely unrelated", "e3"),
+                ("c2", "s2", "something else", "e3"))]
+        stage = CandidateGenerationStage([InvertedTokenIndex(["name"], max_postings=50)])
+        stage.add_records(records)
+        stats = stage.generate().stats
+        # e1 and e2 pairs are found, e3's is not: recall 2/3.
+        assert stats["recall"] == pytest.approx(2 / 3)
+        assert stats["num_true_pairs"] == 3
+        assert stats["num_candidates"] == 2
+        # 3 records per source => 9 cross-source pairs.
+        assert stats["possible_pairs"] == 9
+        assert stats["reduction_ratio"] == pytest.approx(2 / 9)
+        assert stats["pair_reduction_factor"] == pytest.approx(9 / 2)
+
+    def test_requires_at_least_one_index(self):
+        with pytest.raises(ValueError):
+            CandidateGenerationStage([])
+
     def test_no_candidates_keeps_stats_finite(self):
         import math
-
-        from repro.data.records import Record
 
         # A single-source corpus has no cross-source pairs to propose.
         stage = CandidateGenerationStage()

@@ -305,9 +305,16 @@ class TestResolutionLocality:
 
 class TestConfigBridge:
     def test_store_config_round_trips_through_pipeline_config(self):
-        config = StoreConfig(num_perm=64, bands=16, score_threshold=0.7,
-                             cross_source_only=False)
-        assert StoreConfig.from_pipeline_config(config.to_pipeline_config()) == config
+        config = StoreConfig(blocking_attributes=["name"], num_perm=64, bands=16,
+                             lsh_max_bucket_size=5, max_postings=6,
+                             initials_max_bucket_size=7, min_token_length=2,
+                             cross_source_only=False, score_threshold=0.7,
+                             source_consistent=False, seed=11)
+        # Every field but the storage backend has a batch-pipeline twin.
+        shared = config.as_dict()
+        del shared["backend"], shared["backend_path"]
+        pipeline_config = config.to_pipeline_config().as_dict()
+        assert {name: pipeline_config.get(name) for name in shared} == shared
 
     def test_stats_are_json_clean(self, streamed_store):
         import json

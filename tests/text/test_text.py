@@ -9,7 +9,6 @@ from repro.text import (
     Tokenizer,
     Vocabulary,
     char_ngrams,
-    crop_tokens,
     dice_similarity,
     exact_match,
     jaccard_similarity,
@@ -50,16 +49,13 @@ class TestTokenizer:
     def test_normalize_collapses_whitespace(self):
         assert normalize_text("  a   b  ") == "a b"
 
-    def test_crop_tokens(self):
-        assert crop_tokens(list("abcdefgh"), 3) == ["a", "b", "c"]
-
-    def test_crop_invalid(self):
-        with pytest.raises(ValueError):
-            crop_tokens(["a"], 0)
-
     def test_tokenizer_callable_drops_punct(self):
         tok = Tokenizer(crop_size=10)
         assert all(any(c.isalnum() for c in t) for t in tok("hello, world!"))
+
+    def test_crop_invalid(self):
+        with pytest.raises(ValueError):
+            Tokenizer(crop_size=0)
 
     def test_tokenizer_crop_applied(self):
         tok = Tokenizer(crop_size=2)

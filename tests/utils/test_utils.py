@@ -11,7 +11,6 @@ from repro.utils import (
     load_json,
     load_npz,
     require_fraction,
-    require_non_empty,
     require_positive,
     save_json,
     save_npz,
@@ -101,8 +100,3 @@ class TestValidation:
             require_fraction(1.5, "x")
         with pytest.raises(ValueError):
             require_fraction(1.0, "x", inclusive=False)
-
-    def test_require_non_empty(self):
-        assert require_non_empty([1], "x") == [1]
-        with pytest.raises(ValueError):
-            require_non_empty([], "x")
