@@ -10,19 +10,20 @@ and differ only in how a pair is encoded and which network consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..data.domain import MELScenario
 from ..data.records import EntityPair
-from ..data.sampling import BatchSampler
+from ..data.sampling import shuffled_batches
 from ..data.schema import Schema
-from ..eval.metrics import ClassificationReport, classification_report
-from ..nn.graph import CompiledGraph, Tape
+from ..eval.evaluation import evaluate_pairs
+from ..eval.metrics import ClassificationReport
+from ..nn.graph import CompiledGraph, StepGraphs
 from ..nn.losses import binary_cross_entropy
 from ..nn.module import Module
-from ..nn.optim import Adam, clip_grad_norm
+from ..nn.optim import Adam
 from ..nn.tensor import Tensor, no_grad
 from ..text.embeddings import HashedEmbedder, TokenEmbedder
 from ..text.tokenizer import Tokenizer
@@ -50,11 +51,6 @@ class BaselineConfig:
     seed: int = 0
     use_support_set: bool = False
     verbose: bool = False
-    # Autograd execution for the training loop: "replay" records the
-    # per-step graph once and replays it for networks that declare themselves
-    # ``replay_safe`` (see docs/autograd.md); "eager" forces the historical
-    # rebuild-every-step behaviour.  Float64 replay is bit-exact with eager.
-    execution: str = "replay"
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "tokens_per_attribute", "hidden_dim",
@@ -63,8 +59,6 @@ class BaselineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.execution not in ("replay", "eager"):
-            raise ValueError(f"execution must be 'replay' or 'eager', got {self.execution!r}")
 
 
 class SupervisedPairModel:
@@ -125,77 +119,37 @@ class SupervisedPairModel:
         labels = np.array([pair.label for pair in train_pairs], dtype=np.float64)
         encoded = self._encode_pairs(train_pairs)
         self.network = self._build_network(encoded, rng)
-        optimizer = Adam(self.network.parameters(), lr=config.learning_rate,
-                         flatten=True)
-
-        # Graph replay (see docs/autograd.md): the per-step graph is static,
-        # so for networks that declare their forward capture-safe
-        # (``replay_safe``) we record it once per batch size — the network
-        # reads its features through views of a stable batch buffer — and
-        # replay it for every later step.  Float64 replay is bit-exact with
-        # the eager loop below.
-        use_replay = (config.execution == "replay"
-                      and getattr(self.network, "replay_safe", False))
-        step_graphs: Dict[int, tuple] = {}
-
-        def eager_step(indices: np.ndarray) -> float:
-            batch_probs = self.network(self._slice(encoded, indices))
-            loss = binary_cross_entropy(batch_probs, Tensor(labels[indices]))
-            optimizer.zero_grad()
-            loss.backward()
-            if config.grad_clip > 0:
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
-            optimizer.step()
-            return float(loss.data)
+        optimizer = Adam(self.network.parameters(), lr=config.learning_rate)
+        # Graph replay (see docs/autograd.md) for networks that declare their
+        # forward capture-safe (``replay_safe``): the network reads its
+        # features through views of the recorded batch buffer.
+        steps = StepGraphs(optimizer, config.grad_clip,
+                           capture=getattr(self.network, "replay_safe", False))
 
         self.loss_history = []
         for epoch in range(config.epochs):
-            sampler = BatchSampler(len(train_pairs), config.batch_size, shuffle=True,
-                                   seed=config.seed * 997 + epoch)
             epoch_loss = 0.0
             batches = 0
-            for indices in sampler:
-                size = len(indices)
-                entry = step_graphs.get(size) if use_replay else None
-                if entry is not None:
-                    graph, loss_t, feature_buffer, label_buffer = entry
-                    np.take(encoded, np.asarray(indices, dtype=np.int64), axis=0,
-                            out=feature_buffer)
-                    label_buffer[...] = labels[indices]
-                    graph.step()
-                    if config.grad_clip > 0:
-                        clip_grad_norm(optimizer.parameters, config.grad_clip)
-                    optimizer.step()
-                    epoch_loss += float(loss_t.data)
-                elif use_replay and len(step_graphs) < 8:
-                    # Record a graph for this batch size; the capture run is
-                    # this step's forward pass.
-                    feature_buffer = np.array(self._slice(encoded, indices))
-                    label_buffer = np.array(labels[indices])
-                    tape = Tape()
-                    with tape:
-                        probs = self.network(feature_buffer)
-                        loss = binary_cross_entropy(probs, Tensor(label_buffer))
-                    graph = CompiledGraph(tape, inputs={}, loss=loss)
-                    step_graphs[size] = (graph, loss, feature_buffer, label_buffer)
-                    optimizer.zero_grad()
-                    loss.backward()
-                    if config.grad_clip > 0:
-                        clip_grad_norm(optimizer.parameters, config.grad_clip)
-                    optimizer.step()
-                    epoch_loss += float(loss.data)
-                else:
-                    epoch_loss += eager_step(indices)
+            for indices in shuffled_batches(len(train_pairs), config.batch_size,
+                                            seed=config.seed * 997 + epoch):
+
+                def build():
+                    features, targets = Tensor(encoded[indices]), Tensor(labels[indices])
+                    loss = binary_cross_entropy(self.network(features.data), targets)
+                    return {"features": features, "labels": targets}, loss, loss
+
+                def fill(graph: CompiledGraph) -> None:
+                    np.take(encoded, indices, axis=0, out=graph.input_array("features"))
+                    graph.input_array("labels")[...] = labels[indices]
+
+                epoch_loss += float(steps.step(len(indices), build, fill).data)
                 batches += 1
-            self.loss_history.append(epoch_loss / max(batches, 1))
+            self.loss_history.append(epoch_loss / batches)
             if config.verbose:
                 print(f"[{self.name}] epoch {epoch + 1}/{config.epochs} "
                       f"loss={self.loss_history[-1]:.4f}")
+        steps.release()
         return self.loss_history
-
-    @staticmethod
-    def _slice(encoded: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return encoded[np.asarray(indices, dtype=np.int64)]
 
     # ------------------------------------------------------------------ #
     # Inference
@@ -215,12 +169,7 @@ class SupervisedPairModel:
         return (self.predict_proba(pairs) >= threshold).astype(np.int64)
 
     def evaluate(self, pairs: Sequence[EntityPair], threshold: float = 0.5) -> ClassificationReport:
-        labeled = [pair for pair in pairs if pair.is_labeled]
-        if not labeled:
-            raise ValueError("evaluate() requires labeled pairs")
-        scores = self.predict_proba(labeled)
-        labels = np.array([pair.label for pair in labeled], dtype=np.int64)
-        return classification_report(labels, scores, threshold=threshold)
+        return evaluate_pairs(self, pairs, threshold)
 
     def num_parameters(self) -> int:
         if self.network is None:

@@ -19,7 +19,8 @@ import numpy as np
 from ..data.domain import MELScenario
 from ..data.records import EntityPair
 from ..data.schema import Schema
-from ..eval.metrics import ClassificationReport, classification_report
+from ..eval.evaluation import evaluate_pairs
+from ..eval.metrics import ClassificationReport
 from ..text.similarity import SIMILARITY_FUNCTIONS, similarity_vector
 from ..utils.rng import spawn_rng
 
@@ -142,12 +143,7 @@ class TLER:
         return (self.predict_proba(pairs) >= threshold).astype(np.int64)
 
     def evaluate(self, pairs: Sequence[EntityPair], threshold: float = 0.5) -> ClassificationReport:
-        labeled = [pair for pair in pairs if pair.is_labeled]
-        if not labeled:
-            raise ValueError("evaluate() requires labeled pairs")
-        scores = self.predict_proba(labeled)
-        labels = np.array([pair.label for pair in labeled], dtype=np.int64)
-        return classification_report(labels, scores, threshold=threshold)
+        return evaluate_pairs(self, pairs, threshold)
 
     def num_parameters(self) -> int:
         if self.weights is None:

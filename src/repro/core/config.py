@@ -21,6 +21,10 @@ __all__ = ["AdaMELConfig"]
 class AdaMELConfig:
     """Hyperparameters of AdaMEL and its trainer.
 
+    Training records each mini-batch size's step once and replays it
+    (:class:`repro.nn.graph.StepGraphs`, bit-exact with eager in float64;
+    see ``docs/autograd.md``).
+
     Attributes
     ----------
     embedding_dim:
@@ -44,14 +48,10 @@ class AdaMELConfig:
         Maximum tokens per attribute value (paper: 20).
     grad_clip:
         Global gradient-norm clip (0 disables clipping).
+    dropout:
+        Dropout rate of the classifier's hidden layer during training.
     seed:
         Seed controlling weight init and batch shuffling.
-    execution:
-        Autograd execution mode for training: ``"replay"`` (default) records
-        the per-step graph once and replays it (falling back to the eager
-        engine for odd-shaped batches), ``"eager"`` rebuilds the graph every
-        step (the historical behaviour; float64 replay is bit-exact with it).
-        See ``docs/autograd.md``.
     dtype:
         Compute dtype for training: ``"float64"`` (default, exact) or
         ``"float32"`` (≈2× less memory bandwidth, small accuracy drift).
@@ -75,7 +75,6 @@ class AdaMELConfig:
     dropout: float = 0.0
     seed: int = 0
     verbose: bool = False
-    execution: str = "replay"
     dtype: str = "float64"
     profile_steps: bool = False
 
@@ -98,8 +97,6 @@ class AdaMELConfig:
             raise ValueError(f"invalid feature kinds: {invalid}")
         if self.dropout < 0 or self.dropout >= 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.execution not in ("replay", "eager"):
-            raise ValueError(f"execution must be 'replay' or 'eager', got {self.execution!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 

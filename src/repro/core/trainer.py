@@ -14,18 +14,14 @@ implements the mini-batch loop of the paper's algorithms:
 The four public variants in :mod:`repro.core.variants` only differ in which
 loss terms are switched on.
 
-Execution engines (``AdaMELConfig.execution``, see ``docs/autograd.md``):
+Every step runs through a :class:`~repro.nn.graph.StepGraphs` (see
+``docs/autograd.md``): the per-step graph is recorded **once** per mini-batch
+size (the first full-size batch, and the recurring last partial one) and
+replayed for every following step with zero per-step tensor/closure
+allocation.  With the default float64 dtype replay is bit-exact with building
+every step eagerly (see ``tests/core/test_replay_lockstep.py``).
 
-* ``"eager"`` rebuilds the autograd graph for every mini-batch — the
-  historical behaviour, kept as the reference path;
-* ``"replay"`` (the default) records the per-step graph **once** per mini-batch
-  size (the first full-size batch, and the recurring last partial one) into a
-  :class:`~repro.nn.graph.CompiledGraph` and replays it for every following
-  step with zero per-step tensor/closure allocation.  With the default
-  float64 dtype the two engines are bit-exact (see
-  ``tests/core/test_replay_lockstep.py``).
-
-Both engines execute one numerics path: the fused kernels of
+Each step executes one numerics path: the fused kernels of
 :mod:`repro.nn.fused`, one seeded ``choice`` draw per step for the support
 mini-batch, and — for the two per-epoch recomputations above — one
 :class:`~repro.core.model.DomainAttention` per domain, built once per fit,
@@ -35,7 +31,6 @@ only.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -45,14 +40,15 @@ import numpy as np
 from .. import obs
 from ..data.domain import MELScenario
 from ..data.records import EntityPair
-from ..data.sampling import BatchSampler
+from ..data.sampling import shuffled_batches
 from ..data.schema import Schema
-from ..eval.metrics import ClassificationReport, classification_report
+from ..eval.evaluation import evaluate_pairs
+from ..eval.metrics import ClassificationReport
 from ..features.encoder import EncodedBatch, PairEncoder
 from ..features.importance import ImportanceReport, aggregate_importance
 from ..nn.dtypes import using_dtype
-from ..nn.graph import CompiledGraph, Tape
-from ..nn.optim import Adam, clip_grad_norm
+from ..nn.graph import CompiledGraph, StepGraphs
+from ..nn.optim import Adam
 from ..nn.tensor import Tensor, recomputed_leaf
 from ..text.embeddings import HashedEmbedder, TokenEmbedder
 from ..text.tokenizer import Tokenizer
@@ -130,8 +126,8 @@ class AdaMELTrainer:
 
     def __init__(self, config: Optional[AdaMELConfig] = None,
                  embedder: Optional[TokenEmbedder] = None) -> None:
-        # First, so that __del__ finds them even if construction fails below.
-        self._step_graphs: Dict[int, CompiledGraph] = {}
+        # First, so that __del__ finds it even if construction fails below.
+        self._steps: Optional[StepGraphs] = None
         self.config = config or AdaMELConfig()
         self._external_embedder = embedder
         self.encoder: Optional[PairEncoder] = None
@@ -143,20 +139,14 @@ class AdaMELTrainer:
     def __del__(self) -> None:
         # A dropped trainer's graphs pin their buffers in reference cycles;
         # release them now instead of at the next full collection.
-        self._release_graphs()
-
-    def _release_graphs(self) -> None:
-        for graph in self._step_graphs.values():
-            graph.release()
+        if self._steps is not None:
+            self._steps.release()
 
     def _reset_compiled_state(self) -> None:
         """Drop graphs compiled against a previous network's buffers."""
-        self._release_graphs()
-        # One compiled step graph per mini-batch size: the full batch_size
-        # plus (when the epoch length is not a multiple of it) the recurring
-        # final partial batch.  Anything else falls back to eager.
-        self._step_graphs: Dict[int, CompiledGraph] = {}
-        self._step_losses: Dict[int, _StepLosses] = {}
+        if self._steps is not None:
+            self._steps.release()
+        self._steps = None
         # [c_plus, c_minus, d_plus, d_minus]; mutated in place every epoch so
         # the recomputed-leaf weight closure always reads the current values.
         self._centroid_state: List[object] = [None, None, None, None]
@@ -229,11 +219,10 @@ class AdaMELTrainer:
             rng = spawn_rng(config.seed)
             self.network = AdaMELNetwork(self.encoder.num_features, config.embedding_dim,
                                          config=config, rng=rng)
-            # flatten=True: one fused Adam update over a single contiguous
-            # buffer (must happen before any replay graph is captured, since
-            # it rebinds param.data to views of the flat buffer).
-            optimizer = Adam(self.network.parameters(), lr=config.learning_rate,
-                             flatten=True)
+            # Before any graph is captured: Adam rebinds param.data to views
+            # of its flat buffer.
+            optimizer = Adam(self.network.parameters(), lr=config.learning_rate)
+            self._steps = StepGraphs(optimizer, config.grad_clip)
             # One per domain and fit; they read the parameters live each epoch.
             target_attention = source_attention = None
             if target_batch is not None and len(target_batch):
@@ -245,8 +234,7 @@ class AdaMELTrainer:
                 epoch_started = time.perf_counter()
                 with obs.trace("train.epoch", epoch=epoch, variant=self.variant):
                     epoch_losses = self._train_epoch(epoch, source_batch, support_batch,
-                                                     target_attention, source_attention,
-                                                     optimizer)
+                                                     target_attention, source_attention)
                 if epoch_hist is not None:
                     epoch_hist.observe(time.perf_counter() - epoch_started)
                     epochs_total.inc()
@@ -325,7 +313,7 @@ class AdaMELTrainer:
         return target_mean, draw_support
 
     # ------------------------------------------------------------------ #
-    # One training step (shared by the eager, capture and replay paths)
+    # One training step (built eagerly or under capture, then replayed)
     # ------------------------------------------------------------------ #
     def _build_step_losses(self, feat_t: Tensor, lab_t: Tensor,
                            mean_t: Optional[object],
@@ -333,9 +321,9 @@ class AdaMELTrainer:
                            slab_t: Optional[Tensor]) -> _StepLosses:
         """Construct the variant's loss graph for one mini-batch.
 
-        Runs identically with or without an active capture tape, so the
-        replayed graph and the eager fallback execute the same ops in the
-        same order — the basis of the float64 bit-exactness guarantee.
+        Runs identically with or without an active capture tape, so a
+        replayed graph and an eager build execute the same ops in the same
+        order — the basis of the float64 bit-exactness guarantee.
         """
         config = self.config
         network = self.network
@@ -358,14 +346,6 @@ class AdaMELTrainer:
                               support_weight=config.support_weight)
         return _StepLosses(loss=loss, base=l_base, target=l_target, support=l_support)
 
-    def _apply_eager_step(self, losses: _StepLosses, optimizer: Adam) -> None:
-        optimizer.zero_grad()
-        losses.loss.backward()
-        if self.config.grad_clip > 0:
-            # The optimiser's list: no walk of the module tree per step.
-            clip_grad_norm(optimizer.parameters, self.config.grad_clip)
-        optimizer.step()
-
     def _accumulate_sums(self, sums: Dict[str, float], losses: _StepLosses) -> None:
         sums["total"] += float(losses.loss.data)
         sums["base"] += float(losses.base.data)
@@ -375,49 +355,14 @@ class AdaMELTrainer:
     # ------------------------------------------------------------------ #
     # Epoch loop
     # ------------------------------------------------------------------ #
-    def _first_step(self, features: np.ndarray, labels: np.ndarray,
-                    target_mean: Optional[np.ndarray],
-                    support_features: Optional[np.ndarray],
-                    support_labels: Optional[np.ndarray], capture: bool) -> _StepLosses:
-        """Build one step's loss graph eagerly; with ``capture`` also record it.
-
-        The capture run *is* that step's forward pass — the caller follows it
-        with an eager backward/step and replays the graph from the next batch
-        of this size on.
-        """
-        dtype = self.network.V.data.dtype
-        # np.array under capture: the graph's input buffers must own their
-        # memory — a view into the current epoch's arrays would be overwritten
-        # by later replays.
-        wrap = np.array if capture else np.asarray
-        arrays = {"features": features, "labels": labels, "target_mean": target_mean,
-                  "support_features": support_features, "support_labels": support_labels}
-        tape = Tape()
-        with tape if capture else contextlib.nullcontext():
-            inputs = {name: Tensor(wrap(value, dtype=dtype))
-                      for name, value in arrays.items() if value is not None}
-            losses = self._build_step_losses(*(inputs.get(name) for name in arrays))
-        if capture:
-            self._step_graphs[len(labels)] = CompiledGraph(tape, inputs=inputs,
-                                                           loss=losses.loss)
-            self._step_losses[len(labels)] = losses
-        return losses
-
     def _train_epoch(self, epoch: int, source_batch: EncodedBatch,
                      support_batch: Optional[EncodedBatch],
                      target_attention: Optional[DomainAttention],
-                     source_attention: Optional[DomainAttention],
-                     optimizer: Adam) -> Dict[str, float]:
-        """One epoch of mini-batch steps, in either engine.
-
-        ``"eager"`` builds every step's graph afresh.  ``"replay"`` records one
-        graph per mini-batch size at its first sighting — in practice two,
-        ``batch_size`` and the recurring final partial batch; beyond eight
-        sizes the stragglers stay eager rather than caching ever more graphs
-        — and replays it for every later batch of that size.
-        """
+                     source_attention: Optional[DomainAttention]) -> Dict[str, float]:
+        """One epoch of mini-batch steps through the fit's :class:`StepGraphs`."""
         config = self.config
-        replaying = config.execution == "replay"
+        steps = self._steps
+        dtype = self.network.V.data.dtype
         profile = config.profile_steps
         step_hist = self._obs_step_hist
         steps_total = self._obs_steps_total
@@ -426,56 +371,44 @@ class AdaMELTrainer:
         # Algorithm 1 line 5 / Algorithm 2 line 10, with current parameters.
         target_mean, draw_support = self._begin_epoch(
             epoch, source_batch, support_batch, target_attention, source_attention)
-        if target_mean is not None:
-            for graph in self._step_graphs.values():
-                graph.load_inputs({"target_mean": target_mean})
 
-        sampler = BatchSampler(len(source_batch), config.batch_size, shuffle=True,
-                               seed=config.seed * 1000 + epoch)
         sums = {"total": 0.0, "base": 0.0, "target": 0.0, "support": 0.0}
         num_batches = 0
-        for indices in sampler:
+        for indices in shuffled_batches(len(source_batch), config.batch_size,
+                                        seed=config.seed * 1000 + epoch):
             started = time.perf_counter() if timing else 0.0
-            size = len(indices)
             support_indices = draw_support() if draw_support is not None else None
 
-            graph = self._step_graphs.get(size)
-            if graph is not None:
-                # Gather each mini-batch straight into the recorded input
-                # buffers with ``np.take(..., out=...)`` — one copy per
-                # input, no intermediate fancy-index arrays.
-                feature_buffer = graph.input_array("features")
-                if source_batch.features.dtype == feature_buffer.dtype:
-                    np.take(source_batch.features, indices, axis=0, out=feature_buffer)
-                else:
-                    feature_buffer[...] = source_batch.features[indices]
-                graph.input_array("labels")[...] = source_batch.labels[indices]
+            def build():
+                arrays = {"features": source_batch.features[indices],
+                          "labels": source_batch.labels[indices],
+                          "target_mean": target_mean, "support_features": None,
+                          "support_labels": None}
                 if support_indices is not None:
-                    support_buffer = graph.input_array("support_features")
-                    if support_batch.features.dtype == support_buffer.dtype:
-                        np.take(support_batch.features, support_indices, axis=0,
-                                out=support_buffer)
-                    else:
-                        support_buffer[...] = support_batch.features[support_indices]
+                    arrays["support_features"] = support_batch.features[support_indices]
+                    arrays["support_labels"] = support_batch.labels[support_indices]
+                # np.array: a recorded graph's input buffers must own their
+                # memory — a view into this epoch's arrays would be
+                # overwritten by later replays.
+                inputs = {name: Tensor(np.array(value, dtype=dtype))
+                          for name, value in arrays.items() if value is not None}
+                losses = self._build_step_losses(*(inputs.get(name) for name in arrays))
+                return inputs, losses.loss, losses
+
+            def fill(graph: CompiledGraph) -> None:
+                # Gather the mini-batch straight into the recorded buffers:
+                # one copy per input, no intermediate fancy-index arrays.
+                _gather(source_batch.features, indices, graph.input_array("features"))
+                graph.input_array("labels")[...] = source_batch.labels[indices]
+                if target_mean is not None:
+                    graph.input_array("target_mean")[...] = target_mean
+                if support_indices is not None:
+                    _gather(support_batch.features, support_indices,
+                            graph.input_array("support_features"))
                     graph.input_array("support_labels")[...] = \
                         support_batch.labels[support_indices]
-                graph.step()
-                if config.grad_clip > 0:
-                    clip_grad_norm(optimizer.parameters, config.grad_clip)
-                optimizer.step()
-                losses = self._step_losses[size]
-            else:
-                support_features = support_labels = None
-                if support_indices is not None:
-                    support_features = support_batch.features[support_indices]
-                    support_labels = support_batch.labels[support_indices]
-                losses = self._first_step(
-                    source_batch.features[indices], source_batch.labels[indices],
-                    target_mean, support_features, support_labels,
-                    capture=replaying and len(self._step_graphs) < 8)
-                self._apply_eager_step(losses, optimizer)
 
-            self._accumulate_sums(sums, losses)
+            self._accumulate_sums(sums, steps.step(len(indices), build, fill))
             num_batches += 1
             if timing:
                 # One reading feeds both sinks, so the history list and the
@@ -486,8 +419,6 @@ class AdaMELTrainer:
                 if step_hist is not None:
                     step_hist.observe(elapsed)
                     steps_total.inc()
-        if num_batches == 0:
-            raise RuntimeError("no training batches were produced; source domain is empty")
         return {key: value / num_batches for key, value in sums.items()}
 
     def replay_stats(self) -> Optional[Dict[str, int]]:
@@ -496,14 +427,7 @@ class AdaMELTrainer:
         Deterministic counters: ``tests/core/test_replay_lockstep.py`` bounds
         them so a tape regression shows without reading a clock.
         """
-        if not self._step_graphs:
-            return None
-        graph = self._step_graphs[max(self._step_graphs)]
-        return {
-            "forward_ops": int(graph.num_forward_ops),
-            "backward_ops": int(graph.num_backward_ops),
-            "nodes": int(graph.num_nodes),
-        }
+        return self._steps.stats() if self._steps is not None else None
 
     # ------------------------------------------------------------------ #
     # Inference
@@ -537,14 +461,17 @@ class AdaMELTrainer:
 
     def evaluate(self, pairs: Sequence[EntityPair], threshold: float = 0.5) -> ClassificationReport:
         """Score labeled pairs and return the full metric bundle."""
-        labeled = [pair for pair in pairs if pair.is_labeled]
-        if not labeled:
-            raise ValueError("evaluate() requires labeled pairs")
-        scores = self.predict_proba(labeled)
-        labels = np.array([pair.label for pair in labeled], dtype=np.int64)
-        return classification_report(labels, scores, threshold=threshold)
+        return evaluate_pairs(self, pairs, threshold)
 
     def num_parameters(self) -> int:
         """Number of learnable parameters (paper Section 4.5 / Section 5.5)."""
         self._require_fitted()
         return self.network.num_parameters()
+
+
+def _gather(source: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = source[indices]`` in one copy (``np.take`` needs one dtype)."""
+    if source.dtype == out.dtype:
+        np.take(source, indices, axis=0, out=out)
+    else:
+        out[...] = source[indices]

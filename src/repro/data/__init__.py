@@ -3,7 +3,7 @@
 from . import generators
 from .domain import MELScenario, PairCollection, SourceDomain, SupportSet, TargetDomain
 from .records import MISSING_VALUE, EntityPair, Record
-from .sampling import BatchSampler, sample_balanced, sample_support_set
+from .sampling import sample_balanced, sample_support_set, shuffled_batches
 from .schema import Schema, align_ontology, align_pairs, union_schema
 from .splits import stratified_split
 from .storage import (
@@ -31,7 +31,7 @@ __all__ = [
     "TargetDomain",
     "SupportSet",
     "MELScenario",
-    "BatchSampler",
+    "shuffled_batches",
     "sample_balanced",
     "sample_support_set",
     "stratified_split",

@@ -1,6 +1,6 @@
 """Evaluation: metrics, model comparison harness, projections, reporting."""
 
-from .evaluation import EvaluationResult, compare_models, evaluate_model
+from .evaluation import EvaluationResult, compare_models, evaluate_model, evaluate_pairs
 from .metrics import (
     ClassificationReport,
     accuracy,
@@ -27,6 +27,7 @@ __all__ = [
     "classification_report",
     "EvaluationResult",
     "evaluate_model",
+    "evaluate_pairs",
     "compare_models",
     "pca_project",
     "tsne_project",

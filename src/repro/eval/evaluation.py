@@ -16,9 +16,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..data.domain import MELScenario
+from ..data.records import EntityPair
 from .metrics import ClassificationReport, classification_report
 
-__all__ = ["EvaluationResult", "evaluate_model", "compare_models"]
+__all__ = ["EvaluationResult", "evaluate_pairs", "evaluate_model", "compare_models"]
 
 
 @dataclass
@@ -48,6 +49,18 @@ class EvaluationResult:
             "predict_seconds": self.predict_seconds,
         })
         return payload
+
+
+def evaluate_pairs(model, pairs: Sequence[EntityPair],
+                   threshold: float = 0.5) -> ClassificationReport:
+    """Score the labeled ``pairs`` with a fitted ``model``; every model's
+    ``evaluate`` method."""
+    labeled = [pair for pair in pairs if pair.is_labeled]
+    if not labeled:
+        raise ValueError("evaluate() requires labeled pairs")
+    scores = model.predict_proba(labeled)
+    labels = np.array([pair.label for pair in labeled], dtype=np.int64)
+    return classification_report(labels, scores, threshold=threshold)
 
 
 def evaluate_model(model, scenario: MELScenario, model_name: Optional[str] = None,

@@ -31,7 +31,9 @@ from ..utils.serialization import load_json, load_npz, save_json, save_npz
 
 __all__ = ["MODEL_FORMAT_VERSION", "save_model", "load_model"]
 
-MODEL_FORMAT_VERSION = 1
+# 2: AdaMELConfig lost its ``execution`` field, which every version-1 bundle
+# carries.
+MODEL_FORMAT_VERSION = 2
 
 _META_FILE = "model.json"
 _WEIGHTS_FILE = "weights.npz"

@@ -17,11 +17,11 @@ from .fused import (
     fused_scale_relu_flatten,
 )
 from .gradcheck import check_gradient, numerical_gradient
-from .graph import CompiledGraph, GraphShapeMismatch, Tape
+from .graph import CompiledGraph, GraphShapeMismatch, StepGraphs, Tape
 from .layers import MLP, Dropout, Linear, ReLU, Sequential
 from .losses import binary_cross_entropy, kl_divergence
 from .module import Module, Parameter
-from .optim import Adam, Optimizer, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from .recurrent import GRU, GRUCell
 from .tensor import (Tensor, as_tensor, concatenate, is_grad_enabled, no_grad,
                      recomputed_leaf, stack)
@@ -38,6 +38,7 @@ __all__ = [
     "Tape",
     "CompiledGraph",
     "GraphShapeMismatch",
+    "StepGraphs",
     "DtypePolicy",
     "get_default_dtype",
     "using_dtype",
@@ -61,7 +62,6 @@ __all__ = [
     "GRU",
     "binary_cross_entropy",
     "kl_divergence",
-    "Optimizer",
     "Adam",
     "clip_grad_norm",
     "check_gradient",

@@ -15,6 +15,9 @@ construction cost can be paid once and amortised over the whole run:
   recorded from the eager engine — so gradient accumulation happens in the
   same order, with the same rounding, as an eager step.  Gradient buffers are
   retained across steps and zeroed in place.
+* :class:`StepGraphs` — the training step both trainers run: one
+  ``CompiledGraph`` per mini-batch size, recorded at the size's first batch
+  and replayed for every later one, then the gradient clip and the Adam step.
 
 Invariants the capture relies on (enforced/observed by the callers):
 
@@ -24,19 +27,29 @@ Invariants the capture relies on (enforced/observed by the callers):
 * data-dependent constants inside the captured region are created through
   :func:`repro.nn.tensor.recomputed_leaf` so they are refreshed per replay;
 * input shapes are frozen at record time — :meth:`CompiledGraph.step` raises
-  :class:`GraphShapeMismatch` for any other shape and the caller falls back
-  to the eager engine (e.g. the last partial mini-batch of an epoch).
+  :class:`GraphShapeMismatch` for any other shape.  :class:`StepGraphs` never
+  feeds one: it keys its graphs by batch size and builds a size it holds no
+  graph for (e.g. the last partial mini-batch of an epoch) afresh.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import contextlib
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
+from .optim import Adam, clip_grad_norm
 from .tensor import Tensor, _Capture, _topological_order
 
-__all__ = ["Tape", "CompiledGraph", "GraphShapeMismatch"]
+__all__ = ["Tape", "CompiledGraph", "GraphShapeMismatch", "StepGraphs", "MAX_STEP_GRAPHS"]
+
+# Graphs one StepGraphs records: in practice two sizes recur (batch_size and
+# the final partial batch), so further sizes run eager rather than caching
+# ever more graphs.  Tests set it to 0 for the all-eager reference.
+MAX_STEP_GRAPHS = 8
+
+_Outputs = TypeVar("_Outputs")
 
 
 class GraphShapeMismatch(RuntimeError):
@@ -207,3 +220,73 @@ class CompiledGraph:
         self.forward(inputs)
         self.backward()
         return float(self._loss.data)
+
+
+class StepGraphs:
+    """One model's training step: recorded once per mini-batch size, replayed.
+
+    For a size it holds no graph for, :meth:`step` calls ``build()`` under a
+    :class:`Tape` — that run is the step's forward pass — and keeps the
+    recording as a :class:`CompiledGraph`.  For a size it has recorded,
+    ``fill(graph)`` gathers the batch into the graph's input buffers and the
+    graph is replayed.  Once :data:`MAX_STEP_GRAPHS` graphs are held, or with
+    ``capture=False`` (a network whose forward is not capture-safe), new sizes
+    are built eagerly every time.  Either way backward, the gradient-norm clip
+    and ``Adam.step`` follow; float64 replay is bit-exact with eager.
+    """
+
+    def __init__(self, optimizer: Adam, grad_clip: float, capture: bool = True) -> None:
+        self.optimizer = optimizer
+        self.grad_clip = grad_clip
+        self.capture = capture
+        self._graphs: Dict[int, CompiledGraph] = {}
+        self._outputs: Dict[int, object] = {}
+
+    def step(self, size: int,
+             build: Callable[[], Tuple[Mapping[str, Tensor], Tensor, _Outputs]],
+             fill: Callable[[CompiledGraph], None]) -> _Outputs:
+        """One optimiser step on a mini-batch of ``size`` rows.
+
+        ``build()`` returns ``(inputs, loss, outputs)``: the leaf tensors a
+        replay refreshes (their buffers must own their memory), the scalar
+        loss, and what the caller reads back after the step — tensors whose
+        values every replay overwrites.  Returns those ``outputs``.
+        """
+        graph = self._graphs.get(size)
+        if graph is not None:
+            fill(graph)
+            graph.step()
+            outputs = self._outputs[size]
+        else:
+            capture = self.capture and len(self._graphs) < MAX_STEP_GRAPHS
+            tape = Tape()
+            with tape if capture else contextlib.nullcontext():
+                inputs, loss, outputs = build()
+            if capture:
+                self._graphs[size] = CompiledGraph(tape, inputs=inputs, loss=loss)
+                self._outputs[size] = outputs
+            self.optimizer.zero_grad()
+            loss.backward()
+        if self.grad_clip > 0:
+            # The optimiser's list: no walk of the module tree per step.
+            clip_grad_norm(self.optimizer.parameters, self.grad_clip)
+        self.optimizer.step()
+        return outputs
+
+    def stats(self) -> Optional[Dict[str, int]]:
+        """Op counts of the largest recorded graph (None before any)."""
+        if not self._graphs:
+            return None
+        graph = self._graphs[max(self._graphs)]
+        return {
+            "forward_ops": int(graph.num_forward_ops),
+            "backward_ops": int(graph.num_backward_ops),
+            "nodes": int(graph.num_nodes),
+        }
+
+    def release(self) -> None:
+        """Release every recorded graph (see :meth:`CompiledGraph.release`)."""
+        for graph in self._graphs.values():
+            graph.release()
+        self._graphs = {}
+        self._outputs = {}

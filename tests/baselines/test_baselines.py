@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.nn.graph
 from repro.baselines import (
     TLER,
     BaselineConfig,
@@ -12,6 +13,7 @@ from repro.baselines import (
     EntityMatcher,
     TLERConfig,
 )
+from repro.nn.tensor import Tensor
 
 FAST_BASELINE_CONFIG = BaselineConfig(embedding_dim=16, hidden_dim=8, classifier_hidden_dim=12,
                                       tokens_per_attribute=4, epochs=2, batch_size=8, seed=0)
@@ -139,14 +141,18 @@ class TestBaselineReplayEngine:
     """Graph-replay fast path in the shared baseline training loop."""
 
     @pytest.mark.parametrize("cls", [DeepMatcher, EntityMatcher, CorDelAttention])
-    def test_replay_is_bit_exact_with_eager(self, cls, music_scenario):
-        import dataclasses
-        eager_cfg = dataclasses.replace(FAST_BASELINE_CONFIG, execution="eager")
-        replay_cfg = dataclasses.replace(FAST_BASELINE_CONFIG, execution="replay")
-        eager = cls(eager_cfg)
-        eager_history = eager.fit(music_scenario)
-        replay = cls(replay_cfg)
+    def test_replay_is_bit_exact_with_eager(self, cls, music_scenario, monkeypatch):
+        created = Tensor._created
+        eager = cls(FAST_BASELINE_CONFIG)
+        with monkeypatch.context() as patch:
+            # The eager reference: no graph is ever recorded.
+            patch.setattr(repro.nn.graph, "MAX_STEP_GRAPHS", 0)
+            eager_history = eager.fit(music_scenario)
+        eager_tensors, created = Tensor._created - created, Tensor._created
+        replay = cls(FAST_BASELINE_CONFIG)
         replay_history = replay.fit(music_scenario)
+        # Replayed steps build no tensors: the replay run really replayed.
+        assert Tensor._created - created < eager_tensors / 2
         assert eager_history == replay_history
         for p_eager, p_replay in zip(eager.network.parameters(),
                                      replay.network.parameters()):
@@ -159,6 +165,7 @@ class TestBaselineReplayEngine:
         assert not getattr(model.network, "replay_safe", False)
 
     def test_invalid_execution_rejected(self):
-        for execution in ("jit", "auto"):
-            with pytest.raises(ValueError):
+        # There is no execution switch any more: the field is gone.
+        for execution in ("replay", "eager"):
+            with pytest.raises(TypeError):
                 BaselineConfig(execution=execution)

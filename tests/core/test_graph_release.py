@@ -36,7 +36,7 @@ def test_live_trainer_keeps_its_graphs_and_refit_releases_them(fast_config, musi
     first = trainer.fit(music_scenario)
     stats = trainer.replay_stats()
     assert stats is not None and stats["forward_ops"] > 0 and stats["backward_ops"] > 0
-    old_graphs = list(trainer._step_graphs.values())
+    old_graphs = list(trainer._steps._graphs.values())
 
     second = trainer.fit(music_scenario)
     # Same seed, same data: the second fit replays the first bit for bit...
@@ -44,7 +44,7 @@ def test_live_trainer_keeps_its_graphs_and_refit_releases_them(fast_config, musi
     assert trainer.replay_stats() == stats
     # ...on fresh graphs; the previous ones were released, not leaked.
     assert all(graph.num_forward_ops == 0 for graph in old_graphs)
-    assert all(graph not in old_graphs for graph in trainer._step_graphs.values())
+    assert all(graph not in old_graphs for graph in trainer._steps._graphs.values())
 
 
 def test_release_breaks_the_node_cycles_and_keeps_values():

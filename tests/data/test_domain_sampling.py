@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    BatchSampler,
     EntityPair,
     MELScenario,
     PairCollection,
@@ -19,6 +18,7 @@ from repro.data import (
     read_records_csv,
     sample_balanced,
     sample_support_set,
+    shuffled_batches,
     stratified_split,
     write_pair_labels_csv,
     write_pairs_jsonl,
@@ -110,58 +110,27 @@ class TestMELScenario:
 
 class TestSampling:
     def test_batch_sampler_covers_everything(self):
-        sampler = BatchSampler(23, batch_size=5, seed=1)
-        seen = np.concatenate(list(sampler))
+        batches = list(shuffled_batches(23, batch_size=5, seed=1))
+        seen = np.concatenate(batches)
         assert sorted(seen.tolist()) == list(range(23))
-        assert len(sampler) == 5
-
-    def test_batch_sampler_drop_last(self):
-        sampler = BatchSampler(23, batch_size=5, drop_last=True, seed=1)
-        assert all(len(batch) == 5 for batch in sampler)
-        assert len(sampler) == 4
+        assert [len(batch) for batch in batches] == [5, 5, 5, 5, 3]
 
     def test_batch_sampler_deterministic_given_seed(self):
-        batches_a = [b.tolist() for b in BatchSampler(10, 3, seed=7)]
-        batches_b = [b.tolist() for b in BatchSampler(10, 3, seed=7)]
+        batches_a = [b.tolist() for b in shuffled_batches(10, 3, seed=7)]
+        batches_b = [b.tolist() for b in shuffled_batches(10, 3, seed=7)]
         assert batches_a == batches_b
 
-    def test_batch_sampler_reshuffles_each_epoch(self):
-        sampler = BatchSampler(50, batch_size=50, seed=3)
-        epoch0 = next(iter(sampler)).tolist()
-        epoch1 = next(iter(sampler)).tolist()
-        assert sorted(epoch0) == sorted(epoch1) == list(range(50))
-        assert epoch0 != epoch1
-
-    def test_batch_sampler_epochs_deterministic_per_index(self):
-        """Regression: epoch-k order depends only on (seed, k), so two
-        samplers sharing a seed stay in lockstep even when their iterations
-        interleave (previously the mutated generator state made them diverge)."""
-        a = BatchSampler(30, batch_size=7, seed=11)
-        b = BatchSampler(30, batch_size=7, seed=11)
-        # Advance `a` two epochs before `b` starts: epochs must still line up.
-        a_epochs = [[batch.tolist() for batch in a] for _ in range(3)]
-        b_epochs = [[batch.tolist() for batch in b] for _ in range(3)]
-        assert a_epochs == b_epochs
-
-    def test_batch_sampler_set_epoch_resumes(self):
-        reference = BatchSampler(20, batch_size=6, seed=5)
-        epochs = [[batch.tolist() for batch in reference] for _ in range(3)]
-        resumed = BatchSampler(20, batch_size=6, seed=5).set_epoch(2)
-        assert [batch.tolist() for batch in resumed] == epochs[2]
-
     def test_batch_sampler_first_epoch_matches_legacy_order(self):
-        """The first pass must reproduce the historical single-pass shuffle
-        (a fresh generator seeded directly), keeping training traces stable."""
+        """The order is a fresh generator seeded directly shuffling arange(n),
+        which keeps every training trace stable."""
         legacy_rng = np.random.default_rng(9)
         expected = np.arange(12)
         legacy_rng.shuffle(expected)
-        sampler = BatchSampler(12, batch_size=12, seed=9)
-        assert next(iter(sampler)).tolist() == expected.tolist()
+        assert next(shuffled_batches(12, batch_size=12, seed=9)).tolist() == expected.tolist()
 
-    def test_batch_sampler_accepts_external_generator(self):
-        sampler = BatchSampler(15, batch_size=4, seed=np.random.default_rng(21))
-        seen = np.concatenate(list(sampler))
-        assert sorted(seen.tolist()) == list(range(15))
+    def test_batch_sampler_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="num_items"):
+            next(shuffled_batches(0, batch_size=4, seed=0))
 
     def test_sample_balanced_counts(self, labeled_pairs):
         sampled = sample_balanced(labeled_pairs, num_positive=3, num_negative=3, seed=0)

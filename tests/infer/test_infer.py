@@ -70,6 +70,18 @@ class TestModelBundle:
         with pytest.raises(ValueError, match="format version"):
             load_model(bundle)
 
+    def test_version_1_bundle_with_execution_rejected(self, fitted_trainer, tmp_path):
+        """Bundles saved before AdaMELConfig lost ``execution`` are version 1."""
+        bundle = save_model(fitted_trainer, tmp_path / "bundle")
+        meta = load_json(bundle / "model.json")
+        assert "execution" not in meta["config"]
+        meta["format_version"] = 1
+        meta["config"]["execution"] = "replay"
+        save_json(meta, bundle / "model.json")
+        with pytest.raises(ValueError, match="unsupported model format version 1;"
+                                             ".*reads version 2"):
+            load_model(bundle)
+
     def test_config_with_unknown_or_missing_keys_asks_for_a_resave(
             self, fitted_trainer, tmp_path):
         bundle = save_model(fitted_trainer, tmp_path / "bundle")

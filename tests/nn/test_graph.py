@@ -8,10 +8,11 @@ backpropagating the eager graph for the same inputs.
 import numpy as np
 import pytest
 
+import repro.nn.graph
 from repro.nn import MLP, Adam, binary_cross_entropy
 from repro.nn import functional as F
 from repro.nn.attention import AdditiveAttention
-from repro.nn.graph import CompiledGraph, GraphShapeMismatch, Tape
+from repro.nn.graph import CompiledGraph, GraphShapeMismatch, StepGraphs, Tape
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor, no_grad, recomputed_leaf
 
@@ -128,6 +129,61 @@ class TestCompiledGraphTraining:
         assert graph.num_forward_ops > 0
         assert graph.num_backward_ops > 0
         assert graph.num_nodes >= graph.num_backward_ops
+
+
+def _step_graphs_fit(sizes, capture=True, epochs=2):
+    """Train the toy model through a StepGraphs on batches of ``sizes`` rows."""
+    att, clf = _toy_model(3)
+    params = att.parameters() + clf.parameters()
+    steps = StepGraphs(Adam(params, lr=1e-2), grad_clip=1.0, capture=capture)
+    rng = np.random.default_rng(0)
+    losses = []
+    for _ in range(epochs):
+        for size in sizes:
+            feats = rng.normal(size=(size, 5, 6))
+            labs = rng.integers(0, 2, size).astype(float)
+
+            def build():
+                feat_t, lab_t = Tensor(feats.copy()), Tensor(labs.copy())
+                loss = _toy_loss(att, clf, feat_t, lab_t)
+                return {"features": feat_t, "labels": lab_t}, loss, loss
+
+            def fill(graph):
+                graph.load_inputs({"features": feats, "labels": labs})
+
+            losses.append(float(steps.step(size, build, fill).data))
+    return steps, losses, [p.data.copy() for p in params]
+
+
+class TestStepGraphs:
+    def test_sizes_past_the_cap_run_eager_bit_exact(self, monkeypatch):
+        sizes = list(range(1, repro.nn.graph.MAX_STEP_GRAPHS + 5))
+        steps, losses, params = _step_graphs_fit(sizes)
+        # The first MAX_STEP_GRAPHS sizes are recorded, the rest stay eager.
+        assert sorted(steps._graphs) == sizes[:repro.nn.graph.MAX_STEP_GRAPHS]
+        assert steps.stats()["forward_ops"] > 0
+        monkeypatch.setattr(repro.nn.graph, "MAX_STEP_GRAPHS", 0)
+        eager, eager_losses, eager_params = _step_graphs_fit(sizes)
+        assert not eager._graphs and eager.stats() is None
+        assert losses == eager_losses
+        for a, b in zip(params, eager_params):
+            assert np.array_equal(a, b)
+
+    def test_capture_off_records_nothing(self):
+        steps, losses, params = _step_graphs_fit([4, 3], capture=False)
+        assert not steps._graphs and steps.stats() is None
+        _, replay_losses, replay_params = _step_graphs_fit([4, 3])
+        assert losses == replay_losses
+        for a, b in zip(params, replay_params):
+            assert np.array_equal(a, b)
+
+    def test_release_drops_every_graph(self):
+        steps, _, _ = _step_graphs_fit([4, 3], epochs=1)
+        graph = steps._graphs[4]
+        steps.release()
+        assert not steps._graphs and steps.stats() is None
+        with pytest.raises(RuntimeError):
+            graph.backward()
 
 
 class TestForwardOnlyGraph:

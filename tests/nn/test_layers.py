@@ -145,6 +145,11 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=0.0)
 
+    def test_adam_rejects_mixed_dtypes(self):
+        params = [Parameter(np.zeros(2)), Parameter(np.zeros(2, dtype=np.float32))]
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam(params, lr=0.1)
+
     def test_clip_grad_norm(self):
         param = Parameter(np.zeros(4))
         param.grad = np.full(4, 10.0)

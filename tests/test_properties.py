@@ -306,7 +306,7 @@ def test_domain_attention_equals_whole_set_forward_on_distinct_rows_only(case):
     assert_equal_to_whole_set_forward()
     # No stale capture: the optimiser rebinds every ``param.data`` to a view of
     # its flat buffer, then parameters move in place.
-    Adam(network.parameters(), flatten=True)
+    Adam(network.parameters())
     assert_equal_to_whole_set_forward()
     for param in network.parameters():
         param.data += rng.normal(scale=0.3, size=param.shape).astype(dtype)
