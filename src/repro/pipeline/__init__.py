@@ -3,10 +3,15 @@
 The model (:mod:`repro.core`) matches *pairs*; a deployment links *corpora*.
 This package provides the surrounding production pipeline:
 
-* :mod:`~repro.pipeline.index` — MinHash-LSH and inverted-token candidate
-  indexes with streaming ``add_records`` ingestion and bucket-size caps;
-* :mod:`~repro.pipeline.candidates` — cross-source candidate generation with
-  recall / pair-reduction statistics against ``entity_id`` ground truth;
+* :mod:`~repro.pipeline.index` — MinHash-LSH, inverted-token and initials
+  candidate indexes with bucket-size caps, built either in bulk
+  (``add_records`` chunks into int64 posting columns that one sort per index
+  groups into buckets) or streamed one record at a time (``ingest_one``, the
+  online store's path);
+* :mod:`~repro.pipeline.candidates` — cross-source candidate generation (the
+  indexes' pair arrays unioned, oriented and deduplicated on record-id
+  ranks) with recall / pair-reduction statistics against ``entity_id``
+  ground truth;
 * :mod:`~repro.pipeline.scoring` — chunked scoring through the batched
   inference engine (:class:`~repro.infer.BatchedPredictor`);
 * :mod:`~repro.pipeline.clustering` — union-find entity resolution with a
@@ -24,8 +29,8 @@ from .clustering import (ClusteringStage, ClusterResult, IncrementalClusters,
                          MatchEdge, UnionFind, apply_match_edges,
                          order_match_edges, pairwise_cluster_metrics)
 from .engine import LinkagePipeline, PipelineConfig, PipelineResult
-from .index import (InitialsKeyIndex, InvertedTokenIndex, MinHashLSHIndex,
-                    build_blocking_indexes, record_tokens)
+from .index import (IndexModeError, InitialsKeyIndex, InvertedTokenIndex,
+                    MinHashLSHIndex, build_blocking_indexes, record_tokens)
 from .scoring import ScoredCandidates, ScoringStage
 from .sharded import (ShardConfig, ShardedPipeline, ShardedPipelineResult,
                       ShardReport)
@@ -36,6 +41,7 @@ __all__ = [
     "ClusteringStage",
     "ClusterResult",
     "IncrementalClusters",
+    "IndexModeError",
     "InitialsKeyIndex",
     "InvertedTokenIndex",
     "LinkagePipeline",

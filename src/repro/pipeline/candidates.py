@@ -2,10 +2,11 @@
 
 The stage owns the indexes and the ingested record list.  Records stream in
 via :meth:`CandidateGenerationStage.add_records` (each batch is forwarded to
-every index); :meth:`generate` then unions the indexes' bucket collisions,
-enforces cross-source-only pairing, dedupes via sorted-id keys and computes
-blocking-quality statistics (recall against ``entity_id`` ground truth and
-the pair-reduction ratio against full cross-source enumeration).
+every index's bulk ``add_records``); :meth:`generate` then unions the
+indexes' position-pair arrays, orients and dedupes them on record-id ranks
+in a few array ops and computes blocking-quality statistics (recall against
+``entity_id`` ground truth and the pair-reduction ratio against full
+cross-source enumeration).
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..data.records import EntityPair, Record
-from .index import build_blocking_indexes
+from .index import _run_starts, _sorted_unique, build_blocking_indexes
 
 __all__ = ["CandidateGenerationStage", "CandidateResult", "ground_truth_pairs",
            "possible_cross_source_pairs"]
@@ -67,8 +70,14 @@ class CandidateGenerationStage:
     Parameters
     ----------
     indexes:
-        Index objects exposing ``add_records`` / ``candidate_pairs`` /
-        ``stats`` (see :mod:`repro.pipeline.index`).  Defaults to a
+        Index objects exposing ``add_records(records)``,
+        ``candidate_pairs(cross_source_only)`` and ``stats()`` (see
+        :mod:`repro.pipeline.index`).  ``candidate_pairs`` returns two
+        equal-length int arrays ``(left, right)`` of record positions — the
+        order of ``add_records`` input across every call — one entry per
+        distinct pair that shares a block; with ``cross_source_only`` it
+        leaves out pairs from one source.  A ``skew_stats(top_k)`` hook is
+        optional.  Defaults to a
         MinHash-LSH index, an inverted token index and an initials-key index
         over ``attributes``.  The default caps are deliberately tight — a
         bucket shared by more than a handful of records carries almost no
@@ -120,34 +129,40 @@ class CandidateGenerationStage:
     def generate(self) -> CandidateResult:
         """Union the indexes' collisions into deduplicated candidate pairs.
 
-        Pairs are deduplicated on the sorted ``(record_id, record_id)`` key
-        and returned sorted by that key, so the output is independent of
-        index iteration order.
+        Each pair is oriented by record id (smaller id left) and the pairs
+        come sorted by ``(left id, right id)``, so the output is independent
+        of index iteration order.  Duplicate record ids: position pairs that
+        name the same two ids are one candidate, the one whose positions
+        ``(smaller, larger)`` sort first; a pair of two records sharing one
+        id keeps its position order.
         """
         records = self._records
-        positions: Set[Tuple[int, int]] = set()
+        count = max(len(records), 1)
         per_index_hits: Dict[str, int] = {}
+        codes = []
         for label, index in zip(self._index_labels(), self.indexes):
-            hits = index.candidate_pairs(cross_source_only=self.cross_source_only)
-            per_index_hits[label] = len(hits)
-            positions |= hits
+            left, right = index.candidate_pairs(cross_source_only=self.cross_source_only)
+            left = np.asarray(left, dtype=np.int64)
+            right = np.asarray(right, dtype=np.int64)
+            per_index_hits[label] = len(left)
+            codes.append(np.minimum(left, right) * count + np.maximum(left, right))
+        positions = _sorted_unique(np.concatenate(codes))
+        left, right = positions // count, positions % count
 
-        seen: Set[Tuple[str, str]] = set()
-        keyed: List[Tuple[Tuple[str, str], int, int]] = []
-        for left, right in positions:
-            key = (records[left].record_id, records[right].record_id)
-            if key[0] > key[1]:
-                key = (key[1], key[0])
-                left, right = right, left
-            if key in seen:
-                continue
-            seen.add(key)
-            keyed.append((key, left, right))
-        keyed.sort(key=lambda item: item[0])
-        pairs = [EntityPair(left=records[left], right=records[right], label=None)
-                 for _, left, right in keyed]
+        ids = sorted({record.record_id for record in records})
+        rank_of = {record_id: rank for rank, record_id in enumerate(ids)}
+        rank = np.array([rank_of[record.record_id] for record in records], dtype=np.int64)
+        swap = rank[left] > rank[right]
+        left, right = np.where(swap, right, left), np.where(swap, left, right)
+        # A stable sort keeps each id pair's first entry in ``positions``
+        # order at the head of its run: the rule above.
+        keys = rank[left] * len(ids) + rank[right]
+        order = np.argsort(keys, kind="stable")
+        kept = order[_run_starts(keys[order])]
+        pairs = [EntityPair(left=records[lo], right=records[hi], label=None)
+                 for lo, hi in zip(left[kept].tolist(), right[kept].tolist())]
 
-        stats = self._stats(pairs, seen, per_index_hits)
+        stats = self._stats(pairs, keys[kept], rank_of, per_index_hits)
         return CandidateResult(pairs=pairs, stats=stats)
 
     # ------------------------------------------------------------------ #
@@ -178,8 +193,11 @@ class CandidateGenerationStage:
                 for label, index in zip(self._index_labels(), self.indexes)
                 if hasattr(index, "skew_stats")}
 
-    def _stats(self, pairs: List[EntityPair], retrieved: Set[Tuple[str, str]],
-               per_index_hits: Dict[str, int]) -> Dict[str, float]:
+    def _stats(self, pairs: List[EntityPair], retrieved: np.ndarray,
+               rank_of: Dict[str, int], per_index_hits: Dict[str, int]) -> Dict[str, float]:
+        """``retrieved`` holds the candidates' id-pair codes ``rank(left id) *
+        len(rank_of) + rank(right id)``, ``rank_of`` ranking the sorted
+        distinct record ids."""
         records = self._records
         possible = possible_cross_source_pairs(records, self.cross_source_only)
         truth = ground_truth_pairs(records, self.cross_source_only)
@@ -197,6 +215,9 @@ class CandidateGenerationStage:
         for name, hits in per_index_hits.items():
             stats[f"hits_{name}"] = float(hits)
         if truth:
+            truth_codes = [rank_of[left] * len(rank_of) + rank_of[right]
+                           for left, right in truth]
             stats["num_true_pairs"] = float(len(truth))
-            stats["recall"] = len(truth & retrieved) / len(truth)
+            stats["recall"] = (int(np.isin(truth_codes, retrieved).sum())
+                               / len(truth))
         return stats

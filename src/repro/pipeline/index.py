@@ -14,18 +14,29 @@ indexes are provided:
 * :class:`InitialsKeyIndex` — token-initial keys that survive abbreviation,
   linking "E. B." to "Elliott Bianchi" when no token is shared at all.
 
-Every index ingests incrementally via :meth:`add_records` (streaming-friendly:
-a bulk build is just repeated batched adds and yields the same buckets) and
-caps bucket/posting sizes so stop-word-like keys cannot explode candidate
-counts or memory.  Buckets that overflow their cap are dropped at pair-emission
-time — the standard treatment of blocks dominated by frequent keys.
+Every index is filled one of two ways, and keeps to the one it started with:
+
+* **bulk** — :meth:`add_records` over chunks, for the batch pipeline.  Each
+  chunk's keys are appended as int64 codes to two posting columns (code,
+  record position); :meth:`candidate_pairs` groups the columns with one
+  sort, so a run of equal codes is a bucket and blocking is a sort
+  over key columns, not per-key Python work.
+* **streamed** — :meth:`ingest_one` (:meth:`preview_one` + :meth:`commit_one`)
+  one record at a time, for the online store: a capped bucket store that
+  answers :meth:`probe_keys` and round-trips through :meth:`state_dict`.
+
+Calling one path's methods on an index filled by the other raises
+:class:`IndexModeError` instead of answering from empty state.  Both paths
+cap bucket sizes the same way — a bucket of more than ``max_bucket_size``
+records is dead and emits no pairs (the standard treatment of blocks
+dominated by frequent keys) — so a bulk build and a stream of the same
+records yield the same candidate pairs, counters and bucket sizes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Hashable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -33,8 +44,9 @@ from ..data.records import Record
 from ..text.hashing import stable_hash
 from ..text.tokenizer import admit, tokenize
 
-__all__ = ["InitialsKeyIndex", "InvertedTokenIndex", "MemoryBucketStore",
-           "MinHashLSHIndex", "build_blocking_indexes", "record_tokens"]
+__all__ = ["IndexModeError", "InitialsKeyIndex", "InvertedTokenIndex",
+           "MemoryBucketStore", "MinHashLSHIndex", "build_blocking_indexes",
+           "record_tokens"]
 
 # Modulus for the universal hash family h(x) = (a*x + b) mod p. With a
 # Mersenne prime below 2**31 every operand stays below 2**31, so the uint64
@@ -42,6 +54,22 @@ __all__ = ["InitialsKeyIndex", "InvertedTokenIndex", "MemoryBucketStore",
 # pairwise-independence property MinHash's collision math relies on.
 _MERSENNE_PRIME = (1 << 31) - 1
 _HASH_RANGE = np.uint64(_MERSENNE_PRIME)
+# A MinHash posting code is ``band << 31 | value``: band values are below 2**31.
+_BAND_SHIFT = 31
+
+_BULK = "bulk"
+_STREAMED = "streamed"
+
+
+class IndexModeError(RuntimeError):
+    """A call on the other ingestion path than the one that filled the index.
+
+    A bulk-built index (:meth:`~_BucketedIndex.add_records`) keeps posting
+    columns and has no bucket store to probe, preview or snapshot; a
+    streamed index (:meth:`~_BucketedIndex.ingest_one`) keeps no posting
+    columns to add to or group.  Either would otherwise answer from empty
+    state — a silent wrong answer.
+    """
 
 
 def record_tokens(record: Record, attributes: Optional[Sequence[str]] = None,
@@ -63,12 +91,12 @@ def record_tokens(record: Record, attributes: Optional[Sequence[str]] = None,
 class MemoryBucketStore(dict):
     """The default posting-list/bucket backend: a plain in-process dict.
 
-    The bucket *store* owns only key → member-position lists; the cap
-    semantics (one extra entry marks an overflowed bucket, overflowed
-    buckets are dead) are shared with every other backend so that swapping
-    the store never changes blocking output.  The SQLite backend in
-    :mod:`repro.storage.backends` implements this same interface with the
-    probe and pair-emission walks fused into single SQL passes.
+    The bucket *store* owns only key → member-position lists of a streamed
+    index; the cap semantics (one extra entry marks an overflowed bucket,
+    overflowed buckets are dead) are shared with every other backend so
+    that swapping the store never changes blocking output.  The SQLite
+    backend in :mod:`repro.storage.backends` implements this same interface
+    with the probe walk fused into a single SQL pass.
     """
 
     def members(self, key: Hashable) -> Sequence[int]:
@@ -90,17 +118,6 @@ class MemoryBucketStore(dict):
                 positions.update(bucket)
         return positions
 
-    def emit_pairs(self, cap: int) -> Iterator[Tuple[int, int]]:
-        """Unordered position pairs co-resident in a live bucket.
-
-        Pairs are emitted ``(earlier, later)`` in insertion order — positions
-        grow with insertion, so this is (smaller, larger).
-        """
-        for bucket in self.values():
-            if len(bucket) < 2 or len(bucket) > cap:
-                continue
-            yield from combinations(bucket, 2)
-
     def sizes(self) -> Dict[Hashable, int]:
         """Member count of every bucket (overflowed ones included)."""
         return {key: len(bucket) for key, bucket in self.items()}
@@ -120,18 +137,45 @@ class MemoryBucketStore(dict):
             self[key] = list(members)
 
 
+def _run_starts(grouped: np.ndarray) -> np.ndarray:
+    """Offsets where each run of equal values in sorted ``grouped`` begins."""
+    boundary = np.ones(len(grouped), dtype=bool)
+    boundary[1:] = grouped[1:] != grouped[:-1]
+    return np.flatnonzero(boundary)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending (one sort, then each run's head)."""
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
+class _Runs(NamedTuple):
+    """A bulk index's posting columns grouped into buckets (one run per key)."""
+
+    members: np.ndarray   # positions, grouped by code (any order within a run)
+    starts: np.ndarray    # offset of each run in ``members``
+    lengths: np.ndarray   # each run's member count
+    codes: np.ndarray     # each run's key code
+    first: np.ndarray     # each run's first column offset (key first-occurrence)
+
+
 class _BucketedIndex:
     """Shared scaffolding: record registry, capped buckets, pair emission.
 
     Subclasses decide which bucket keys a record lands in; this base class
-    owns the record-id/source registry, the overflow-capped membership lists
-    (each list may grow one entry past ``max_bucket_size`` to mark the
-    overflow while bounding memory), and the emission of position pairs from
-    non-overflowed buckets.
+    owns the record-id/source registry and both ingestion paths (see the
+    module docstring).  Bulk: ``add_records`` appends a chunk's int64 key
+    codes and positions to the posting columns (:meth:`_add_postings`), and
+    :meth:`candidate_pairs`, :meth:`stats` and :meth:`bucket_sizes` read the
+    columns grouped by one sort.  Streamed: the overflow-capped
+    membership lists of the bucket store (each list may grow one entry past
+    ``max_bucket_size`` to mark the overflow while bounding memory).
 
-    ``bucket_store`` swaps the posting-list backend (default: the in-memory
-    :class:`MemoryBucketStore`); every backend follows the same cap
-    semantics, so blocking output is backend-invariant.
+    ``bucket_store`` swaps the streamed path's posting-list backend
+    (default: the in-memory :class:`MemoryBucketStore`); every backend
+    follows the same cap semantics, so blocking output is backend-invariant.
+    Bulk posting columns always live in process memory.
     """
 
     def __init__(self, max_bucket_size: int,
@@ -142,6 +186,14 @@ class _BucketedIndex:
         self._record_ids: List[str] = []
         self._sources: List[str] = []
         self._buckets = bucket_store if bucket_store is not None else MemoryBucketStore()
+        # None until add_records (_BULK) or commit_one / load_state_dict (_STREAMED).
+        self._mode: Optional[str] = None
+        # Bulk posting columns, one array per chunk: key codes and positions.
+        self._codes: List[np.ndarray] = []
+        self._positions: List[np.ndarray] = []
+        self._grouped: Optional[_Runs] = None
+        # Key -> code for indexes with string keys, in first-occurrence order.
+        self._key_codes: Dict[Hashable, int] = {}
 
     def __len__(self) -> int:
         return len(self._record_ids)
@@ -156,10 +208,18 @@ class _BucketedIndex:
         """Sources of the indexed records, aligned with :attr:`record_ids`."""
         return list(self._sources)
 
+    def _check_mode(self, mode: str, call: str) -> None:
+        """Refuse ``call`` (a ``mode`` operation) on an index filled the other way."""
+        if self._mode is not None and self._mode != mode:
+            raise IndexModeError(
+                f"{type(self).__name__}.{call} needs a {mode} index, but this one "
+                f"is {self._mode}: add_records builds an index in bulk, "
+                f"ingest_one / commit_one / load_state_dict stream into it")
+
     def _record_keys(self, record: Record) -> Iterable[Hashable]:
         """The bucket keys ``record`` lands in (subclass hook).
 
-        Must match the keys the subclass's ``add_records`` would use, so the
+        Must match the keys the subclass's ``add_records`` posts, so the
         single-record :meth:`ingest_one` and the read-only :meth:`probe` stay
         bit-compatible with bulk ingestion.
         """
@@ -174,6 +234,102 @@ class _BucketedIndex:
         """
         return list(self._record_keys(record))
 
+    # ------------------------------------------------------------------ #
+    # Bulk ingestion: posting columns
+    # ------------------------------------------------------------------ #
+    def _add_postings(self, batch: Sequence[Record], codes: np.ndarray,
+                      counts: np.ndarray) -> int:
+        """Register ``batch`` and append its postings to the columns.
+
+        ``codes`` holds the batch's int64 key codes record by record, each
+        record's in its ``_record_keys`` order; ``counts[i]`` is how many of
+        them belong to ``batch[i]``.
+        """
+        self._mode = _BULK
+        start = len(self._record_ids)
+        self._record_ids.extend(record.record_id for record in batch)
+        self._sources.extend(record.source for record in batch)
+        self._codes.append(codes)
+        self._positions.append(np.repeat(
+            np.arange(start, start + len(batch), dtype=np.int64), counts))
+        self._grouped = None
+        return len(batch)
+
+    def _add_interned(self, records: Iterable[Record]) -> int:
+        """Bulk-add records whose keys are interned to codes by first occurrence.
+
+        Codes follow the order keys are first seen, never a hash, so the
+        columns do not depend on ``PYTHONHASHSEED``.
+        """
+        self._check_mode(_BULK, "add_records")
+        batch = list(records)
+        table = self._key_codes
+        codes: List[int] = []
+        counts: List[int] = []
+        for record in batch:
+            keys = self._record_keys(record)
+            counts.append(len(keys))
+            codes.extend([table.setdefault(key, len(table)) for key in keys])
+        return self._add_postings(batch, np.array(codes, dtype=np.int64),
+                                  np.array(counts, dtype=np.int64))
+
+    def _code_keys(self, codes: np.ndarray) -> List[Hashable]:
+        """The bucket keys of posting ``codes`` (interned keys by default)."""
+        keys = list(self._key_codes)
+        return [keys[code] for code in codes.tolist()]
+
+    def _runs(self) -> _Runs:
+        """The posting columns grouped by key: one argsort by code."""
+        if self._grouped is None:
+            codes = (np.concatenate(self._codes) if self._codes
+                     else np.empty(0, dtype=np.int64))
+            positions = (np.concatenate(self._positions) if self._positions
+                         else np.empty(0, dtype=np.int64))
+            self._codes, self._positions = [codes], [positions]
+            order = np.argsort(codes)
+            grouped = codes[order]
+            starts = _run_starts(grouped)
+            self._grouped = _Runs(members=positions[order], starts=starts,
+                                  lengths=np.diff(np.append(starts, len(grouped))),
+                                  codes=grouped[starts],
+                                  first=np.minimum.reduceat(order, starts))
+        return self._grouped
+
+    def candidate_pairs(self, cross_source_only: bool = False
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Position pairs sharing a non-overflowed bucket of a bulk index.
+
+        Returned as int64 ``(left, right)`` arrays with ``left < right``,
+        unique and sorted by ``(left, right)``.  Every live bucket size (2 to
+        the cap) takes one gather: ``np.triu_indices`` lays out all pairs of
+        that size's buckets at once.  A pair shared by several buckets is
+        kept once.
+        """
+        self._check_mode(_BULK, "candidate_pairs")
+        runs = self._runs()
+        live = (runs.lengths >= 2) & (runs.lengths <= self.max_bucket_size)
+        lefts, rights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for size in np.unique(runs.lengths[live]).tolist():
+            starts = runs.starts[live & (runs.lengths == size)]
+            members = runs.members[starts[:, None] + np.arange(size)]
+            first, second = np.triu_indices(size, 1)
+            lefts.append(members[:, first].ravel())
+            rights.append(members[:, second].ravel())
+        pairs = np.concatenate(lefts), np.concatenate(rights)
+        left, right = np.minimum(*pairs), np.maximum(*pairs)
+        if cross_source_only and len(left):
+            table: Dict[str, int] = {}
+            source_codes = np.array([table.setdefault(source, len(table))
+                                     for source in self._sources], dtype=np.int64)
+            cross = source_codes[left] != source_codes[right]
+            left, right = left[cross], right[cross]
+        count = max(len(self._record_ids), 1)
+        pair_codes = _sorted_unique(left * count + right)
+        return pair_codes // count, pair_codes % count
+
+    # ------------------------------------------------------------------ #
+    # Streamed ingestion: the bucket store
+    # ------------------------------------------------------------------ #
     def preview_one(self, record: Record
                     ) -> Tuple[int, List[Tuple[int, int]], List[List[int]], List[Hashable]]:
         """Plan one record's insertion without mutating anything.
@@ -194,6 +350,7 @@ class _BucketedIndex:
         The preview/commit split lets callers fail between planning and
         mutation (e.g. a scoring error) without half-ingested state.
         """
+        self._check_mode(_STREAMED, "preview_one")
         position = len(self._record_ids)
         keys = list(self._record_keys(record))
         emitted: List[Tuple[int, int]] = []
@@ -213,9 +370,11 @@ class _BucketedIndex:
     def commit_one(self, record: Record, keys: Sequence[Hashable]) -> int:
         """Apply a :meth:`preview_one` plan: register and bucket the record.
 
-        Final bucket state is bit-identical to ``add_records`` over the same
-        record sequence, so streaming ingestion equals bulk ingestion.
+        A stream of ``commit_one`` calls yields the candidate pairs, counters
+        and bucket sizes ``add_records`` over the same record sequence does.
         """
+        self._check_mode(_STREAMED, "commit_one")
+        self._mode = _STREAMED
         position = self._register(record)
         for key in keys:
             self._bucket_add(key, position)
@@ -241,6 +400,7 @@ class _BucketedIndex:
 
     def probe_keys(self, keys: Iterable[Hashable]) -> Set[int]:
         """Positions in live buckets under any of ``keys`` (read-only)."""
+        self._check_mode(_STREAMED, "probe_keys")
         return self._buckets.probe(keys, self.max_bucket_size)
 
     def _register(self, record: Record) -> int:
@@ -254,25 +414,34 @@ class _BucketedIndex:
         """Append to a bucket unless it has already overflowed its cap."""
         self._buckets.add(key, position, self.max_bucket_size)
 
-    def candidate_pairs(self, cross_source_only: bool = False) -> Set[Tuple[int, int]]:
-        """Unordered position pairs sharing a non-overflowed bucket."""
-        pairs: Set[Tuple[int, int]] = set()
-        sources = self._sources
-        for left, right in self._buckets.emit_pairs(self.max_bucket_size):
-            if cross_source_only and sources[left] == sources[right]:
-                continue
-            pairs.add((left, right))
-        return pairs
+    # ------------------------------------------------------------------ #
+    # Counters (either path)
+    # ------------------------------------------------------------------ #
+    def _bucket_count(self) -> int:
+        if self._mode == _BULK:
+            return len(self._runs().starts)
+        return len(self._buckets)
 
     def _overflowed(self) -> int:
+        if self._mode == _BULK:
+            return int(np.count_nonzero(self._runs().lengths > self.max_bucket_size))
         return self._buckets.overflowed(self.max_bucket_size)
 
     def bucket_sizes(self) -> Dict[Hashable, int]:
-        """Member count of every bucket (overflowed ones included)."""
-        return self._buckets.sizes()
+        """Member count of every bucket (overflowed ones included).
+
+        An overflowed bucket counts ``max_bucket_size + 1``, the members a
+        streamed bucket keeps; buckets come in key first-occurrence order.
+        """
+        if self._mode != _BULK:
+            return self._buckets.sizes()
+        runs = self._runs()
+        order = np.argsort(runs.first)
+        sizes = np.minimum(runs.lengths[order], self.max_bucket_size + 1)
+        return dict(zip(self._code_keys(runs.codes[order]), sizes.tolist()))
 
     # ------------------------------------------------------------------ #
-    # State serialization (materialized snapshots)
+    # State serialization (materialized snapshots of a streamed index)
     # ------------------------------------------------------------------ #
     def _encode_key(self, key: Hashable) -> object:
         """JSON-safe encoding of one bucket key (subclass hook; default: as-is)."""
@@ -290,6 +459,7 @@ class _BucketedIndex:
         copy-under-lock half of the snapshot protocol in
         :mod:`repro.storage.snapshots`.
         """
+        self._check_mode(_STREAMED, "state_dict")
         return {
             "record_ids": list(self._record_ids),
             "sources": list(self._sources),
@@ -304,6 +474,8 @@ class _BucketedIndex:
         the index must be constructed with the same knobs it was saved under,
         exactly as model ``state_dict`` conventions have it.
         """
+        self._check_mode(_STREAMED, "load_state_dict")
+        self._mode = _STREAMED
         self._record_ids = [str(record_id) for record_id in state["record_ids"]]
         self._sources = [str(source) for source in state["sources"]]
         self._buckets.load(
@@ -333,8 +505,8 @@ class InvertedTokenIndex(_BucketedIndex):
         below 1 are treated as 1.
     max_postings:
         Posting lists longer than this are treated as stop words: their
-        tokens emit no candidate pairs, and their lists stop growing (one
-        extra entry is kept to mark the overflow).
+        tokens emit no candidate pairs, and a streamed index's lists stop
+        growing (one extra entry is kept to mark the overflow).
     """
 
     def __init__(self, attributes: Optional[Sequence[str]] = None,
@@ -352,20 +524,14 @@ class InvertedTokenIndex(_BucketedIndex):
         return record_tokens(record, self.attributes, self.min_token_length)
 
     def add_records(self, records: Iterable[Record]) -> int:
-        """Index a batch of records; returns how many were added."""
-        added = 0
-        for record in records:
-            position = self._register(record)
-            for token in self._record_keys(record):
-                self._bucket_add(token, position)
-            added += 1
-        return added
+        """Post a batch of records to the bulk columns; returns how many."""
+        return self._add_interned(records)
 
     def stats(self) -> Dict[str, int]:
         """Index size counters for pipeline reports."""
         return {
             "records": len(self._record_ids),
-            "tokens": len(self._buckets),
+            "tokens": self._bucket_count(),
             "overflowed_tokens": self._overflowed(),
         }
 
@@ -423,20 +589,14 @@ class InitialsKeyIndex(_BucketedIndex):
         return sorted(keys)
 
     def add_records(self, records: Iterable[Record]) -> int:
-        """Index a batch of records; returns how many were added."""
-        added = 0
-        for record in records:
-            position = self._register(record)
-            for key in self._record_keys(record):
-                self._bucket_add(key, position)
-            added += 1
-        return added
+        """Post a batch of records to the bulk columns; returns how many."""
+        return self._add_interned(records)
 
     def stats(self) -> Dict[str, int]:
         """Index size counters for pipeline reports."""
         return {
             "records": len(self._record_ids),
-            "keys": len(self._buckets),
+            "keys": self._bucket_count(),
             "overflowed_keys": self._overflowed(),
         }
 
@@ -462,8 +622,8 @@ class MinHashLSHIndex(_BucketedIndex):
     min_token_length:
         Shorter tokens are ignored when sketching.
     max_bucket_size:
-        Buckets beyond this size are stop-word-like and emit no pairs (their
-        member lists also stop growing, bounding memory).
+        Buckets beyond this size are stop-word-like and emit no pairs (a
+        streamed index's member lists also stop growing, bounding memory).
     seed:
         Seed of the hash family; two indexes with equal configuration and
         ingestion order build identical buckets.
@@ -547,26 +707,30 @@ class MinHashLSHIndex(_BucketedIndex):
         band, value = key  # type: ignore[misc]
         return (int(band), int(value))
 
+    def _code_keys(self, codes: np.ndarray) -> List[Hashable]:
+        mask = (1 << _BAND_SHIFT) - 1
+        return [(code >> _BAND_SHIFT, code & mask) for code in codes.tolist()]
+
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
     def add_records(self, records: Iterable[Record]) -> int:
-        """Sketch and bucket a batch of records; returns how many were added."""
+        """Sketch a batch of records and post its band keys to the bulk
+        columns, each ``(band, value)`` key as the code ``band << 31 | value``;
+        returns how many were added."""
+        self._check_mode(_BULK, "add_records")
         batch = list(records)
-        if not batch:
-            return 0
-        keys = self._band_keys(self.signatures(batch))
-        for record, record_keys in zip(batch, keys.T.tolist()):
-            position = self._register(record)
-            for key in enumerate(record_keys):
-                self._bucket_add(key, position)
-        return len(batch)
+        keys = self._band_keys(self.signatures(batch)).astype(np.int64)
+        bands = np.arange(self.bands, dtype=np.int64)[:, None] << _BAND_SHIFT
+        # (bands, N) -> record-major, bands in order: each record's _record_keys.
+        codes = (bands | keys).T.ravel()
+        return self._add_postings(batch, codes, np.full(len(batch), self.bands))
 
     def stats(self) -> Dict[str, int]:
         """Index size counters for pipeline reports."""
         return {
             "records": len(self._record_ids),
-            "buckets": len(self._buckets),
+            "buckets": self._bucket_count(),
             "overflowed_buckets": self._overflowed(),
             "bands": self.bands,
             "rows": self.rows,

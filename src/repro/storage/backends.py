@@ -12,16 +12,14 @@ Semantics are bit-identical to the in-memory store, cap-for-cap:
 * a bucket grows to at most ``cap + 1`` rows — the extra row marks the
   overflow while bounding storage (enforced *in* the INSERT, a single
   guarded statement);
-* probes see only live buckets (``size <= cap``);
-* pair emission yields each live bucket's member combinations with the
-  earlier-inserted member first.
+* probes see only live buckets (``size <= cap``).
 
-The per-key scans batch ingestion would do in Python are single SQL
-passes here: bucket-probe and pair-emission annotate every posting row
-with its bucket size via a window function (``COUNT(*) OVER (PARTITION BY
-key)``) and filter on it, so overflow semantics are evaluated inside the
-database — the traversal-structure-in-SQL encoding the DMR-XPath line of
-work demonstrates.
+A probe is a single SQL pass: it annotates every posting row under the
+probed keys with its bucket size via a window function (``COUNT(*) OVER
+(PARTITION BY key)``) and filters on it, so overflow semantics are evaluated
+inside the database — the traversal-structure-in-SQL encoding the DMR-XPath
+line of work demonstrates.  Only streamed indexes use a bucket store; a
+bulk-built index keeps its own posting columns.
 
 Layout: one ``postings`` table shared by all indexes of a store
 (``index_id`` discriminates), rows in ``rowid`` order = insertion order,
@@ -177,22 +175,6 @@ class SQLiteBucketStore:
                 [self._index_id, *chunk, cap]).fetchall()
             positions.update(row[0] for row in rows)
         return positions
-
-    def emit_pairs(self, cap: int) -> Iterator[Tuple[int, int]]:
-        # Within a bucket rows arrive in position order (a record joins a
-        # bucket at registration, positions only grow), so rowid order gives
-        # (earlier, later) = (smaller, larger) position pairs, matching
-        # itertools.combinations over an in-memory bucket.
-        rows = self._backend.execute(
-            "WITH sized AS ("
-            " SELECT rowid AS rid, key, position,"
-            "        COUNT(*) OVER (PARTITION BY key) AS bucket_size"
-            " FROM postings WHERE index_id = ?)"
-            " SELECT a.position, b.position"
-            " FROM sized a JOIN sized b ON a.key = b.key AND a.rid < b.rid"
-            " WHERE a.bucket_size BETWEEN 2 AND ?",
-            (self._index_id, cap)).fetchall()
-        return iter([(row[0], row[1]) for row in rows])
 
     def sizes(self) -> Dict[Hashable, int]:
         rows = self._backend.execute(

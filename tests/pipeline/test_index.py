@@ -12,6 +12,7 @@ import repro.pipeline.index as index_module
 from repro.data.records import Record
 from repro.pipeline import (
     CandidateGenerationStage,
+    IndexModeError,
     InitialsKeyIndex,
     InvertedTokenIndex,
     MinHashLSHIndex,
@@ -19,6 +20,16 @@ from repro.pipeline import (
     record_tokens,
 )
 from repro.text.tokenizer import admit, tokenize
+
+from blocking_oracle import bulk_buckets, dict_walk_pairs
+
+
+# One index of each kind with a cap small enough for the tiny corpus to overflow.
+SMALL_CAP_INDEXES = pytest.mark.parametrize("make_index", [
+    lambda: InvertedTokenIndex(min_token_length=3, max_postings=3),
+    lambda: MinHashLSHIndex(num_perm=32, bands=8, max_bucket_size=3, seed=7),
+    lambda: InitialsKeyIndex(max_bucket_size=3),
+], ids=["inverted", "minhash", "initials"])
 
 
 def _record(record_id, source, name, extra=""):
@@ -28,8 +39,9 @@ def _record(record_id, source, name, extra=""):
 
 def _id_pairs(index, cross_source_only=False):
     ids = index.record_ids
-    return {tuple(sorted((ids[left], ids[right])))
-            for left, right in index.candidate_pairs(cross_source_only=cross_source_only)}
+    left, right = index.candidate_pairs(cross_source_only=cross_source_only)
+    return {tuple(sorted((ids[lo], ids[hi])))
+            for lo, hi in zip(left.tolist(), right.tolist())}
 
 
 class TestRecordTokens:
@@ -180,11 +192,7 @@ class TestInitialsKeyIndex:
 class TestIngestOneAndProbe:
     """The single-record ingestion/probe path the online entity store uses."""
 
-    @pytest.mark.parametrize("make_index", [
-        lambda: InvertedTokenIndex(min_token_length=3, max_postings=3),
-        lambda: MinHashLSHIndex(num_perm=32, bands=8, max_bucket_size=3, seed=7),
-        lambda: InitialsKeyIndex(max_bucket_size=3),
-    ], ids=["inverted", "minhash", "initials"])
+    @SMALL_CAP_INDEXES
     def test_ingest_one_matches_bulk_buckets(self, make_index, tiny_music_corpus):
         records = tiny_music_corpus.records
         bulk = make_index()
@@ -192,19 +200,19 @@ class TestIngestOneAndProbe:
         streamed = make_index()
         for record in records:
             streamed.ingest_one(record)
-        assert streamed._buckets == bulk._buckets
+        # The bulk columns hold every bucket a streamed build keeps, bucket
+        # order included: a bulk build posts each record's keys in the same
+        # (sorted) order as a streamed one, whatever the hash seed.
+        assert list(streamed._buckets.entries()) == list(bulk_buckets(bulk).items())
         assert streamed.record_ids == bulk.record_ids
-        # Bucket order too: a bulk build inserts each record's keys in the
-        # same (sorted) order as a streamed one, whatever the hash seed.
-        assert streamed.state_dict() == bulk.state_dict()
-        assert (streamed.candidate_pairs(cross_source_only=True)
-                == bulk.candidate_pairs(cross_source_only=True))
+        left, right = bulk.candidate_pairs(cross_source_only=True)
+        assert (set(zip(left.tolist(), right.tolist()))
+                == dict_walk_pairs(streamed, cross_source_only=True))
 
     def test_emission_support_mirrors_candidate_pairs(self, tiny_music_corpus):
         # Summing per-bucket emissions minus retractions must recover exactly
         # the live candidate pairs batch emission would produce.
         from collections import Counter
-        from itertools import combinations
 
         index = InvertedTokenIndex(min_token_length=3, max_postings=3)
         support = Counter()
@@ -216,24 +224,66 @@ class TestIngestOneAndProbe:
                 for left, right in combinations(members, 2):
                     support[tuple(sorted((left, right)))] -= 1
         live = {pair for pair, count in support.items() if count > 0}
-        assert live == index.candidate_pairs(cross_source_only=False)
+        assert live == dict_walk_pairs(index, cross_source_only=False)
+        bulk = InvertedTokenIndex(min_token_length=3, max_postings=3)
+        bulk.add_records(tiny_music_corpus.records)
+        left, right = bulk.candidate_pairs(cross_source_only=False)
+        assert live == set(zip(left.tolist(), right.tolist()))
         assert all(count >= 0 for count in support.values())
 
     def test_probe_is_read_only_and_finds_co_bucketed_records(self):
         index = InvertedTokenIndex(min_token_length=3, max_postings=4)
-        index.add_records([
-            _record("r1", "s1", "Neil Diamond"),
-            _record("r2", "s2", "neil diamond live"),
-            _record("r3", "s3", "Johnny Cash"),
-        ])
+        for record in (_record("r1", "s1", "Neil Diamond"),
+                       _record("r2", "s2", "neil diamond live"),
+                       _record("r3", "s3", "Johnny Cash")):
+            index.ingest_one(record)
         probe = _record("px", "s9", "diamond anthology")
         assert index.probe(probe) == {0, 1}
         assert len(index) == 3  # probing never registers the record
 
     def test_probe_skips_overflowed_buckets(self):
         index = InvertedTokenIndex(min_token_length=3, max_postings=2)
-        index.add_records([_record(f"r{i}", f"s{i}", "diamond") for i in range(4)])
+        for i in range(4):
+            index.ingest_one(_record(f"r{i}", f"s{i}", "diamond"))
         assert index.probe(_record("px", "s9", "diamond")) == set()
+
+
+class TestIngestionModes:
+    """An index answers only on the path that filled it: bulk-built indexes
+    have no bucket store to read, streamed ones no posting columns."""
+
+    @SMALL_CAP_INDEXES
+    def test_bulk_index_refuses_streaming_reads(self, make_index, tiny_music_corpus):
+        records = tiny_music_corpus.records
+        index = make_index()
+        index.add_records(records[:-1])
+        keys = index.bucket_keys(records[0])  # pure: allowed on either path
+        for call in (lambda: index.probe_keys(keys),
+                     lambda: index.probe(records[0]),
+                     lambda: index.preview_one(records[-1]),
+                     lambda: index.ingest_one(records[-1]),
+                     lambda: index.commit_one(records[-1], keys),
+                     index.state_dict,
+                     lambda: index.load_state_dict(make_index().state_dict())):
+            with pytest.raises(IndexModeError, match="this one is bulk"):
+                call()
+        assert len(index) == len(records) - 1  # nothing was registered
+
+    @SMALL_CAP_INDEXES
+    def test_streamed_index_refuses_bulk_calls(self, make_index, tiny_music_corpus):
+        records = tiny_music_corpus.records
+        index = make_index()
+        index.ingest_one(records[0])
+        for call in (lambda: index.add_records(records[1:3]),
+                     lambda: index.candidate_pairs(cross_source_only=True)):
+            with pytest.raises(IndexModeError, match="this one is streamed"):
+                call()
+        assert len(index) == 1
+        # A restored index streams too.
+        restored = make_index()
+        restored.load_state_dict(index.state_dict())
+        with pytest.raises(IndexModeError, match="this one is streamed"):
+            restored.add_records(records[1:3])
 
 
 class TestKeyMemos:

@@ -1,6 +1,7 @@
 """Hypothesis properties of the blocking-key path: the all-bands MinHash fold
 equals the per-band loop, and one record's keys (``bucket_keys``, the path of
-every upsert and query) equal its keys from a batch ``add_records``.
+every upsert and query) equal the keys a batch ``add_records`` posts to the
+index's bulk columns.
 
 Example counts follow the Hypothesis profile: CI runs this module with
 ``--hypothesis-profile=ci`` (ten times the default).
@@ -17,6 +18,7 @@ from repro.data import Record
 from repro.pipeline import InitialsKeyIndex, InvertedTokenIndex, MinHashLSHIndex
 
 from band_keys_oracle import band_keys_by_loop
+from blocking_oracle import bulk_postings
 
 # Largest value a signature entry takes: minima of hashes mod 2**31 - 1.
 MAX_SIGNATURE = (1 << 31) - 2
@@ -76,9 +78,8 @@ def test_record_keys_equal_batch_keys(records, name):
     bulk = INDEXES[name]()
     bulk.add_records(records)
     batch_keys = [set() for _ in records]
-    for key, members in bulk._buckets.entries():
-        for position in members:
-            batch_keys[position].add(key)
+    for key, position in bulk_postings(bulk):
+        batch_keys[position].add(key)
     single = INDEXES[name]()
     for record, expected in zip(records, batch_keys):
         keys = single.bucket_keys(record)

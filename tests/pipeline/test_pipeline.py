@@ -90,6 +90,23 @@ class TestCandidateGeneration:
         assert all(math.isfinite(value) for value in stats.values())
         assert json.dumps(stats)  # JSON-serialisable, no Infinity tokens
 
+    def test_duplicate_record_ids_keep_the_first_position_pair(self):
+        # Position pairs naming the same two ids are one candidate: the one
+        # whose (smaller, larger) positions sort first, oriented by id.
+        records = [Record(record_id=record_id, source=source,
+                          attributes={"name": "neil diamond"})
+                   for record_id, source in (("b", "s1"), ("a", "s2"), ("b", "s3"))]
+        stage = CandidateGenerationStage([InvertedTokenIndex(["name"])])
+        stage.add_records(records)
+        result = stage.generate()
+        # (0, 1) and (1, 2) both name (a, b): (0, 1) is kept, a on the left.
+        # (0, 2) names (b, b) and keeps its position order.
+        assert [(pair.left, pair.right) for pair in result.pairs] == [
+            (records[1], records[0]), (records[0], records[2])]
+        assert [pair.pair_id for pair in result.pairs] == ["a|b", "b|b"]
+        assert result.stats["hits_InvertedTokenIndex"] == 3
+        assert result.stats["num_candidates"] == 2
+
     def test_streaming_ingestion_equals_bulk(self, tiny_music_corpus):
         records = tiny_music_corpus.records
         bulk = CandidateGenerationStage()
