@@ -22,8 +22,9 @@ Every index is filled one of two ways, and keeps to the one it started with:
   sort, so a run of equal codes is a bucket and blocking is a sort
   over key columns, not per-key Python work.
 * **streamed** — :meth:`ingest_one` (:meth:`preview_one` + :meth:`commit_one`)
-  one record at a time, for the online store: a capped bucket store that
-  answers :meth:`probe_keys` and round-trips through :meth:`state_dict`.
+  one record at a time, for the online store: an in-memory dict of capped
+  buckets (key → member positions) that answers :meth:`probe_keys` and
+  round-trips through :meth:`state_dict`.
 
 Calling one path's methods on an index filled by the other raises
 :class:`IndexModeError` instead of answering from empty state.  Both paths
@@ -35,8 +36,8 @@ records yield the same candidate pairs, counters and bucket sizes.
 
 from __future__ import annotations
 
-from typing import (Dict, Hashable, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -45,8 +46,7 @@ from ..text.hashing import stable_hash
 from ..text.tokenizer import admit, tokenize
 
 __all__ = ["IndexModeError", "InitialsKeyIndex", "InvertedTokenIndex",
-           "MemoryBucketStore", "MinHashLSHIndex", "build_blocking_indexes",
-           "record_tokens"]
+           "MinHashLSHIndex", "build_blocking_indexes", "record_tokens"]
 
 # Modulus for the universal hash family h(x) = (a*x + b) mod p. With a
 # Mersenne prime below 2**31 every operand stays below 2**31, so the uint64
@@ -65,7 +65,7 @@ class IndexModeError(RuntimeError):
     """A call on the other ingestion path than the one that filled the index.
 
     A bulk-built index (:meth:`~_BucketedIndex.add_records`) keeps posting
-    columns and has no bucket store to probe, preview or snapshot; a
+    columns and has no buckets to probe, preview or snapshot; a
     streamed index (:meth:`~_BucketedIndex.ingest_one`) keeps no posting
     columns to add to or group.  Either would otherwise answer from empty
     state — a silent wrong answer.
@@ -86,55 +86,6 @@ def record_tokens(record: Record, attributes: Optional[Sequence[str]] = None,
             if len(token) >= min_token_length:
                 tokens.add(token)
     return sorted(tokens)
-
-
-class MemoryBucketStore(dict):
-    """The default posting-list/bucket backend: a plain in-process dict.
-
-    The bucket *store* owns only key → member-position lists of a streamed
-    index; the cap semantics (one extra entry marks an overflowed bucket,
-    overflowed buckets are dead) are shared with every other backend so
-    that swapping the store never changes blocking output.  The SQLite
-    backend in :mod:`repro.storage.backends` implements this same interface
-    with the probe walk fused into a single SQL pass.
-    """
-
-    def members(self, key: Hashable) -> Sequence[int]:
-        """Member positions of one bucket, in insertion order (may be empty)."""
-        return self.get(key, ())
-
-    def add(self, key: Hashable, position: int, cap: int) -> None:
-        """Append to a bucket unless it has already overflowed ``cap``."""
-        bucket = self.setdefault(key, [])
-        if len(bucket) <= cap:  # one extra entry marks overflow
-            bucket.append(position)
-
-    def probe(self, keys: Iterable[Hashable], cap: int) -> Set[int]:
-        """Positions in live (non-overflowed) buckets under any of ``keys``."""
-        positions: Set[int] = set()
-        for key in keys:
-            bucket = self.get(key)
-            if bucket and len(bucket) <= cap:
-                positions.update(bucket)
-        return positions
-
-    def sizes(self) -> Dict[Hashable, int]:
-        """Member count of every bucket (overflowed ones included)."""
-        return {key: len(bucket) for key, bucket in self.items()}
-
-    def overflowed(self, cap: int) -> int:
-        """How many buckets exceeded ``cap`` (and are therefore dead)."""
-        return sum(1 for bucket in self.values() if len(bucket) > cap)
-
-    def entries(self) -> Iterator[Tuple[Hashable, List[int]]]:
-        """Every ``(key, members)`` bucket, for state serialization."""
-        return iter(self.items())
-
-    def load(self, entries: Iterable[Tuple[Hashable, List[int]]]) -> None:
-        """Replace the whole bucket state with ``entries`` (bulk restore)."""
-        self.clear()
-        for key, members in entries:
-            self[key] = list(members)
 
 
 def _run_starts(grouped: np.ndarray) -> np.ndarray:
@@ -168,24 +119,19 @@ class _BucketedIndex:
     module docstring).  Bulk: ``add_records`` appends a chunk's int64 key
     codes and positions to the posting columns (:meth:`_add_postings`), and
     :meth:`candidate_pairs`, :meth:`stats` and :meth:`bucket_sizes` read the
-    columns grouped by one sort.  Streamed: the overflow-capped
-    membership lists of the bucket store (each list may grow one entry past
-    ``max_bucket_size`` to mark the overflow while bounding memory).
-
-    ``bucket_store`` swaps the streamed path's posting-list backend
-    (default: the in-memory :class:`MemoryBucketStore`); every backend
-    follows the same cap semantics, so blocking output is backend-invariant.
-    Bulk posting columns always live in process memory.
+    columns grouped by one sort.  Streamed: ``_buckets``, a dict from key
+    to member positions in insertion order.  A bucket keeps at most
+    ``max_bucket_size + 1`` members: the extra one marks it overflowed
+    (dead, no pairs, no longer growing) while bounding memory.
     """
 
-    def __init__(self, max_bucket_size: int,
-                 bucket_store: Optional[MemoryBucketStore] = None) -> None:
+    def __init__(self, max_bucket_size: int) -> None:
         if max_bucket_size < 2:
             raise ValueError(f"bucket cap must be >= 2, got {max_bucket_size}")
         self.max_bucket_size = max_bucket_size
         self._record_ids: List[str] = []
         self._sources: List[str] = []
-        self._buckets = bucket_store if bucket_store is not None else MemoryBucketStore()
+        self._buckets: Dict[Hashable, List[int]] = {}
         # None until add_records (_BULK) or commit_one / load_state_dict (_STREAMED).
         self._mode: Optional[str] = None
         # Bulk posting columns, one array per chunk: key codes and positions.
@@ -328,7 +274,7 @@ class _BucketedIndex:
         return pair_codes // count, pair_codes % count
 
     # ------------------------------------------------------------------ #
-    # Streamed ingestion: the bucket store
+    # Streamed ingestion: capped buckets
     # ------------------------------------------------------------------ #
     def preview_one(self, record: Record
                     ) -> Tuple[int, List[Tuple[int, int]], List[List[int]], List[Hashable]]:
@@ -356,7 +302,7 @@ class _BucketedIndex:
         emitted: List[Tuple[int, int]] = []
         retracted: List[List[int]] = []
         for key in keys:
-            bucket = self._buckets.members(key)
+            bucket = self._buckets.get(key, ())
             if len(bucket) > self.max_bucket_size:
                 continue  # already overflowed: dead and no longer growing
             if len(bucket) == self.max_bucket_size:
@@ -401,7 +347,12 @@ class _BucketedIndex:
     def probe_keys(self, keys: Iterable[Hashable]) -> Set[int]:
         """Positions in live buckets under any of ``keys`` (read-only)."""
         self._check_mode(_STREAMED, "probe_keys")
-        return self._buckets.probe(keys, self.max_bucket_size)
+        positions: Set[int] = set()
+        for key in keys:
+            bucket = self._buckets.get(key)
+            if bucket and len(bucket) <= self.max_bucket_size:
+                positions.update(bucket)
+        return positions
 
     def _register(self, record: Record) -> int:
         """Add a record to the registry and return its position."""
@@ -412,7 +363,9 @@ class _BucketedIndex:
 
     def _bucket_add(self, key: Hashable, position: int) -> None:
         """Append to a bucket unless it has already overflowed its cap."""
-        self._buckets.add(key, position, self.max_bucket_size)
+        bucket = self._buckets.setdefault(key, [])
+        if len(bucket) <= self.max_bucket_size:  # one extra entry marks overflow
+            bucket.append(position)
 
     # ------------------------------------------------------------------ #
     # Counters (either path)
@@ -425,7 +378,8 @@ class _BucketedIndex:
     def _overflowed(self) -> int:
         if self._mode == _BULK:
             return int(np.count_nonzero(self._runs().lengths > self.max_bucket_size))
-        return self._buckets.overflowed(self.max_bucket_size)
+        return sum(1 for bucket in self._buckets.values()
+                   if len(bucket) > self.max_bucket_size)
 
     def bucket_sizes(self) -> Dict[Hashable, int]:
         """Member count of every bucket (overflowed ones included).
@@ -434,7 +388,7 @@ class _BucketedIndex:
         streamed bucket keeps; buckets come in key first-occurrence order.
         """
         if self._mode != _BULK:
-            return self._buckets.sizes()
+            return {key: len(bucket) for key, bucket in self._buckets.items()}
         runs = self._runs()
         order = np.argsort(runs.first)
         sizes = np.minimum(runs.lengths[order], self.max_bucket_size + 1)
@@ -464,7 +418,7 @@ class _BucketedIndex:
             "record_ids": list(self._record_ids),
             "sources": list(self._sources),
             "buckets": [[self._encode_key(key), list(members)]
-                        for key, members in self._buckets.entries()],
+                        for key, members in self._buckets.items()],
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
@@ -478,9 +432,8 @@ class _BucketedIndex:
         self._mode = _STREAMED
         self._record_ids = [str(record_id) for record_id in state["record_ids"]]
         self._sources = [str(source) for source in state["sources"]]
-        self._buckets.load(
-            (self._decode_key(key), [int(member) for member in members])
-            for key, members in state["buckets"])
+        self._buckets = {self._decode_key(key): [int(member) for member in members]
+                         for key, members in state["buckets"]}
 
     def skew_stats(self, top_k: int = 5) -> Dict[str, object]:
         """Bucket-size skew summary: Gini coefficient, extremes, and the
@@ -510,9 +463,8 @@ class InvertedTokenIndex(_BucketedIndex):
     """
 
     def __init__(self, attributes: Optional[Sequence[str]] = None,
-                 min_token_length: int = 3, max_postings: int = 64,
-                 bucket_store: Optional[MemoryBucketStore] = None) -> None:
-        super().__init__(max_bucket_size=max_postings, bucket_store=bucket_store)
+                 min_token_length: int = 3, max_postings: int = 64) -> None:
+        super().__init__(max_bucket_size=max_postings)
         self.attributes = list(attributes) if attributes is not None else None
         self.min_token_length = max(min_token_length, 1)
 
@@ -560,11 +512,10 @@ class InitialsKeyIndex(_BucketedIndex):
     """
 
     def __init__(self, attributes: Optional[Sequence[str]] = None,
-                 max_prefix_tokens: int = 4, max_bucket_size: int = 64,
-                 bucket_store: Optional[MemoryBucketStore] = None) -> None:
+                 max_prefix_tokens: int = 4, max_bucket_size: int = 64) -> None:
         if max_prefix_tokens < 2:
             raise ValueError(f"max_prefix_tokens must be >= 2, got {max_prefix_tokens}")
-        super().__init__(max_bucket_size=max_bucket_size, bucket_store=bucket_store)
+        super().__init__(max_bucket_size=max_bucket_size)
         self.attributes = list(attributes) if attributes is not None else None
         self.max_prefix_tokens = max_prefix_tokens
         # Attribute values repeat across records; memoised process-locally.
@@ -631,12 +582,11 @@ class MinHashLSHIndex(_BucketedIndex):
 
     def __init__(self, attributes: Optional[Sequence[str]] = None, num_perm: int = 128,
                  bands: int = 32, min_token_length: int = 2, max_bucket_size: int = 64,
-                 seed: int = 7,
-                 bucket_store: Optional[MemoryBucketStore] = None) -> None:
+                 seed: int = 7) -> None:
         if num_perm <= 0 or bands <= 0 or num_perm % bands:
             raise ValueError(f"num_perm ({num_perm}) must be a positive multiple "
                              f"of bands ({bands})")
-        super().__init__(max_bucket_size=max_bucket_size, bucket_store=bucket_store)
+        super().__init__(max_bucket_size=max_bucket_size)
         self.attributes = list(attributes) if attributes is not None else None
         self.num_perm = num_perm
         self.bands = bands
@@ -742,7 +692,6 @@ def build_blocking_indexes(attributes: Optional[Sequence[str]] = None,
                            lsh_max_bucket_size: int = 8, max_postings: int = 8,
                            initials_max_bucket_size: int = 16,
                            min_token_length: int = 3, seed: int = 7,
-                           bucket_stores: Optional[Sequence[MemoryBucketStore]] = None,
                            ) -> Tuple[MinHashLSHIndex, InvertedTokenIndex,
                                       InitialsKeyIndex]:
     """The canonical blocking-index triple, from the shared config knobs.
@@ -753,28 +702,14 @@ def build_blocking_indexes(attributes: Optional[Sequence[str]] = None,
     equal knobs produce indexes with identical bucket keys and cap
     semantics, which is the foundation of every streamed==batch parity
     guarantee in this codebase.
-
-    ``bucket_stores`` (optional, one per index in the returned order) swaps
-    the posting-list backend — e.g. three
-    :class:`repro.storage.backends.SQLiteBucketStore` instances so cold
-    shards page from disk instead of living in RAM.  Backends share cap
-    semantics, so blocking output is backend-invariant.
     """
-    if bucket_stores is None:
-        bucket_stores = (None, None, None)
-    if len(bucket_stores) != 3:
-        raise ValueError(f"bucket_stores must hold one store per index (3), "
-                         f"got {len(bucket_stores)}")
     return (
         MinHashLSHIndex(attributes=attributes, num_perm=num_perm, bands=bands,
                         min_token_length=min_token_length,
-                        max_bucket_size=lsh_max_bucket_size, seed=seed,
-                        bucket_store=bucket_stores[0]),
+                        max_bucket_size=lsh_max_bucket_size, seed=seed),
         InvertedTokenIndex(attributes=attributes,
                            min_token_length=min_token_length,
-                           max_postings=max_postings,
-                           bucket_store=bucket_stores[1]),
+                           max_postings=max_postings),
         InitialsKeyIndex(attributes=attributes,
-                         max_bucket_size=initials_max_bucket_size,
-                         bucket_store=bucket_stores[2]),
+                         max_bucket_size=initials_max_bucket_size),
     )

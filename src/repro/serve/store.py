@@ -75,6 +75,11 @@ PairKey = Tuple[int, int]  # (smaller position, larger position)
 CommitHook = Callable[[Record, Dict[str, float], List[List[int]]], None]
 
 
+# Keys of the posting-list backend fields that store configs no longer have.
+# Configs written with them still load: a snapshot carries its buckets and WAL
+# replay refills them, so their values never mattered to the state.
+_RETIRED_CONFIG_KEYS = ("backend", "backend_path")
+
 # Entity ids are this prefix + the smallest record id of the entity.
 _ENTITY_PREFIX = "e-"
 
@@ -92,8 +97,10 @@ def _parse_pair_key(text: str) -> PairKey:
 class StoreConfig:
     """Blocking / clustering knobs of the entity store.
 
-    Defaults mirror :class:`~repro.pipeline.PipelineConfig`, so a store and a
-    batch pipeline built from matching configs resolve identically.
+    Defaults mirror :class:`~repro.pipeline.PipelineConfig`, and every field
+    has a twin there, so a store and a batch pipeline built from matching
+    configs resolve identically.  The streamed blocking indexes keep their
+    buckets in memory.
     """
 
     blocking_attributes: Optional[Sequence[str]] = None
@@ -107,11 +114,6 @@ class StoreConfig:
     score_threshold: float = 0.5
     source_consistent: bool = True
     seed: int = 7
-    # Posting-list backend of the blocking indexes: "memory" (default) or
-    # "sqlite" (repro.storage.backends — bucket state pages from disk).
-    # backend_path is the SQLite database file; None keeps it in memory.
-    backend: str = "memory"
-    backend_path: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -127,21 +129,25 @@ class StoreConfig:
             "score_threshold": self.score_threshold,
             "source_consistent": self.source_consistent,
             "seed": self.seed,
-            "backend": self.backend,
-            "backend_path": self.backend_path,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "StoreConfig":
+        """The config of an :meth:`as_dict` payload.
+
+        Retired keys are dropped whatever their value; any other key that is
+        not a field raises ``ValueError`` naming it.
+        """
+        payload = {key: value for key, value in payload.items()
+                   if key not in _RETIRED_CONFIG_KEYS}
+        unknown = sorted(payload.keys() - {field.name for field in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown store config keys {unknown}")
         return cls(**payload)  # type: ignore[arg-type]
 
     def to_pipeline_config(self, **overrides: object) -> PipelineConfig:
         """The batch pipeline config this store is parity-equivalent to."""
         payload = self.as_dict()
-        # Backend choice is a storage concern with no batch-pipeline
-        # counterpart (blocking output is backend-invariant).
-        payload.pop("backend", None)
-        payload.pop("backend_path", None)
         payload.update(overrides)
         return PipelineConfig(**payload)  # type: ignore[arg-type]
 
@@ -227,24 +233,13 @@ class EntityStore:
         self._score_fn = score_fn
         self._lock = threading.RLock()
         config_ = self.config
-        self._backend = None
-        bucket_stores = None
-        if config_.backend == "sqlite":
-            # Imported lazily: repro.storage.engine imports this module.
-            from ..storage.backends import SQLiteIndexBackend
-            self._backend = SQLiteIndexBackend(config_.backend_path)
-            bucket_stores = self._backend.bucket_stores(3)
-        elif config_.backend != "memory":
-            raise ValueError(f"unknown index backend {config_.backend!r} "
-                             f"(expected 'memory' or 'sqlite')")
         self._indexes = build_blocking_indexes(
             attributes=config_.blocking_attributes,
             num_perm=config_.num_perm, bands=config_.bands,
             lsh_max_bucket_size=config_.lsh_max_bucket_size,
             max_postings=config_.max_postings,
             initials_max_bucket_size=config_.initials_max_bucket_size,
-            min_token_length=config_.min_token_length, seed=config_.seed,
-            bucket_stores=bucket_stores)
+            min_token_length=config_.min_token_length, seed=config_.seed)
         self._records: List[Record] = []
         self._position: Dict[str, int] = {}
         # Candidate bookkeeping: pair -> number of live buckets (across all
@@ -301,11 +296,6 @@ class EntityStore:
         """
         with self._lock:
             self._commit_hook = hook
-
-    def close(self) -> None:
-        """Release backend resources (the SQLite connection, if any)."""
-        if self._backend is not None:
-            self._backend.close()
 
     def entity_of(self, record_id: str) -> str:
         """The entity id currently holding ``record_id``."""

@@ -3,10 +3,10 @@
 A write-ahead log (:mod:`~repro.storage.wal`), compacted snapshots
 (:mod:`~repro.storage.snapshots`), the :class:`Storage` engine tying them
 around an :class:`~repro.serve.EntityStore`
-(:mod:`~repro.storage.engine`), a SQLite posting-list backend for the
-blocking indexes (:mod:`~repro.storage.backends`), an advisory directory
-lock guaranteeing one live engine per data dir
-(:mod:`~repro.storage.locks`).  The engine, the WAL and the snapshot
+(:mod:`~repro.storage.engine`), and an advisory directory lock
+guaranteeing one live engine per data dir (:mod:`~repro.storage.locks`).
+The store's blocking buckets live in memory and are persisted only as part
+of its snapshots; WAL replay refills them.  The engine, the WAL and the snapshot
 writer call :func:`repro.resilience.faults.check` at six ``storage.*`` fault
 sites; the recovery tests kill a child process at each of them.
 
@@ -17,7 +17,6 @@ invariants, and ``docs/resilience.md`` for the failure modes
 
 from __future__ import annotations
 
-from .backends import SQLiteBucketStore, SQLiteIndexBackend
 from .engine import (META_FILENAME, RecoveryReport, STORAGE_FORMAT_VERSION,
                      Storage, StorageConfig, StorageError, StorageLocked,
                      StorageReadOnly)
@@ -31,5 +30,4 @@ __all__ = [
     "STORAGE_FORMAT_VERSION", "META_FILENAME", "DirectoryLock",
     "WriteAheadLog", "WALAppend", "WALError",
     "SnapshotManager",
-    "SQLiteIndexBackend", "SQLiteBucketStore",
 ]

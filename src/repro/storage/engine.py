@@ -112,6 +112,22 @@ def _bind_storage_instruments(registry) -> _StorageInstruments:
     )
 
 
+def _meta_store_config(data_dir: Path) -> Optional[StoreConfig]:
+    """The store config recorded in ``data_dir``'s meta file, if it has one."""
+    path = data_dir / META_FILENAME
+    if not path.exists():
+        return None
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        version = meta.get("format_version")
+        if version != STORAGE_FORMAT_VERSION:
+            raise ValueError(f"unsupported storage meta version {version!r}")
+        return StoreConfig.from_dict(meta["store_config"])
+    except ValueError as error:
+        raise StorageError(f"storage meta {path} cannot be loaded: "
+                           f"{error}") from error
+
+
 class Storage:
     """A durable :class:`~repro.serve.EntityStore` in one data directory.
 
@@ -140,7 +156,8 @@ class Storage:
         try:
             self.config = config or StorageConfig()
             if store is None:
-                store_config = (store_config or self._meta_store_config()
+                store_config = (store_config
+                                or _meta_store_config(self.data_dir)
                                 or StoreConfig())
                 store = EntityStore(score_fn=score_fn, config=store_config)
             self._store = store
@@ -190,16 +207,6 @@ class Storage:
 
     def _meta_path(self) -> Path:
         return self.data_dir / META_FILENAME
-
-    def _meta_store_config(self) -> Optional[StoreConfig]:
-        path = self._meta_path()
-        if not path.exists():
-            return None
-        meta = json.loads(path.read_text(encoding="utf-8"))
-        version = meta.get("format_version")
-        if version != STORAGE_FORMAT_VERSION:
-            raise StorageError(f"unsupported storage meta version {version!r}")
-        return StoreConfig.from_dict(meta["store_config"])
 
     def _write_meta_if_absent(self) -> None:
         path = self._meta_path()
@@ -358,11 +365,9 @@ class Storage:
                         f"cannot be loaded: {error}") from error
             else:
                 snapshot_lsn = 0
-                meta_path = data_dir / META_FILENAME
-                if store_config is None and meta_path.exists():
-                    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                    store_config = StoreConfig.from_dict(meta["store_config"])
-                store = EntityStore(config=store_config or StoreConfig())
+                store = EntityStore(config=store_config
+                                    or _meta_store_config(data_dir)
+                                    or StoreConfig())
             wal = WriteAheadLog(data_dir, fsync=config.fsync,
                                 segment_max_entries=config.wal_segment_max_entries)
             if wal.last_lsn < snapshot_lsn:

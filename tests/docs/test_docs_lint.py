@@ -10,6 +10,9 @@ Walks ``README.md`` and every ``docs/*.md``:
 * every ``repro`` import in such a block, and every backticked dotted
   ``repro.…`` path in the text, must resolve to a real module or attribute,
   so a renamed or deleted name cannot linger in the docs;
+* every backticked repo path (``tests/…``, ``src/…``, ``examples/…``,
+  ``benchmarks/…``, ``docs/…``; a ``::test`` suffix stripped) must exist, and
+  a glob must match at least one file, so a deleted file cannot either;
 * the architecture page must cross-link every other subsystem doc, and every
   subsystem doc must link back to it, so the doc graph stays navigable.
 """
@@ -32,6 +35,9 @@ _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^```(\w*)\s*$")
 # `repro.pkg.module.Name` — a whole backticked span that is one dotted path.
 _DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
+# `tests/storage/test_engine.py::TestLifecycle` — a whole backticked span that
+# is one repo-relative path, a glob, or a test id.
+_REPO_PATH = re.compile(r"`((?:benchmarks|docs|examples|src|tests)/[^`\s]*)`")
 
 
 def _links(text):
@@ -69,6 +75,13 @@ def _resolves(dotted):
             target = getattr(target, name)
         return True
     return False
+
+
+def _repo_path_exists(path):
+    """``path`` exists under the repo root, or as a glob matches a file."""
+    if any(char in path for char in "*?["):
+        return any(match.is_file() for match in REPO_ROOT.glob(path))
+    return (REPO_ROOT / path).exists()
 
 
 def _repro_imports(block):
@@ -127,6 +140,14 @@ class TestDocsLint:
                        if not _resolves(path)})
         assert dead == [], (
             f"{doc_path.relative_to(REPO_ROOT)} names repro paths that do "
+            f"not exist: {dead}")
+
+    def test_repo_paths_exist(self, doc_path):
+        text = doc_path.read_text(encoding="utf-8")
+        dead = sorted({path for path in _REPO_PATH.findall(text)
+                       if not _repo_path_exists(path.split("::", 1)[0])})
+        assert dead == [], (
+            f"{doc_path.relative_to(REPO_ROOT)} names repo paths that do "
             f"not exist: {dead}")
 
 

@@ -5,7 +5,7 @@ them with one sort; these are the plain per-bucket and per-pair Python walks
 it must agree with:
 
 * :func:`dict_walk_pairs` — every pair inside each live bucket of a
-  *streamed* index's bucket store (``itertools.combinations`` per bucket);
+  *streamed* index's bucket dict (``itertools.combinations`` per bucket);
 * :func:`bulk_postings` — a bulk index's columns decoded back to
   ``(key, position)`` postings, independently of the index's own decoder;
 * :func:`set_and_sort_generate` — candidate generation as a set of position
@@ -27,10 +27,10 @@ _VALUE_MASK = (1 << 31) - 1
 
 def dict_walk_pairs(index, cross_source_only: bool = False) -> Set[Tuple[int, int]]:
     """Position pairs sharing a bucket of at most ``max_bucket_size`` members,
-    walked over a streamed index's bucket store."""
+    walked over a streamed index's bucket dict."""
     sources = index.sources
     pairs: Set[Tuple[int, int]] = set()
-    for _, bucket in index._buckets.entries():
+    for _, bucket in index._buckets.items():
         if len(bucket) < 2 or len(bucket) > index.max_bucket_size:
             continue
         for left, right in combinations(bucket, 2):

@@ -203,7 +203,7 @@ class TestIngestOneAndProbe:
         # The bulk columns hold every bucket a streamed build keeps, bucket
         # order included: a bulk build posts each record's keys in the same
         # (sorted) order as a streamed one, whatever the hash seed.
-        assert list(streamed._buckets.entries()) == list(bulk_buckets(bulk).items())
+        assert list(streamed._buckets.items()) == list(bulk_buckets(bulk).items())
         assert streamed.record_ids == bulk.record_ids
         left, right = bulk.candidate_pairs(cross_source_only=True)
         assert (set(zip(left.tolist(), right.tolist()))
@@ -250,7 +250,7 @@ class TestIngestOneAndProbe:
 
 class TestIngestionModes:
     """An index answers only on the path that filled it: bulk-built indexes
-    have no bucket store to read, streamed ones no posting columns."""
+    have no buckets to read, streamed ones no posting columns."""
 
     @SMALL_CAP_INDEXES
     def test_bulk_index_refuses_streaming_reads(self, make_index, tiny_music_corpus):

@@ -310,11 +310,17 @@ class TestConfigBridge:
                              initials_max_bucket_size=7, min_token_length=2,
                              cross_source_only=False, score_threshold=0.7,
                              source_consistent=False, seed=11)
-        # Every field but the storage backend has a batch-pipeline twin.
+        # Every field has a batch-pipeline twin.
         shared = config.as_dict()
-        del shared["backend"], shared["backend_path"]
         pipeline_config = config.to_pipeline_config().as_dict()
         assert {name: pipeline_config.get(name) for name in shared} == shared
+
+    def test_from_dict_drops_retired_backend_keys_and_rejects_unknown_ones(self):
+        config = StoreConfig(max_postings=5)
+        payload = dict(config.as_dict(), backend="paged", backend_path="postings.db")
+        assert StoreConfig.from_dict(payload) == config
+        with pytest.raises(ValueError, match="frobnicate"):
+            StoreConfig.from_dict(dict(config.as_dict(), frobnicate=1))
 
     def test_stats_are_json_clean(self, streamed_store):
         import json

@@ -191,6 +191,74 @@ class TestRecoveryGuards:
         with pytest.raises(StorageError, match=path.name):
             Storage.recover(tmp_path, score_fn=child.score_fn)
 
+    def test_unknown_meta_config_key_names_the_meta_file(self, tmp_path, records):
+        storage = fresh_storage(tmp_path, snapshot_every=None)
+        for record in records[:3]:
+            storage.upsert(record)
+        storage.close()
+        rewrite_store_configs(tmp_path, {"frobnicate": 1})
+        # Both readers of the meta file: recovery without a snapshot, and a
+        # construction that takes its config from the meta file.
+        with pytest.raises(StorageError, match=f"{META_FILENAME}.*frobnicate"):
+            Storage.open(tmp_path, score_fn=child.score_fn)
+        with pytest.raises(StorageError, match=f"{META_FILENAME}.*frobnicate"):
+            Storage(tmp_path, score_fn=child.score_fn)
+
+    def test_unknown_snapshot_config_key_names_the_snapshot(self, tmp_path, records):
+        storage = fresh_storage(tmp_path)
+        for record in records[:12]:
+            storage.upsert(record)
+        storage.close()
+        rewrite_store_configs(tmp_path, {"frobnicate": 1})
+        _, path = storage.snapshots.latest()
+        with pytest.raises(StorageError, match=f"{path.name}.*frobnicate"):
+            Storage.recover(tmp_path, score_fn=child.score_fn)
+
+
+def rewrite_store_configs(data_dir, extra) -> None:
+    """Add ``extra`` keys to the store config of the meta file and of every
+    snapshot under ``data_dir``."""
+    meta_path = data_dir / META_FILENAME
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["store_config"].update(extra)
+    meta_path.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+    for path in data_dir.glob("snapshot-*.json"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["store"]["config"].update(extra)
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
+class TestRetiredConfigKeys:
+    """Data directories written while ``StoreConfig`` still had its
+    posting-list backend fields carry ``"backend"`` / ``"backend_path"`` in
+    the meta file and in every snapshot; they recover as if the keys were
+    absent, whatever their values."""
+
+    @pytest.mark.parametrize("retired", [
+        {"backend": "memory", "backend_path": None},
+        {"backend": "paged", "backend_path": "postings.db"},
+    ])
+    @pytest.mark.parametrize("snapshot_every,snapshot_lsn", [(10, 20), (None, 0)])
+    def test_directory_with_retired_keys_recovers(self, tmp_path, records, retired,
+                                                  snapshot_every, snapshot_lsn):
+        storage = fresh_storage(tmp_path, snapshot_every=snapshot_every)
+        for record in records[:25]:
+            storage.upsert(record)
+        storage.close()
+        rewrite_store_configs(tmp_path, retired)
+        reference = EntityStore(score_fn=child.score_fn, config=child.store_config())
+        for record in records[:25]:
+            reference.upsert(record)
+        recovered = Storage.open(tmp_path, score_fn=child.score_fn,
+                                 config=child.storage_config())
+        try:
+            assert recovered.last_recovery.snapshot_lsn == snapshot_lsn
+            assert recovered.store.config == child.store_config()
+            assert recovered.store.entities() == reference.entities()
+            assert recovered.store.state_dict() == reference.state_dict()
+        finally:
+            recovered.close()
+
 
 class TestDurableService:
     def test_storage_is_mutually_exclusive_with_store_config(self, tmp_path):
