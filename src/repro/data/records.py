@@ -54,6 +54,12 @@ class Record:
             values = tuple(MISSING_VALUE if value is None else value for value in values)
         return values
 
+    def __getstate__(self) -> Dict[str, object]:
+        # What the text table and the blocking indexes keep on a record (text
+        # ids, bucket keys) is this process's cache, not record state.
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("_text_row", "_bucket_keys")}
+
     def has_value(self, attribute: str) -> bool:
         """Whether the attribute has a non-empty value."""
         return bool(self.value(attribute).strip())

@@ -10,19 +10,20 @@ value pairs across its candidate pairs (missing values, low-cardinality
 attributes); the :class:`EncodingCache` encodes and stores each distinct value
 pair once per process.
 
-Each encoder configuration has its own *arena*: ``(left text, right text) ->
-row id`` over one ``(capacity, K, D)`` array, allocated with ``np.empty`` on the
-first store so that pages are only touched as rows are written.  Rows are
-appended and never rewritten.  A store that would exceed the byte budget first
-drops the least recently used arenas of other configurations, then, if it still
-does not fit, starts this arena over with fresh arrays — as the tokenizer memos
-do.  A reader that looked ids up keeps the arrays it read them from, so the rows
-it gets stay right across a reset.
+Each encoder configuration has its own *arena*: value-pair key -> row id over
+one ``(capacity, K, D)`` array, allocated with ``np.empty`` on the first store
+so that pages are only touched as rows are written.  Rows are appended and
+never rewritten.  A store that would exceed the byte budget first drops the
+least recently used arenas of other configurations, then, if it still does not
+fit, starts this arena over with fresh arrays.  A reader that looked ids up
+keeps the arrays it read them from, so the rows it gets stay right across a
+reset.
 
-Keys are exact, not probabilistic: an arena belongs to one encoder fingerprint
-(schema, contrastive feature kinds, tokenizer and embedder configuration) and
-its keys are the raw texts, so two pairs that share ids but differ in content
-never collide.
+Keys are exact: an arena belongs to one encoder fingerprint (schema, feature
+kinds, tokenizer and embedder configuration) and one generation of the
+:class:`~repro.text.tokenizer.TextTable`, its keys are ``left text id << 32 |
+right text id`` there.  A newer generation starts the arena over; an older
+one misses and stores nothing, so no id is read where it names another text.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def _bind_cache_instruments(registry) -> _CacheInstruments:
 class _Arena:
     """Append-only slot rows of one encoder configuration."""
 
-    __slots__ = ("index", "features", "mask", "count", "row_bytes")
+    __slots__ = ("generation", "index", "features", "mask", "count", "row_bytes")
 
-    def __init__(self, capacity: int, shape: Tuple[int, ...]) -> None:
+    def __init__(self, generation: int, capacity: int, shape: Tuple[int, ...]) -> None:
+        self.generation = generation
         self.index: Dict[Hashable, int] = {}
         self.features = np.empty((capacity,) + shape, dtype=np.float64)
         self.mask = np.empty((capacity, shape[0]), dtype=np.float64)
@@ -111,19 +113,20 @@ class EncodingCache:
         with self._lock:
             return self.entries
 
-    def fetch(self, fingerprint: str, keys: Sequence[Hashable],
+    def fetch(self, arena_name: Tuple[str, int], keys: Sequence[Hashable],
               encode: RowEncoder) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(len(keys), K, D)`` rows and ``(len(keys), K)`` mask of ``keys``.
 
-        ``keys`` (non-empty) are value pairs of the encoder ``fingerprint``,
-        one per slot.  Rows its arena holds are read from it;
-        ``encode(positions)`` computes the rows of ``keys[i]`` for every other
-        ``i``, and they are stored.  Every key counts as one lookup, a hit or
-        a miss.
+        ``arena_name`` is ``(encoder fingerprint, text-table generation)``
+        and ``keys`` (non-empty) are that generation's value-pair keys, one
+        per slot.  Rows the arena holds are read from it; ``encode(positions)``
+        computes the rows of ``keys[i]`` for every other ``i``, and they are
+        stored.  Every key counts as one lookup, a hit or a miss.
         """
+        fingerprint, generation = arena_name
         with self._lock:
             arena = self._arenas.get(fingerprint)
-            if arena is None:
+            if arena is None or arena.generation != generation:
                 ids = np.full(len(keys), -1, dtype=np.intp)
             else:
                 self._arenas.move_to_end(fingerprint)
@@ -140,7 +143,7 @@ class EncodingCache:
         if not len(missing):
             return features[ids], mask[ids]
         fresh_features, fresh_mask = encode(missing)
-        self._store(fingerprint, list(map(keys.__getitem__, missing.tolist())),
+        self._store(fingerprint, generation, list(map(keys.__getitem__, missing.tolist())),
                     fresh_features, fresh_mask)
         if len(missing) == len(keys):
             return fresh_features, fresh_mask
@@ -154,22 +157,28 @@ class EncodingCache:
         out_mask[missing] = fresh_mask
         return out_features, out_mask
 
-    def _store(self, fingerprint: str, keys: Sequence[Hashable], features: np.ndarray,
-               mask: np.ndarray) -> None:
+    def _store(self, fingerprint: str, generation: int, keys: Sequence[Hashable],
+               features: np.ndarray, mask: np.ndarray) -> None:
         """Append the rows of ``keys`` (repeats stored once) to the arena of
-        ``fingerprint``."""
+        ``fingerprint``; a newer ``generation`` starts it over, an older one
+        stores nothing."""
         row_bytes = features[0].nbytes + mask[0].nbytes
         evicted = 0
         with self._lock:
             arena = self._arenas.get(fingerprint)
+            if arena is not None and arena.generation > generation:
+                return  # the keys name other texts in the arena's generation
             new = dict(zip(keys, itertools.count()))  # a repeated key: its last position
-            if arena is not None:
+            if arena is not None and arena.generation == generation:
                 for key in new.keys() & arena.index.keys():
                     del new[key]
             needed = len(new) * row_bytes
             # Rows that can never fit must not flush the cache.
             if not new or needed > self.max_bytes:
                 return
+            if arena is not None and arena.generation != generation:
+                evicted += self._drop(fingerprint)
+                arena = None
             for other in [name for name in self._arenas if name != fingerprint]:
                 if self.current_bytes + needed <= self.max_bytes:
                     break
@@ -178,7 +187,7 @@ class EncodingCache:
                 evicted += self._drop(fingerprint)
                 arena = None
             if arena is None:
-                arena = _Arena(self.max_bytes // row_bytes, features.shape[1:])
+                arena = _Arena(generation, self.max_bytes // row_bytes, features.shape[1:])
                 self._arenas[fingerprint] = arena
             start, stop = arena.count, arena.count + len(new)
             positions = list(new.values())

@@ -14,20 +14,20 @@ values of it.  ``PairEncoder.encode`` therefore works neither pair by pair nor
 *slots* ``(attribute, left value, right value)`` and executed as flat array
 operations:
 
-1. **Slot plan**: every distinct text of the call gets a call-local integer
-   id, and one ``np.unique`` over the keys ``(attribute, left id, right id)``
-   (attribute-major) gives the ``S`` distinct slots and the slot of every
-   (pair, attribute) — a :class:`SlotPlan`.
+1. **Slot plan**: a record keeps the ids of its texts in the process-wide
+   :class:`~repro.text.tokenizer.TextTable`, interned once per generation.
+   The call gathers them into a ``(2N, A)`` id matrix, numbers texts by first
+   occurrence in one ``dict`` pass, and one ``np.unique`` over the int64 keys
+   ``(attribute, left, right)`` (attribute-major) gives the ``S`` distinct
+   slots and the slot of every (pair, attribute) — a :class:`SlotPlan`.
 2. **Encoding cache** (:class:`~repro.features.cache.EncodingCache`): a
-   slot's rows depend on its two texts only, so the cache maps the value pair
-   ``(left text, right text)`` to a row of an append-only arena per encoder
-   configuration (slots of different attributes with the same two texts
-   share it); only the slots it does not hold are encoded below.
-3. **Text-level CSR**: the token row ids of each text of those slots —
-   :class:`~repro.text.embeddings.TokenTable` ids through the tokenizer's
-   value memo (:meth:`~repro.text.tokenizer.Tokenizer.ids_memo`) — laid out as
-   one token stream with per-text lengths and offsets; ragged gathers expand it
-   to one stream per side, one segment per slot.
+   slot's rows depend on its two texts only, so the cache maps the key
+   ``left id << 32 | right id`` to a row of an append-only arena per encoder
+   configuration and table generation (slots of different attributes with
+   the same two texts share it); only the slots it misses are encoded below.
+3. **Token stream**: the tokenizer's token ids of each text (a column of the
+   generation, computed once per text) are gathered into one stream, one
+   segment per slot side; embedding rows are indexed by the same token ids.
 4. **Integer-key membership**: with the key ``slot * V + token``, one sort
    tells for every token of either side whether the other side's value holds
    it — the *shared* / *unique* split of Eq. (2), with the token order and
@@ -42,18 +42,17 @@ This is bit-identical to the per-pair definition
 the same row-sequential order and the norm is the same BLAS dot.  The batch's
 ``features`` are the plan laid out per pair, materialised on first access; the
 network's inference forward (``AdaMELNetwork.forward_numpy``) reads the plan
-itself and evaluates Eq. 4-6 once per slot.  Per call on one core, with warm
-memos and a cold cache, against the per-pair extraction stacked: one pair
-0.19 vs 0.075 ms, two pairs 0.23 vs 0.15 ms, 19 pairs 0.41 vs 1.5 ms, 256 pairs
-2.3 vs 20 ms, 2 048 pairs 12 vs 159 ms.  A 13-pair call whose slots all hit the
-cache takes 0.1 ms: plan overhead that pays off only when the forward reads
+itself and evaluates Eq. 4-6 once per slot.  Per call on one core, warm text
+table, cold cache, against the per-pair extraction stacked: one pair 0.34 vs
+0.26 ms, two pairs 0.36 vs 0.57 ms, 19 pairs 0.63 vs 6.1 ms, 256 pairs 3.3 vs
+89 ms, 2 048 pairs 20 vs 745 ms.  A 13-pair call whose slots all hit the
+cache takes 0.12 ms: plan overhead that pays off only when the forward reads
 the plan.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -62,7 +61,7 @@ import numpy as np
 from ..data.records import EntityPair
 from ..data.schema import Schema
 from ..text.embeddings import HashedEmbedder, TokenEmbedder, missing_value_vector
-from ..text.tokenizer import Tokenizer
+from ..text.tokenizer import Generation, Tokenizer, text_table
 from .cache import EncodingCache, get_default_cache
 from .relational import SHARED_SUFFIX, UNIQUE_SUFFIX, RelationalFeatureExtractor
 
@@ -214,6 +213,7 @@ class PairEncoder:
         self.embedder = embedder if embedder is not None else HashedEmbedder()
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.extractor = RelationalFeatureExtractor(schema, self.tokenizer, feature_kinds)
+        self._attributes = tuple(schema.attributes)
         self._missing = missing_value_vector(self.embedder.dim)
         # Explicit None check: an empty EncodingCache is falsy (it has __len__).
         self.cache: Optional[EncodingCache] = None
@@ -283,19 +283,20 @@ class PairEncoder:
         pairs = list(pairs)
         if not pairs:
             return self._empty_batch()
-        texts, index, offsets, left, right = self._plan(pairs)
+        # Pin one text-table generation: every id below names one of its texts.
+        generation = text_table().generation()
+        index, offsets, left, right = self._plan(generation, pairs)
 
         def encode_slots(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return self._encode_value_pairs(texts, left[positions], right[positions])
+            return self._encode_value_pairs(generation, left[positions], right[positions])
 
         if self.cache is None:
             rows, mask = encode_slots(np.arange(len(left)))
         else:
             # A slot's rows depend on its two texts only: slots of different
             # attributes with the same value pair share a cache row.
-            keys = list(zip(map(texts.__getitem__, left.tolist()),
-                            map(texts.__getitem__, right.tolist())))
-            rows, mask = self.cache.fetch(self._fingerprint, keys, encode_slots)
+            rows, mask = self.cache.fetch((self._fingerprint, generation.serial),
+                                          (left << 32 | right).tolist(), encode_slots)
         labels = np.array([pair.label if pair.label is not None else -1 for pair in pairs],
                           dtype=np.int64)
         return EncodedBatch(SlotPlan(rows, index, offsets), mask, labels,
@@ -309,45 +310,36 @@ class PairEncoder:
                         np.zeros(attributes + 1, dtype=np.intp))
         return EncodedBatch(plan, np.zeros((0, kinds)), np.zeros(0, dtype=np.int64), [])
 
-    def _plan(self, pairs: Sequence[EntityPair]
-              ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The call's texts and slots.
+    def _plan(self, generation: Generation, pairs: Sequence[EntityPair]
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The call's slots: ``(index, offsets, left, right)``.
 
-        Returns ``(texts, index, offsets, left, right)``: the texts of the
-        call's distinct records; the ``(N, A)`` slot of every (pair,
-        attribute) and the ``(A + 1,)`` attribute offsets of the slots (see
-        :class:`SlotPlan`); and, per slot, the positions in ``texts`` of its
-        two texts.  The per-record and per-text work runs in C-level
-        ``map``/``dict`` loops.
+        ``index`` is the ``(N, A)`` slot of every (pair, attribute) and
+        ``offsets`` the ``(A + 1,)`` attribute offsets of the slots (see
+        :class:`SlotPlan`); ``left`` / ``right`` hold each slot's two text
+        ids.  Slots are ordered by attribute, then by the first occurrence of
+        their left and right texts in the call.  A gather of the records' id
+        rows and one ``np.unique`` over int64 keys.
         """
-        attributes = self.schema.attributes
-        num_attributes = len(attributes)
+        num_attributes = len(self._attributes)
         sides = [record for pair in pairs for record in (pair.left, pair.right)]
-        # Keyed by identity: ``pairs`` keeps every record alive for the call.
-        records = dict(zip(map(id, sides), sides))
-        ordinal = dict(zip(records, itertools.count()))
-        side_rows = np.fromiter(map(ordinal.__getitem__, map(id, sides)),
-                                dtype=np.intp, count=len(sides))
-        texts = list(itertools.chain.from_iterable(
-            map(operator.methodcaller("value_tuple", attributes), records.values())))
-        # A text's id is the position of its first occurrence in ``texts``.
-        cells = np.fromiter(map({}.setdefault, texts, itertools.count()), dtype=np.int64,
-                            count=len(texts)).reshape(len(records), num_attributes)
-        num_texts = len(texts)
-        # Attribute-major keys a T^2 + left T + right; A T^2 stays far below
-        # 2**63 for any call that fits in memory (T <= 2 N A texts).
-        as_left = (np.arange(num_attributes) * num_texts + cells) * num_texts
-        keys = as_left[side_rows[0::2]] + cells[side_rows[1::2]]
-        slot_keys, index = np.unique(keys.ravel(), return_inverse=True)
+        cells = generation.cells(sides, self._attributes)[0]
+        # A text's call-local id is the position of its first occurrence.
+        local = np.fromiter(map({}.setdefault, cells.tolist(), itertools.count()),
+                            dtype=np.int64, count=len(cells)).reshape(len(sides), num_attributes)
+        num_cells = len(cells)
+        # Attribute-major keys a C^2 + left C + right (C = 2 N A cells).
+        as_left = (np.arange(num_attributes) * num_cells + local[0::2]) * num_cells
+        slot_keys, index = np.unique((as_left + local[1::2]).ravel(), return_inverse=True)
         offsets = np.searchsorted(slot_keys, np.arange(num_attributes + 1)
-                                  * (num_texts * num_texts))
-        left, right = np.divmod(slot_keys % (num_texts * num_texts), num_texts)
-        return texts, index.reshape(len(pairs), num_attributes), offsets, left, right
+                                  * (num_cells * num_cells))
+        left, right = np.divmod(slot_keys % (num_cells * num_cells), num_cells)
+        return index.reshape(len(pairs), num_attributes), offsets, cells[left], cells[right]
 
-    def _encode_value_pairs(self, texts: Sequence[str], left: np.ndarray, right: np.ndarray
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Encode the value pairs ``(texts[left[m]], texts[right[m]])`` into
-        ``(M, K, D)`` rows + ``(M, K)`` masks.
+    def _encode_value_pairs(self, generation: Generation, left: np.ndarray,
+                            right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Encode the value pairs of texts ``(left[m], right[m])`` of
+        ``generation`` into ``(M, K, D)`` rows + ``(M, K)`` masks.
 
         The contrastive features of :func:`extract_relational_features` are
         computed for all value pairs at once as set algebra on integer keys
@@ -363,28 +355,13 @@ class PairEncoder:
         num_pairs = len(left)
         kinds = self.extractor.feature_kinds
         num_kinds, dim = len(kinds), self.embedding_dim
-        needed, position = np.unique(np.concatenate((left, right)), return_inverse=True)
 
-        # Pin one vocabulary table for the call: every id below is a row of it.
-        table = self.embedder.vocabulary()
-        needed_texts = [texts[i] for i in needed.tolist()]
-        value_ids = list(map(self.tokenizer.ids_memo(table).get, needed_texts))
-        unseen = [text for text, ids in zip(needed_texts, value_ids) if ids is None]
-        if unseen:
-            resolved = dict(zip(unseen, self.tokenizer.token_ids(unseen, table)))
-            value_ids = [resolved[text] if ids is None else ids
-                         for text, ids in zip(needed_texts, value_ids)]
-        rows = table.rows  # read after the ids: holds every row they name
-
-        # CSR over the texts, expanded to one token stream per side.
-        text_tokens = np.concatenate(value_ids)
-        lengths = np.fromiter(map(len, value_ids), dtype=np.int64, count=len(value_ids))
-        starts = np.cumsum(lengths) - lengths
-        position = position.ravel()
-        left_tokens, left_slots = _ragged_gather(
-            text_tokens, starts[position[:num_pairs]], lengths[position[:num_pairs]])
-        right_tokens, right_slots = _ragged_gather(
-            text_tokens, starts[position[num_pairs:]], lengths[position[num_pairs:]])
+        # One token stream over the left texts, then the right ones.
+        stream, sides = self.tokenizer.token_ids(generation, np.concatenate((left, right)))
+        rows = self.embedder.rows(generation, stream)  # (T, D) by token id
+        on_left = sides < num_pairs
+        left_tokens, left_slots = stream[on_left], sides[on_left]
+        right_tokens, right_slots = stream[~on_left], sides[~on_left] - num_pairs
 
         # len(rows) exceeds every id, so a key names one (value pair, token).
         left_shared, right_shared = _on_both_sides(left_slots * len(rows) + left_tokens,
@@ -437,14 +414,3 @@ def _on_both_sides(left_keys: np.ndarray, right_keys: np.ndarray
     on_both = on_left & on_right
     return on_both[left_group], on_both[right_group]
 
-
-def _ragged_gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``values[starts[i]:starts[i] + lengths[i]]`` over all ``i``.
-
-    Returns the gathered values and, per gathered element, its segment ``i``.
-    """
-    segments = np.repeat(np.arange(len(lengths)), lengths)
-    first = np.cumsum(lengths) - lengths  # where each segment begins in the output
-    positions = np.repeat(starts - first, lengths) + np.arange(len(segments))
-    return values[positions], segments

@@ -30,7 +30,7 @@ from .clustering import (ClusteringStage, ClusterResult, IncrementalClusters,
                          order_match_edges, pairwise_cluster_metrics)
 from .engine import LinkagePipeline, PipelineConfig, PipelineResult
 from .index import (IndexModeError, InitialsKeyIndex, InvertedTokenIndex,
-                    MinHashLSHIndex, build_blocking_indexes, record_tokens)
+                    MinHashLSHIndex, build_blocking_indexes)
 from .scoring import ScoredCandidates, ScoringStage
 from .sharded import (ShardConfig, ShardedPipeline, ShardedPipelineResult,
                       ShardReport)
@@ -62,5 +62,4 @@ __all__ = [
     "order_match_edges",
     "pairwise_cluster_metrics",
     "possible_cross_source_pairs",
-    "record_tokens",
 ]

@@ -16,11 +16,13 @@ indexes are provided:
 
 Every index is filled one of two ways, and keeps to the one it started with:
 
-* **bulk** — :meth:`add_records` over chunks, for the batch pipeline.  Each
-  chunk's keys are appended as int64 codes to two posting columns (code,
-  record position); :meth:`candidate_pairs` groups the columns with one
-  sort, so a run of equal codes is a bucket and blocking is a sort
-  over key columns, not per-key Python work.
+* **bulk** — :meth:`add_records` over chunks, for the batch pipeline.  A
+  chunk's keys are one gather over per-text columns of the process-wide
+  :class:`~repro.text.tokenizer.TextTable` (long tokens, initials keys; MinHash
+  hashes each distinct token once per table generation) and one sort that
+  dedupes ``(record, key)``; they are appended as int64 codes to two posting
+  columns (code, record position), and :meth:`candidate_pairs` groups the
+  columns with one sort, so a run of equal codes is a bucket.
 * **streamed** — :meth:`ingest_one` (:meth:`preview_one` + :meth:`commit_one`)
   one record at a time, for the online store: an in-memory dict of capped
   buckets (key → member positions) that answers :meth:`probe_keys` and
@@ -36,17 +38,18 @@ records yield the same candidate pairs, counters and bucket sizes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 import numpy as np
 
 from ..data.records import Record
-from ..text.hashing import stable_hash
-from ..text.tokenizer import admit, tokenize
+from ..text.hashing import stable_hash, stable_hashes
+from ..text.tokenizer import Generation, text_table
 
 __all__ = ["IndexModeError", "InitialsKeyIndex", "InvertedTokenIndex",
-           "MinHashLSHIndex", "build_blocking_indexes", "record_tokens"]
+           "MinHashLSHIndex", "build_blocking_indexes"]
 
 # Modulus for the universal hash family h(x) = (a*x + b) mod p. With a
 # Mersenne prime below 2**31 every operand stays below 2**31, so the uint64
@@ -72,20 +75,23 @@ class IndexModeError(RuntimeError):
     """
 
 
-def record_tokens(record: Record, attributes: Optional[Sequence[str]] = None,
-                  min_token_length: int = 2) -> List[str]:
-    """The token set of a record over ``attributes`` (default: all present).
+def _long_tokens(min_length: int, generation: Generation, todo: np.ndarray
+                 ) -> Tuple[List[int], List[int]]:
+    """Column values: each text's distinct tokens of at least ``min_length`` chars."""
+    tokens = generation.tokens
+    lists = [[token for token in dict.fromkeys(generation.text_tokens[text])
+              if len(tokens[token]) >= min_length] for text in todo.tolist()]
+    return [token for ids in lists for token in ids], list(map(len, lists))
 
-    Tokens shorter than ``min_token_length`` are dropped; the token set is
-    returned sorted so that downstream hashing is order-independent.
-    """
-    names = record.attribute_names() if attributes is None else attributes
-    tokens: Set[str] = set()
-    for attribute in names:
-        for token in tokenize(record.value(attribute)):
-            if len(token) >= min_token_length:
-                tokens.add(token)
-    return sorted(tokens)
+
+def _text_keys(generation: Generation, records: Sequence[Record],
+               attributes: Optional[Sequence[str]], key: Hashable, compute
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The key ids of every value of ``records`` (column ``key``, one gather
+    over the texts) record-major, with duplicates, and the record of each."""
+    cells, counts = generation.cells(records, attributes)
+    keys, cell = generation.gather(key, cells, partial(compute, generation))
+    return keys, np.repeat(np.arange(len(records), dtype=np.int64), counts)[cell]
 
 
 def _run_starts(grouped: np.ndarray) -> np.ndarray:
@@ -176,9 +182,14 @@ class _BucketedIndex:
 
         A pure function of the record and the index configuration — nothing
         is registered or mutated, and any process that computes a record's
-        keys under an equally-configured index gets the identical key set.
+        keys under an equally-configured index gets the identical key set —
+        so they are kept on the record once computed (a probe repeats).
         """
-        return list(self._record_keys(record))
+        kept = record.__dict__.setdefault("_bucket_keys", {})
+        keys = kept.get(self._config)
+        if keys is None:
+            keys = kept[self._config] = tuple(self._record_keys(record))
+        return list(keys)
 
     # ------------------------------------------------------------------ #
     # Bulk ingestion: posting columns
@@ -200,24 +211,6 @@ class _BucketedIndex:
             np.arange(start, start + len(batch), dtype=np.int64), counts))
         self._grouped = None
         return len(batch)
-
-    def _add_interned(self, records: Iterable[Record]) -> int:
-        """Bulk-add records whose keys are interned to codes by first occurrence.
-
-        Codes follow the order keys are first seen, never a hash, so the
-        columns do not depend on ``PYTHONHASHSEED``.
-        """
-        self._check_mode(_BULK, "add_records")
-        batch = list(records)
-        table = self._key_codes
-        codes: List[int] = []
-        counts: List[int] = []
-        for record in batch:
-            keys = self._record_keys(record)
-            counts.append(len(keys))
-            codes.extend([table.setdefault(key, len(table)) for key in keys])
-        return self._add_postings(batch, np.array(codes, dtype=np.int64),
-                                  np.array(counts, dtype=np.int64))
 
     def _code_keys(self, codes: np.ndarray) -> List[Hashable]:
         """The bucket keys of posting ``codes`` (interned keys by default)."""
@@ -445,7 +438,56 @@ class _BucketedIndex:
         return bucket_skew(self.bucket_sizes(), top_k=top_k)
 
 
-class InvertedTokenIndex(_BucketedIndex):
+class _TextKeyedIndex(_BucketedIndex):
+    """An index keyed by strings derived per attribute value (tokens,
+    initials keys): :meth:`_text_values` computes them per text, and a bulk
+    build reads them as the text table's column ``_column``."""
+
+    _column: Hashable
+
+    def _text_values(self, generation: Generation, todo: np.ndarray
+                     ) -> Tuple[List[int], List[int]]:
+        """Column values: the key ids of each text of ``todo`` (subclass hook)."""
+        raise NotImplementedError
+
+    def _record_keys(self, record: Record) -> List[str]:
+        # One record's few texts: computing their keys beats a column gather.
+        generation = text_table().generation()
+        keys, _ = self._text_values(generation, generation.cells([record], self.attributes)[0])
+        return sorted(set(map(generation.tokens.__getitem__, keys)))
+
+    def add_records(self, records: Iterable[Record]) -> int:
+        """Post a batch of records to the bulk columns; returns how many.
+
+        Each record's keys are posted once, in string order (its
+        :meth:`_record_keys`), and interned to codes in first-occurrence
+        order, never by hash, so the columns do not depend on
+        ``PYTHONHASHSEED``.
+        """
+        self._check_mode(_BULK, "add_records")
+        batch = list(records)
+        generation = text_table().generation()
+        keys, owners = _text_keys(generation, batch, self.attributes, self._column,
+                                  self._text_values)
+        distinct = np.unique(keys)
+        strings = list(map(generation.tokens.__getitem__, distinct.tolist()))
+        by_string = np.array(sorted(range(len(strings)), key=strings.__getitem__),
+                             dtype=np.int64)
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[by_string] = np.arange(len(distinct))
+        postings = _sorted_unique(owners * len(distinct)
+                                  + rank[np.searchsorted(distinct, keys)])
+        owners, ranks = np.divmod(postings, max(len(distinct), 1))
+        first_seen = np.argsort(np.unique(ranks, return_index=True)[1])
+        table = self._key_codes
+        codes = np.empty(len(distinct), dtype=np.int64)
+        codes[first_seen] = [table.setdefault(strings[i], len(table))
+                             for i in by_string[first_seen].tolist()]
+        return self._add_postings(batch, codes[ranks],
+                                  np.bincount(owners, minlength=len(batch)))
+
+
+class InvertedTokenIndex(_TextKeyedIndex):
     """Incremental inverted index from token to the records containing it.
 
     Parameters
@@ -467,17 +509,16 @@ class InvertedTokenIndex(_BucketedIndex):
         super().__init__(max_bucket_size=max_postings)
         self.attributes = list(attributes) if attributes is not None else None
         self.min_token_length = max(min_token_length, 1)
+        self._config = (type(self), repr(self.attributes), self.min_token_length)
+        self._column = ("tokens", self.min_token_length)
 
     @property
     def max_postings(self) -> int:
         return self.max_bucket_size
 
-    def _record_keys(self, record: Record) -> List[str]:
-        return record_tokens(record, self.attributes, self.min_token_length)
-
-    def add_records(self, records: Iterable[Record]) -> int:
-        """Post a batch of records to the bulk columns; returns how many."""
-        return self._add_interned(records)
+    def _text_values(self, generation: Generation, todo: np.ndarray
+                     ) -> Tuple[List[int], List[int]]:
+        return _long_tokens(self.min_token_length, generation, todo)
 
     def stats(self) -> Dict[str, int]:
         """Index size counters for pipeline reports."""
@@ -488,7 +529,7 @@ class InvertedTokenIndex(_BucketedIndex):
         }
 
 
-class InitialsKeyIndex(_BucketedIndex):
+class InitialsKeyIndex(_TextKeyedIndex):
     """Blocking keys from token initials, linking abbreviations to full forms.
 
     Unseen sources abbreviate identifying values ("Elliott Bianchi" becomes
@@ -518,30 +559,20 @@ class InitialsKeyIndex(_BucketedIndex):
         super().__init__(max_bucket_size=max_bucket_size)
         self.attributes = list(attributes) if attributes is not None else None
         self.max_prefix_tokens = max_prefix_tokens
-        # Attribute values repeat across records; memoised process-locally.
-        self._value_keys_memo: Dict[str, Tuple[str, ...]] = {}
+        self._config = (type(self), repr(self.attributes), max_prefix_tokens)
+        self._column = ("initials", max_prefix_tokens)
 
-    def _value_keys(self, text: str) -> Tuple[str, ...]:
-        """The initials keys of one attribute value, memoised per text."""
-        keys = self._value_keys_memo.get(text)
-        if keys is None:
-            initials = [token[0] for token in tokenize(text)
-                        if any(ch.isalnum() for ch in token)]
+    def _text_values(self, generation: Generation, todo: np.ndarray
+                     ) -> Tuple[List[int], List[int]]:
+        lists = []
+        for text in todo.tolist():
+            # A token is a word, its first char alnum, or a single char.
+            initials = [token[0] for token in generation.tokens_of(text) if token[0].isalnum()]
             lengths = range(2, min(len(initials), self.max_prefix_tokens) + 1)
-            keys = tuple(sorted({"".join(sorted(initials[:length])) for length in lengths}))
-            admit(self._value_keys_memo, text, keys)
-        return keys
+            lists.append({"".join(sorted(initials[:length])) for length in lengths})
+        return (generation.token_ids(key for keys in lists for key in sorted(keys)),
+                list(map(len, lists)))
 
-    def _record_keys(self, record: Record) -> List[str]:
-        names = record.attribute_names() if self.attributes is None else self.attributes
-        keys: Set[str] = set()
-        for attribute in names:
-            keys.update(self._value_keys(record.value(attribute)))
-        return sorted(keys)
-
-    def add_records(self, records: Iterable[Record]) -> int:
-        """Post a batch of records to the bulk columns; returns how many."""
-        return self._add_interned(records)
 
     def stats(self) -> Dict[str, int]:
         """Index size counters for pipeline reports."""
@@ -593,44 +624,64 @@ class MinHashLSHIndex(_BucketedIndex):
         self.rows = num_perm // bands
         self.min_token_length = min_token_length
         self.seed = seed
+        self._config = (type(self), repr(self.attributes), num_perm, bands, min_token_length, seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, num_perm, bands]))
         self._a = rng.integers(1, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
         self._b = rng.integers(0, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
-        # Token hashes repeat heavily across records; memoised process-locally.
-        self._token_hash_memo: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Sketching
     # ------------------------------------------------------------------ #
-    def _token_hashes(self, record: Record) -> List[int]:
-        memo = self._token_hash_memo
-        hashes: List[int] = []
-        for token in record_tokens(record, self.attributes, self.min_token_length):
-            value = memo.get(token)
-            if value is None:
-                value = stable_hash(token, salt=self.seed) % _MERSENNE_PRIME
-                admit(memo, token, value)
-            hashes.append(value)
-        if not hashes:
-            # An all-empty record must not collide with every other empty
-            # record in every band; give it a unique sentinel "token".
-            hashes.append(stable_hash(f"\x00empty:{record.record_id}", salt=self.seed)
-                          % _MERSENNE_PRIME)
-        return hashes
+    def _token_hashes(self, generation: Generation, todo: np.ndarray
+                      ) -> Tuple[List[int], np.ndarray]:
+        """Column values: each token's hash below the prime."""
+        tokens = list(map(generation.tokens.__getitem__, todo.tolist()))
+        return (stable_hashes(tokens, salt=self.seed) % _MERSENNE_PRIME,
+                np.ones(len(todo), dtype=np.int64))
 
     def signatures(self, records: Sequence[Record]) -> np.ndarray:
-        """MinHash signatures of ``records`` as a ``(num_perm, N)`` array."""
+        """MinHash signatures of ``records`` as a ``(num_perm, N)`` array.
+
+        Every distinct token of the batch is hashed (once per generation of
+        the text table) and permuted once; each record's minima are one
+        gather and ``min`` per token count.
+        """
         if not records:
             return np.empty((self.num_perm, 0), dtype=np.uint64)
-        token_lists = [self._token_hashes(record) for record in records]
-        offsets = np.zeros(len(token_lists), dtype=np.int64)
-        offsets[1:] = np.cumsum([len(hashes) for hashes in token_lists])[:-1]
-        flat = np.fromiter((value for hashes in token_lists for value in hashes),
-                           dtype=np.uint64,
-                           count=sum(len(hashes) for hashes in token_lists))
-        # (P, T) permuted hashes -> per-record minima along the token axis.
-        permuted = (self._a[:, None] * flat[None, :] + self._b[:, None]) % _HASH_RANGE
-        return np.minimum.reduceat(permuted, offsets, axis=1)
+        generation = text_table().generation()
+        tokens, owners = _text_keys(generation, records, self.attributes,
+                                    ("tokens", self.min_token_length),
+                                    partial(_long_tokens, self.min_token_length))
+        distinct, column = np.unique(tokens, return_inverse=True)
+        empty = np.flatnonzero(np.bincount(owners, minlength=len(records)) == 0)
+        permuted = self._permuted(generation, distinct, [records[i] for i in empty.tolist()])
+        # Each record's distinct columns, record-major.
+        postings = _sorted_unique(np.concatenate((
+            owners * len(permuted) + column.ravel(),
+            empty * len(permuted) + len(distinct) + np.arange(len(empty)))))
+        owners, column = np.divmod(postings, len(permuted))
+        starts = _run_starts(owners)  # every record has a posting
+        counts = np.diff(np.append(starts, len(owners)))
+        # Per-record minima, records grouped by token count: one gather each.
+        signatures = np.empty((len(records), self.num_perm), dtype=np.uint64)
+        for count in np.unique(counts).tolist():
+            group = np.flatnonzero(counts == count)
+            signatures[group] = permuted[column[starts[group][:, None]
+                                                + np.arange(count)]].min(axis=1)
+        return signatures.T
+
+    def _permuted(self, generation: Generation, tokens: np.ndarray,
+                  empty: Sequence[Record]) -> np.ndarray:
+        """``(U + E, P)`` permuted hashes of the distinct ``tokens`` (hashed
+        once per generation), then of one sentinel per record of ``empty``:
+        an all-empty record must not collide with every other one in every
+        band."""
+        hashes, _ = generation.gather(("minhash", self.seed), tokens,
+                                      partial(self._token_hashes, generation))
+        sentinels = [stable_hash(f"\x00empty:{record.record_id}", salt=self.seed)
+                     % _MERSENNE_PRIME for record in empty]
+        hashes = np.concatenate((hashes, np.array(sentinels, dtype=np.int64)))
+        return (hashes.astype(np.uint64)[:, None] * self._a + self._b) % _HASH_RANGE
 
     def _band_keys(self, signatures: np.ndarray) -> np.ndarray:
         """Combine each band's rows into one integer key per record: (bands, N).
@@ -647,8 +698,13 @@ class MinHashLSHIndex(_BucketedIndex):
         return combined
 
     def _record_keys(self, record: Record) -> List[Tuple[int, int]]:
-        keys = self._band_keys(self.signatures([record]))
-        return list(enumerate(keys[:, 0].tolist()))
+        # One record: its tokens computed directly, its minima one reduction.
+        generation = text_table().generation()
+        tokens, _ = _long_tokens(self.min_token_length, generation,
+                                 generation.cells([record], self.attributes)[0])
+        distinct = np.array(sorted(set(tokens)), dtype=np.int64)
+        permuted = self._permuted(generation, distinct, [] if tokens else [record])
+        return list(enumerate(self._band_keys(permuted.min(axis=0)[:, None])[:, 0].tolist()))
 
     def _encode_key(self, key: Hashable) -> object:
         return list(key)  # (band, value) tuples are not JSON keys

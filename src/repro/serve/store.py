@@ -707,6 +707,10 @@ class EntityStore:
         if version not in SUPPORTED_STATE_VERSIONS:
             raise ValueError(f"unsupported store state version {version!r} "
                              f"(supported: {SUPPORTED_STATE_VERSIONS})")
+        missing = [key for key in ("config", "indexes", "records", "scores", "support",
+                                   "members") if key not in payload]
+        if missing:
+            raise ValueError(f"store state has no {', '.join(map(repr, missing))}")
         config = StoreConfig.from_dict(payload["config"])
         store = cls(score_fn=score_fn, config=config)
         for index, state in zip(store._indexes, payload["indexes"]):

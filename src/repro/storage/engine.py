@@ -112,6 +112,17 @@ def _bind_storage_instruments(registry) -> _StorageInstruments:
     )
 
 
+# What reading a JSON document of the wrong shape raises: a missing key, a
+# value of the wrong type, or a value that contradicts the rest.
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
+
+
+def _malformed(what: str, error: Exception) -> StorageError:
+    """A :class:`StorageError` naming ``what`` could not be loaded, and why."""
+    reason = f"missing key {error}" if isinstance(error, KeyError) else str(error)
+    return StorageError(f"{what} cannot be loaded: {reason}")
+
+
 def _meta_store_config(data_dir: Path) -> Optional[StoreConfig]:
     """The store config recorded in ``data_dir``'s meta file, if it has one."""
     path = data_dir / META_FILENAME
@@ -123,9 +134,8 @@ def _meta_store_config(data_dir: Path) -> Optional[StoreConfig]:
         if version != STORAGE_FORMAT_VERSION:
             raise ValueError(f"unsupported storage meta version {version!r}")
         return StoreConfig.from_dict(meta["store_config"])
-    except ValueError as error:
-        raise StorageError(f"storage meta {path} cannot be loaded: "
-                           f"{error}") from error
+    except _MALFORMED as error:
+        raise _malformed(f"storage meta {path}", error) from error
 
 
 class Storage:
@@ -356,13 +366,13 @@ class Storage:
                 snapshot_lsn, payload = loaded
                 try:
                     store = EntityStore.from_state_dict(payload["store"])
-                except ValueError as error:
-                    # Valid JSON that contradicts itself (entities that its
-                    # own edges do not resolve to, an unknown format): serve
-                    # nothing rather than clusters the stored edges refute.
-                    raise StorageError(
-                        f"snapshot {dict(snapshots.list())[snapshot_lsn]} "
-                        f"cannot be loaded: {error}") from error
+                except _MALFORMED as error:
+                    # Valid JSON that is not a store state, or contradicts
+                    # itself (entities that its own edges do not resolve to,
+                    # an unknown format): serve nothing rather than clusters
+                    # the stored edges refute.
+                    raise _malformed(f"snapshot {dict(snapshots.list())[snapshot_lsn]}",
+                                     error) from error
             else:
                 snapshot_lsn = 0
                 store = EntityStore(config=store_config

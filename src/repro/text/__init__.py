@@ -17,15 +17,16 @@ from .similarity import (
     similarity_vector,
     token_cosine_similarity,
 )
-from .tokenizer import DEFAULT_CROP_SIZE, Tokenizer, normalize_text, tokenize
-from .vocab import Vocabulary
+from .tokenizer import (DEFAULT_CROP_SIZE, TextTable, Tokenizer, normalize_text, text_table,
+                        tokenize)
 
 __all__ = [
     "Tokenizer",
+    "TextTable",
+    "text_table",
     "tokenize",
     "normalize_text",
     "DEFAULT_CROP_SIZE",
-    "Vocabulary",
     "HashedEmbedder",
     "TokenEmbedder",
     "missing_value_vector",

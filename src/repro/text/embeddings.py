@@ -9,104 +9,16 @@ n-gram vectors plus a whole-word hashed vector.  The embeddings are *fixed*
 from __future__ import annotations
 
 import itertools
-import threading
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .hashing import HashedVectorTable, char_ngrams
-from .tokenizer import Tokenizer
+from .tokenizer import Generation, Tokenizer, text_table
 
-__all__ = ["TokenEmbedder", "HashedEmbedder", "TokenTable", "Vocabulary",
-           "missing_value_vector"]
+__all__ = ["TokenEmbedder", "HashedEmbedder", "missing_value_vector"]
 
 DEFAULT_EMBEDDING_DIM = 64
-DEFAULT_VOCABULARY_SIZE = 100_000
-
-
-class TokenTable:
-    """token -> row id over one append-only, growable ``(V, D)`` matrix.
-
-    A row, once assigned, never changes and never moves to another id: growth
-    reallocates :attr:`rows` but keeps every id, so ids resolved earlier stay
-    valid for as long as the caller holds the table.  Resolving known tokens
-    takes no lock; assigning ids to new ones does, and publishes an id only
-    after its row is in place — so read :attr:`rows` *after* resolving ids.
-    """
-
-    def __init__(self, dim: int, embed: Callable[[Sequence[str]], np.ndarray]) -> None:
-        self.index: Dict[str, int] = {}
-        self.rows = np.empty((256, dim), dtype=np.float64)
-        self._embed = embed
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def ids(self, tokens: Sequence[str]) -> np.ndarray:
-        """Row ids of ``tokens`` (int64), assigning new rows to unseen ones."""
-        lookup = self.index.__getitem__
-        try:
-            return np.fromiter(map(lookup, tokens), dtype=np.int64, count=len(tokens))
-        except KeyError:
-            pass
-        with self._lock:
-            index = self.index
-            unseen = [token for token in dict.fromkeys(tokens) if token not in index]
-            if unseen:
-                size = len(index)
-                needed = size + len(unseen)
-                rows = self.rows
-                if needed > len(rows):
-                    rows = np.empty((max(needed, 2 * len(rows)), rows.shape[1]),
-                                    dtype=np.float64)
-                    rows[:size] = self.rows[:size]
-                rows[size:needed] = self._embed(unseen)
-                self.rows = rows
-                for row, token in enumerate(unseen, start=size):
-                    index[token] = row
-        return np.fromiter(map(lookup, tokens), dtype=np.int64, count=len(tokens))
-
-
-class Vocabulary:
-    """The current :class:`TokenTable` of one embedder configuration.
-
-    Bounded by starting over: :meth:`table` hands out a fresh, empty table
-    once the current one holds ``capacity`` tokens.  A caller resolves all
-    ids of one piece of work against the table it was handed, which keeps
-    growing for it past the bound if need be — ids from before a reset are
-    therefore never mixed with ids from after it.
-    """
-
-    def __init__(self, dim: int, embed: Callable[[Sequence[str]], np.ndarray]) -> None:
-        self._dim = dim
-        self._embed = embed
-        self._lock = threading.Lock()
-        self._table = TokenTable(dim, embed)
-
-    def table(self, capacity: int = DEFAULT_VOCABULARY_SIZE) -> TokenTable:
-        table = self._table
-        if len(table) >= capacity:
-            with self._lock:
-                if self._table is table:
-                    self._table = TokenTable(self._dim, self._embed)
-                table = self._table
-        return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table = TokenTable(self._dim, self._embed)
-
-
-# Token embeddings are a pure function of the embedder configuration, so the
-# vocabulary is shared process-wide across instances with the same
-# configuration (trainers build a fresh embedder per fit).  Only plain
-# HashedEmbedder instances register here, so a subclass with changed
-# behaviour never shares rows with its base.
-_SHARED_VOCABULARIES: Dict[Tuple[Hashable, ...], Vocabulary] = {}
 
 # Monotonic tokens for identity-based fingerprints: unlike ``id()``, a token
 # is never reused after an embedder is garbage collected, so a stale entry in
@@ -158,16 +70,17 @@ class TokenEmbedder:
             out[i] = self.embed_token(token)
         return out
 
-    def vocabulary(self) -> TokenTable:
-        """The token table to resolve one encode call's token ids against.
+    def rows(self, generation: Generation, token_ids: np.ndarray) -> np.ndarray:
+        """The embedding rows of ``generation``'s tokens, a ``(T, dim)``
+        matrix indexed by token id that holds at least ``token_ids``.
 
-        Rows are :meth:`embed_token_batch` values.  The default keeps a
-        private vocabulary per embedder instance.
+        Rows are :meth:`_embed_rows` values, computed once per generation and
+        shared by every embedder with this :meth:`fingerprint`.
         """
-        vocabulary = getattr(self, "_vocabulary", None)
-        if vocabulary is None:
-            vocabulary = self._vocabulary = Vocabulary(self.dim, self.embed_token_batch)
-        return vocabulary.table()
+        return generation.rows(self.fingerprint(), self.dim, token_ids, self._embed_rows)
+
+    def _embed_rows(self, tokens: Sequence[str]) -> np.ndarray:
+        return self.embed_token_batch(tokens)
 
     def embed_token_matrix(self, tokens: Sequence[str], length: int) -> np.ndarray:
         """Return a padded ``(length, dim)`` matrix of per-token embeddings."""
@@ -207,13 +120,13 @@ class HashedEmbedder(TokenEmbedder):
     tokenizer:
         Tokeniser used by :meth:`embed_text`; defaults to the paper's
         configuration (crop to 20 tokens).
-    cache_size:
-        Bound on the tokens the vocabulary holds; see :class:`Vocabulary`.
+
+    A token's vector is computed once per text-table generation and shared
+    by every plain instance of the same configuration (:meth:`fingerprint`).
     """
 
     def __init__(self, dim: int = DEFAULT_EMBEDDING_DIM, min_n: int = 3, max_n: int = 5,
-                 seed: int = 13, tokenizer: Optional[Tokenizer] = None,
-                 cache_size: int = DEFAULT_VOCABULARY_SIZE) -> None:
+                 seed: int = 13, tokenizer: Optional[Tokenizer] = None) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
@@ -221,29 +134,11 @@ class HashedEmbedder(TokenEmbedder):
         self.max_n = max_n
         self.table = HashedVectorTable(dim=dim, seed=seed)
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-        # Subclasses may change embedding behaviour in ways this config does
-        # not capture, so only plain HashedEmbedder instances share rows.
-        if type(self) is HashedEmbedder:
-            key = (dim, min_n, max_n, seed, self.table.num_buckets)
-            vocabulary = _SHARED_VOCABULARIES.get(key)
-            if vocabulary is None:
-                # The shared vocabulary computes rows through the first
-                # embedder of its configuration, which it keeps alive: a few
-                # scalars plus the (itself shared) bucket-vector table.
-                vocabulary = _SHARED_VOCABULARIES.setdefault(
-                    key, Vocabulary(dim, self._embed_unseen))
-            self._vocabulary = vocabulary
-        else:
-            self._vocabulary = Vocabulary(dim, self._embed_unseen)
-        self._cache_size = cache_size
-
-    def vocabulary(self) -> TokenTable:
-        """The configuration's shared table, bounded by ``cache_size`` tokens."""
-        return self._vocabulary.table(self._cache_size)
 
     def clear_memo(self) -> None:
-        """Drop this configuration's shared token vocabulary (benchmarks)."""
-        self._vocabulary.clear()
+        """Start the process-wide text table over, and with it every
+        generation's rows (benchmarks)."""
+        text_table().clear()
 
     def _piece_keys(self, token: str) -> List[str]:
         keys = [f"word::{token}"]
@@ -251,19 +146,15 @@ class HashedEmbedder(TokenEmbedder):
         return keys
 
     def embed_token(self, token: str) -> np.ndarray:
-        table = self.vocabulary()
-        row = table.index.get(token)
-        if row is None:
-            row = table.ids((token,))[0]
-        return table.rows[row]
+        return self.embed_token_batch([token])[0]
 
     def embed_token_batch(self, tokens: Sequence[str]) -> np.ndarray:
-        """Embed many tokens at once: their rows of the vocabulary table."""
-        table = self.vocabulary()
-        ids = table.ids(tokens)
-        return table.rows[ids]
+        """Embed many tokens at once: their rows of the text table's generation."""
+        generation = text_table().generation()
+        ids = np.array(generation.token_ids(tokens), dtype=np.int64)
+        return self.rows(generation, ids)[ids]
 
-    def _embed_unseen(self, tokens: Sequence[str]) -> np.ndarray:
+    def _embed_rows(self, tokens: Sequence[str]) -> np.ndarray:
         """Compute the vectors of tokens the vocabulary does not hold yet.
 
         Each token is expanded into its hashed pieces (whole word + character

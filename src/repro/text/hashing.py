@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["stable_hash", "char_ngrams", "HashedVectorTable"]
+__all__ = ["stable_hash", "stable_hashes", "char_ngrams", "HashedVectorTable"]
 
 # Bucket vectors are a pure function of (dim, num_buckets, seed, bucket), so
 # the lazily generated vectors are shared process-wide across all table
@@ -35,6 +35,22 @@ def stable_hash(text: str, salt: int = 0) -> int:
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK
     return value
+
+
+def stable_hashes(texts: Sequence[str], salt: int = 0) -> np.ndarray:
+    """:func:`stable_hash` of every text as int64, one array step per byte
+    position (uint64 products wrap mod 2**64, so their low 63 bits agree)."""
+    data = [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    width = int(lengths.max(initial=0))
+    padded = np.frombuffer(b"".join(item.ljust(width, b"\0") for item in data),
+                           dtype=np.uint8).reshape(len(data), width)
+    values = np.full(len(data), (_FNV_OFFSET ^ (salt * 0x9E3779B97F4A7C15)) & _MASK,
+                     dtype=np.uint64)
+    for position in range(width):
+        step = ((values ^ padded[:, position]) * np.uint64(_FNV_PRIME)) & np.uint64(_MASK)
+        values = np.where(position < lengths, step, values)
+    return values.astype(np.int64)
 
 
 def char_ngrams(token: str, min_n: int = 3, max_n: int = 5,
@@ -79,9 +95,7 @@ class HashedVectorTable:
 
     def buckets(self, keys: Sequence[str]) -> np.ndarray:
         """Bucket indices of ``keys`` as an int64 array."""
-        num_buckets, seed = self.num_buckets, self.seed
-        return np.fromiter((stable_hash(key, salt=seed) % num_buckets for key in keys),
-                           dtype=np.int64, count=len(keys))
+        return stable_hashes(keys, salt=self.seed) % self.num_buckets
 
     def vector_for_bucket(self, bucket: int) -> np.ndarray:
         """Return the deterministic Gaussian vector for ``bucket``."""

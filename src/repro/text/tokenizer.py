@@ -1,98 +1,297 @@
-"""Tokenisation and normalisation of attribute values.
+"""Tokenisation of attribute values, and the one table of texts it fills.
 
 AdaMEL operates on the word tokens of textual attribute values (``r[A]``).
 The paper crops each attribute to at most 20 tokens and sums their
 embeddings; the same cropping default is used here.
+
+Every layer that reads tokens — the :class:`Tokenizer` and token embedders of
+the pair encoder, and the blocking indexes of :mod:`repro.pipeline.index` —
+reads them from one process-wide :class:`TextTable`.  It issues integer ids to
+texts and tokens in first-occurrence order (never by hash, so no output
+depends on ``PYTHONHASHSEED``), tokenises each distinct text once, and keeps
+what consumers derive per id (token ids after cropping, blocking keys, token
+hashes, embedding rows) in columns indexed by id.  A record's text ids are
+computed once per generation and kept on the record (:meth:`Generation.cells`).
+
+The table is bounded by starting over: once it holds ``bound`` texts the next
+caller gets a fresh :class:`Generation`, and every id, column, record row and
+cache arena of the old one becomes unreachable.  A piece of work pins one
+generation and resolves all of its ids against it, so no stale id can name a
+different text.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import threading
 import unicodedata
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
-from weakref import WeakKeyDictionary
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MEMO_SIZE", "admit", "tokenize", "normalize_text", "Tokenizer"]
+from ..data.records import Record
+
+__all__ = ["MEMO_SIZE", "Generation", "TextTable", "text_table", "tokenize",
+           "normalize_text", "Tokenizer"]
 
 # Words may contain internal dots (e.g. "ebay.com") and keep a trailing dot so
 # that abbreviations such as "n." remain single tokens close to their full form.
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+(?:\.[a-z0-9]+)*\.?|[^\sa-z0-9]", re.IGNORECASE)
 DEFAULT_CROP_SIZE = 20
 
-# Attribute values repeat heavily across entity pairs (every record appears in
-# many pairs), so tokenisation results are memoised process-wide.  Tokenisation
-# is a pure function of the input text, which keeps the memo exact.  The same
-# bound caps every text-keyed memo, here and in the blocking indexes.
+# Texts one generation of the text table holds before the next caller starts a
+# new one (tokens and keys are bounded through their texts).  A batch-linkage
+# corpus of 2.4 k records brings about 2 500 distinct texts.
 MEMO_SIZE = 1 << 16
 
-# Monotonic tokens for per-instance subclass fingerprints: unlike ``id()``,
-# never reused after an instance is garbage collected.
+# Monotonic tokens for per-instance subclass fingerprints and for generation
+# serials: unlike ``id()``, never reused within the process.
 _IDENTITY_TOKENS = itertools.count()
+_SERIALS = itertools.count()
+
+# Where a record keeps its text ids: ``(generation serial, attribute names, ids)``.
+_ROW = "_text_row"
+_NO_ROW = (-1, (), ())
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, strip accents and collapse whitespace."""
     if not isinstance(text, str):
         text = "" if text is None else str(text)
-    decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return re.sub(r"\s+", " ", stripped.strip().lower())
+    if not text.isascii():  # ASCII is its own NFKD form, with no combining marks
+        decomposed = unicodedata.normalize("NFKD", text)
+        text = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return re.sub(r"\s+", " ", text.strip().lower())
 
 
 def _tokenize(text: str) -> Tuple[str, ...]:
-    normalized = normalize_text(text)
-    if not normalized:
-        return ()
-    return tuple(match.group(0) for match in _TOKEN_PATTERN.finditer(normalized))
+    return tuple(_TOKEN_PATTERN.findall(normalize_text(text)))
 
 
-_tokenize_cached = lru_cache(maxsize=MEMO_SIZE)(_tokenize)
+def _as_text(value: object) -> str:
+    return value if isinstance(value, str) else ("" if value is None else str(value))
+
+
+def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
+    """``array`` extended to at least ``size`` rows (doubling), new rows ``fill``."""
+    grown = np.full((max(size, 2 * len(array)),) + array.shape[1:], fill, dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown
+
+
+class Generation:
+    """The ids a :class:`TextTable` issued between two start-overs.
+
+    ``texts[i]`` is text ``i`` (text 0 is the missing value ``""``),
+    ``text_tokens[i]`` the ids of its tokens, and ``tokens[j]`` token (or
+    key string) ``j``.  Ids are issued under a lock; reading known ones
+    takes none.  Columns and rows only ever grow, so arrays a reader got
+    stay right for the ids it asked for.
+    """
+
+    def __init__(self) -> None:
+        self.serial = next(_SERIALS)
+        self._lock = threading.Lock()
+        self._text_ids: Dict[str, int] = {}
+        self.texts: List[str] = []
+        self.text_tokens: List[Tuple[int, ...]] = []
+        self._token_ids: Dict[str, int] = {}
+        self.tokens: List[str] = []
+        self._layouts: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        # key -> CSR [values, used, starts, lengths]; lengths < 0: not computed.
+        self._columns: Dict[Hashable, list] = {}
+        # key -> ((T, D) rows by token id, computed mask).
+        self._rows: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
+        self.intern([""])
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def intern(self, texts: Sequence[str]) -> List[int]:
+        """Ids of ``texts`` (strings), tokenising and issuing new ones."""
+        ids = list(map(self._text_ids.get, texts))
+        if None not in ids:
+            return ids
+        fresh = {text: _tokenize(text) for text in
+                 dict.fromkeys(text for text, known in zip(texts, ids) if known is None)}
+        with self._lock:
+            for text, tokens in fresh.items():
+                if text not in self._text_ids:
+                    self.text_tokens.append(tuple(map(self._token_id, tokens)))
+                    self.texts.append(text)
+                    self._text_ids[text] = len(self.texts) - 1
+        return list(map(self._text_ids.__getitem__, texts))
+
+    def _token_id(self, token: str) -> int:
+        """The id of ``token``, issued if new (lock held)."""
+        token_id = self._token_ids.get(token)
+        if token_id is None:
+            self.tokens.append(token)
+            token_id = self._token_ids[token] = len(self.tokens) - 1
+        return token_id
+
+    def token_ids(self, tokens: Iterable[str]) -> List[int]:
+        """Ids of ``tokens`` (any key strings), issuing new ones."""
+        with self._lock:
+            return list(map(self._token_id, tokens))
+
+    def tokens_of(self, text_id: int) -> Tuple[str, ...]:
+        """The tokens of text ``text_id``."""
+        return tuple(map(self.tokens.__getitem__, self.text_tokens[text_id]))
+
+    def gather(self, key: Hashable, ids: np.ndarray,
+               compute: Callable[[np.ndarray], Tuple[Sequence[int], Sequence[int]]]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Column ``key``'s int64 values of ``ids`` concatenated in order, and
+        per value the position in ``ids`` it belongs to.
+
+        Each id's values are computed once: ``compute(todo)`` gives the flat
+        values and per-id lengths of the ids not computed yet (called outside
+        the lock: it may issue tokens or embed them).
+        """
+        with self._lock:
+            column = self._columns.get(key)
+            if column is None:
+                column = self._columns[key] = [np.empty(0, dtype=np.int64), 0,
+                                               np.empty(0, dtype=np.int64),
+                                               np.empty(0, dtype=np.int64)]
+            if len(ids) and ids.max() >= len(column[3]):
+                column[2] = _grown(column[2], int(ids.max()) + 1, 0)
+                column[3] = _grown(column[3], int(ids.max()) + 1, -1)
+            values, starts, lengths = column[0], column[2][ids], column[3][ids]
+        if lengths.min(initial=0) < 0:
+            todo = np.unique(ids[lengths < 0])
+            flat, counts = compute(todo)
+            counts = np.asarray(counts, dtype=np.int64)
+            with self._lock:
+                values, used = column[0], column[1]
+                if used + len(flat) > len(values):
+                    column[0] = values = _grown(values, used + len(flat), 0)
+                values[used:used + len(flat)] = flat
+                column[2][todo] = np.cumsum(counts) - counts + used
+                column[3][todo] = counts
+                column[1] = used + len(flat)
+                starts, lengths = column[2][ids], column[3][ids]
+        ends = np.cumsum(lengths)  # where each id's values end in the output
+        segments = np.repeat(np.arange(len(ids)), lengths)
+        return values[np.repeat(starts - ends + lengths, lengths) + np.arange(len(segments))], segments
+
+    def rows(self, key: Hashable, dim: int, token_ids: np.ndarray,
+             embed: Callable[[Sequence[str]], np.ndarray]) -> np.ndarray:
+        """Embedding rows ``key``: a ``(T, dim)`` matrix by token id holding at
+        least ``token_ids``, each row computed once by ``embed`` (unlocked)."""
+        with self._lock:
+            matrix, done = self._grown_rows(key, dim)
+            missing = ~done[token_ids]
+            todo = np.unique(token_ids[missing]) if missing.any() else None
+        if todo is not None:
+            vectors = embed(list(map(self.tokens.__getitem__, todo.tolist())))
+            with self._lock:
+                matrix, done = self._grown_rows(key, dim)
+                matrix[todo] = vectors
+                done[todo] = True
+        return matrix
+
+    def _grown_rows(self, key: Hashable, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows ``key`` and their mask, covering every token (lock held)."""
+        matrix, done = self._rows.get(key) or (np.empty((0, dim)), np.zeros(0, dtype=bool))
+        if len(done) < len(self.tokens):
+            matrix, done = _grown(matrix, len(self.tokens), 0.0), _grown(done, len(self.tokens), False)
+            self._rows[key] = matrix, done
+        return matrix, done
+
+    def cells(self, records: Sequence[Record], attributes: Optional[Sequence[str]] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Text ids of the records' values over ``attributes`` (default: each
+        record's own, in order) record-major, and how many each record has.
+
+        A record's ids are interned once per generation and kept on it with
+        its attribute names, so blocking and encoding it resolve its texts
+        once, and records that share a layout are gathered by concatenation.
+        """
+        rows = list(map(getattr, records, itertools.repeat(_ROW), itertools.repeat(_NO_ROW)))
+        if not rows:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        serials, layouts, ids = zip(*rows)
+        if serials.count(self.serial) != len(rows):
+            # Not re-read from the records: a thread on another generation
+            # may overwrite their rows meanwhile.
+            stale = [i for i, serial in enumerate(serials) if serial != self.serial]
+            for i, row in zip(stale, self._add_rows([records[i] for i in stale])):
+                rows[i] = row
+            _, layouts, ids = zip(*rows)
+        if attributes is None:
+            return (np.concatenate(ids),
+                    np.fromiter(map(len, layouts), dtype=np.int64, count=len(layouts)))
+        wanted = tuple(attributes)
+        counts = np.full(len(rows), len(wanted), dtype=np.int64)
+        if layouts.count(self._layouts.get(wanted)) == len(layouts):
+            return np.concatenate(ids), counts
+        cells = [list(map(dict(zip(layout, row)).get, wanted, itertools.repeat(0)))
+                 for layout, row in zip(layouts, ids)]
+        return np.array(cells, dtype=np.int64).reshape(-1), counts
+
+    def _add_rows(self, records: Sequence[Record]) -> List[Tuple[int, Tuple[str, ...], np.ndarray]]:
+        """Intern the values of ``records``; keep their rows on them and return them."""
+        layouts = [self._layouts.setdefault(names, names)
+                   for names in map(operator.methodcaller("attribute_names"), records)]
+        values = list(itertools.chain.from_iterable(map(Record.value_tuple, records, layouts)))
+        if set(map(type, values)) - {str}:
+            values = list(map(_as_text, values))
+        ids = np.array(self.intern(values), dtype=np.int64)
+        ends = np.cumsum([len(names) for names in layouts]).tolist()
+        rows = [(self.serial, names, ids[start:end])
+                for names, start, end in zip(layouts, [0] + ends, ends)]
+        for record, row in zip(records, rows):
+            object.__setattr__(record, _ROW, row)  # frozen records: a cache, not a field
+        return rows
+
+
+class TextTable:
+    """text -> id and token -> id for the whole process, one generation at a time.
+
+    :meth:`generation` hands out a fresh, empty generation once the current
+    one holds ``bound`` texts.  A caller resolves every id of one piece of
+    work against the generation it was handed, which keeps growing for it
+    past the bound if need be.
+    """
+
+    bound = MEMO_SIZE
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._generation = Generation()
+
+    def generation(self) -> Generation:
+        """The generation to pin for one piece of work."""
+        generation = self._generation
+        if len(generation) >= self.bound:
+            with self._lock:
+                if self._generation is generation:
+                    self._generation = Generation()
+                generation = self._generation
+        return generation
+
+    def clear(self) -> None:
+        """Start over: forget every text and token (benchmarks)."""
+        with self._lock:
+            self._generation = Generation()
+
+
+_TEXT_TABLE = TextTable()
+
+
+def text_table() -> TextTable:
+    """The process-wide text table."""
+    return _TEXT_TABLE
 
 
 def tokenize(text: str) -> List[str]:
     """Split a value into lowercase word tokens; empty values yield ``[]``."""
-    if not isinstance(text, str):
-        text = "" if text is None else str(text)
-    return list(_tokenize_cached(text))
-
-
-def admit(memo: Dict[str, object], text: str, value: object,
-          bound: int = MEMO_SIZE) -> None:
-    """Store ``memo[text]``; a memo at ``bound`` starts over rather than
-    refusing new texts for the rest of the process.
-
-    Not locked: a memo shared across threads needs a lock around this, or
-    values that are a pure function of their text, so that a racing clear or
-    lost write only means a later recompute.
-    """
-    if len(memo) >= bound:
-        memo.clear()
-    memo[text] = value
-
-
-class _TextMemo:
-    """What one tokenizer configuration remembers about the texts it has seen.
-
-    ``tokens`` maps a text to its token tuple.  ``ids`` holds, per vocabulary
-    table (see :meth:`Tokenizer.ids_memo`), a text -> token-row-id array map;
-    it is keyed weakly, so a vocabulary generation that is reset away takes
-    its ids with it and stale ids can never meet a newer table.
-    """
-
-    def __init__(self) -> None:
-        self.tokens: Dict[str, Tuple[str, ...]] = {}
-        self.ids: "WeakKeyDictionary[object, Dict[str, np.ndarray]]" = WeakKeyDictionary()
-        self.lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self.lock:
-            self.tokens.clear()
-            self.ids.clear()
+    generation = _TEXT_TABLE.generation()
+    return list(generation.tokens_of(generation.intern([_as_text(text)])[0]))
 
 
 class Tokenizer:
@@ -104,95 +303,39 @@ class Tokenizer:
         Maximum number of tokens retained per attribute value (paper: 20).
     keep_punctuation:
         When False, punctuation-only tokens are dropped.
-    cache_size:
-        Bound on the texts each memo holds; a full memo is emptied and starts
-        over, so texts seen after the bound are still memoised.
     """
 
-    # One memo per (class, crop_size, keep_punctuation) configuration, shared
-    # by all Tokenizer instances: trainers construct a fresh tokenizer per
-    # fit, and sharing keeps the memo warm across fits within one process.
-    # Keying on the concrete class keeps a subclass with changed behaviour
-    # from sharing (and poisoning) the base class's memo.
-    _shared_caches: Dict[Tuple[type, int, bool], _TextMemo] = {}
-
-    def __init__(self, crop_size: int = DEFAULT_CROP_SIZE, keep_punctuation: bool = False,
-                 cache_size: int = MEMO_SIZE) -> None:
+    def __init__(self, crop_size: int = DEFAULT_CROP_SIZE,
+                 keep_punctuation: bool = False) -> None:
         if crop_size <= 0:
             raise ValueError(f"crop_size must be positive, got {crop_size}")
         self.crop_size = crop_size
         self.keep_punctuation = keep_punctuation
-        self._cache_size = cache_size
-        # Subclasses may carry behaviour-changing state this base class does
-        # not know about, so only plain Tokenizer instances share a memo (and
-        # a config-based fingerprint); subclass instances get private ones.
-        if type(self) is Tokenizer:
-            self._memo = self._shared_caches.setdefault(
-                (type(self), crop_size, keep_punctuation), _TextMemo())
-        else:
-            self._memo = _TextMemo()
 
     def clear_memo(self) -> None:
-        """Drop this configuration's shared text memos: text -> tokens and
-        every text -> token ids map (benchmarks)."""
-        self._memo.clear()
+        """Start the process-wide text table over (benchmarks)."""
+        _TEXT_TABLE.clear()
 
     def __call__(self, text: str) -> List[str]:
-        if not isinstance(text, str):
-            text = "" if text is None else str(text)
-        memo = self._memo.tokens
-        tokens = memo.get(text)
-        if tokens is None:
-            tokens = self._tokenise(text)
-            self._admit(memo, text, tokens)
-        return list(tokens)
+        return list(self._crop(tokenize(text)))
 
-    def _tokenise(self, text: str) -> Tuple[str, ...]:
-        """Tokenise without consulting or filling any memo.
-
-        Not through :func:`tokenize`: its process-wide memo would keep a
-        second copy of what this class's own memos already hold per text.
-        """
-        tokens: Sequence[str] = _tokenize(text)
+    def _crop(self, tokens: Sequence[str]) -> Sequence[str]:
         if not self.keep_punctuation:
             tokens = [tok for tok in tokens if any(ch.isalnum() for ch in tok)]
-        return tuple(tokens[:self.crop_size])
+        return tokens[:self.crop_size]
 
-    def _admit(self, memo: Dict[str, object], text: str, value: object) -> None:
-        """:func:`admit` at this tokenizer's bound, under the memo lock."""
-        with self._memo.lock:
-            admit(memo, text, value, self._cache_size)
+    def token_ids(self, generation: Generation, text_ids: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ids of the tokens this tokenizer keeps of each text of
+        ``text_ids``, concatenated, and per id its position in ``text_ids``:
+        a column of ``generation`` per configuration, computed once per text."""
 
-    def ids_memo(self, table: object) -> Dict[str, np.ndarray]:
-        """The text -> token-row-id memo kept for vocabulary ``table``.
+        def compute(todo: np.ndarray) -> Tuple[List[int], List[int]]:
+            kept = [self(generation.texts[text]) for text in todo.tolist()]
+            return (generation.token_ids(token for tokens in kept for token in tokens),
+                    list(map(len, kept)))
 
-        Read it with ``.get``; fill it through :meth:`token_ids`.  The ids are
-        only meaningful in ``table``, which is why the memo is per table.
-        """
-        memo = self._memo.ids.get(table)
-        if memo is None:
-            with self._memo.lock:
-                memo = self._memo.ids.setdefault(table, {})
-        return memo
-
-    def token_ids(self, texts: Sequence[str], table) -> List[np.ndarray]:
-        """Row ids in ``table`` of each text's tokens, memoised per text.
-
-        ``table`` is a :class:`~repro.text.embeddings.TokenTable`; all texts
-        are resolved with one ``table.ids`` call, so unseen tokens are
-        embedded as one batch.
-        """
-        memo = self.ids_memo(table)
-        # The ids stand in for the tokens from here on, so the text -> tokens
-        # memo is not filled as well — unless a subclass redefined calling.
-        tokenise = self._tokenise if type(self).__call__ is Tokenizer.__call__ else self
-        token_lists = [tokenise(text) for text in texts]
-        lengths = [len(tokens) for tokens in token_lists]
-        flat = table.ids([token for tokens in token_lists for token in tokens])
-        ids = np.split(flat, np.cumsum(lengths[:-1])) if texts else []
-        for text, text_ids in zip(texts, ids):
-            self._admit(memo, text, text_ids)
-        return ids
+        return generation.gather(self.fingerprint(), text_ids, compute)
 
     def fingerprint(self) -> str:
         """Configuration fingerprint used in encoding-cache keys.

@@ -24,7 +24,7 @@ def fetch_checked(cache: EncodingCache, keys: Sequence[Tuple[str, str]], fingerp
                   kinds: int = 2, dim: int = 4) -> None:
     """Fetch ``keys`` and assert that every returned row is its key's."""
     features, mask = cache.fetch(
-        fingerprint, keys,
+        (fingerprint, 0), keys,
         lambda positions: reference_rows([keys[i] for i in positions], kinds, dim))
     expected_features, expected_mask = reference_rows(keys, kinds, dim)
     assert np.array_equal(features, expected_features)

@@ -7,8 +7,9 @@ arena was reset while the fetch held ids into it), the byte budget holds,
 and every lookup counts once, as a hit or a miss.
 
 The encoders in front of the cache share more than it: the vocabulary table
-and the text -> token-id memo are process-wide per configuration, so the last
-class encodes from several threads at once and compares with a sequential run.
+is process-wide per configuration and the text table is process-wide, so the
+last class encodes from several threads at once and compares with a
+sequential run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.data.records import EntityPair, Record
 from repro.data.schema import Schema
 from repro.features import EncodingCache, PairEncoder
 from repro.text import HashedEmbedder, Tokenizer
+from repro.text.tokenizer import text_table
 
 from arena_oracle import cache_invariants_hold, fetch_checked, reference_rows
 from encode_oracle import stacked_encode_pair
@@ -130,7 +132,7 @@ class TestEncodingCacheHammer:
             return reference_rows([keys[i] for i in positions])
 
         keys = held + [("l4", "r4")]
-        features, mask = cache.fetch("enc", keys, encode_while_another_fetch_resets)
+        features, mask = cache.fetch(("enc", 0), keys, encode_while_another_fetch_resets)
         assert np.array_equal(features, reference_rows(keys)[0])
         assert np.array_equal(mask, reference_rows(keys)[1])
         assert cache_invariants_hold(cache)
@@ -152,27 +154,28 @@ class TestConcurrentEncoders:
         return [EntityPair(records[i], records[j], pair_id=f"p{n}")
                 for n, (i, j) in enumerate(picks)]
 
-    def encoder(self, seed: int, values: int, tokens: int, cache=None) -> PairEncoder:
-        # Same configuration -> same process-wide vocabulary and text memo.
-        tokenizer = Tokenizer(crop_size=4, cache_size=values)
-        embedder = HashedEmbedder(dim=8, seed=seed, tokenizer=tokenizer, cache_size=tokens)
+    def encoder(self, seed: int, cache=None) -> PairEncoder:
+        # Same configuration -> same rows of the text table's generations.
+        tokenizer = Tokenizer(crop_size=4)
+        embedder = HashedEmbedder(dim=8, seed=seed, tokenizer=tokenizer)
         return PairEncoder(self.SCHEMA, embedder=embedder, tokenizer=tokenizer,
                            cache=cache, use_cache=cache is not None)
 
-    @pytest.mark.parametrize("values,tokens", [(1 << 16, 100_000), (8, 16)],
-                             ids=["roomy", "resetting"])
-    def test_threads_equal_the_sequential_result(self, values, tokens):
-        self.assert_threads_equal_the_sequential_result(values, tokens, shared_cache=None)
+    @pytest.mark.parametrize("values", [1 << 16, 8], ids=["roomy", "resetting"])
+    def test_threads_equal_the_sequential_result(self, values, monkeypatch):
+        # ``values``: texts per text-table generation.
+        monkeypatch.setattr(text_table(), "bound", values)
+        self.assert_threads_equal_the_sequential_result(shared_cache=None)
 
     def test_threads_sharing_a_small_cache_equal_the_sequential_result(self):
         # Room for 40 slot rows: the shared arena starts over many times.
         row_bytes = (2 * 8 + 2) * 8
         self.assert_threads_equal_the_sequential_result(
-            1 << 16, 100_000, shared_cache=EncodingCache(max_bytes=row_bytes * 40))
+            shared_cache=EncodingCache(max_bytes=row_bytes * 40))
 
-    def assert_threads_equal_the_sequential_result(self, values, tokens, shared_cache):
+    def assert_threads_equal_the_sequential_result(self, shared_cache):
         pairs = self.corpus()
-        reference = self.encoder(53, values, tokens)
+        reference = self.encoder(53)
         expected = stacked_encode_pair(reference, pairs)
         reference.tokenizer.clear_memo()
         reference.embedder.clear_memo()
@@ -184,7 +187,7 @@ class TestConcurrentEncoders:
         start = threading.Barrier(num_threads)
 
         def worker(index: int) -> None:
-            encoder = self.encoder(53, values, tokens, cache=shared_cache)
+            encoder = self.encoder(53, cache=shared_cache)
             batch_size = (1, 7, 32, 240)[index]
             try:
                 start.wait(timeout=10)

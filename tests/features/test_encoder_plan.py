@@ -1,5 +1,5 @@
 """The record-level plan behind ``PairEncoder.encode``: what it may not call,
-what the memos it fills hold, and how they behave at their bounds."""
+what the text table it fills holds, and how it behaves at its bound."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.data.schema import Schema
 from repro.features import EncodingCache, PairEncoder
 from repro.features import relational
 from repro.text import HashedEmbedder, Tokenizer
+from repro.text.tokenizer import text_table
 
 SCHEMA = Schema(("name", "title", "genre"))
 
@@ -34,11 +35,9 @@ def make_pairs(records, count: int, seed: int = 1):
             for n, (i, j) in enumerate(picks)]
 
 
-def make_encoder(cache=None, values: int = 1 << 16, tokens: int = 100_000):
-    """An encoder whose text memo holds ``values`` texts and whose vocabulary
-    holds ``tokens`` tokens."""
-    tokenizer = Tokenizer(crop_size=4, cache_size=values)
-    embedder = HashedEmbedder(dim=8, seed=41, tokenizer=tokenizer, cache_size=tokens)
+def make_encoder(cache=None):
+    tokenizer = Tokenizer(crop_size=4)
+    embedder = HashedEmbedder(dim=8, seed=41, tokenizer=tokenizer)
     return PairEncoder(SCHEMA, embedder=embedder, tokenizer=tokenizer, cache=cache,
                        use_cache=cache is not None)
 
@@ -71,61 +70,66 @@ def test_clearing_memo_and_cache_forgets_the_corpus():
     encoder = make_encoder(cache=cache)
     tokenizer = encoder.tokenizer
     tokenizer.clear_memo()
-    table = encoder.embedder.vocabulary()
     first = encoder.encode(pairs)
     texts = {record.value(a) for pair in pairs for record in (pair.left, pair.right)
              for a in SCHEMA}
     value_pairs = {(pair.left.value(a), pair.right.value(a)) for pair in pairs for a in SCHEMA}
-    assert len(tokenizer.ids_memo(table)) == len(texts)
+    generation = text_table().generation()
+    assert set(generation.texts) == texts | {""}
     assert len(cache) == len(value_pairs)
 
     tokenizer.clear_memo()
     cache.clear()
-    assert len(tokenizer.ids_memo(table)) == 0
-    assert len(tokenizer._memo.tokens) == 0
+    assert text_table().generation() is not generation
+    assert len(text_table().generation()) == 1  # only the missing value
     assert len(cache) == 0
 
-    # Nothing was left to answer from: every text is resolved again.
+    # Nothing was left to answer from: every text is interned again.
     second = encoder.encode(pairs)
     assert cache.hits == 0
-    assert len(tokenizer.ids_memo(table)) == len(texts)
+    assert set(text_table().generation().texts) == texts | {""}
     assert np.array_equal(first.features, second.features)
 
 
-def test_encode_keeps_the_text_to_tokens_memo_empty():
-    """The ids stand in for the tokens: one memo entry per text, not two."""
+def test_encode_tokenises_each_text_once(monkeypatch):
+    """The table tokenises a text when it first interns it, never again."""
+    import repro.text.tokenizer as tokenizer_module
+
     encoder = make_encoder()
     encoder.tokenizer.clear_memo()
-    encoder.encode(make_pairs(make_records(6), 10))
-    assert len(encoder.tokenizer._memo.tokens) == 0
+    seen = []
+    tokenise = tokenizer_module._tokenize
+    monkeypatch.setattr(tokenizer_module, "_tokenize",
+                        lambda text: seen.append(text) or tokenise(text))
+    pairs = make_pairs(make_records(6), 10)
+    encoder.encode(pairs)
+    encoder.encode(pairs)
+    assert len(seen) == len(set(seen)) == len(text_table().generation()) - 1
 
 
-def test_bounded_memos_start_over_and_stay_exact():
-    """8 values / 16 tokens: the memos reset again and again, admit every
-    time, never exceed their bound between calls, and never change a value."""
+def test_bounded_memos_start_over_and_stay_exact(monkeypatch):
+    """3 texts: the text table, and with it the token ids and embedding
+    rows, start over again and again, and never change a value."""
     records = make_records(40, seed=7)
-    encoder = make_encoder(values=8, tokens=16)
+    encoder = make_encoder()
     encoder.tokenizer.clear_memo()
-    encoder.embedder.clear_memo()
-    tables = []
+    monkeypatch.setattr(text_table(), "bound", 3)
+    serials = set()
     for start in range(0, 120, 3):
         pairs = make_pairs(records, 3, seed=start)
-        table = encoder.embedder.vocabulary()
-        if not tables or tables[-1] is not table:
-            tables.append(table)
+        serials.add(text_table().generation().serial)
         batch = encoder.encode(pairs)
         expected = stacked_reference(encoder, pairs)
         assert np.array_equal(batch.features, expected[0])
         assert np.array_equal(batch.feature_mask, expected[1])
-        memo = encoder.tokenizer.ids_memo(table)
-        assert 0 < len(memo) <= 8  # still admitting, still bounded
-    assert len(tables) >= 4  # at least three vocabulary resets happened
+    assert len(serials) >= 20  # a start-over every call or two
 
 
-def test_token_memo_admits_again_after_it_filled():
-    tokenizer = Tokenizer(crop_size=3, cache_size=4)
+def test_token_memo_admits_again_after_it_filled(monkeypatch):
+    tokenizer = Tokenizer(crop_size=3)
     tokenizer.clear_memo()
+    monkeypatch.setattr(text_table(), "bound", 4)
     for i in range(10):
-        tokenizer(f"text number {i}")
-        assert 0 < len(tokenizer._memo.tokens) <= 4
-    assert "text number 9" in tokenizer._memo.tokens
+        assert tokenizer(f"text number {i}") == ["text", "number", str(i)]
+        assert 0 < len(text_table().generation()) < 4
+    assert "text number 9" in text_table()._generation.texts

@@ -137,7 +137,7 @@ class TestCacheInstrumentation:
         """Fetch slot rows of ``keys``: (1, 3) features + (1,) mask, 32 bytes each."""
         import numpy as np
 
-        return cache.fetch("enc", list(keys),
+        return cache.fetch(("enc", 0), list(keys),
                            lambda positions: (np.ones((len(positions), 1, 3)),
                                               np.ones((len(positions), 1))))
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-import repro.pipeline.index as index_module
 from repro.data.records import Record
 from repro.pipeline import (
     CandidateGenerationStage,
@@ -17,9 +16,8 @@ from repro.pipeline import (
     InvertedTokenIndex,
     MinHashLSHIndex,
     ground_truth_pairs,
-    record_tokens,
 )
-from repro.text.tokenizer import admit, tokenize
+from repro.text.tokenizer import text_table, tokenize
 
 from blocking_oracle import bulk_buckets, dict_walk_pairs
 
@@ -47,11 +45,13 @@ def _id_pairs(index, cross_source_only=False):
 class TestRecordTokens:
     def test_filters_short_tokens_and_sorts(self):
         record = _record("r1", "s1", "Neil Diamond in NY")
-        assert record_tokens(record, min_token_length=3) == ["diamond", "neil"]
+        index = InvertedTokenIndex(min_token_length=3)
+        assert index.bucket_keys(record) == ["diamond", "neil"]
 
     def test_respects_attribute_selection(self):
         record = _record("r1", "s1", "Neil Diamond", extra="remastered")
-        assert record_tokens(record, attributes=["notes"]) == ["remastered"]
+        index = InvertedTokenIndex(attributes=["notes"], min_token_length=2)
+        assert index.bucket_keys(record) == ["remastered"]
 
 
 class TestInvertedTokenIndex:
@@ -287,21 +287,28 @@ class TestIngestionModes:
 
 
 class TestKeyMemos:
-    """The per-index key memos are bounded and start over when full."""
+    """Blocking keys come from the text table, whose generations are bounded
+    and start over when full: keys do not change across a start-over."""
 
-    @pytest.mark.parametrize("make_index, memo", [
-        (lambda: MinHashLSHIndex(num_perm=32, bands=8), "_token_hash_memo"),
-        (lambda: InitialsKeyIndex(), "_value_keys_memo"),
+    @pytest.mark.parametrize("make_index", [
+        lambda: MinHashLSHIndex(num_perm=32, bands=8),
+        lambda: InitialsKeyIndex(),
     ], ids=["minhash", "initials"])
-    def test_keys_identical_across_a_start_over(self, make_index, memo,
-                                                tiny_music_corpus, monkeypatch):
+    def test_keys_identical_across_a_start_over(self, make_index, tiny_music_corpus,
+                                                monkeypatch):
         records = tiny_music_corpus.records[:40]
-        expected = [make_index().bucket_keys(record) for record in records]
-        monkeypatch.setattr(index_module, "admit", partial(admit, bound=3))
+        # Copies: a record keeps the keys it was asked for.
+        expected = [make_index().bucket_keys(replace(record)) for record in records]
+        table = text_table()
+        monkeypatch.setattr(table, "bound", 3)
         bounded = make_index()
+        serials = set()
         for record, keys in zip(records, expected):
             assert bounded.bucket_keys(record) == keys
-            assert 0 < len(getattr(bounded, memo)) <= 3
+            generation = table.generation()
+            assert len(generation) < 3
+            serials.add(generation.serial)
+        assert len(serials) >= 20  # a start-over every record or two
 
 
 class TestLSHRecallVsTokenBlocker:

@@ -215,6 +215,35 @@ class TestRecoveryGuards:
             Storage.recover(tmp_path, score_fn=child.score_fn)
 
 
+    @pytest.mark.parametrize("key", ["store", "config", "indexes", "records", "scores",
+                                     "support", "members"])
+    def test_snapshot_missing_a_key_names_the_snapshot(self, tmp_path, records, key):
+        storage = fresh_storage(tmp_path)
+        for record in records[:12]:
+            storage.upsert(record)
+        storage.close()
+        _, path = storage.snapshots.latest()
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del (payload if key == "store" else payload["store"])[key]
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with pytest.raises(StorageError, match=f"{path.name}.*'{key}'"):
+            Storage.recover(tmp_path, score_fn=child.score_fn)
+
+    @pytest.mark.parametrize("meta", [{"format_version": STORAGE_FORMAT_VERSION}, []],
+                             ids=["no-store-config", "not-an-object"])
+    def test_malformed_meta_names_the_meta_file(self, tmp_path, records, meta):
+        storage = fresh_storage(tmp_path, snapshot_every=None)
+        for record in records[:3]:
+            storage.upsert(record)
+        storage.close()
+        (tmp_path / META_FILENAME).write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(StorageError, match=META_FILENAME):
+            Storage.open(tmp_path, score_fn=child.score_fn)
+        with pytest.raises(StorageError, match=f"{META_FILENAME}.*'store_config'"
+                           if meta else META_FILENAME):
+            Storage(tmp_path, score_fn=child.score_fn)
+
+
 def rewrite_store_configs(data_dir, extra) -> None:
     """Add ``extra`` keys to the store config of the meta file and of every
     snapshot under ``data_dir``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.text import HashedEmbedder, HashedVectorTable, Tokenizer
+from repro.text.tokenizer import text_table
 
 TOKENS = ["neil", "diamond", "n.", "d.", "ebay.com", "a", "xy",
           "extraordinarily-long-token-value", "1989", "café"]
@@ -45,37 +46,43 @@ class TestBatchEmbedding:
         a.clear_memo()
         vec = a.embed_token("sharedtoken")
         b = HashedEmbedder(dim=16, seed=29)
-        assert "sharedtoken" in b.vocabulary()
+        generation = text_table().generation()
+        ids = np.array(generation.token_ids(["sharedtoken"]))
+        assert b.rows(generation, ids) is a.rows(generation, ids)  # one row store
         assert np.array_equal(vec, b.embed_token("sharedtoken"))
         different_dim = HashedEmbedder(dim=8, seed=29)
-        assert different_dim.vocabulary() is not a.vocabulary()
+        assert different_dim.rows(generation, ids) is not a.rows(generation, ids)
 
 
 class TestTokenTable:
     def test_ids_are_stable_across_growth(self):
         embedder = HashedEmbedder(dim=8, seed=31)
         embedder.clear_memo()
-        table = embedder.vocabulary()
-        first = table.ids(["alpha", "beta", "alpha"])
+        generation = text_table().generation()
+        first = np.array(generation.token_ids(["alpha", "beta", "alpha"]))
         assert first.tolist() == [0, 1, 0]
-        kept = table.rows[first].copy()
-        table.ids([f"filler{i}" for i in range(1000)])  # forces reallocation
-        assert table.ids(["beta", "alpha"]).tolist() == [1, 0]
-        assert np.array_equal(table.rows[first], kept)
-        assert len(table) == 1002
+        kept = embedder.rows(generation, first)[first].copy()
+        fillers = np.array(generation.token_ids([f"filler{i}" for i in range(1000)]))
+        grown = embedder.rows(generation, fillers)  # forces reallocation
+        assert generation.token_ids(["beta", "alpha"]) == [1, 0]
+        assert np.array_equal(grown[first], kept)
+        assert len(generation.tokens) == 1002
 
-    def test_full_vocabulary_starts_over_but_a_held_table_stays_valid(self):
-        embedder = HashedEmbedder(dim=8, seed=37, cache_size=4)
+    def test_full_vocabulary_starts_over_but_a_held_table_stays_valid(self, monkeypatch):
+        embedder = HashedEmbedder(dim=8, seed=37)
         embedder.clear_memo()
-        held = embedder.vocabulary()
-        ids = held.ids(["a1", "b2", "c3", "d4", "e5"])  # grows past the bound
-        assert len(held) == 5
-        fresh = embedder.vocabulary()
-        assert fresh is not held and len(fresh) == 0
-        # The new generation admits (the old memo refused everything once
-        # full) and the held one still resolves its ids to the same rows.
-        assert np.array_equal(embedder.embed_token("e5"), held.rows[ids[4]])
-        assert "e5" in fresh
+        monkeypatch.setattr(text_table(), "bound", 4)
+        held = text_table().generation()
+        texts = held.intern(["a1", "b2", "c3", "d4", "e5"])  # grows past the bound
+        assert len(held) == 6  # with the missing value
+        ids = np.array([held.text_tokens[text][0] for text in texts])
+        rows = embedder.rows(held, ids)
+        fresh = text_table().generation()
+        assert fresh is not held and len(fresh) == 1
+        # The new generation admits, and the held one still resolves its
+        # ids to the same rows.
+        assert np.array_equal(embedder.embed_token("e5"), rows[ids[4]])
+        assert "e5" in fresh.tokens
 
 
 class TestVectorTableBatch:

@@ -7,7 +7,6 @@ from repro.text import (
     HashedEmbedder,
     HashedVectorTable,
     Tokenizer,
-    Vocabulary,
     char_ngrams,
     dice_similarity,
     exact_match,
@@ -128,29 +127,6 @@ class TestEmbeddings:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             HashedEmbedder(dim=0)
-
-
-class TestVocabulary:
-    def test_build_and_encode(self):
-        vocab = Vocabulary.build([["a", "b"], ["a", "c"]])
-        ids = vocab.encode(["a", "z"], length=4)
-        assert len(ids) == 4
-        assert ids[1] == vocab.unk_id
-        assert ids[2] == vocab.pad_id
-
-    def test_min_frequency_filtering(self):
-        vocab = Vocabulary.build([["rare"], ["common"], ["common"]], min_frequency=2)
-        assert "common" in vocab and "rare" not in vocab
-
-    def test_encode_before_finalize_raises(self):
-        vocab = Vocabulary()
-        with pytest.raises(RuntimeError):
-            vocab.encode(["a"], 2)
-
-    def test_update_after_finalize_raises(self):
-        vocab = Vocabulary.build([["a"]])
-        with pytest.raises(RuntimeError):
-            vocab.update(["b"])
 
 
 class TestSimilarity:
