@@ -34,6 +34,10 @@ class Record:
         synthetic generators to derive labels; hidden from the models).
     entity_type:
         Optional entity type (artist / album / track / monitor).
+
+    A record is a value: do not mutate ``attributes`` once it has been
+    blocked or encoded (the text table keeps its text ids on it); build a
+    changed copy with :meth:`with_attributes`.
     """
 
     record_id: str
@@ -55,10 +59,9 @@ class Record:
         return values
 
     def __getstate__(self) -> Dict[str, object]:
-        # What the text table and the blocking indexes keep on a record (text
-        # ids, bucket keys) is this process's cache, not record state.
-        return {key: value for key, value in self.__dict__.items()
-                if key not in ("_text_row", "_bucket_keys")}
+        # The text ids the text table keeps on a record are this process's
+        # cache, not record state.
+        return {key: value for key, value in self.__dict__.items() if key != "_text_row"}
 
     def has_value(self, attribute: str) -> bool:
         """Whether the attribute has a non-empty value."""

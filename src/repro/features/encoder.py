@@ -43,10 +43,10 @@ the same row-sequential order and the norm is the same BLAS dot.  The batch's
 ``features`` are the plan laid out per pair, materialised on first access; the
 network's inference forward (``AdaMELNetwork.forward_numpy``) reads the plan
 itself and evaluates Eq. 4-6 once per slot.  Per call on one core, warm text
-table, cold cache, against the per-pair extraction stacked: one pair 0.34 vs
-0.26 ms, two pairs 0.36 vs 0.57 ms, 19 pairs 0.63 vs 6.1 ms, 256 pairs 3.3 vs
-89 ms, 2 048 pairs 20 vs 745 ms.  A 13-pair call whose slots all hit the
-cache takes 0.12 ms: plan overhead that pays off only when the forward reads
+table, cold cache, against the per-pair extraction stacked: one pair 0.29 vs
+0.08 ms, two pairs 0.27 vs 0.18 ms, 19 pairs 0.40 vs 1.6 ms, 256 pairs 2.2 vs
+29 ms, 2 048 pairs 14 vs 214 ms.  A 13-pair call whose slots all hit the
+cache takes 0.08 ms: plan overhead that pays off only when the forward reads
 the plan.
 """
 

@@ -38,6 +38,7 @@ records yield the same candidate pairs, counters and bucket sizes.
 
 from __future__ import annotations
 
+import itertools
 from functools import partial
 from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
@@ -90,7 +91,7 @@ def _text_keys(generation: Generation, records: Sequence[Record],
     """The key ids of every value of ``records`` (column ``key``, one gather
     over the texts) record-major, with duplicates, and the record of each."""
     cells, counts = generation.cells(records, attributes)
-    keys, cell = generation.gather(key, cells, partial(compute, generation))
+    keys, cell = generation.gather(key, cells, compute)
     return keys, np.repeat(np.arange(len(records), dtype=np.int64), counts)[cell]
 
 
@@ -182,14 +183,9 @@ class _BucketedIndex:
 
         A pure function of the record and the index configuration — nothing
         is registered or mutated, and any process that computes a record's
-        keys under an equally-configured index gets the identical key set —
-        so they are kept on the record once computed (a probe repeats).
+        keys under an equally-configured index gets the identical key set.
         """
-        kept = record.__dict__.setdefault("_bucket_keys", {})
-        keys = kept.get(self._config)
-        if keys is None:
-            keys = kept[self._config] = tuple(self._record_keys(record))
-        return list(keys)
+        return list(self._record_keys(record))
 
     # ------------------------------------------------------------------ #
     # Bulk ingestion: posting columns
@@ -451,10 +447,10 @@ class _TextKeyedIndex(_BucketedIndex):
         raise NotImplementedError
 
     def _record_keys(self, record: Record) -> List[str]:
-        # One record's few texts: computing their keys beats a column gather.
         generation = text_table().generation()
-        keys, _ = self._text_values(generation, generation.cells([record], self.attributes)[0])
-        return sorted(set(map(generation.tokens.__getitem__, keys)))
+        keys = generation.column(self._column, generation.record_texts(record, self.attributes),
+                                 self._text_values)
+        return sorted(set(map(generation.tokens.__getitem__, itertools.chain.from_iterable(keys))))
 
     def add_records(self, records: Iterable[Record]) -> int:
         """Post a batch of records to the bulk columns; returns how many.
@@ -509,7 +505,6 @@ class InvertedTokenIndex(_TextKeyedIndex):
         super().__init__(max_bucket_size=max_postings)
         self.attributes = list(attributes) if attributes is not None else None
         self.min_token_length = max(min_token_length, 1)
-        self._config = (type(self), repr(self.attributes), self.min_token_length)
         self._column = ("tokens", self.min_token_length)
 
     @property
@@ -559,7 +554,6 @@ class InitialsKeyIndex(_TextKeyedIndex):
         super().__init__(max_bucket_size=max_bucket_size)
         self.attributes = list(attributes) if attributes is not None else None
         self.max_prefix_tokens = max_prefix_tokens
-        self._config = (type(self), repr(self.attributes), max_prefix_tokens)
         self._column = ("initials", max_prefix_tokens)
 
     def _text_values(self, generation: Generation, todo: np.ndarray
@@ -572,7 +566,6 @@ class InitialsKeyIndex(_TextKeyedIndex):
             lists.append({"".join(sorted(initials[:length])) for length in lengths})
         return (generation.token_ids(key for keys in lists for key in sorted(keys)),
                 list(map(len, lists)))
-
 
     def stats(self) -> Dict[str, int]:
         """Index size counters for pipeline reports."""
@@ -624,7 +617,6 @@ class MinHashLSHIndex(_BucketedIndex):
         self.rows = num_perm // bands
         self.min_token_length = min_token_length
         self.seed = seed
-        self._config = (type(self), repr(self.attributes), num_perm, bands, min_token_length, seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, num_perm, bands]))
         self._a = rng.integers(1, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
         self._b = rng.integers(0, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
@@ -633,11 +625,10 @@ class MinHashLSHIndex(_BucketedIndex):
     # Sketching
     # ------------------------------------------------------------------ #
     def _token_hashes(self, generation: Generation, todo: np.ndarray
-                      ) -> Tuple[List[int], np.ndarray]:
+                      ) -> Tuple[List[int], List[int]]:
         """Column values: each token's hash below the prime."""
         tokens = list(map(generation.tokens.__getitem__, todo.tolist()))
-        return (stable_hashes(tokens, salt=self.seed) % _MERSENNE_PRIME,
-                np.ones(len(todo), dtype=np.int64))
+        return (stable_hashes(tokens, salt=self.seed) % _MERSENNE_PRIME).tolist(), [1] * len(todo)
 
     def signatures(self, records: Sequence[Record]) -> np.ndarray:
         """MinHash signatures of ``records`` as a ``(num_perm, N)`` array.
@@ -654,7 +645,8 @@ class MinHashLSHIndex(_BucketedIndex):
                                     partial(_long_tokens, self.min_token_length))
         distinct, column = np.unique(tokens, return_inverse=True)
         empty = np.flatnonzero(np.bincount(owners, minlength=len(records)) == 0)
-        permuted = self._permuted(generation, distinct, [records[i] for i in empty.tolist()])
+        hashes, _ = generation.gather(("minhash", self.seed), distinct, self._token_hashes)
+        permuted = self._permuted(hashes, [records[i] for i in empty.tolist()])
         # Each record's distinct columns, record-major.
         postings = _sorted_unique(np.concatenate((
             owners * len(permuted) + column.ravel(),
@@ -670,14 +662,10 @@ class MinHashLSHIndex(_BucketedIndex):
                                                 + np.arange(count)]].min(axis=1)
         return signatures.T
 
-    def _permuted(self, generation: Generation, tokens: np.ndarray,
-                  empty: Sequence[Record]) -> np.ndarray:
-        """``(U + E, P)`` permuted hashes of the distinct ``tokens`` (hashed
-        once per generation), then of one sentinel per record of ``empty``:
-        an all-empty record must not collide with every other one in every
-        band."""
-        hashes, _ = generation.gather(("minhash", self.seed), tokens,
-                                      partial(self._token_hashes, generation))
+    def _permuted(self, hashes: Sequence[int], empty: Sequence[Record]) -> np.ndarray:
+        """``(U + E, P)`` permuted token ``hashes``, then of one sentinel per
+        record of ``empty``: an all-empty record must not collide with every
+        other one in every band."""
         sentinels = [stable_hash(f"\x00empty:{record.record_id}", salt=self.seed)
                      % _MERSENNE_PRIME for record in empty]
         hashes = np.concatenate((hashes, np.array(sentinels, dtype=np.int64)))
@@ -698,12 +686,15 @@ class MinHashLSHIndex(_BucketedIndex):
         return combined
 
     def _record_keys(self, record: Record) -> List[Tuple[int, int]]:
-        # One record: its tokens computed directly, its minima one reduction.
+        # One record: its tokens and their hashes read as tuples, its minima one reduction.
         generation = text_table().generation()
-        tokens, _ = _long_tokens(self.min_token_length, generation,
-                                 generation.cells([record], self.attributes)[0])
-        distinct = np.array(sorted(set(tokens)), dtype=np.int64)
-        permuted = self._permuted(generation, distinct, [] if tokens else [record])
+        tokens = generation.column(("tokens", self.min_token_length),
+                                   generation.record_texts(record, self.attributes),
+                                   partial(_long_tokens, self.min_token_length))
+        tokens = list(set(itertools.chain.from_iterable(tokens)))
+        hashes = generation.column(("minhash", self.seed), tokens, self._token_hashes)
+        permuted = self._permuted(np.array(hashes, dtype=np.int64).reshape(-1),
+                                  [] if tokens else [record])
         return list(enumerate(self._band_keys(permuted.min(axis=0)[:, None])[:, 0].tolist()))
 
     def _encode_key(self, key: Hashable) -> object:

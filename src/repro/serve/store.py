@@ -540,9 +540,9 @@ class EntityStore:
         # config (the CPU-heavy part of a probe, e.g. MinHash sketching), so
         # they are computed outside the lock: concurrent probes don't
         # serialize, and only the bucket lookups contend with upserts.  (The
-        # MinHash token-hash memo and the initials value-keys memo are
-        # written benignly-racily: values are deterministic, so a lost update
-        # or a start-over at the memo's bound merely recomputes.)
+        # text table's per-id key columns are written benignly-racily:
+        # values are deterministic, so a lost update merely recomputes, and a
+        # call keeps reading the generation it pinned across a start-over.)
         probe_keys = [index.bucket_keys(record) for index in self._indexes]
         with self._lock:
             positions: Set[int] = set()

@@ -134,6 +134,7 @@ class HashedEmbedder(TokenEmbedder):
         self.max_n = max_n
         self.table = HashedVectorTable(dim=dim, seed=seed)
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
+        self._config_key = f"hashed:dim={dim}:n={min_n}-{max_n}:{self.table.fingerprint()}"
 
     def clear_memo(self) -> None:
         """Start the process-wide text table over, and with it every
@@ -146,7 +147,8 @@ class HashedEmbedder(TokenEmbedder):
         return keys
 
     def embed_token(self, token: str) -> np.ndarray:
-        return self.embed_token_batch([token])[0]
+        row = text_table().generation().row(self.fingerprint(), token)
+        return self.embed_token_batch([token])[0] if row is None else row
 
     def embed_token_batch(self, tokens: Sequence[str]) -> np.ndarray:
         """Embed many tokens at once: their rows of the text table's generation."""
@@ -187,8 +189,7 @@ class HashedEmbedder(TokenEmbedder):
         identity-based default, which never matches another instance.
         """
         if type(self) is HashedEmbedder:
-            return (f"hashed:dim={self.dim}:n={self.min_n}-{self.max_n}:"
-                    f"{self.table.fingerprint()}")
+            return self._config_key
         return super().fingerprint()
 
     def similarity(self, token_a: str, token_b: str) -> float:

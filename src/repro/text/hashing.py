@@ -26,6 +26,7 @@ _SHARED_BUCKET_CACHES: Dict[Tuple[int, int, int], Dict[int, np.ndarray]] = {}
 _FNV_OFFSET = 1469598103934665603
 _FNV_PRIME = 1099511628211
 _MASK = 0x7FFFFFFFFFFFFFFF
+_PADDED_BYTES = 64
 
 
 def stable_hash(text: str, salt: int = 0) -> int:
@@ -39,17 +40,21 @@ def stable_hash(text: str, salt: int = 0) -> int:
 
 def stable_hashes(texts: Sequence[str], salt: int = 0) -> np.ndarray:
     """:func:`stable_hash` of every text as int64, one array step per byte
-    position (uint64 products wrap mod 2**64, so their low 63 bits agree)."""
+    position (uint64 products wrap mod 2**64, so their low 63 bits agree) up
+    to ``_PADDED_BYTES``: longer texts are hashed one by one, so neither the
+    padded matrix nor the steps grow with a batch's longest text."""
     data = [text.encode("utf-8") for text in texts]
     lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-    width = int(lengths.max(initial=0))
-    padded = np.frombuffer(b"".join(item.ljust(width, b"\0") for item in data),
+    width = int(min(lengths.max(initial=0), _PADDED_BYTES))
+    padded = np.frombuffer(b"".join(item.ljust(width, b"\0")[:width] for item in data),
                            dtype=np.uint8).reshape(len(data), width)
     values = np.full(len(data), (_FNV_OFFSET ^ (salt * 0x9E3779B97F4A7C15)) & _MASK,
                      dtype=np.uint64)
     for position in range(width):
         step = ((values ^ padded[:, position]) * np.uint64(_FNV_PRIME)) & np.uint64(_MASK)
         values = np.where(position < lengths, step, values)
+    for index in np.flatnonzero(lengths > width).tolist():
+        values[index] = stable_hash(texts[index], salt)
     return values.astype(np.int64)
 
 

@@ -55,6 +55,9 @@ _SERIALS = itertools.count()
 _ROW = "_text_row"
 _NO_ROW = (-1, (), ())
 
+# A column's values for the ids ``todo`` of a generation: flat, and a count per id.
+Compute = Callable[["Generation", np.ndarray], Tuple[Sequence, Sequence[int]]]
+
 
 def normalize_text(text: str) -> str:
     """Lowercase, strip accents and collapse whitespace."""
@@ -104,6 +107,8 @@ class Generation:
         self._columns: Dict[Hashable, list] = {}
         # key -> ((T, D) rows by token id, computed mask).
         self._rows: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
+        # key -> {id: values}: the per-record reads of what gather() holds.
+        self._tuples: Dict[Hashable, Dict[int, Tuple[int, ...]]] = {}
         self.intern([""])
 
     def __len__(self) -> int:
@@ -142,12 +147,11 @@ class Generation:
         return tuple(map(self.tokens.__getitem__, self.text_tokens[text_id]))
 
     def gather(self, key: Hashable, ids: np.ndarray,
-               compute: Callable[[np.ndarray], Tuple[Sequence[int], Sequence[int]]]
-               ) -> Tuple[np.ndarray, np.ndarray]:
+               compute: Compute) -> Tuple[np.ndarray, np.ndarray]:
         """Column ``key``'s int64 values of ``ids`` concatenated in order, and
         per value the position in ``ids`` it belongs to.
 
-        Each id's values are computed once: ``compute(todo)`` gives the flat
+        Each id's values are computed once: ``compute(self, todo)`` gives the flat
         values and per-id lengths of the ids not computed yet (called outside
         the lock: it may issue tokens or embed them).
         """
@@ -163,7 +167,7 @@ class Generation:
             values, starts, lengths = column[0], column[2][ids], column[3][ids]
         if lengths.min(initial=0) < 0:
             todo = np.unique(ids[lengths < 0])
-            flat, counts = compute(todo)
+            flat, counts = compute(self, todo)
             counts = np.asarray(counts, dtype=np.int64)
             with self._lock:
                 values, used = column[0], column[1]
@@ -177,6 +181,28 @@ class Generation:
         ends = np.cumsum(lengths)  # where each id's values end in the output
         segments = np.repeat(np.arange(len(ids)), lengths)
         return values[np.repeat(starts - ends + lengths, lengths) + np.arange(len(segments))], segments
+
+    def column(self, key: Hashable, ids: Sequence[int],
+               compute: Compute) -> List[Tuple[int, ...]]:
+        """Column ``key``'s values of each of ``ids`` as tuples: what
+        :meth:`gather` gives a batch, for one record's few ids (dict reads
+        beat array gathers there), computed once per id by ``compute``."""
+        column = self._tuples.get(key) or self._tuples.setdefault(key, {})
+        values = list(map(column.get, ids))
+        if None in values:
+            todo = list(dict.fromkeys(i for i, value in zip(ids, values) if value is None))
+            flat, counts = compute(self, np.array(todo, dtype=np.int64))
+            ends = list(itertools.accumulate(counts))
+            column.update(zip(todo, (tuple(flat[end - count:end])
+                                     for count, end in zip(counts, ends))))
+            values = list(map(column.__getitem__, ids))
+        return values
+
+    def row(self, key: Hashable, token: str) -> Optional[np.ndarray]:
+        """Row ``key`` of ``token`` if computed, else None (unlocked: it never changes)."""
+        matrix, done = self._rows.get(key, (None, ()))
+        token_id = self._token_ids.get(token, len(done))
+        return matrix[token_id] if token_id < len(done) and done[token_id] else None
 
     def rows(self, key: Hashable, dim: int, token_ids: np.ndarray,
              embed: Callable[[Sequence[str]], np.ndarray]) -> np.ndarray:
@@ -233,6 +259,16 @@ class Generation:
                  for layout, row in zip(layouts, ids)]
         return np.array(cells, dtype=np.int64).reshape(-1), counts
 
+    def record_texts(self, record: Record, attributes: Optional[Sequence[str]] = None
+                     ) -> List[int]:
+        """:meth:`cells` of one record, as a list."""
+        serial, layout, ids = getattr(record, _ROW, _NO_ROW)
+        if serial != self.serial:
+            [(_, layout, ids)] = self._add_rows([record])
+        ids = ids.tolist()
+        return ids if attributes is None else list(
+            map(dict(zip(layout, ids)).get, attributes, itertools.repeat(0)))
+
     def _add_rows(self, records: Sequence[Record]) -> List[Tuple[int, Tuple[str, ...], np.ndarray]]:
         """Intern the values of ``records``; keep their rows on them and return them."""
         layouts = [self._layouts.setdefault(names, names)
@@ -241,7 +277,7 @@ class Generation:
         if set(map(type, values)) - {str}:
             values = list(map(_as_text, values))
         ids = np.array(self.intern(values), dtype=np.int64)
-        ends = np.cumsum([len(names) for names in layouts]).tolist()
+        ends = list(itertools.accumulate(map(len, layouts)))
         rows = [(self.serial, names, ids[start:end])
                 for names, start, end in zip(layouts, [0] + ends, ends)]
         for record, row in zip(records, rows):
@@ -267,7 +303,7 @@ class TextTable:
     def generation(self) -> Generation:
         """The generation to pin for one piece of work."""
         generation = self._generation
-        if len(generation) >= self.bound:
+        if len(generation.texts) >= self.bound:
             with self._lock:
                 if self._generation is generation:
                     self._generation = Generation()
@@ -311,31 +347,43 @@ class Tokenizer:
             raise ValueError(f"crop_size must be positive, got {crop_size}")
         self.crop_size = crop_size
         self.keep_punctuation = keep_punctuation
+        self._config_key = f"tok:crop={crop_size}:punct={int(keep_punctuation)}"
 
     def clear_memo(self) -> None:
         """Start the process-wide text table over (benchmarks)."""
         _TEXT_TABLE.clear()
 
     def __call__(self, text: str) -> List[str]:
-        return list(self._crop(tokenize(text)))
+        generation, key = _TEXT_TABLE.generation(), self.fingerprint()
+        # A known text's tokens are two dict reads away.
+        tokens = generation._tuples.get(key, {}).get(generation._text_ids.get(text))
+        if tokens is None:
+            [tokens] = generation.column(key, generation.intern([_as_text(text)]),
+                                         self._kept_tokens)
+        return list(tokens)
 
     def _crop(self, tokens: Sequence[str]) -> Sequence[str]:
         if not self.keep_punctuation:
             tokens = [tok for tok in tokens if any(ch.isalnum() for ch in tok)]
         return tokens[:self.crop_size]
 
+    def _kept_tokens(self, generation: Generation, todo: np.ndarray
+                     ) -> Tuple[List[str], List[int]]:
+        """Column values: the tokens kept of each text of ``todo``."""
+        kept = [self._crop(generation.tokens_of(text)) for text in todo.tolist()]
+        return list(itertools.chain.from_iterable(kept)), list(map(len, kept))
+
+    def _kept(self, generation: Generation, todo: np.ndarray) -> Tuple[List[int], List[int]]:
+        """Column values: the ids of the tokens kept of each text of ``todo``."""
+        tokens, counts = self._kept_tokens(generation, todo)
+        return generation.token_ids(tokens), counts
+
     def token_ids(self, generation: Generation, text_ids: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
         """The ids of the tokens this tokenizer keeps of each text of
         ``text_ids``, concatenated, and per id its position in ``text_ids``:
         a column of ``generation`` per configuration, computed once per text."""
-
-        def compute(todo: np.ndarray) -> Tuple[List[int], List[int]]:
-            kept = [self(generation.texts[text]) for text in todo.tolist()]
-            return (generation.token_ids(token for tokens in kept for token in tokens),
-                    list(map(len, kept)))
-
-        return generation.gather(self.fingerprint(), text_ids, compute)
+        return generation.gather(self.fingerprint(), text_ids, self._kept)
 
     def fingerprint(self) -> str:
         """Configuration fingerprint used in encoding-cache keys.
@@ -346,7 +394,7 @@ class Tokenizer:
         cache entries can never be served to a differently-behaving instance.
         """
         if type(self) is Tokenizer:
-            return f"tok:crop={self.crop_size}:punct={int(self.keep_punctuation)}"
+            return self._config_key
         token = getattr(self, "_identity_token", None)
         if token is None:
             token = next(_IDENTITY_TOKENS)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from repro.text import HashedEmbedder, HashedVectorTable, Tokenizer
+from repro.text.hashing import stable_hash, stable_hashes
 from repro.text.tokenizer import text_table
 
 TOKENS = ["neil", "diamond", "n.", "d.", "ebay.com", "a", "xy",
-          "extraordinarily-long-token-value", "1989", "café"]
+          "extraordinarily-long-token-value", "1989", "café",
+          "supercalifragilistic" * 5]  # its whole-word key is over 64 bytes
 
 
 def reference_vector(embedder: HashedEmbedder, token: str) -> np.ndarray:
@@ -40,6 +44,15 @@ class TestBatchEmbedding:
 
     def test_empty_batch(self):
         assert HashedEmbedder(dim=8).embed_token_batch([]).shape == (0, 8)
+
+    def test_a_warm_token_reads_its_computed_row(self):
+        embedder = HashedEmbedder(dim=12)
+        embedder.clear_memo()
+        cold = [embedder.embed_token(token).copy() for token in TOKENS]
+        warm = [embedder.embed_token(token) for token in TOKENS]
+        expected = [reference_vector(embedder, token) for token in TOKENS]
+        assert all(np.array_equal(a, b) and np.array_equal(a, c)
+                   for a, b, c in zip(expected, cold, warm))
 
     def test_shared_vocabulary_across_instances(self):
         a = HashedEmbedder(dim=16, seed=29)
@@ -97,6 +110,20 @@ class TestVectorTableBatch:
         table = HashedVectorTable(dim=4, seed=3)
         keys = ["alpha", "beta", "gamma"]
         assert table.buckets(keys).tolist() == [table.bucket(key) for key in keys]
+
+    def test_a_long_key_hashes_in_bounded_memory(self):
+        """One 50 k-char key among 2 000 short ones: the padded matrix stays
+        64 bytes wide instead of growing to 2 000 x 50 k bytes."""
+        keys = [f"ngram::{i}" for i in range(2000)]
+        keys[7] = "word::" + "é" * 25_000 + "x" * 25_000
+        tracemalloc.start()
+        try:
+            hashes = stable_hashes(keys, salt=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hashes.tolist() == [stable_hash(key, salt=13) for key in keys]
+        assert peak < 5_000_000
 
 
 class TestTokenizerMemo:
