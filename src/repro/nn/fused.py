@@ -3,9 +3,12 @@
 Each kernel collapses a chain of eager ops into a *single* graph node with an
 analytic backward — fewer python closures and ``Tensor`` allocations per step
 in eager mode, and a shorter forward program when captured on a
-:class:`~repro.nn.graph.Tape`.  A kernel states its forward **once**: it
-allocates its output and scratch buffers, and :func:`_node` runs the in-place
-``forward`` closure to fill them — the same closure a captured graph replays.
+:class:`~repro.nn.graph.Tape`.  Like every op, a kernel states its forward
+once and builds its node through :func:`repro.nn.tensor._node`; its default
+``out`` is the output buffer it allocates up front.  Buffers are C-contiguous
+whatever the operands' layout (never ``empty_like`` of an operand): reshapes
+inside the closures must stay views, and BLAS rounds into a transposed ``out``
+differently.
 
 Stage kernels — each issues the ufunc/GEMM sequence of the composition it
 replaces, operand layouts included (BLAS rounds a product differently for a
@@ -35,41 +38,17 @@ composition in ``tests/nn/composed_oracle.py`` and by finite differences.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _Capture, _unbroadcast, as_tensor, is_grad_enabled
+from .tensor import Tensor, _node, _unbroadcast, as_tensor
 
 __all__ = ["fused_feature_affine_relu", "fused_linear", "fused_scale_relu_flatten",
            "fused_binary_cross_entropy", "fused_attention_softmax",
            "fused_kl_divergence"]
 
 _EPS = 1e-9
-
-
-def _node(data: np.ndarray, parents: Tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], None],
-          forward: Callable[[], None]) -> Tensor:
-    """Run ``forward`` to fill the kernel's buffers; wrap ``data`` as one node.
-
-    Buffers are C-contiguous whatever the operands' layout (never
-    ``empty_like`` of an operand): the reshapes inside the closures must stay
-    views, and BLAS rounds into a transposed ``out`` differently.  Backward
-    scratch is allocated on first use and reused on every replay (an eager
-    closure only runs once).
-    """
-    forward()
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        out._parents = parents
-        out._backward = backward
-    tape = _Capture.tape
-    if tape is not None:
-        out._forward = forward
-        tape.nodes.append(out)
-    return out
 
 
 def _empty(shape: Tuple[int, ...], *operands: Tensor) -> np.ndarray:
@@ -98,10 +77,11 @@ def fused_feature_affine_relu(h: Tensor, V: Tensor, b: Tensor) -> Tensor:
     mask = np.empty_like(y)
     scratch: list = []
 
-    def forward() -> None:
-        np.matmul(h.data.transpose(1, 0, 2), V.data, out=y.transpose(1, 0, 2))
-        np.add(y, b.data, out=y)
-        _relu(y, mask)
+    def forward(out: np.ndarray = y) -> np.ndarray:
+        np.matmul(h.data.transpose(1, 0, 2), V.data, out=out.transpose(1, 0, 2))
+        np.add(out, b.data, out=out)
+        _relu(out, mask)
+        return out
 
     def backward(grad: np.ndarray) -> None:
         if not scratch:
@@ -121,7 +101,7 @@ def fused_feature_affine_relu(h: Tensor, V: Tensor, b: Tensor) -> Tensor:
             np.matmul(by_feature, V.data.transpose(0, 2, 1), out=gh)
             h._accumulate(gh.transpose(1, 0, 2))
 
-    return _node(y, (h, V, b), backward, forward)
+    return _node(forward, (h, V, b), backward)
 
 
 def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -144,17 +124,18 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     lead_axes = tuple(range(y.ndim - 1))
     scratch: list = []
 
-    def forward() -> None:
-        np.matmul(x.data, weight.data.T, out=y)
+    def forward(out: np.ndarray = y) -> np.ndarray:
+        np.matmul(x.data, weight.data.T, out=out)
         if bias_t is not None:
-            np.add(y, bias_t.data, out=y)
+            np.add(out, bias_t.data, out=out)
         if relu:
-            _relu(y, mask)
+            _relu(out, mask)
         else:
-            np.negative(y, out=y)
-            np.exp(y, out=y)
-            np.add(y, 1.0, out=y)
-            np.divide(1.0, y, out=y)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            np.add(out, 1.0, out=out)
+            np.divide(1.0, out, out=out)
+        return out
 
     def backward(grad: np.ndarray) -> None:
         if not scratch:
@@ -179,7 +160,7 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             weight._accumulate(_unbroadcast(gw, gw.shape[-2:]).T)
 
     parents = (x, weight) if bias_t is None else (x, weight, bias_t)
-    return _node(y, parents, backward, forward)
+    return _node(forward, parents, backward)
 
 
 def fused_scale_relu_flatten(attention: Tensor, x: Tensor) -> Tensor:
@@ -196,9 +177,11 @@ def fused_scale_relu_flatten(attention: Tensor, x: Tensor) -> Tensor:
     mask = np.empty_like(y)
     scratch: list = []
 
-    def forward() -> None:
-        np.multiply(attention.data[..., None], x.data, out=y)
-        _relu(y, mask)
+    def forward(out: np.ndarray = y.reshape(x.shape[:-2] + (-1,))) -> np.ndarray:
+        scaled = out.reshape(x.shape)
+        np.multiply(attention.data[..., None], x.data, out=scaled)
+        _relu(scaled, mask)
+        return out
 
     def backward(grad: np.ndarray) -> None:
         if not scratch:
@@ -212,7 +195,7 @@ def fused_scale_relu_flatten(attention: Tensor, x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.multiply(gz, attention.data[..., None], out=product))
 
-    return _node(y.reshape(x.shape[:-2] + (-1,)), (attention, x), backward, forward)
+    return _node(forward, (attention, x), backward)
 
 
 def fused_binary_cross_entropy(predictions: Tensor, targets: Tensor,
@@ -236,7 +219,7 @@ def fused_binary_cross_entropy(predictions: Tensor, targets: Tensor,
     loss = np.empty((), dtype=per_sample.dtype)
     scratch: list = []
 
-    def forward() -> None:
+    def forward(out: np.ndarray = loss) -> np.ndarray:
         np.clip(p.data, eps, high, out=clipped)
         np.log(clipped, out=per_sample)
         np.multiply(t.data, per_sample, out=per_sample)
@@ -248,8 +231,8 @@ def fused_binary_cross_entropy(predictions: Tensor, targets: Tensor,
         np.negative(per_sample, out=per_sample)
         if w is not None:
             np.multiply(per_sample, w.data, out=per_sample)
-        np.sum(per_sample, out=loss)
-        np.divide(loss, count, out=loss)
+        np.sum(per_sample, out=out)
+        return np.divide(out, count, out=out)
 
     def backward(grad: np.ndarray) -> None:
         if not scratch:
@@ -272,7 +255,7 @@ def fused_binary_cross_entropy(predictions: Tensor, targets: Tensor,
         g *= inside
         p._accumulate(g)
 
-    return _node(loss, (p,), backward, forward)
+    return _node(forward, (p,), backward)
 
 
 def fused_attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
@@ -295,15 +278,15 @@ def fused_attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
     row = np.empty(lead[:-1] + (1,), dtype=t.dtype)
     scratch: list = []
 
-    def forward() -> None:
+    def forward(out: np.ndarray = y) -> np.ndarray:
         np.matmul(x.data.reshape(-1, hidden), W.data.T, out=t)
         np.tanh(t, out=t)
-        np.matmul(t, a.data, out=y.reshape(-1))
-        np.amax(y, axis=-1, keepdims=True, out=row)
-        np.subtract(y, row, out=y)
-        np.exp(y, out=y)
-        np.sum(y, axis=-1, keepdims=True, out=row)
-        np.divide(y, row, out=y)
+        np.matmul(t, a.data, out=out.reshape(-1))
+        np.amax(out, axis=-1, keepdims=True, out=row)
+        np.subtract(out, row, out=out)
+        np.exp(out, out=out)
+        np.sum(out, axis=-1, keepdims=True, out=row)
+        return np.divide(out, row, out=out)
 
     def backward(grad: np.ndarray) -> None:
         if not scratch:
@@ -327,7 +310,7 @@ def fused_attention_softmax(x: Tensor, W: Tensor, a: Tensor) -> Tensor:
         np.matmul(gz, W.data, out=gx.reshape(-1, hidden))
         x._accumulate(gx)
 
-    return _node(y, (x, W, a), backward, forward)
+    return _node(forward, (x, W, a), backward)
 
 
 def fused_kl_divergence(p: Tensor, q: Tensor, axis: int = -1,
@@ -348,24 +331,25 @@ def fused_kl_divergence(p: Tensor, q: Tensor, axis: int = -1,
     log_ratio, prod = _empty(shape, p, q), _empty(shape, p, q)
     count = max(prod.size // max(prod.shape[axis], 1), 1)
     loss = np.empty((), dtype=prod.dtype)
-    scratch: dict = {}
+    scratch: list = []
 
-    def forward() -> None:
+    def forward(out: np.ndarray = loss) -> np.ndarray:
         np.clip(p.data, eps, 1.0, out=ps)
         np.clip(q.data, eps, 1.0, out=qs)
         np.log(ps, out=log_ps)
         np.log(qs, out=log_qs)
         np.subtract(log_ps, log_qs, out=log_ratio)
         np.multiply(ps, log_ratio, out=prod)
-        loss[...] = prod.sum(axis=axis).mean()
+        out[...] = prod.sum(axis=axis).mean()
+        return out
 
     def backward(grad: np.ndarray) -> None:
         scale = np.asarray(grad) / float(count)
         if q.requires_grad:
-            if "gq" not in scratch:
-                scratch["gq"] = np.empty(prod.shape, dtype=q.data.dtype)
-                scratch["mq"] = np.empty(q.data.shape, dtype=bool)
-            gq, mq = scratch["gq"], scratch["mq"]
+            if not scratch:
+                scratch.extend([np.empty(prod.shape, dtype=q.data.dtype),
+                                np.empty(q.data.shape, dtype=bool)])
+            gq, mq = scratch
             # -(ps/qs) masked where q was clipped, scaled by the mean factor.
             np.divide(ps, qs, out=gq)
             np.negative(gq, out=gq)
@@ -380,4 +364,4 @@ def fused_kl_divergence(p: Tensor, q: Tensor, axis: int = -1,
             p._accumulate(_unbroadcast(np.broadcast_to(gp, prod.shape).astype(p.data.dtype),
                                        p.data.shape))
 
-    return _node(loss, (p, q), backward, forward)
+    return _node(forward, (p, q), backward)

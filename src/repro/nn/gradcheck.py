@@ -22,17 +22,17 @@ def numerical_gradient(func: Callable[[], Tensor], tensor: Tensor,
     ``func`` must be a zero-argument callable returning a scalar
     :class:`Tensor` and must read ``tensor.data`` on every call.
     """
-    grad = np.zeros_like(tensor.data)
-    flat = tensor.data.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + epsilon
+    data = tensor.data
+    grad = np.zeros_like(data)
+    # In place: flattening a strided array would perturb a copy.
+    for index in np.ndindex(data.shape):
+        original = data[index]
+        data[index] = original + epsilon
         plus = float(func().data)
-        flat[i] = original - epsilon
+        data[index] = original - epsilon
         minus = float(func().data)
-        flat[i] = original
-        grad_flat[i] = (plus - minus) / (2.0 * epsilon)
+        data[index] = original
+        grad[index] = (plus - minus) / (2.0 * epsilon)
     return grad
 
 

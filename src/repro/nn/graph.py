@@ -6,9 +6,9 @@ op, plus a topological sort per ``backward()``.  For model *training* the
 per-step graph is static (same ops, same shapes every mini-batch), so that
 construction cost can be paid once and amortised over the whole run:
 
-* :class:`Tape` — a ``with`` context during which every tensor op records a
-  *forward-recompute* closure that re-evaluates the op in place into the
-  buffers allocated at record time (see ``tensor.py``).
+* :class:`Tape` — a ``with`` context during which every op's node records
+  its one forward bound to the output buffer allocated at record time, so a
+  replay re-evaluates the op in place (``_node`` in ``tensor.py``).
 * :class:`CompiledGraph` — wraps a captured tape: refreshes the registered
   input leaves (``np.copyto`` into their existing buffers), replays the
   forward program, and re-runs the backward pass over the topological order
@@ -99,8 +99,8 @@ class CompiledGraph:
         # Every recorded node, so release() reaches the ones that are neither
         # replayed nor on the loss path.
         self._nodes: List[Tensor] = list(tape.nodes)
-        # Bound-method tuple: the replay loop dispatches straight to the
-        # closures without per-step attribute lookups.
+        # One call per replayed op: the loop dispatches straight to each
+        # node's bound forward without per-step attribute lookups.
         self._forward_fns = tuple(node._forward for node in tape.nodes
                                   if node._forward is not None)
         self._loss = loss
@@ -139,12 +139,12 @@ class CompiledGraph:
     def release(self) -> None:
         """Drop the recorded program so its buffers are freed by refcount.
 
-        Every recorded node is one reference cycle with its closures
-        (``out._backward`` closes over ``out``), so a graph that is merely
-        dropped keeps its record-time buffers — whole-batch activations and
-        gradients — alive until a full cycle collection happens to run.
-        Clearing the closures and parent links breaks every cycle; the node
-        *values* (``data``) stay readable, the graph can no longer replay.
+        A node the caller still holds (a step's outputs) reaches every node
+        upstream through its parent links and closures, and with them the
+        graph's record-time buffers — whole-batch activations, gradients and
+        backward scratch.  Clearing the closures and parent links frees them;
+        the node *values* (``data``) stay readable, the graph can no longer
+        replay.
         """
         for node in self._nodes + self._topo:
             node._forward = None

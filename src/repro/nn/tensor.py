@@ -9,23 +9,18 @@ broadcasting, matrix multiplication, reductions, common nonlinearities,
 shape manipulation, and a ``backward()`` that accumulates gradients into
 leaf tensors.
 
-Two execution modes share these ops:
-
-* **eager** (the default): every op allocates an output tensor and, when
-  gradients are required, a backward closure; ``backward()`` walks the freshly
-  built graph.
-* **graph replay** (:mod:`repro.nn.graph`): while a :class:`~repro.nn.graph.Tape`
-  is capturing, every op additionally records a *forward-recompute* closure
-  that re-evaluates the op **in place** into the buffers allocated at record
-  time.  A captured graph can then be replayed for new input values with zero
-  per-step tensor/closure allocation — the training fast path.
-
-Gradient correctness is validated by finite-difference checks in
-``tests/nn/test_gradcheck.py``.
+Every op — each ``Tensor`` op, :func:`concatenate`, :func:`stack`,
+:func:`recomputed_leaf` and the :mod:`repro.nn.fused` kernels — states its
+forward once and builds its node through :func:`_node`.  Eagerly that forward
+allocates the output; while a :class:`~repro.nn.graph.Tape` captures, the node
+also records it bound to the output buffer, so a replayed graph (the training
+fast path, :mod:`repro.nn.graph`) re-evaluates every op in place with no
+per-step allocation.  ``tests/nn/test_primitives.py`` has a row per op.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,8 +47,8 @@ class _GradMode:
 class _Capture:
     """Process-wide handle to the tape currently capturing ops (or ``None``).
 
-    Set by :class:`repro.nn.graph.Tape`; kept here so the op implementations
-    below can record themselves without importing the graph module.
+    Set by :class:`repro.nn.graph.Tape`; kept here so :func:`_node` can record
+    every op without importing the graph module.
     """
 
     tape = None
@@ -109,7 +104,9 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     axes = tuple(i for i, size in enumerate(shape) if size == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # asarray: summed down to ``()`` it is a numpy scalar, which a replay
+    # could not zero in place.
+    return np.asarray(grad).reshape(shape)
 
 
 def _topological_order(root: "Tensor") -> List["Tensor"]:
@@ -138,6 +135,40 @@ def _topological_order(root: "Tensor") -> List["Tensor"]:
     return topo
 
 
+def _node(forward: Callable[..., np.ndarray], parents: Tuple["Tensor", ...],
+          backward: Optional[Callable[[np.ndarray], None]]) -> "Tensor":
+    """The node constructor every op builds through.
+
+    ``forward(out)`` writes the op's value into ``out`` and returns it; called
+    without ``out`` it allocates (a fused kernel's default ``out`` is its
+    preallocated buffer).  It runs once here; ``parents`` and ``backward`` are
+    wired when a parent requires grad.  Under a tape the replay is ``forward``
+    bound to the output buffer, skipped when the output is a view of the first
+    operand.  Backward scratch is allocated on first use and reused on every
+    replay, with the same ufunc sequence.  A backward that reads the output
+    binds ``node.data`` after this returns, so an eager graph has no cycle.
+    """
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    out = Tensor(forward(), requires_grad=requires)
+    if requires:
+        out._parents = parents
+        out._backward = backward
+    tape = _Capture.tape
+    if tape is not None:
+        if not (parents and np.shares_memory(out.data, parents[0].data)):
+            out._forward = functools.partial(forward, out.data)
+        tape.nodes.append(out)
+    return out
+
+
+def _into(out: Optional[np.ndarray], value: np.ndarray) -> np.ndarray:
+    """Forward of an op numpy evaluates to a new object (a view or a copy)."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
 class Tensor:
     """A numpy-backed array node in a dynamically built autograd graph.
 
@@ -156,7 +187,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_forward",
                  "_parents", "name")
 
-    # Ensure expressions like ``ndarray @ tensor`` dispatch to the Tensor's
+    # Ensure expressions like ``ndarray * tensor`` dispatch to the Tensor's
     # reflected operators instead of numpy's elementwise broadcasting.
     __array_priority__ = 1000
 
@@ -190,7 +221,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._forward: Optional[Callable[[], None]] = None
+        self._forward: Optional[Callable[[], np.ndarray]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
         Tensor._created += 1
@@ -214,52 +245,13 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
-    def item(self) -> float:
-        """Return the value of a single-element tensor as a python float."""
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        """Return a detached deep copy."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
         self.grad = None
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
-
-    # ------------------------------------------------------------------ #
-    # Graph construction helpers
-    # ------------------------------------------------------------------ #
-    def _make_child(
-        self,
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        """Create an output tensor, wiring the backward closure when needed."""
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = parents
-            out._backward = backward
-        tape = _Capture.tape
-        if tape is not None:
-            tape.nodes.append(out)
-        return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Accumulate an incoming gradient into this tensor."""
@@ -287,46 +279,28 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
-        data = self.data + other_t.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
             other_t._accumulate(grad)
 
-        out = self._make_child(data, (self, other_t), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.add(self.data, other_t.data, out=out.data)
-            out._forward = forward
-        return out
+        return _node(lambda out=None: np.add(self.data, other_t.data, out=out),
+                     (self, other_t), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        data = -self.data
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
-            # Scratch buffers are allocated lazily on first use and reused on
-            # every later call.  An eager closure runs once, so behaviour is
-            # unchanged; a *captured* closure persists across graph replays
-            # and becomes allocation-free from the second step on.  All
-            # buffered expressions evaluate the identical ufunc sequence, so
-            # values stay bit-equal to the unbuffered forms.
             if not scratch:
                 scratch.append(np.empty_like(grad))
             self._accumulate(np.negative(grad, out=scratch[0]))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.negative(self.data, out=out.data)
-            out._forward = forward
-        return out
+        return _node(lambda out=None: np.negative(self.data, out=out), (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
-        data = self.data - other_t.data
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
@@ -336,19 +310,14 @@ class Tensor:
                     scratch.append(np.empty_like(grad))
                 other_t._accumulate(np.negative(grad, out=scratch[0]))
 
-        out = self._make_child(data, (self, other_t), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.subtract(self.data, other_t.data, out=out.data)
-            out._forward = forward
-        return out
+        return _node(lambda out=None: np.subtract(self.data, other_t.data, out=out),
+                     (self, other_t), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
-        data = self.data * other_t.data
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
@@ -360,18 +329,13 @@ class Tensor:
             if other_t.requires_grad:
                 other_t._accumulate(np.multiply(grad, self.data, out=buf))
 
-        out = self._make_child(data, (self, other_t), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.multiply(self.data, other_t.data, out=out.data)
-            out._forward = forward
-        return out
+        return _node(lambda out=None: np.multiply(self.data, other_t.data, out=out),
+                     (self, other_t), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
-        data = self.data / other_t.data
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
@@ -382,24 +346,18 @@ class Tensor:
             if other_t.requires_grad:
                 # d(a/b)/db = -a/b² = -out/b: reusing the forward output saves
                 # the ``other**2`` power and one temporary per step.
-                np.multiply(grad, data, out=buf)
+                np.multiply(grad, value, out=buf)
                 np.negative(buf, out=buf)
                 other_t._accumulate(np.divide(buf, other_t.data, out=buf))
 
-        out = self._make_child(data, (self, other_t), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.divide(self.data, other_t.data, out=out.data)
-            out._forward = forward
-        return out
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) / self
+        node = _node(lambda out=None: np.divide(self.data, other_t.data, out=out),
+                     (self, other_t), backward)
+        value = node.data
+        return node
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        data = self.data ** exponent
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
@@ -411,16 +369,11 @@ class Tensor:
             np.power(self.data, exponent - 1, out=pow_buf)
             self._accumulate(np.multiply(buf, pow_buf, out=buf))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.power(self.data, exponent, out=out.data)
-            out._forward = forward
-        return out
+        return _node(lambda out=None: np.power(self.data, exponent, out=out),
+                     (self,), backward)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
-        data = self.data @ other_t.data
         scratch: list = [None, None]
 
         def product(slot: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -468,27 +421,14 @@ class Tensor:
                     other_t._accumulate(_unbroadcast(
                         product(1, np.swapaxes(a, -1, -2), grad), b.shape))
 
-        out = self._make_child(data, (self, other_t), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                a, b = self.data, other_t.data
-                if a.ndim >= 2 and b.ndim >= 2:
-                    np.matmul(a, b, out=out.data)
-                else:
-                    out.data[...] = a @ b
-            out._forward = forward
-        return out
-
-    def __rmatmul__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) @ self
+        return _node(lambda out=None: np.matmul(self.data, other_t.data, out=out),
+                     (self, other_t), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
             keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
         def backward(grad: np.ndarray) -> None:
             grad_full = np.asarray(grad)
             if axis is not None and not keepdims:
@@ -497,12 +437,9 @@ class Tensor:
                     grad_full = np.expand_dims(grad_full, ax)
             self._accumulate(np.broadcast_to(grad_full, self.data.shape))
 
-        out = self._make_child(np.asarray(data), (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.sum(self.data, axis=axis, keepdims=keepdims, out=out.data)
-            out._forward = forward
-        return out
+        # asarray: ``Tensor`` would cast a full reduction's numpy scalar.
+        return _node(lambda out=None: np.asarray(
+            np.sum(self.data, axis=axis, keepdims=keepdims, out=out)), (self,), backward)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
              keepdims: bool = False) -> "Tensor":
@@ -513,46 +450,22 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            grad_full = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True) if axis is not None else self.data.max()
-            mask = (self.data == expanded).astype(self.data.dtype)
-            mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0)
-            if axis is not None and not keepdims:
-                grad_full = np.expand_dims(grad_full, axis)
-            self._accumulate(mask * grad_full)
-
-        out = self._make_child(np.asarray(data), (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.amax(self.data, axis=axis, keepdims=keepdims, out=out.data)
-            out._forward = forward
-        return out
-
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        data = np.exp(self.data)
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
             if not scratch:
                 scratch.append(np.empty_like(grad))
-            self._accumulate(np.multiply(grad, data, out=scratch[0]))
+            self._accumulate(np.multiply(grad, value, out=scratch[0]))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.exp(self.data, out=data)
-            out._forward = forward
-        return out
+        node = _node(lambda out=None: np.exp(self.data, out=out), (self,), backward)
+        value = node.data
+        return node
 
     def log(self) -> "Tensor":
-        data = np.log(self.data)
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
@@ -560,184 +473,127 @@ class Tensor:
                 scratch.append(np.empty_like(grad))
             self._accumulate(np.divide(grad, self.data, out=scratch[0]))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.log(self.data, out=data)
-            out._forward = forward
-        return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
+        return _node(lambda out=None: np.log(self.data, out=out), (self,), backward)
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
         scratch: list = []
 
         def backward(grad: np.ndarray) -> None:
             if not scratch:
-                scratch.append(np.empty_like(data))
+                scratch.append(np.empty_like(value))
             buf = scratch[0]
-            # grad * (1 - data**2), evaluated with the same ufunc sequence.
-            np.power(data, 2, out=buf)
+            # grad * (1 - value**2), evaluated with the same ufunc sequence.
+            np.power(value, 2, out=buf)
             np.subtract(1.0, buf, out=buf)
             self._accumulate(np.multiply(grad, buf, out=buf))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.tanh(self.data, out=data)
-            out._forward = forward
-        return out
+        node = _node(lambda out=None: np.tanh(self.data, out=out), (self,), backward)
+        value = node.data
+        return node
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
         scratch: list = []
+
+        def forward(out: Optional[np.ndarray] = None) -> np.ndarray:
+            # 1 / (1 + exp(-x)), evaluated in one buffer.
+            out = np.negative(self.data, out=out)
+            np.exp(out, out=out)
+            np.add(out, 1.0, out=out)
+            return np.divide(1.0, out, out=out)
 
         def backward(grad: np.ndarray) -> None:
             if not scratch:
-                scratch.append(np.empty_like(data))
-                scratch.append(np.empty_like(data))
+                scratch.append(np.empty_like(value))
+                scratch.append(np.empty_like(value))
             buf, one_minus = scratch
-            np.multiply(grad, data, out=buf)
-            np.subtract(1.0, data, out=one_minus)
+            np.multiply(grad, value, out=buf)
+            np.subtract(1.0, value, out=one_minus)
             self._accumulate(np.multiply(buf, one_minus, out=buf))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                # Same expression as the eager path, evaluated in place.
-                np.negative(self.data, out=data)
-                np.exp(data, out=data)
-                np.add(data, 1.0, out=data)
-                np.divide(1.0, data, out=data)
-            out._forward = forward
-        return out
+        node = _node(forward, (self,), backward)
+        value = node.data
+        return node
 
     def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(self.data.dtype)
-        data = self.data * mask
+        mask = np.empty_like(self.data)
         scratch: list = []
+
+        def forward(out: Optional[np.ndarray] = None) -> np.ndarray:
+            np.greater(self.data, 0, out=mask)
+            return np.multiply(self.data, mask, out=out)
 
         def backward(grad: np.ndarray) -> None:
             if not scratch:
                 scratch.append(np.empty_like(grad))
             self._accumulate(np.multiply(grad, mask, out=scratch[0]))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                mask[...] = self.data > 0
-                np.multiply(self.data, mask, out=data)
-            out._forward = forward
-        return out
+        return _node(forward, (self,), backward)
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        data = np.abs(self.data)
+        sign = np.empty_like(self.data)
         scratch: list = []
+
+        def forward(out: Optional[np.ndarray] = None) -> np.ndarray:
+            np.sign(self.data, out=sign)
+            return np.absolute(self.data, out=out)
 
         def backward(grad: np.ndarray) -> None:
             if not scratch:
                 scratch.append(np.empty_like(grad))
             self._accumulate(np.multiply(grad, sign, out=scratch[0]))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.sign(self.data, out=sign)
-                np.absolute(self.data, out=data)
-            out._forward = forward
-        return out
+        return _node(forward, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
+        mask = np.empty_like(self.data)
         scratch: list = []
+
+        def forward(out: Optional[np.ndarray] = None) -> np.ndarray:
+            mask[...] = (self.data >= low) & (self.data <= high)
+            return np.clip(self.data, low, high, out=out)
 
         def backward(grad: np.ndarray) -> None:
             if not scratch:
                 scratch.append(np.empty_like(grad))
             self._accumulate(np.multiply(grad, mask, out=scratch[0]))
 
-        out = self._make_child(data, (self,), backward)
-        if _Capture.tape is not None:
-            def forward() -> None:
-                np.clip(self.data, low, high, out=data)
-                mask[...] = (self.data >= low) & (self.data <= high)
-            out._forward = forward
-        return out
+        return _node(forward, (self,), backward)
 
     # ------------------------------------------------------------------ #
-    # Shape manipulation
+    # Shape manipulation: a view of the operand when numpy can make one
     # ------------------------------------------------------------------ #
-    def _attach_view_forward(self, out: "Tensor",
-                             recompute: Callable[[], np.ndarray]) -> "Tensor":
-        """Wire the replay-forward hook for a shape op.
-
-        When the result is a *view* of this tensor's buffer no recompute is
-        needed on replay — in-place updates to the parent are visible through
-        the view.  When numpy had to copy (non-contiguous reshape, fancy
-        index, scalar extraction) the closure re-materialises the copy.
-        """
-        if _Capture.tape is None:
-            return out
-        if np.shares_memory(out.data, self.data):
-            return out
-
-        def forward() -> None:
-            out.data[...] = recompute()
-        out._forward = forward
-        return out
+    def _accumulate_reshaped(self, grad: np.ndarray) -> None:
+        """The backward of every op that only reshapes this tensor."""
+        self._accumulate(np.asarray(grad).reshape(self.data.shape))
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.asarray(grad).reshape(self.data.shape))
-
-        out = self._make_child(data, (self,), backward)
-        return self._attach_view_forward(out, lambda: self.data.reshape(shape))
+        return _node(lambda out=None: _into(out, self.data.reshape(shape)), (self,),
+                     self._accumulate_reshaped)
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_t = tuple(axes) if axes else tuple(reversed(range(self.data.ndim)))
-        data = self.data.transpose(axes_t)
         inverse = np.argsort(axes_t)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.asarray(grad).transpose(inverse))
 
-        out = self._make_child(data, (self,), backward)
-        return self._attach_view_forward(out, lambda: self.data.transpose(axes_t))
+        return _node(lambda out=None: _into(out, self.data.transpose(axes_t)), (self,), backward)
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        data = self.data.squeeze(axis=axis) if axis is not None else self.data.squeeze()
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.asarray(grad).reshape(self.data.shape))
-
-        out = self._make_child(data, (self,), backward)
-        return self._attach_view_forward(
-            out, lambda: self.data.squeeze(axis=axis) if axis is not None
-            else self.data.squeeze())
+        return _node(lambda out=None: _into(out, self.data.squeeze(axis=axis)), (self,),
+                     self._accumulate_reshaped)
 
     def unsqueeze(self, axis: int) -> "Tensor":
-        data = np.expand_dims(self.data, axis)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.asarray(grad).reshape(self.data.shape))
-
-        out = self._make_child(data, (self,), backward)
-        return self._attach_view_forward(out, lambda: np.expand_dims(self.data, axis))
+        return _node(lambda out=None: _into(out, np.expand_dims(self.data, axis)), (self,),
+                     self._accumulate_reshaped)
 
     def __getitem__(self, index: object) -> "Tensor":
-        data = self.data[index]
         basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray) -> None:
@@ -758,8 +614,9 @@ class Tensor:
             else:
                 np.add.at(target, index, grad)
 
-        out = self._make_child(np.asarray(data), (self,), backward)
-        return self._attach_view_forward(out, lambda: self.data[index])
+        # asarray: an integer index for every axis selects a numpy scalar.
+        return _node(lambda out=None: _into(out, np.asarray(self.data[index])),
+                     (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Backpropagation
@@ -787,21 +644,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # ------------------------------------------------------------------ #
-    # Comparisons (detached; return plain numpy bool arrays)
-    # ------------------------------------------------------------------ #
-    def __gt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data > as_tensor(other).data
-
-    def __lt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data < as_tensor(other).data
-
-    def __ge__(self, other: ArrayLike) -> np.ndarray:
-        return self.data >= as_tensor(other).data
-
-    def __le__(self, other: ArrayLike) -> np.ndarray:
-        return self.data <= as_tensor(other).data
-
 
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
     """Coerce ``value`` into a :class:`Tensor` (no-op for existing tensors)."""
@@ -821,20 +663,14 @@ def recomputed_leaf(compute: Callable[[], np.ndarray], name: Optional[str] = Non
     of fixed shape and must read its inputs through references that stay
     valid across replays (e.g. ``x.data`` of a captured tensor).
     """
-    out = Tensor(compute(), name=name)
-    tape = _Capture.tape
-    if tape is not None:
-        def forward() -> None:
-            out.data[...] = compute()
-        out._forward = forward
-        tape.nodes.append(out)
+    out = _node(lambda out=None: _into(out, compute()), (), None)
+    out.name = name
     return out
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensor_list = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensor_list], axis=axis)
     sizes = [t.data.shape[axis] for t in tensor_list]
 
     def backward(grad: np.ndarray) -> None:
@@ -846,29 +682,13 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             tensor._accumulate(grad[tuple(slicer)])
             offset += size
 
-    requires = is_grad_enabled() and any(t.requires_grad for t in tensor_list)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        out._parents = tuple(tensor_list)
-        out._backward = backward
-    tape = _Capture.tape
-    if tape is not None:
-        def forward() -> None:
-            offset = 0
-            for tensor, size in zip(tensor_list, sizes):
-                slicer = [slice(None)] * out.data.ndim
-                slicer[axis] = slice(offset, offset + size)
-                out.data[tuple(slicer)] = tensor.data
-                offset += size
-        out._forward = forward
-        tape.nodes.append(out)
-    return out
+    return _node(lambda out=None: np.concatenate([t.data for t in tensor_list], axis=axis,
+                                                 out=out), tuple(tensor_list), backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient support."""
     tensor_list = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensor_list], axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad)
@@ -877,18 +697,5 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             slicer[axis] = i
             tensor._accumulate(grad[tuple(slicer)])
 
-    requires = is_grad_enabled() and any(t.requires_grad for t in tensor_list)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        out._parents = tuple(tensor_list)
-        out._backward = backward
-    tape = _Capture.tape
-    if tape is not None:
-        def forward() -> None:
-            for i, tensor in enumerate(tensor_list):
-                slicer = [slice(None)] * out.data.ndim
-                slicer[axis] = i
-                out.data[tuple(slicer)] = tensor.data
-        out._forward = forward
-        tape.nodes.append(out)
-    return out
+    return _node(lambda out=None: np.stack([t.data for t in tensor_list], axis=axis, out=out),
+                 tuple(tensor_list), backward)

@@ -13,6 +13,7 @@ from repro.nn import (
     kl_divergence,
 )
 from repro.nn import functional as F
+from repro.nn.gradcheck import numerical_gradient
 
 
 @pytest.fixture
@@ -92,3 +93,15 @@ def test_batched_affine_gradcheck(rng):
         return (projected.tanh() ** 2).sum()
 
     assert check_gradient(loss, [V])
+
+
+def test_numerical_gradient_of_a_transposed_leaf():
+    """A strided leaf is perturbed in place, not through a flattened copy."""
+    x = Tensor(np.arange(12.0).reshape(4, 3).T / 4.0, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+
+    def loss():
+        return (x * x).sum()
+
+    assert np.allclose(numerical_gradient(loss, x), 2.0 * x.data)
+    assert check_gradient(loss, [x])

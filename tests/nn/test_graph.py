@@ -263,6 +263,24 @@ class TestRecomputedLeaf:
         assert np.array_equal(first, expected_first.data)
 
 
+class TestZeroDimLeaf:
+    def test_gradient_is_zeroed_between_replays(self):
+        """A 0-d leaf broadcast into a larger op: its gradient must be an
+        array the replay can zero in place, not a numpy scalar that grows
+        by one step's gradient per replay."""
+        tape = Tape()
+        with tape:
+            a = Tensor(np.ones((2, 2)), requires_grad=True)
+            b = Tensor(np.array(0.5), requires_grad=True)
+            loss = ((a + b) * Tensor(np.full((2, 2), 3.0))).sum()
+        graph = CompiledGraph(tape, inputs={}, loss=loss)
+        loss.backward()
+        assert isinstance(b.grad, np.ndarray) and b.grad == 12.0
+        for _ in range(2):
+            graph.step()
+            assert b.grad == 12.0
+
+
 class TestDivisionBackward:
     def test_division_backward_reuses_forward_output(self):
         """Satellite: d(a/b)/db = -out/b must equal the textbook -a/b²."""

@@ -39,11 +39,6 @@ class TestArithmetic:
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
         assert np.allclose((a @ b).data, np.array([[19, 22], [43, 50]], dtype=float))
 
-    def test_rmatmul_with_numpy(self):
-        a = np.eye(2)
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose((a @ b).data, b.data)
-
 
 class TestGradients:
     def test_add_grad_broadcast(self):
@@ -158,10 +153,6 @@ class TestReductionsAndShape:
         a.sum(axis=1).sum().backward()
         assert np.allclose(a.grad, np.ones((2, 3)))
 
-    def test_max_reduction(self):
-        a = Tensor([[1.0, 5.0], [3.0, 2.0]])
-        assert np.allclose(a.max(axis=1).data, [5.0, 3.0])
-
     def test_reshape_roundtrip_grad(self):
         a = Tensor(np.random.rand(2, 6), requires_grad=True)
         a.reshape(3, 4).sum().backward()
@@ -210,10 +201,6 @@ class TestGraphUtilities:
         with no_grad():
             out = a * 2
         assert not out.requires_grad
-
-    def test_detach(self):
-        a = Tensor([1.0], requires_grad=True)
-        assert not a.detach().requires_grad
 
     def test_as_tensor_passthrough(self):
         a = Tensor([1.0])
