@@ -61,9 +61,8 @@ def write_records_csv(records: Sequence[Record], path: PathLike) -> Path:
 def iter_records_csv(path: PathLike) -> Iterator[Record]:
     """Stream records from a CSV written by :func:`write_records_csv`.
 
-    One record is materialised at a time, so corpora larger than memory can
-    be ingested by streaming consumers (e.g. the linkage pipeline's chunked
-    ``ingest`` stage).
+    One record is materialised at a time; the linkage pipeline's ``ingest``
+    stage consumes such an iterator once.
     """
     with Path(path).open("r", newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)

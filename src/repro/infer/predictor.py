@@ -13,10 +13,8 @@ executor thread calls ``predict_proba``.
 
 from __future__ import annotations
 
-from itertools import islice
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from ..data.records import EntityPair
 from ..features.cache import EncodingCache
 from ..features.encoder import PairEncoder
 from ..obs import BoundHandles, DEFAULT_SIZE_BUCKETS
+from ..resilience import faults
 from .serialization import load_model
 
 __all__ = ["BatchedPredictor"]
@@ -110,6 +109,7 @@ class BatchedPredictor:
         outputs: List[np.ndarray] = []
         instruments = self._obs.get()
         for start in range(0, len(pairs), self.micro_batch_size):
+            faults.check("scoring.batch", batch=len(outputs))
             chunk = pairs[start:start + self.micro_batch_size]
             probabilities, _ = self.network.forward_numpy(self.encoder.encode(chunk))
             outputs.append(probabilities)
@@ -125,30 +125,6 @@ class BatchedPredictor:
     def predict(self, pairs: Sequence[EntityPair], threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions at the given probability threshold."""
         return (self.predict_proba(pairs) >= threshold).astype(np.int64)
-
-    def predict_proba_stream(self, pairs: Iterable[EntityPair], chunk_size: int = 2048
-                             ) -> Iterator[Tuple[List[EntityPair], np.ndarray]]:
-        """Score an arbitrarily large pair stream in bounded chunks.
-
-        Yields ``(chunk, probabilities)`` tuples in stream order; at most
-        ``chunk_size`` pairs are materialised at a time, so candidate streams
-        larger than memory (e.g. from the linkage pipeline's blocking stage)
-        can be scored without ever holding the full pair list.
-        """
-        if chunk_size <= 0:
-            # Validate eagerly — inside the generator body the error would
-            # only surface at the first next(), far from the call site.
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-
-        def _generate() -> Iterator[Tuple[List[EntityPair], np.ndarray]]:
-            iterator = iter(pairs)
-            while True:
-                chunk = list(islice(iterator, chunk_size))
-                if not chunk:
-                    return
-                yield chunk, self.predict_proba(chunk)
-
-        return _generate()
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:

@@ -421,8 +421,9 @@ class Tensor:
                     other_t._accumulate(_unbroadcast(
                         product(1, np.swapaxes(a, -1, -2), grad), b.shape))
 
-        return _node(lambda out=None: np.matmul(self.data, other_t.data, out=out),
-                     (self, other_t), backward)
+        # asarray: ``Tensor`` would cast a dot product's numpy scalar.
+        return _node(lambda out=None: np.asarray(
+            np.matmul(self.data, other_t.data, out=out)), (self, other_t), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions

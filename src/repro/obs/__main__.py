@@ -10,8 +10,8 @@ Renders the telemetry dashboard from either
 
 ``--exposition`` prints the Prometheus text format instead of the dashboard
 (export mode reconstructs it from the metric lines); ``--timeline`` prints
-per-chunk ASCII Gantt timelines of the pipeline trace trees — the view that
-shows worker overlap and stragglers after a sharded ``--workers N`` run.
+per-micro-batch ASCII Gantt timelines of the pipeline trace trees — the view
+that shows worker overlap and stragglers after a sharded ``--workers N`` run.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--exposition", action="store_true",
                         help="print Prometheus text exposition instead of the dashboard")
     parser.add_argument("--timeline", action="store_true",
-                        help="print per-chunk ASCII Gantt timelines of the "
+                        help="print per-micro-batch ASCII Gantt timelines of the "
                              "pipeline trace trees instead of the dashboard")
     parser.add_argument("--max-traces", type=int, default=5,
                         help="trace trees to show, newest first (default: 5)")

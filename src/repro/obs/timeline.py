@@ -2,10 +2,10 @@
 
 The trace outline (:func:`repro.obs.dashboard.render_trace_tree`) answers
 "how long did each span take"; the timeline answers the *concurrency*
-question — did the scoring chunks actually run in parallel, which chunk
-straggled, where is the driver-side gap.  Each span becomes one row whose
+question — did the scoring micro-batches actually run in parallel, which
+one straggled, where is the driver-side gap.  Each span becomes one row whose
 bar is positioned by its wall-clock ``started_at`` offset from the root and
-sized by its ``seconds``, so a 4-worker run shows its chunks stacked four
+sized by its ``seconds``, so a 4-worker run shows its tasks stacked four
 deep and a straggler at a glance.
 
 A ``sharded.worker`` span carries the ``started_at`` stamp its worker took

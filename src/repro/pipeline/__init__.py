@@ -12,15 +12,16 @@ This package provides the surrounding production pipeline:
   indexes' pair arrays unioned, oriented and deduplicated on record-id
   ranks) with recall / pair-reduction statistics against ``entity_id``
   ground truth;
-* :mod:`~repro.pipeline.scoring` — chunked scoring through the batched
-  inference engine (:class:`~repro.infer.BatchedPredictor`);
+* :mod:`~repro.pipeline.scoring` — scoring through the batched inference
+  engine (:class:`~repro.infer.BatchedPredictor`), micro-batch by
+  micro-batch;
 * :mod:`~repro.pipeline.clustering` — union-find entity resolution with a
   transitivity-violation report and pairwise cluster metrics;
 * :mod:`~repro.pipeline.engine` — the :class:`LinkagePipeline` orchestrator,
   also runnable as ``python -m repro.pipeline``;
 * :mod:`~repro.pipeline.sharded` — :class:`ShardedPipeline`, the batch
   engine with its scoring stage fanned out over forked worker processes one
-  scoring chunk at a time (``python -m repro.pipeline --workers N``).
+  micro-batch at a time (``python -m repro.pipeline --workers N``).
 """
 
 from .candidates import (CandidateGenerationStage, CandidateResult,

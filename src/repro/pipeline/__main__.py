@@ -66,10 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "PipelineConfig defaults)")
     tuning.add_argument("--attributes", default=None,
                         help="comma-separated blocking attributes (default: all)")
-    tuning.add_argument("--chunk-size", type=int, default=2048,
-                        help="ingest/scoring chunk size (default: 2048)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="score candidate chunks on N worker processes "
+                        help="score candidate micro-batches on N worker processes "
                              "(default: single-process engine)")
     parser.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR,
                         help=f"where to write clusters/matches/stats "
@@ -138,8 +136,6 @@ def _run(args: argparse.Namespace) -> int:
         num_perm=args.num_perm,
         bands=args.bands,
         score_threshold=args.threshold,
-        scoring_chunk_size=args.chunk_size,
-        ingest_chunk_size=args.chunk_size,
         **overrides,
     )
     if args.workers is not None:
@@ -177,8 +173,8 @@ def _run(args: argparse.Namespace) -> int:
     if sharding:
         print(f"sharding: {sharding['workers']} worker(s) "
               f"(processes: {sharding['used_processes']}); "
-              f"{sharding['chunks']} scoring chunk(s); "
-              f"rescored chunks: {sharding['rescored_chunks']}")
+              f"{sharding['chunks']} scoring micro-batch(es); "
+              f"rescored: {sharding['rescored_chunks']}")
     if "pairwise_f1" in cluster_stats:
         print(f"pairwise precision/recall/F1 vs ground truth: "
               f"{cluster_stats['pairwise_precision']:.4f} / "

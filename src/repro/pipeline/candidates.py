@@ -77,34 +77,22 @@ class CandidateGenerationStage:
         order of ``add_records`` input across every call — one entry per
         distinct pair that shares a block; with ``cross_source_only`` it
         leaves out pairs from one source.  A ``skew_stats(top_k)`` hook is
-        optional.  Defaults to a
-        MinHash-LSH index, an inverted token index and an initials-key index
-        over ``attributes``.  The default caps are deliberately tight — a
-        bucket shared by more than a handful of records carries almost no
-        linkage signal, and the three indexes back each other up, so tight
-        caps buy an order of magnitude of pair reduction at little recall
-        cost.
-    attributes:
-        Blocking attributes forwarded to the default indexes.
+        optional.  Defaults to
+        :func:`~repro.pipeline.index.build_blocking_indexes` with its default
+        knobs: a MinHash-LSH index, an inverted token index and an
+        initials-key index over every attribute.  The default caps are
+        deliberately tight — a bucket shared by more than a handful of
+        records carries almost no linkage signal, and the three indexes back
+        each other up, so tight caps buy an order of magnitude of pair
+        reduction at little recall cost.
     cross_source_only:
         Drop pairs whose records come from the same data source (the MEL
         setting: linkage is across sources).
     """
 
     def __init__(self, indexes: Optional[Sequence[object]] = None,
-                 attributes: Optional[Sequence[str]] = None,
-                 cross_source_only: bool = True,
-                 num_perm: int = 128, bands: int = 32,
-                 max_bucket_size: int = 8, max_postings: int = 8,
-                 initials_max_bucket_size: int = 16,
-                 min_token_length: int = 3, seed: int = 7) -> None:
-        if indexes is None:
-            indexes = build_blocking_indexes(
-                attributes=attributes, num_perm=num_perm, bands=bands,
-                lsh_max_bucket_size=max_bucket_size, max_postings=max_postings,
-                initials_max_bucket_size=initials_max_bucket_size,
-                min_token_length=min_token_length, seed=seed)
-        self.indexes = list(indexes)
+                 cross_source_only: bool = True) -> None:
+        self.indexes = list(build_blocking_indexes() if indexes is None else indexes)
         if not self.indexes:
             raise ValueError("CandidateGenerationStage requires at least one index")
         self.cross_source_only = cross_source_only

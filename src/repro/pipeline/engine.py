@@ -4,9 +4,10 @@
 and bundles the outputs (candidates, scores, clusters, per-stage statistics)
 into a :class:`PipelineResult` that can be written to disk as JSONL/JSON.
 
-Records are ingested from any iterable in bounded chunks, so the streaming
-readers of :mod:`repro.data.storage` plug in directly and the blocking
-indexes never require the pair space — only the records — in memory.
+Records are ingested from any iterable (consumed once), so the streaming
+readers of :mod:`repro.data.storage` plug in directly; the blocking indexes
+hold the records, never the pair space.  Scoring groups pairs by the
+predictor's ``micro_batch_size`` alone.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ..infer.predictor import BatchedPredictor
 from ..utils.serialization import save_json
 from .candidates import CandidateGenerationStage, CandidateResult
 from .clustering import ClusteringStage, ClusterResult
+from .index import build_blocking_indexes
 from .scoring import ScoredCandidates, ScoringStage
 
 __all__ = ["PipelineConfig", "PipelineResult", "LinkagePipeline"]
@@ -51,8 +53,6 @@ class PipelineConfig:
     cross_source_only: bool = True
     score_threshold: float = 0.5
     source_consistent: bool = True
-    scoring_chunk_size: int = 2048
-    ingest_chunk_size: int = 2048
     seed: int = 7
 
     def as_dict(self) -> Dict[str, object]:
@@ -68,8 +68,6 @@ class PipelineConfig:
             "cross_source_only": self.cross_source_only,
             "score_threshold": self.score_threshold,
             "source_consistent": self.source_consistent,
-            "scoring_chunk_size": self.scoring_chunk_size,
-            "ingest_chunk_size": self.ingest_chunk_size,
             "seed": self.seed,
         }
 
@@ -158,36 +156,25 @@ class LinkagePipeline:
         config = self.config
         seconds: Dict[str, float] = {name: 0.0 for name in STAGE_ORDER}
         stage = CandidateGenerationStage(
-            attributes=config.blocking_attributes,
-            cross_source_only=config.cross_source_only,
-            num_perm=config.num_perm, bands=config.bands,
-            max_bucket_size=config.lsh_max_bucket_size,
-            max_postings=config.max_postings,
-            initials_max_bucket_size=config.initials_max_bucket_size,
-            min_token_length=config.min_token_length,
-            seed=config.seed,
-        )
+            build_blocking_indexes(
+                attributes=config.blocking_attributes,
+                num_perm=config.num_perm, bands=config.bands,
+                lsh_max_bucket_size=config.lsh_max_bucket_size,
+                max_postings=config.max_postings,
+                initials_max_bucket_size=config.initials_max_bucket_size,
+                min_token_length=config.min_token_length, seed=config.seed),
+            cross_source_only=config.cross_source_only)
 
         with obs.trace("pipeline.run") as run_span:
-            # Ingest + block: pull bounded chunks off the stream, index each.
-            iterator = iter(records)
-            chunk_index = 0
-            while True:
-                start = time.perf_counter()
-                with obs.trace("ingest", chunk=chunk_index):
-                    chunk: List[Record] = []
-                    for record in iterator:
-                        chunk.append(record)
-                        if len(chunk) >= config.ingest_chunk_size:
-                            break
-                seconds["ingest"] += time.perf_counter() - start
-                if not chunk:
-                    break
-                start = time.perf_counter()
-                with obs.trace("block", chunk=chunk_index, records=len(chunk)):
-                    stage.add_records(chunk)
-                seconds["block"] += time.perf_counter() - start
-                chunk_index += 1
+            start = time.perf_counter()
+            with obs.trace("ingest"):
+                records = list(records)
+            seconds["ingest"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            with obs.trace("block", records=len(records)):
+                stage.add_records(records)
+            seconds["block"] = time.perf_counter() - start
 
             start = time.perf_counter()
             with obs.trace("pair"):
@@ -221,8 +208,7 @@ class LinkagePipeline:
 
     def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
         """Score the canonically ordered candidates (the sharded engine's hook)."""
-        return ScoringStage(self.predictor,
-                            chunk_size=self.config.scoring_chunk_size).run(pairs)
+        return ScoringStage(self.predictor).run(pairs)
 
     def _record_run_metrics(self, result: PipelineResult,
                             stage: CandidateGenerationStage) -> None:

@@ -1,9 +1,9 @@
 """Scoring stage: feed candidate pairs through the batched inference engine.
 
-Candidates stream through :class:`~repro.infer.BatchedPredictor` in bounded
-chunks (each chunk is itself micro-batched by the predictor), so the
+All candidates go to :class:`~repro.infer.BatchedPredictor` in one call; its
+``micro_batch_size`` is the one unit pairs are grouped by, so the
 *encoding/forward working set* stays flat regardless of how many candidates
-blocking produced; the pair list and the final score array are still held in
+blocking produced.  The pair list and the final score array are held in
 full, since clustering needs them together.  The encoder reuses the
 process-wide :class:`~repro.features.cache.EncodingCache`, so a pair scored
 twice (or seen during training) is never re-encoded.
@@ -18,11 +18,8 @@ import numpy as np
 
 from ..data.records import EntityPair
 from ..infer.predictor import BatchedPredictor
-from ..resilience import faults
 
 __all__ = ["ScoringStage", "ScoredCandidates"]
-
-DEFAULT_CHUNK_SIZE = 2048
 
 
 @dataclass
@@ -38,24 +35,17 @@ class ScoredCandidates:
 
 
 class ScoringStage:
-    """Score candidate pairs with a fitted model in bounded chunks.
+    """Score candidate pairs with a fitted model.
 
     Parameters
     ----------
     predictor:
-        A :class:`~repro.infer.BatchedPredictor` wrapping the fitted model.
-    chunk_size:
-        Pairs scored per outer chunk.  Each chunk is handed to the predictor
-        as one bulk request (which micro-batches internally); chunking keeps
-        the stage's working set bounded on huge candidate lists.
+        A :class:`~repro.infer.BatchedPredictor` wrapping the fitted model;
+        it micro-batches the pairs.
     """
 
-    def __init__(self, predictor: BatchedPredictor,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    def __init__(self, predictor: BatchedPredictor) -> None:
         self.predictor = predictor
-        self.chunk_size = chunk_size
 
     def run(self, pairs: Sequence[EntityPair]) -> ScoredCandidates:
         """Return matching probabilities for ``pairs`` in input order."""
@@ -64,14 +54,9 @@ class ScoringStage:
         # One locked read per side: two unlocked attribute reads can straddle
         # a concurrent serve-thread lookup and push the rate outside [0, 1].
         hits_before, misses_before = cache.lookup_counts() if cache is not None else (0, 0)
-        chunks: List[np.ndarray] = []
-        for _, probabilities in self.predictor.predict_proba_stream(pairs, self.chunk_size):
-            faults.check("scoring.batch", chunk=len(chunks))
-            chunks.append(probabilities)
-        scores = np.concatenate(chunks) if chunks else np.zeros(0)
+        scores = self.predictor.predict_proba(pairs)
         stats: Dict[str, float] = {
             "num_pairs": float(len(pairs)),
-            "chunks": float(len(chunks)),
             "micro_batch_size": float(self.predictor.micro_batch_size),
         }
         if cache is not None:

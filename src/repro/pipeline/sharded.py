@@ -1,4 +1,4 @@
-"""Sharded linkage pipeline: the batch engine plus a chunked scoring fan-out.
+"""Sharded linkage pipeline: the batch engine plus a micro-batch scoring fan-out.
 
 :class:`ShardedPipeline` *is* :class:`~repro.pipeline.engine.LinkagePipeline`
 with one hook overridden.  Ingest, blocking, candidate generation,
@@ -6,21 +6,22 @@ clustering, ``index_stats`` and the candidate statistics are the batch
 engine's own code, run in the driver; only scoring — the dominant cost —
 fans out over a pool of forked worker processes.  See ``docs/sharding.md``.
 
-The unit of work is one **scoring chunk**: the canonically ordered candidate
-list cut at multiples of ``PipelineConfig.scoring_chunk_size``, i.e. exactly
-the chunks the single-process :class:`~repro.pipeline.scoring.ScoringStage`
-hands to the predictor one after another.  A task scores its slice through
-that same stage and the driver concatenates the slices in chunk order, so
-pairs, scores (``np.array_equal``), clusters and assignments are
-**bit-identical to** :class:`LinkagePipeline` **at every worker count**.
+The unit of work is one **micro-batch**: the canonically ordered candidate
+list cut at multiples of the predictor's ``micro_batch_size``, i.e. exactly
+the encode + forward batches the single-process
+:class:`~repro.pipeline.scoring.ScoringStage` runs one after another.  A task
+scores its slice through that same stage and the driver concatenates the
+slices in order, so pairs, scores (``np.array_equal``), clusters and
+assignments are **bit-identical to** :class:`LinkagePipeline` **at every
+worker count**.
 
 The candidate list and the predictor reach the workers by fork inheritance
-(a module global set before the pool forks); only chunk indexes go out and
-only score arrays come back.  ``workers=1``, a single chunk, or a platform
-without ``fork`` score in-process through the same task function.
+(a module global set before the pool forks); only micro-batch indexes go out
+and only score arrays come back.  ``workers=1``, a single micro-batch, or a
+platform without ``fork`` score in-process through the same task function.
 
-One failure rule replaces a retry policy: a chunk whose future raises (a
-worker exception, or ``BrokenProcessPool`` after a worker died) or whose
+One failure rule replaces a retry policy: a micro-batch whose future raises
+(a worker exception, or ``BrokenProcessPool`` after a worker died) or whose
 answer is not one score per pair is rescored in the driver, and the run's
 :class:`ShardReport` lists it in ``rescored_chunks``.  A failure of the
 driver rescore propagates.
@@ -47,13 +48,13 @@ from .scoring import ScoredCandidates, ScoringStage
 __all__ = ["ShardConfig", "ShardReport", "ShardedPipeline",
            "ShardedPipelineResult"]
 
-# (scores, per-chunk ScoringStage stats, (time.time() start, wall s, CPU s))
+# (scores, per-micro-batch ScoringStage stats, (time.time() start, wall s, CPU s))
 _ChunkAnswer = Tuple[np.ndarray, Dict[str, float], Tuple[float, float, float]]
 
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """The one sharding knob: how many worker processes score chunks."""
+    """The one sharding knob: how many worker processes score micro-batches."""
 
     workers: int = 4
 
@@ -64,7 +65,8 @@ class ShardConfig:
 
 @dataclass
 class ShardReport:
-    """How one run's scoring was fanned out, and which chunks the driver redid."""
+    """How one run's scoring was fanned out, and which micro-batches the
+    driver redid (``chunks`` counts the run's micro-batches)."""
 
     workers: int
     used_processes: bool
@@ -95,7 +97,7 @@ _SCORING: Optional[Tuple[ScoringStage, List[EntityPair]]] = None
 
 
 def _score_chunk(chunk: int) -> _ChunkAnswer:
-    """Score chunk ``chunk`` of the inherited candidate list (the task body).
+    """Score micro-batch ``chunk`` of the inherited candidate list (the task body).
 
     An injected ``partial`` fault truncates the answer, which the driver's
     one-score-per-pair check then rejects.
@@ -103,8 +105,8 @@ def _score_chunk(chunk: int) -> _ChunkAnswer:
     stage, pairs = _SCORING
     started_at, wall, cpu = time.time(), time.perf_counter(), time.process_time()
     partial = faults.check("sharded.score", chunk=chunk) == "partial"
-    start = chunk * stage.chunk_size
-    scored = stage.run(pairs[start:start + stage.chunk_size])
+    size = stage.predictor.micro_batch_size
+    scored = stage.run(pairs[chunk * size:(chunk + 1) * size])
     scores = scored.scores[:len(scored) // 2] if partial else scored.scores
     return scores, scored.stats, (started_at, time.perf_counter() - wall,
                                   time.process_time() - cpu)
@@ -117,10 +119,10 @@ class ShardedPipeline(LinkagePipeline):
     ----------
     predictor:
         The fitted :class:`~repro.infer.BatchedPredictor`; inherited by the
-        worker processes via fork, never pickled.
+        worker processes via fork, never pickled.  Its ``micro_batch_size``
+        is the unit of the fan-out.
     config:
-        Stage tuning knobs shared with the single-process engine; its
-        ``scoring_chunk_size`` is also the unit of the fan-out.
+        Stage tuning knobs shared with the single-process engine.
     shards:
         The worker count; see :class:`ShardConfig`.
     """
@@ -143,11 +145,12 @@ class ShardedPipeline(LinkagePipeline):
         return ShardedPipelineResult(**vars(result), shard_report=self._report)
 
     def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
-        """Score ``pairs`` chunk by chunk on the pool, rescoring failures here."""
+        """Score ``pairs`` micro-batch by micro-batch on the pool, rescoring
+        failures here."""
         global _SCORING
-        stage = ScoringStage(self.predictor,
-                             chunk_size=self.config.scoring_chunk_size)
-        num_chunks = -(-len(pairs) // stage.chunk_size)
+        stage = ScoringStage(self.predictor)
+        size = self.predictor.micro_batch_size
+        num_chunks = -(-len(pairs) // size)
         workers = min(self.shards.workers, num_chunks)
         use_processes = workers > 1 and self.fork_available()
         answers: List[Optional[_ChunkAnswer]] = [None] * num_chunks
@@ -172,7 +175,7 @@ class ShardedPipeline(LinkagePipeline):
                         pass
             for chunk in range(num_chunks):
                 answer = answers[chunk] if use_processes else _score_chunk(chunk)
-                expected = min(stage.chunk_size, len(pairs) - chunk * stage.chunk_size)
+                expected = min(size, len(pairs) - chunk * size)
                 if answer is None or len(answer[0]) != expected:
                     rescored.append(chunk)
                     answer = _score_chunk(chunk)
@@ -193,8 +196,7 @@ class ShardedPipeline(LinkagePipeline):
                   if answers else np.zeros(0))
         stats: Dict[str, float] = {
             "num_pairs": float(len(pairs)),
-            "chunks": float(num_chunks),
-            "micro_batch_size": float(self.predictor.micro_batch_size),
+            "micro_batch_size": float(size),
             "encoding_cache_hits": float(sum(
                 answer[1].get("encoding_cache_hits", 0.0) for answer in answers)),
         }
@@ -205,7 +207,8 @@ class ShardedPipeline(LinkagePipeline):
     @staticmethod
     def _record_chunk_telemetry(answers: List[_ChunkAnswer],
                                 rescored: List[int]) -> None:
-        """One ``sharded.worker`` span under ``score`` and one observation per chunk."""
+        """One ``sharded.worker`` span under ``score`` and one observation per
+        micro-batch."""
         parent = obs.current_span()
         for chunk, (scores, _, (started_at, seconds, cpu_seconds)) in enumerate(answers):
             if parent is not None:
@@ -214,8 +217,8 @@ class ShardedPipeline(LinkagePipeline):
                     "seconds": seconds, "cpu_seconds": cpu_seconds,
                     "attributes": {"shard": chunk, "pairs": len(scores)}}))
             obs.histogram("pipeline_sharded_shard_seconds",
-                          "Wall-clock per scoring chunk",
+                          "Wall-clock per scoring micro-batch",
                           {"phase": "score"}).observe(seconds)
         obs.counter("pipeline_sharded_rescored_chunks_total",
-                    "Scoring chunks the driver rescored after a worker "
+                    "Scoring micro-batches the driver rescored after a worker "
                     "failure").inc(len(rescored))

@@ -74,8 +74,8 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: The catalog of instrumented sites (documentation + docs/resilience.md
 #: source of truth; ``check`` accepts any name so tests can add ad-hoc ones).
 SITES: Dict[str, str] = {
-    "sharded.score": "scoring fan-out task entry (per scoring chunk)",
-    "scoring.batch": "ScoringStage chunk boundary (per scoring micro-batch)",
+    "sharded.score": "scoring fan-out task entry (per micro-batch)",
+    "scoring.batch": "BatchedPredictor micro-batch loop (per micro-batch)",
     "serve.score": "LinkageService scoring call, ahead of the coalescer",
     "storage.wal_append": "WAL append about to run (raise => append I/O error)",
     "storage.before_wal_append": "upsert planned+scored, nothing durable yet",

@@ -128,20 +128,6 @@ class TestBatchedPredictor:
                                    large.predict_proba(test_pairs),
                                    rtol=1e-9, atol=1e-12)
 
-    def test_stream_scores_match_bulk(self, fitted_trainer, test_pairs):
-        predictor = BatchedPredictor.from_trainer(fitted_trainer)
-        streamed = list(predictor.predict_proba_stream(iter(test_pairs), chunk_size=9))
-        assert [len(chunk) for chunk, _ in streamed[:-1]] == [9] * (len(streamed) - 1)
-        assert [pair for chunk, _ in streamed for pair in chunk] == list(test_pairs)
-        scores = np.concatenate([probabilities for _, probabilities in streamed])
-        np.testing.assert_allclose(scores, predictor.predict_proba(test_pairs),
-                                   rtol=1e-9, atol=1e-12)
-
-    def test_stream_rejects_invalid_chunk_size(self, fitted_trainer):
-        predictor = BatchedPredictor.from_trainer(fitted_trainer)
-        with pytest.raises(ValueError, match="chunk_size"):
-            next(predictor.predict_proba_stream([], chunk_size=0))
-
     def test_matches_trainer_predictions(self, fitted_trainer, test_pairs):
         predictor = BatchedPredictor.from_trainer(fitted_trainer)
         np.testing.assert_allclose(predictor.predict_proba(test_pairs),

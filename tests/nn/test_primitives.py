@@ -317,6 +317,17 @@ def test_replay_equals_eager(label, data):
 
 @pytest.mark.parametrize("label", sorted(PRIMITIVES))
 @given(data=st.data())
+@settings(deadline=None, max_examples=max(settings.default.max_examples // 5, 1))
+def test_float32_operands_keep_their_dtype(label, data):
+    """Under the float64 policy, float32 operands give a float32 output: a
+    float32 network outside the policy context keeps computing in float32."""
+    case = _draw_case(data, PRIMITIVES[label])
+    out = case.build(case.tensors(dtype=np.float32))
+    assert out.dtype == np.float32, f"{label}{case.arguments} strided={sorted(case.strided)}"
+
+
+@pytest.mark.parametrize("label", sorted(PRIMITIVES))
+@given(data=st.data())
 @settings(deadline=None, max_examples=max(settings.default.max_examples // 10, 1))
 def test_gradients_match_finite_differences(label, data):
     case = _draw_case(data, PRIMITIVES[label])

@@ -15,7 +15,6 @@ from repro.pipeline import (
     CandidateGenerationStage,
     InvertedTokenIndex,
     LinkagePipeline,
-    PipelineConfig,
     ScoringStage,
 )
 from repro.pipeline.__main__ import main as pipeline_main
@@ -120,16 +119,6 @@ class TestCandidateGeneration:
 
 
 class TestScoringStage:
-    def test_chunked_scores_equal_single_call(self, predictor, tiny_music_corpus):
-        stage = CandidateGenerationStage()
-        stage.add_records(tiny_music_corpus.records)
-        pairs = stage.generate().pairs
-        chunked = ScoringStage(predictor, chunk_size=7).run(pairs)
-        bulk = predictor.predict_proba(pairs)
-        # Chunking changes matmul shapes, so only low-order float bits may move.
-        np.testing.assert_allclose(chunked.scores, bulk, rtol=1e-9, atol=1e-12)
-        assert chunked.stats["chunks"] == float(-(-len(pairs) // 7))
-
     def test_hit_rate_reads_the_counters_under_the_cache_lock(self, predictor,
                                                               tiny_music_corpus,
                                                               monkeypatch):
@@ -175,10 +164,26 @@ class TestLinkagePipeline:
     def test_streaming_iterator_input_matches_list_input(self, predictor,
                                                          tiny_music_corpus,
                                                          pipeline_result):
-        config = PipelineConfig(ingest_chunk_size=9)
-        streamed = LinkagePipeline(predictor, config=config).run(
-            iter(tiny_music_corpus.records))
+        streamed = LinkagePipeline(predictor).run(iter(tiny_music_corpus.records))
         assert streamed.clusters.clusters == pipeline_result.clusters.clusters
+
+    def test_scoring_batch_site_is_hit_once_per_micro_batch(self, predictor,
+                                                            tiny_music_corpus):
+        import repro.obs as obs
+        from repro.resilience import faults
+        from repro.resilience.faults import FaultSpec
+
+        sized = BatchedPredictor(predictor.encoder, predictor.network,
+                                 micro_batch_size=64)
+        spec = FaultSpec(site="scoring.batch", kind="delay", every=1,
+                         delay_seconds=0.0)
+        with obs.telemetry() as session, faults.plan_scope([spec]):
+            result = LinkagePipeline(sized).run(tiny_music_corpus.records)
+        (hits,) = [entry["value"] for entry in session.registry.snapshot()
+                   if entry["name"] == "resilience_faults_injected_total"
+                   and entry["labels"]["site"] == "scoring.batch"]
+        assert len(result.scored) > 64
+        assert hits == -(-len(result.scored) // 64)
 
     def test_summary_covers_all_stages(self, pipeline_result):
         summary = pipeline_result.summary()

@@ -1,8 +1,8 @@
-"""ShardedPipeline is LinkagePipeline with a chunked scoring fan-out.
+"""ShardedPipeline is LinkagePipeline with a micro-batch scoring fan-out.
 
 The contract: pairs, scores (``np.array_equal``), clusters, assignments,
 ``index_stats`` and candidate stats are bit-identical to the single-process
-engine at every worker count and scoring chunk size.
+engine at every worker count and micro-batch size.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.data.storage import write_records_csv
 from repro.infer import BatchedPredictor, save_model
 from repro.pipeline import (
     LinkagePipeline,
-    PipelineConfig,
     ShardConfig,
     ShardedPipeline,
 )
@@ -39,11 +38,16 @@ def _pair_keys(result):
             for pair in result.scored.pairs]
 
 
-def _assert_parity(predictor, records, workers, chunk_size):
+def _sized(predictor, micro_batch_size):
+    return BatchedPredictor(predictor.encoder, predictor.network,
+                            micro_batch_size=micro_batch_size)
+
+
+def _assert_parity(predictor, records, workers, micro_batch_size):
     """Run both engines over ``records``; assert bit-identity; return both."""
-    config = PipelineConfig(scoring_chunk_size=chunk_size)
-    batch = LinkagePipeline(predictor, config=config).run(list(records))
-    sharded = ShardedPipeline(predictor, config=config,
+    predictor = _sized(predictor, micro_batch_size)
+    batch = LinkagePipeline(predictor).run(list(records))
+    sharded = ShardedPipeline(predictor,
                               shards=ShardConfig(workers=workers)).run(list(records))
     assert _pair_keys(sharded) == _pair_keys(batch)
     assert np.array_equal(sharded.scored.scores, batch.scored.scores)
@@ -52,30 +56,30 @@ def _assert_parity(predictor, records, workers, chunk_size):
     assert sharded.index_stats == batch.index_stats
     assert sharded.candidates.stats == batch.candidates.stats
     report = sharded.shard_report
-    assert report.chunks == -(-len(batch.scored) // chunk_size)
+    assert report.chunks == -(-len(batch.scored) // micro_batch_size)
     assert report.used_processes == (FORK and workers > 1 and report.chunks > 1)
     assert report.rescored_chunks == []
     return batch, sharded
 
 
 class TestParity:
-    @pytest.mark.parametrize("chunk_size", [7, 64, 2048])
+    @pytest.mark.parametrize("micro_batch_size", [7, 64, 256])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bit_identical_to_linkage_pipeline(self, predictor, tiny_music_corpus,
-                                               workers, chunk_size):
+                                               workers, micro_batch_size):
         records = list(tiny_music_corpus.records)
-        random.Random(workers * 10_000 + chunk_size).shuffle(records)
-        batch, _ = _assert_parity(predictor, records, workers, chunk_size)
-        assert len(batch.scored) > chunk_size or chunk_size == 2048
+        random.Random(workers * 10_000 + micro_batch_size).shuffle(records)
+        batch, _ = _assert_parity(predictor, records, workers, micro_batch_size)
+        assert len(batch.scored) > micro_batch_size
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_candidate_count_an_exact_multiple_of_the_chunk_size(
             self, predictor, tiny_music_corpus, workers):
         records = list(tiny_music_corpus.records)
         count = len(LinkagePipeline(predictor).run(list(records)).scored)
-        chunk_size = next(size for size in range(2, count + 1) if count % size == 0)
-        _, sharded = _assert_parity(predictor, records, workers, chunk_size)
-        assert sharded.shard_report.chunks == count // chunk_size
+        size = next(size for size in range(2, count + 1) if count % size == 0)
+        _, sharded = _assert_parity(predictor, records, workers, size)
+        assert sharded.shard_report.chunks == count // size
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_zero_candidates_on_a_single_source_corpus(self, predictor,
@@ -89,15 +93,14 @@ class TestParity:
 
 
 class TestShardedTelemetry:
-    CHUNK = 64
+    MICRO_BATCH = 64
 
     def _run_with_telemetry(self, predictor, records, workers):
         import repro.obs as obs
 
-        config = PipelineConfig(scoring_chunk_size=self.CHUNK)
         with obs.telemetry() as session:
             result = ShardedPipeline(
-                predictor, config=config,
+                _sized(predictor, self.MICRO_BATCH),
                 shards=ShardConfig(workers=workers)).run(list(records))
         return result, session
 
@@ -181,7 +184,6 @@ class TestShardedCLI:
             "--records", str(records_csv),
             "--model", str(bundle),
             "--workers", "2",
-            "--chunk-size", "64",
             "--output-dir", str(tmp_path / "out"),
         ])
         assert exit_code == 0
@@ -191,7 +193,9 @@ class TestShardedCLI:
                                  "rescored_chunks"}
         assert sharding["workers"] == 2
         assert sharding["used_processes"] == FORK
-        assert sharding["chunks"] == -(-stats["stages"]["pair"]["num_candidates"] // 64)
+        size = stats["stages"]["score"]["micro_batch_size"]
+        assert sharding["chunks"] == -(-stats["stages"]["pair"]["num_candidates"] // size)
+        assert sharding["chunks"] >= 2
         assert sharding["rescored_chunks"] == []
 
     def test_shards_flag_is_gone(self, capsys):

@@ -1,9 +1,9 @@
 """Chaos parity: the sharded pipeline's scoring fan-out under injected faults.
 
 A worker that dies, raises or answers with fewer scores than pairs only
-costs wall-clock: the driver rescores that chunk itself, so the output stays
-bit-identical to :class:`LinkagePipeline` and the report names the rescored
-chunks.  A fault that also hits the driver's rescore propagates.
+costs wall-clock: the driver rescores that micro-batch itself, so the output
+stays bit-identical to :class:`LinkagePipeline` and the report names the
+rescored micro-batches.  A fault that also hits the driver's rescore propagates.
 """
 
 from __future__ import annotations
@@ -13,28 +13,26 @@ import pytest
 
 from repro.core import AdaMELHybrid
 from repro.infer import BatchedPredictor
-from repro.pipeline import (LinkagePipeline, PipelineConfig, ShardConfig,
-                            ShardedPipeline)
+from repro.pipeline import LinkagePipeline, ShardConfig, ShardedPipeline
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjected, FaultSpec
 
 pytestmark = pytest.mark.skipif(not ShardedPipeline.fork_available(),
                                 reason="fork start method unavailable")
 
-CONFIG = PipelineConfig(scoring_chunk_size=64)
+MICRO_BATCH_SIZE = 64
 
 
 @pytest.fixture(scope="module")
 def predictor(music_scenario, fast_config):
     trainer = AdaMELHybrid(fast_config)
     trainer.fit(music_scenario)
-    return BatchedPredictor.from_trainer(trainer)
+    return BatchedPredictor.from_trainer(trainer, micro_batch_size=MICRO_BATCH_SIZE)
 
 
 @pytest.fixture(scope="module")
 def baseline(predictor, tiny_music_corpus):
-    return LinkagePipeline(predictor, config=CONFIG).run(
-        list(tiny_music_corpus.records))
+    return LinkagePipeline(predictor).run(list(tiny_music_corpus.records))
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +43,7 @@ def clean_plan():
 
 
 def _run(predictor, records, workers):
-    return ShardedPipeline(predictor, config=CONFIG,
+    return ShardedPipeline(predictor,
                            shards=ShardConfig(workers=workers)).run(list(records))
 
 
@@ -67,7 +65,7 @@ def _assert_worker_fault_is_rescored(predictor, corpus, baseline, tmp_path,
             # every other worker process from firing it too.
             FaultSpec(site="sharded.score", kind=kind, every=1, scope="worker",
                       token=str(tmp_path / f"{kind}-{workers}-once")),
-            # ... and stall every third scoring chunk in the workers.
+            # ... and stall every third scoring micro-batch in the workers.
             FaultSpec(site="scoring.batch", kind="delay", every=3,
                       delay_seconds=0.002, scope="worker"),
         ]
@@ -78,7 +76,7 @@ def _assert_worker_fault_is_rescored(predictor, corpus, baseline, tmp_path,
         assert report.used_processes
         assert report.rescored_chunks
         assert report.rescored_chunks == sorted(set(report.rescored_chunks))
-        if kind != "kill":  # a death also fails the chunks queued behind it
+        if kind != "kill":  # a death also fails the micro-batches queued behind it
             assert len(report.rescored_chunks) == 1
 
 

@@ -62,12 +62,6 @@ class HashPredictor:
     def stats(self):
         return {}
 
-    def predict_proba_stream(self, pairs, chunk_size):
-        pairs = list(pairs)
-        for start in range(0, len(pairs), chunk_size):
-            chunk = pairs[start:start + chunk_size]
-            yield chunk, score_fn(chunk)
-
 
 def store_config() -> StoreConfig:
     # Tiny caps put the stream deep into the overflow/retraction regime.
