@@ -25,8 +25,9 @@ Every index is filled one of two ways, and keeps to the one it started with:
   columns with one sort, so a run of equal codes is a bucket.
 * **streamed** — :meth:`ingest_one` (:meth:`preview_one` + :meth:`commit_one`)
   one record at a time, for the online store: an in-memory dict of capped
-  buckets (key → member positions) that answers :meth:`probe_keys` and
-  round-trips through :meth:`state_dict`.
+  buckets (key → member positions) that answers :meth:`probe_keys`.  The
+  buckets are a pure function of the records in position order, so they are
+  never persisted: a restored store re-streams its records.
 
 Calling one path's methods on an index filled by the other raises
 :class:`IndexModeError` instead of answering from empty state.  Both paths
@@ -69,7 +70,7 @@ class IndexModeError(RuntimeError):
     """A call on the other ingestion path than the one that filled the index.
 
     A bulk-built index (:meth:`~_BucketedIndex.add_records`) keeps posting
-    columns and has no buckets to probe, preview or snapshot; a
+    columns and has no buckets to probe or preview; a
     streamed index (:meth:`~_BucketedIndex.ingest_one`) keeps no posting
     columns to add to or group.  Either would otherwise answer from empty
     state — a silent wrong answer.
@@ -139,7 +140,7 @@ class _BucketedIndex:
         self._record_ids: List[str] = []
         self._sources: List[str] = []
         self._buckets: Dict[Hashable, List[int]] = {}
-        # None until add_records (_BULK) or commit_one / load_state_dict (_STREAMED).
+        # None until add_records (_BULK) or commit_one (_STREAMED).
         self._mode: Optional[str] = None
         # Bulk posting columns, one array per chunk: key codes and positions.
         self._codes: List[np.ndarray] = []
@@ -167,7 +168,7 @@ class _BucketedIndex:
             raise IndexModeError(
                 f"{type(self).__name__}.{call} needs a {mode} index, but this one "
                 f"is {self._mode}: add_records builds an index in bulk, "
-                f"ingest_one / commit_one / load_state_dict stream into it")
+                f"ingest_one / commit_one stream into it")
 
     def _record_keys(self, record: Record) -> Iterable[Hashable]:
         """The bucket keys ``record`` lands in (subclass hook).
@@ -382,47 +383,6 @@ class _BucketedIndex:
         order = np.argsort(runs.first)
         sizes = np.minimum(runs.lengths[order], self.max_bucket_size + 1)
         return dict(zip(self._code_keys(runs.codes[order]), sizes.tolist()))
-
-    # ------------------------------------------------------------------ #
-    # State serialization (materialized snapshots of a streamed index)
-    # ------------------------------------------------------------------ #
-    def _encode_key(self, key: Hashable) -> object:
-        """JSON-safe encoding of one bucket key (subclass hook; default: as-is)."""
-        return key
-
-    def _decode_key(self, key: object) -> Hashable:
-        """Inverse of :meth:`_encode_key`."""
-        return key
-
-    def state_dict(self) -> Dict[str, object]:
-        """A JSON-serializable copy of the full index state.
-
-        Everything mutable is *copied* (cheap python list copies), so callers
-        may build the state under a lock and serialize it outside — the
-        copy-under-lock half of the snapshot protocol in
-        :mod:`repro.storage.snapshots`.
-        """
-        self._check_mode(_STREAMED, "state_dict")
-        return {
-            "record_ids": list(self._record_ids),
-            "sources": list(self._sources),
-            "buckets": [[self._encode_key(key), list(members)]
-                        for key, members in self._buckets.items()],
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Replace the index state with one produced by :meth:`state_dict`.
-
-        The configuration (caps, bands, seeds...) is *not* part of the state:
-        the index must be constructed with the same knobs it was saved under,
-        exactly as model ``state_dict`` conventions have it.
-        """
-        self._check_mode(_STREAMED, "load_state_dict")
-        self._mode = _STREAMED
-        self._record_ids = [str(record_id) for record_id in state["record_ids"]]
-        self._sources = [str(source) for source in state["sources"]]
-        self._buckets = {self._decode_key(key): [int(member) for member in members]
-                         for key, members in state["buckets"]}
 
     def skew_stats(self, top_k: int = 5) -> Dict[str, object]:
         """Bucket-size skew summary: Gini coefficient, extremes, and the
@@ -696,13 +656,6 @@ class MinHashLSHIndex(_BucketedIndex):
         permuted = self._permuted(np.array(hashes, dtype=np.int64).reshape(-1),
                                   [] if tokens else [record])
         return list(enumerate(self._band_keys(permuted.min(axis=0)[:, None])[:, 0].tolist()))
-
-    def _encode_key(self, key: Hashable) -> object:
-        return list(key)  # (band, value) tuples are not JSON keys
-
-    def _decode_key(self, key: object) -> Hashable:
-        band, value = key  # type: ignore[misc]
-        return (int(band), int(value))
 
     def _code_keys(self, codes: np.ndarray) -> List[Hashable]:
         mask = (1 << _BAND_SHIFT) - 1

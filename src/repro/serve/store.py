@@ -35,9 +35,10 @@ hold:
   :func:`~repro.pipeline.clustering.match_edge_key`.
 
 A store is persisted one way: :meth:`EntityStore.state_dict` (records, pair
-scores, support counts, index buckets, config) written by
+scores, support counts, config) written by
 :class:`repro.storage.SnapshotManager`, and :meth:`EntityStore.from_state_dict`
-rebuilds it bit-exactly in O(state) without needing the model at load time.
+rebuilds it bit-exactly without needing the model at load time.  Index
+buckets are derived state: a restore re-streams the records into the indexes.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ from ..pipeline.index import build_blocking_indexes
 __all__ = ["EntityStore", "StoreConfig", "QueryMatch", "STATE_FORMAT_VERSION"]
 
 # Materialized state dicts (freeze_state()/from_state_dict()), used by the
-# repro.storage snapshot files.
-STATE_FORMAT_VERSION = 1
-SUPPORTED_STATE_VERSIONS = (1,)
+# repro.storage snapshot files.  Version 1 also carried every index's
+# buckets under "indexes"; they are rebuilt from the records, so that key is
+# not read.
+STATE_FORMAT_VERSION = 2
+SUPPORTED_STATE_VERSIONS = (1, 2)
 
 ScoreFn = Callable[[Sequence[EntityPair]], np.ndarray]
 PairKey = Tuple[int, int]  # (smaller position, larger position)
@@ -76,8 +79,8 @@ CommitHook = Callable[[Record, Dict[str, float], List[List[int]]], None]
 
 
 # Keys of the posting-list backend fields that store configs no longer have.
-# Configs written with them still load: a snapshot carries its buckets and WAL
-# replay refills them, so their values never mattered to the state.
+# Configs written with them still load: buckets are rebuilt from the records,
+# so their values never mattered to the state.
 _RETIRED_CONFIG_KEYS = ("backend", "backend_path")
 
 # Entity ids are this prefix + the smallest record id of the entity.
@@ -88,9 +91,14 @@ def _pair_key_str(key: PairKey) -> str:
     return f"{key[0]},{key[1]}"
 
 
-def _parse_pair_key(text: str) -> PairKey:
+def _parse_pair_key(text: str, records: int) -> PairKey:
+    """The pair ``"left,right"`` of a state of ``records`` records."""
     left, right = text.split(",")
-    return (int(left), int(right))
+    key = (int(left), int(right))
+    if not 0 <= key[0] < key[1] < records:
+        raise ValueError(f"store state names pair {text!r}, which is not two "
+                         f"ascending positions among its {records} records")
+    return key
 
 
 @dataclass(frozen=True)
@@ -650,11 +658,10 @@ class EntityStore:
     def freeze_state(self) -> Dict[str, object]:
         """A consistent, no-longer-shared copy of the full store state.
 
-        Takes the lock only for cheap Python copies (lists, dicts, the
-        index state dicts) — the copy-under-lock half of the snapshot
-        protocol; pass the result to :meth:`serialize_state` outside the
-        lock.  The copy includes the index bucket state, so loading it back
-        is a deserialization, not an upsert replay.
+        Takes the lock only for cheap Python copies (lists, dicts) — the
+        copy-under-lock half of the snapshot protocol; pass the result to
+        :meth:`serialize_state` outside the lock.  Index buckets are not
+        copied: :meth:`from_state_dict` rebuilds them from the records.
         """
         with self._lock:
             return {
@@ -664,7 +671,6 @@ class EntityStore:
                 "support": dict(self._support),
                 "members": self._member_positions(),
                 "counters": replace(self.counters),
-                "indexes": [index.state_dict() for index in self._indexes],
             }
 
     @staticmethod
@@ -680,7 +686,6 @@ class EntityStore:
                         for key, count in frozen["support"].items()},
             "members": frozen["members"],
             "counters": asdict(frozen["counters"]),
-            "indexes": frozen["indexes"],
         }
 
     def _member_positions(self) -> Dict[str, List[int]]:
@@ -697,30 +702,35 @@ class EntityStore:
     @classmethod
     def from_state_dict(cls, payload: Mapping[str, object],
                         score_fn: Optional[ScoreFn] = None) -> "EntityStore":
-        """Rebuild a store from a :meth:`state_dict` payload — indexes,
-        scores and support are deserialized, entities and their merge logs
-        recomputed by one greedy pass over the match edges those imply:
-        O(state), no per-record upsert replay.  A payload whose ``members``
-        disagree with that pass raises ``ValueError``.  Without ``score_fn``
-        the store is read-only until :meth:`bind_score_fn`."""
+        """Rebuild a store from a :meth:`state_dict` payload.
+
+        Scores and support are deserialized; each index is rebuilt by
+        committing the records in position order, as upserts did (no
+        scoring, no re-clustering per record); entities and their merge logs
+        are recomputed by one greedy pass over the match edges.  A payload
+        whose ``members`` disagree with that pass, or whose pairs name a
+        position outside its records, raises ``ValueError``.  Without
+        ``score_fn`` the store is read-only until :meth:`bind_score_fn`."""
         version = payload.get("format_version")
         if version not in SUPPORTED_STATE_VERSIONS:
             raise ValueError(f"unsupported store state version {version!r} "
                              f"(supported: {SUPPORTED_STATE_VERSIONS})")
-        missing = [key for key in ("config", "indexes", "records", "scores", "support",
-                                   "members") if key not in payload]
+        missing = [key for key in ("config", "records", "scores", "support", "members")
+                   if key not in payload]
         if missing:
             raise ValueError(f"store state has no {', '.join(map(repr, missing))}")
         config = StoreConfig.from_dict(payload["config"])
         store = cls(score_fn=score_fn, config=config)
-        for index, state in zip(store._indexes, payload["indexes"]):
-            index.load_state_dict(state)
         store._records = [Record.from_dict(item) for item in payload["records"]]
         store._position = {record.record_id: position
                            for position, record in enumerate(store._records)}
-        store._scores = {_parse_pair_key(key): float(score)
+        for record in store._records:
+            for index in store._indexes:
+                index.commit_one(record, index.bucket_keys(record))
+        size = len(store._records)
+        store._scores = {_parse_pair_key(key, size): float(score)
                          for key, score in payload["scores"].items()}
-        store._support = {_parse_pair_key(key): int(count)
+        store._support = {_parse_pair_key(key, size): int(count)
                           for key, count in payload["support"].items()}
         # Match edges are derivable: live candidacy (support) + archived
         # score over the threshold.  Entities and their merge logs follow

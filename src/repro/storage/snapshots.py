@@ -2,9 +2,10 @@
 
 A snapshot is one JSON file, ``snapshot-<lsn:016d>.json``, holding the
 *materialized* store state (records, pair scores and support, resolved
-entities, index bucket state) as of WAL sequence number ``lsn``.  Restore is
-therefore a deserialization, not a replay — the compaction half of the
-O(snapshot + WAL tail) recovery bound.
+entities) as of WAL sequence number ``lsn``.  Restore deserializes it and
+rebuilds the derived state — index buckets, merge logs — from it, without a
+model or an upsert replay: the compaction half of the O(snapshot + WAL tail)
+recovery bound.
 
 Publication protocol (crash-safe at every instruction):
 

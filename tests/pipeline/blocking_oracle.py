@@ -9,7 +9,9 @@ it must agree with:
 * :func:`bulk_postings` — a bulk index's columns decoded back to
   ``(key, position)`` postings, independently of the index's own decoder;
 * :func:`set_and_sort_generate` — candidate generation as a set of position
-  pairs deduplicated and sorted on ``(record_id, record_id)`` tuples.
+  pairs deduplicated and sorted on ``(record_id, record_id)`` tuples;
+* :func:`store_buckets` — a copy of every streamed index of an entity store,
+  for the equivalence tests (a store's state dict carries no buckets).
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def bulk_buckets(index) -> Dict[Hashable, List[int]]:
         if len(bucket) <= index.max_bucket_size:
             bucket.append(position)
     return buckets
+
+
+def store_buckets(store) -> List[Tuple[List[str], List[str], List[Tuple[Hashable, List[int]]]]]:
+    """Each blocking index of ``store`` as ``(record_ids, sources, buckets)``,
+    the buckets copied in insertion order, members included."""
+    return [(index.record_ids, index.sources,
+             [(key, list(members)) for key, members in index._buckets.items()])
+            for index in store._indexes]
 
 
 def set_and_sort_generate(records: Sequence, indexes: Sequence, labels: Sequence[str],

@@ -261,9 +261,7 @@ class TestIngestionModes:
                      lambda: index.probe(records[0]),
                      lambda: index.preview_one(records[-1]),
                      lambda: index.ingest_one(records[-1]),
-                     lambda: index.commit_one(records[-1], keys),
-                     index.state_dict,
-                     lambda: index.load_state_dict(make_index().state_dict())):
+                     lambda: index.commit_one(records[-1], keys)):
             with pytest.raises(IndexModeError, match="this one is bulk"):
                 call()
         assert len(index) == len(records) - 1  # nothing was registered
@@ -278,11 +276,6 @@ class TestIngestionModes:
             with pytest.raises(IndexModeError, match="this one is streamed"):
                 call()
         assert len(index) == 1
-        # A restored index streams too.
-        restored = make_index()
-        restored.load_state_dict(index.state_dict())
-        with pytest.raises(IndexModeError, match="this one is streamed"):
-            restored.add_records(records[1:3])
 
 
 class TestKeyMemos:

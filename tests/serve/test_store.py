@@ -13,6 +13,7 @@ from repro.serve import EntityStore, StoreConfig
 from repro.storage import SnapshotManager
 from repro.text import jaccard_similarity
 
+from pipeline.blocking_oracle import store_buckets
 from resolve_oracle import match_edges, resolve_from_singletons
 
 
@@ -177,6 +178,7 @@ class TestSnapshotRestore:
         # Internal candidate state is reproduced exactly, not just clusters.
         assert restored._support == streamed_store._support
         assert restored._scores == streamed_store._scores
+        assert store_buckets(restored) == store_buckets(streamed_store)
 
     def test_restored_store_is_read_only_until_bound(self, streamed_store,
                                                      predictor, tiny_music_corpus,
@@ -212,6 +214,7 @@ class TestStateDict:
     def test_round_trip_rebuilds_entities_and_merge_logs(self, streamed_store):
         restored = EntityStore.from_state_dict(streamed_store.state_dict())
         assert restored.state_dict() == streamed_store.state_dict()
+        assert store_buckets(restored) == store_buckets(streamed_store)
         assert restored.clusters() == streamed_store.clusters()
         assert restored._clusters.merge_logs == streamed_store._clusters.merge_logs
 

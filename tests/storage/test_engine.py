@@ -13,6 +13,8 @@ from repro.serve.store import EntityStore, StoreConfig
 from repro.storage import (META_FILENAME, STORAGE_FORMAT_VERSION, Storage,
                            StorageConfig, StorageError)
 
+from pipeline.blocking_oracle import store_buckets
+
 
 @pytest.fixture(scope="module")
 def records():
@@ -215,8 +217,8 @@ class TestRecoveryGuards:
             Storage.recover(tmp_path, score_fn=child.score_fn)
 
 
-    @pytest.mark.parametrize("key", ["store", "config", "indexes", "records", "scores",
-                                     "support", "members"])
+    @pytest.mark.parametrize("key", ["store", "config", "records", "scores", "support",
+                                     "members"])
     def test_snapshot_missing_a_key_names_the_snapshot(self, tmp_path, records, key):
         storage = fresh_storage(tmp_path)
         for record in records[:12]:
@@ -227,6 +229,21 @@ class TestRecoveryGuards:
         del (payload if key == "store" else payload["store"])[key]
         path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         with pytest.raises(StorageError, match=f"{path.name}.*'{key}'"):
+            Storage.recover(tmp_path, score_fn=child.score_fn)
+
+    def test_snapshot_pairing_missing_records_names_the_snapshot(self, tmp_path, records):
+        # Pairs that name positions past the snapshot's records: refused as
+        # malformed, not an IndexError from the clustering pass.
+        storage = fresh_storage(tmp_path)
+        for record in records[:30]:
+            storage.upsert(record)
+        storage.close()
+        lsn, path = storage.snapshots.latest()
+        assert lsn == 30
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["store"]["records"][-3:]
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with pytest.raises(StorageError, match=f"{path.name}.*pair"):
             Storage.recover(tmp_path, score_fn=child.score_fn)
 
     @pytest.mark.parametrize("meta", [{"format_version": STORAGE_FORMAT_VERSION}, []],
@@ -285,6 +302,7 @@ class TestRetiredConfigKeys:
             assert recovered.store.config == child.store_config()
             assert recovered.store.entities() == reference.entities()
             assert recovered.store.state_dict() == reference.state_dict()
+            assert store_buckets(recovered.store) == store_buckets(reference)
         finally:
             recovered.close()
 

@@ -9,8 +9,9 @@ crashes land before, between, and after compactions).  The parent arms one
 recovers the data directory and checks three things:
 
 * the restored store's ``state_dict()`` — records, scores, support,
-  entities, counters, *and index bucket state* — equals a reference store
-  that upserted exactly the surviving prefix;
+  entities, counters — and its index buckets (rebuilt from the records, as a
+  snapshot carries none) equal a reference store that upserted exactly the
+  surviving prefix;
 * the restored clusters equal one batch ``LinkagePipeline.run`` over that
   prefix (the store's core parity contract survives a crash);
 * the recovered engine keeps serving: streaming the rest of the corpus
@@ -32,6 +33,8 @@ from repro.pipeline import LinkagePipeline
 from repro.resilience.faults import FAULT_PLAN_ENV, KILL_EXIT_CODE, SITES
 from repro.serve.store import EntityStore
 from repro.storage import Storage
+
+from pipeline.blocking_oracle import store_buckets
 
 CHILD = Path(child.__file__).resolve()
 
@@ -82,9 +85,9 @@ def reference(records):
     for count, record in enumerate(records, start=1):
         store.upsert(record)
         if count in needed:
-            states[count] = (store.state_dict(), store.clusters())
+            states[count] = (store.state_dict(), store.clusters(), store_buckets(store))
     return {"prefix": states, "full_state": store.state_dict(),
-            "full_clusters": store.clusters()}
+            "full_clusters": store.clusters(), "full_buckets": store_buckets(store)}
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +118,9 @@ def test_recovery_is_bit_exact_at_every_crash_point(tmp_path, records,
     try:
         assert len(storage.store) == expected
 
-        ref_state, ref_clusters = reference["prefix"][expected]
+        ref_state, ref_clusters, ref_buckets = reference["prefix"][expected]
         assert storage.store.state_dict() == ref_state
+        assert store_buckets(storage.store) == ref_buckets
         assert storage.store.clusters() == ref_clusters
         assert storage.store.clusters() == batch_clusters[expected]
         assert storage.wal.last_lsn == expected
@@ -126,6 +130,7 @@ def test_recovery_is_bit_exact_at_every_crash_point(tmp_path, records,
         for record in records[expected:]:
             storage.upsert(record)
         assert storage.store.state_dict() == reference["full_state"]
+        assert store_buckets(storage.store) == reference["full_buckets"]
         assert storage.store.clusters() == reference["full_clusters"]
     finally:
         storage.close()
@@ -139,6 +144,7 @@ def test_clean_run_recovers_fully(tmp_path, reference):
                               config=child.storage_config())
     try:
         assert storage.store.state_dict() == reference["full_state"]
+        assert store_buckets(storage.store) == reference["full_buckets"]
         assert storage.store.clusters() == reference["full_clusters"]
         report = storage.last_recovery
         # The snapshot did its job: the replayed tail is shorter than the log.
@@ -166,5 +172,6 @@ def test_double_crash_then_recover(tmp_path, records, reference):
                                 config=child.storage_config())
     try:
         assert recovered.store.state_dict() == ref.state_dict()
+        assert store_buckets(recovered.store) == store_buckets(ref)
     finally:
         recovered.close()

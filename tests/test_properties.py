@@ -33,6 +33,7 @@ from repro.text import (
 )
 
 from features.encode_oracle import stacked_encode_pair
+from pipeline.blocking_oracle import store_buckets
 from serve.resolve_oracle import resolve_from_singletons
 
 TEXT = st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs")), max_size=40)
@@ -366,4 +367,5 @@ def test_store_upserts_equal_resolving_from_singletons(case):
             # logs (which no state dict carries) included.
             restored.upsert(record)
             assert restored.state_dict() == store.state_dict()
+            assert store_buckets(restored) == store_buckets(store)
             assert restored._clusters.merge_logs == store._clusters.merge_logs

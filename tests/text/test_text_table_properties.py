@@ -30,7 +30,7 @@ from repro.text import HashedEmbedder, Tokenizer
 from repro.text.tokenizer import text_table
 
 from features.encode_oracle import stacked_encode_pair
-from pipeline.blocking_oracle import dict_walk_pairs
+from pipeline.blocking_oracle import dict_walk_pairs, store_buckets
 
 WORDS = ["neil", "diamond", "E.", "B.", "elliott", "bianchi", "live", "café"]
 SCHEMA = Schema(("name", "alias"))
@@ -142,7 +142,7 @@ def _run(operations, bound: int):
                                           for match in store.query(record)]))
             for generation, text_id, text in issued:
                 assert generation.texts[text_id] == text
-        outputs.append(("state", store.state_dict()))
+        outputs.append(("state", store.state_dict(), store_buckets(store)))
     return outputs
 
 
