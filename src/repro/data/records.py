@@ -3,15 +3,22 @@
 A :class:`Record` is a row collected from one data source (website/database)
 identified by its textual attributes.  A :class:`EntityPair` couples two
 records and, optionally, a matching/non-matching label.  AdaMEL always works
-on pairs (Problem 1/2 in the paper).
+on pairs (Problem 1/2 in the paper).  :class:`PairColumns` is many unlabeled
+pairs of one record list as two position columns, the form the linkage
+pipeline carries candidates in from blocking to clustering.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
-__all__ = ["Record", "EntityPair", "MISSING_VALUE"]
+import numpy as np
+
+__all__ = ["Record", "EntityPair", "PairColumns", "MISSING_VALUE",
+           "pair_record_ids", "record_id_ranks"]
 
 MISSING_VALUE = ""
 
@@ -177,3 +184,75 @@ class EntityPair:
             pair_id=payload.get("pair_id"),  # type: ignore[arg-type]
             weight=float(payload.get("weight", 1.0)),  # type: ignore[arg-type]
         )
+
+
+def record_id_ranks(records: Sequence[Record]) -> Tuple[List[str], np.ndarray]:
+    """The records' distinct ids in string order, and each record's rank among
+    them (int64, one per record): ordering by rank is ordering by id."""
+    ids = sorted({record.record_id for record in records})
+    rank_of = dict(zip(ids, range(len(ids))))
+    ranks = map(rank_of.__getitem__, map(operator.attrgetter("record_id"), records))
+    return ids, np.fromiter(ranks, dtype=np.int64, count=len(records))
+
+
+class PairColumns(Sequence[EntityPair]):
+    """Unlabeled pairs of ``records`` as two int64 position columns, seen as a
+    read-only sequence of :class:`EntityPair`.
+
+    Pair ``i`` is ``(records[left[i]], records[right[i]])``.  ``len()`` is
+    O(1); ``view[i]`` builds that one pair, iteration builds them one at a
+    time, and a slice is a view over the same records that builds none.
+    ``rank[p]`` is the rank of ``records[p]``'s id among the records' distinct
+    ids (:func:`record_id_ranks`; computed when not given).
+    """
+
+    def __init__(self, records: Sequence[Record], left: Sequence[int],
+                 right: Sequence[int], rank: Optional[np.ndarray] = None) -> None:
+        self.records = records
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        if self.left.shape != self.right.shape or self.left.ndim != 1:
+            raise ValueError("left and right must be 1-D columns of one length")
+        self.rank = record_id_ranks(records)[1] if rank is None else rank
+        # [(key, (R, A) text ids)] or [None]; one list shared with every slice.
+        self._text_ids: List[Optional[Tuple[object, np.ndarray]]] = [None]
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, item: Union[int, slice]) -> Union[EntityPair, "PairColumns"]:
+        if isinstance(item, slice):
+            view = PairColumns(self.records, self.left[item], self.right[item], self.rank)
+            view._text_ids = self._text_ids
+            return view
+        return EntityPair(self.records[int(self.left[item])],
+                          self.records[int(self.right[item])])
+
+    def __iter__(self) -> Iterator[EntityPair]:
+        records = self.records
+        for left, right in zip(self.left.tolist(), self.right.tolist()):
+            yield EntityPair(records[left], records[right])
+
+    def text_ids(self, generation, attributes: Sequence[str]) -> np.ndarray:
+        """The ``(R, A)`` text ids of every record over ``attributes`` in a
+        text-table ``generation``: gathered once per generation (and
+        attributes) for the view and all its slices, again after the table
+        starts over."""
+        key = (generation.serial, tuple(attributes))
+        held = self._text_ids[0]
+        if held is None or held[0] != key:
+            cells = generation.cells(self.records, attributes)[0]
+            held = (key, cells.reshape(len(self.records), len(attributes)))
+            self._text_ids[0] = held
+        return held[1]
+
+
+def pair_record_ids(pairs: Sequence[EntityPair]) -> Tuple[List[str], List[str]]:
+    """The left and the right record ids of ``pairs``; a :class:`PairColumns`
+    reads them off its columns without building a pair."""
+    if isinstance(pairs, PairColumns):
+        ids = [record.record_id for record in pairs.records]
+        return ([ids[position] for position in pairs.left.tolist()],
+                [ids[position] for position in pairs.right.tolist()])
+    return ([pair.left.record_id for pair in pairs],
+            [pair.right.record_id for pair in pairs])

@@ -16,8 +16,11 @@ operations:
 
 1. **Slot plan**: a record keeps the ids of its texts in the process-wide
    :class:`~repro.text.tokenizer.TextTable`, interned once per generation.
-   The call gathers them into a ``(2N, A)`` id matrix, numbers texts by first
-   occurrence in one ``dict`` pass, and one ``np.unique`` over the int64 keys
+   The call gathers them into a ``(2N, A)`` id matrix — from the pairs'
+   records, or, for a :class:`~repro.data.records.PairColumns` view, by
+   indexing its records' ``(R, A)`` matrix (gathered once per generation for
+   the view and all its slices) with the slice's positions.  It numbers texts
+   by first occurrence, and one ``np.unique`` over the int64 keys
    ``(attribute, left, right)`` (attribute-major) gives the ``S`` distinct
    slots and the slot of every (pair, attribute) — a :class:`SlotPlan`.
 2. **Encoding cache** (:class:`~repro.features.cache.EncodingCache`): a
@@ -58,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.records import EntityPair
+from ..data.records import EntityPair, PairColumns
 from ..data.schema import Schema
 from ..text.embeddings import HashedEmbedder, TokenEmbedder, missing_value_vector
 from ..text.tokenizer import Generation, Tokenizer, text_table
@@ -134,18 +137,16 @@ class SlotPlan:
 
 
 class EncodedBatch:
-    """A batch of encoded pairs: their :class:`SlotPlan`, labels and ids.
+    """A batch of encoded pairs: their :class:`SlotPlan` and labels.
 
     ``features`` ``(N, F, D)`` and ``feature_mask`` ``(N, F)`` are the plan
     laid out per pair, materialised on first access.
     """
 
-    def __init__(self, plan: SlotPlan, slot_mask: np.ndarray, labels: np.ndarray,
-                 pair_ids: List[str]) -> None:
+    def __init__(self, plan: SlotPlan, slot_mask: np.ndarray, labels: np.ndarray) -> None:
         self.plan = plan
         self.slot_mask = slot_mask  # (S, K): 1.0 where the slot's feature had tokens
         self.labels = labels  # (N,), -1 for unlabeled
-        self.pair_ids = pair_ids
         self._features: Optional[np.ndarray] = None
         self._feature_mask: Optional[np.ndarray] = None
 
@@ -180,8 +181,7 @@ class EncodedBatch:
         """Return the pairs at ``indices`` as a new batch."""
         index_array = np.asarray(indices, dtype=np.intp)
         return EncodedBatch(self.plan.take(index_array), self.slot_mask,
-                            self.labels[index_array],
-                            [self.pair_ids[i] for i in index_array])
+                            self.labels[index_array])
 
 
 class PairEncoder:
@@ -278,14 +278,17 @@ class PairEncoder:
 
         Value pairs the cache holds are reused; the others are encoded with
         the array path.  The batch's features are bit-identical to stacking
-        :meth:`encode_pair` over ``pairs``.
+        :meth:`encode_pair` over ``pairs``.  A
+        :class:`~repro.data.records.PairColumns` view is encoded from its
+        position columns (its pairs are unlabeled), building no pair.
         """
-        pairs = list(pairs)
-        if not pairs:
+        if not isinstance(pairs, PairColumns):
+            pairs = list(pairs)
+        if not len(pairs):
             return self._empty_batch()
         # Pin one text-table generation: every id below names one of its texts.
         generation = text_table().generation()
-        index, offsets, left, right = self._plan(generation, pairs)
+        index, offsets, left, right = self._plan(self._side_cells(generation, pairs))
 
         def encode_slots(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             return self._encode_value_pairs(generation, left[positions], right[positions])
@@ -297,10 +300,12 @@ class PairEncoder:
             # attributes with the same value pair share a cache row.
             rows, mask = self.cache.fetch((self._fingerprint, generation.serial),
                                           (left << 32 | right).tolist(), encode_slots)
-        labels = np.array([pair.label if pair.label is not None else -1 for pair in pairs],
-                          dtype=np.int64)
-        return EncodedBatch(SlotPlan(rows, index, offsets), mask, labels,
-                            [pair.pair_id for pair in pairs])
+        if isinstance(pairs, PairColumns):
+            labels = np.full(len(pairs), -1, dtype=np.int64)
+        else:
+            labels = np.array([pair.label if pair.label is not None else -1
+                               for pair in pairs], dtype=np.int64)
+        return EncodedBatch(SlotPlan(rows, index, offsets), mask, labels)
 
     def _empty_batch(self) -> EncodedBatch:
         kinds = len(self.extractor.feature_kinds)
@@ -308,25 +313,36 @@ class PairEncoder:
         plan = SlotPlan(np.zeros((0, kinds, self.embedding_dim)),
                         np.zeros((0, attributes), dtype=np.intp),
                         np.zeros(attributes + 1, dtype=np.intp))
-        return EncodedBatch(plan, np.zeros((0, kinds)), np.zeros(0, dtype=np.int64), [])
+        return EncodedBatch(plan, np.zeros((0, kinds)), np.zeros(0, dtype=np.int64))
 
-    def _plan(self, generation: Generation, pairs: Sequence[EntityPair]
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The call's slots: ``(index, offsets, left, right)``.
+    def _side_cells(self, generation: Generation, pairs: Sequence[EntityPair]) -> np.ndarray:
+        """The ``(2N, A)`` text ids of the pairs' records, left and right side
+        of each pair in turn: indexed out of a view's record matrix, or
+        gathered from the pairs' records."""
+        if isinstance(pairs, PairColumns):
+            sides = np.stack((pairs.left, pairs.right), axis=1).ravel()
+            return pairs.text_ids(generation, self._attributes)[sides]
+        sides = [record for pair in pairs for record in (pair.left, pair.right)]
+        return generation.cells(sides, self._attributes)[0].reshape(
+            len(sides), len(self._attributes))
+
+    @staticmethod
+    def _plan(side_cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The slots of the ``(2N, A)`` text ids ``side_cells``: ``(index,
+        offsets, left, right)``.
 
         ``index`` is the ``(N, A)`` slot of every (pair, attribute) and
         ``offsets`` the ``(A + 1,)`` attribute offsets of the slots (see
         :class:`SlotPlan`); ``left`` / ``right`` hold each slot's two text
         ids.  Slots are ordered by attribute, then by the first occurrence of
-        their left and right texts in the call.  A gather of the records' id
-        rows and one ``np.unique`` over int64 keys.
+        their left and right texts in the call.  Two ``np.unique`` calls over
+        int64 keys.
         """
-        num_attributes = len(self._attributes)
-        sides = [record for pair in pairs for record in (pair.left, pair.right)]
-        cells = generation.cells(sides, self._attributes)[0]
+        num_sides, num_attributes = side_cells.shape
+        cells = side_cells.ravel()
         # A text's call-local id is the position of its first occurrence.
-        local = np.fromiter(map({}.setdefault, cells.tolist(), itertools.count()),
-                            dtype=np.int64, count=len(cells)).reshape(len(sides), num_attributes)
+        _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+        local = first[inverse].reshape(num_sides, num_attributes)
         num_cells = len(cells)
         # Attribute-major keys a C^2 + left C + right (C = 2 N A cells).
         as_left = (np.arange(num_attributes) * num_cells + local[0::2]) * num_cells
@@ -334,7 +350,8 @@ class PairEncoder:
         offsets = np.searchsorted(slot_keys, np.arange(num_attributes + 1)
                                   * (num_cells * num_cells))
         left, right = np.divmod(slot_keys % (num_cells * num_cells), num_cells)
-        return index.reshape(len(pairs), num_attributes), offsets, cells[left], cells[right]
+        return (index.reshape(num_sides // 2, num_attributes), offsets,
+                cells[left], cells[right])
 
     def _encode_value_pairs(self, generation: Generation, left: np.ndarray,
                             right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,9 @@ executor thread calls ``predict_proba``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -102,9 +103,15 @@ class BatchedPredictor:
     # Inference
     # ------------------------------------------------------------------ #
     def predict_proba(self, pairs: Sequence[EntityPair]) -> np.ndarray:
-        """Matching probabilities for ``pairs``, computed in micro-batches."""
-        pairs = list(pairs)
-        if not pairs:
+        """Matching probabilities for ``pairs``, computed in micro-batches.
+
+        A sequence is sliced per micro-batch as it is (a
+        :class:`~repro.data.records.PairColumns` slice is a view that builds
+        no pair); any other iterable is listed first.
+        """
+        if not isinstance(pairs, Sequence):
+            pairs = list(pairs)
+        if not len(pairs):
             return np.zeros(0)
         outputs: List[np.ndarray] = []
         instruments = self._obs.get()

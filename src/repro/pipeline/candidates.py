@@ -4,9 +4,10 @@ The stage owns the indexes and the ingested record list.  Records stream in
 via :meth:`CandidateGenerationStage.add_records` (each batch is forwarded to
 every index's bulk ``add_records``); :meth:`generate` then unions the
 indexes' position-pair arrays, orients and dedupes them on record-id ranks
-in a few array ops and computes blocking-quality statistics (recall against
-``entity_id`` ground truth and the pair-reduction ratio against full
-cross-source enumeration).
+in a few array ops, hands the pairs on as those position columns (a
+:class:`~repro.data.records.PairColumns` view) and computes blocking-quality
+statistics (recall against ``entity_id`` ground truth and the pair-reduction
+ratio against full cross-source enumeration).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..data.records import EntityPair, Record
+from ..data.records import EntityPair, PairColumns, Record, record_id_ranks
 from .index import _run_starts, _sorted_unique, build_blocking_indexes
 
 __all__ = ["CandidateGenerationStage", "CandidateResult", "ground_truth_pairs",
@@ -55,9 +56,15 @@ def possible_cross_source_pairs(records: Sequence[Record],
 
 @dataclass
 class CandidateResult:
-    """Candidate pairs plus the blocking-quality statistics of the stage."""
+    """Candidate pairs plus the blocking-quality statistics of the stage.
 
-    pairs: List[EntityPair]
+    :meth:`CandidateGenerationStage.generate` gives ``pairs`` as a
+    :class:`~repro.data.records.PairColumns` view over the ingested records:
+    the pipeline scores and clusters its position columns, and an
+    :class:`EntityPair` is built only when a caller indexes or iterates it.
+    """
+
+    pairs: Sequence[EntityPair]
     stats: Dict[str, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -117,6 +124,8 @@ class CandidateGenerationStage:
     def generate(self) -> CandidateResult:
         """Union the indexes' collisions into deduplicated candidate pairs.
 
+        The pairs are a :class:`~repro.data.records.PairColumns` view over a
+        snapshot of the ingested records, carrying their record-id ranks.
         Each pair is oriented by record id (smaller id left) and the pairs
         come sorted by ``(left id, right id)``, so the output is independent
         of index iteration order.  Duplicate record ids: position pairs that
@@ -124,7 +133,7 @@ class CandidateGenerationStage:
         ``(smaller, larger)`` sort first; a pair of two records sharing one
         id keeps its position order.
         """
-        records = self._records
+        records = list(self._records)
         count = max(len(records), 1)
         per_index_hits: Dict[str, int] = {}
         codes = []
@@ -137,9 +146,7 @@ class CandidateGenerationStage:
         positions = _sorted_unique(np.concatenate(codes))
         left, right = positions // count, positions % count
 
-        ids = sorted({record.record_id for record in records})
-        rank_of = {record_id: rank for rank, record_id in enumerate(ids)}
-        rank = np.array([rank_of[record.record_id] for record in records], dtype=np.int64)
+        ids, rank = record_id_ranks(records)
         swap = rank[left] > rank[right]
         left, right = np.where(swap, right, left), np.where(swap, left, right)
         # A stable sort keeps each id pair's first entry in ``positions``
@@ -147,10 +154,9 @@ class CandidateGenerationStage:
         keys = rank[left] * len(ids) + rank[right]
         order = np.argsort(keys, kind="stable")
         kept = order[_run_starts(keys[order])]
-        pairs = [EntityPair(left=records[lo], right=records[hi], label=None)
-                 for lo, hi in zip(left[kept].tolist(), right[kept].tolist())]
+        pairs = PairColumns(records, left[kept], right[kept], rank)
 
-        stats = self._stats(pairs, keys[kept], rank_of, per_index_hits)
+        stats = self._stats(len(pairs), keys[kept], ids, per_index_hits)
         return CandidateResult(pairs=pairs, stats=stats)
 
     # ------------------------------------------------------------------ #
@@ -181,29 +187,30 @@ class CandidateGenerationStage:
                 for label, index in zip(self._index_labels(), self.indexes)
                 if hasattr(index, "skew_stats")}
 
-    def _stats(self, pairs: List[EntityPair], retrieved: np.ndarray,
-               rank_of: Dict[str, int], per_index_hits: Dict[str, int]) -> Dict[str, float]:
+    def _stats(self, num_candidates: int, retrieved: np.ndarray,
+               ids: List[str], per_index_hits: Dict[str, int]) -> Dict[str, float]:
         """``retrieved`` holds the candidates' id-pair codes ``rank(left id) *
-        len(rank_of) + rank(right id)``, ``rank_of`` ranking the sorted
-        distinct record ids."""
+        len(ids) + rank(right id)``, ``ids`` being the sorted distinct record
+        ids."""
         records = self._records
         possible = possible_cross_source_pairs(records, self.cross_source_only)
         truth = ground_truth_pairs(records, self.cross_source_only)
         stats: Dict[str, float] = {
             "num_records": float(len(records)),
-            "num_candidates": float(len(pairs)),
+            "num_candidates": float(num_candidates),
             "possible_pairs": float(possible),
             # Fraction of the full comparison space kept (lower is better) …
-            "reduction_ratio": len(pairs) / possible if possible else 0.0,
+            "reduction_ratio": num_candidates / possible if possible else 0.0,
             # … and its reciprocal, the "N× fewer comparisons" headline.
             # Candidate count is floored at 1 so the stat stays finite (and
             # JSON-serialisable) when blocking finds nothing.
-            "pair_reduction_factor": possible / max(len(pairs), 1),
+            "pair_reduction_factor": possible / max(num_candidates, 1),
         }
         for name, hits in per_index_hits.items():
             stats[f"hits_{name}"] = float(hits)
         if truth:
-            truth_codes = [rank_of[left] * len(rank_of) + rank_of[right]
+            rank_of = dict(zip(ids, range(len(ids))))
+            truth_codes = [rank_of[left] * len(ids) + rank_of[right]
                            for left, right in truth]
             stats["num_true_pairs"] = float(len(truth))
             stats["recall"] = (int(np.isin(truth_codes, retrieved).sum())

@@ -10,26 +10,32 @@ available, pairwise precision/recall/F1 of the produced clusters.
 
 Cluster output is canonical: members are sorted by record id and clusters by
 their smallest member, so the result is invariant to edge processing order.
+The batch :class:`ClusteringStage` works on record-id ranks (one int per
+distinct id, in id order): one ``np.lexsort`` orders the edges, the greedy
+merges int nodes whose sources are bitmasks, and the violations are one
+comparison of cluster-index arrays.  Record ids appear only in the result.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+                    Set, Tuple, Union)
 
 import numpy as np
 
-from ..data.records import Record
+from ..data.records import (EntityPair, PairColumns, Record, pair_record_ids,
+                            record_id_ranks)
 from .scoring import ScoredCandidates
 
 __all__ = ["UnionFind", "ClusteringStage", "ClusterResult", "MatchEdge",
            "MergeKey", "IncrementalClusters", "apply_match_edges",
-           "eligible_match_edges", "match_edge_key", "order_match_edges",
-           "pairwise_cluster_metrics"]
+           "match_edge_key", "order_match_edges", "pairwise_cluster_metrics"]
 
 # A thresholded match edge: (score, left record id, right record id) with
 # ``left < right`` under string order — the canonical key both the batch
@@ -41,6 +47,10 @@ MatchEdge = Tuple[float, str, str]
 # so the order is total; a key also names its edge's endpoints, which is why
 # :class:`IncrementalClusters` stores edges as their keys.
 MergeKey = Tuple[float, str, str]
+
+# The data sources of each current cluster, by root: a set of sources, or an
+# int with one bit per source (the batch stage, whose roots are int ranks).
+ClusterSources = Union[Dict[Hashable, set], List[int]]
 
 
 class UnionFind:
@@ -124,7 +134,7 @@ def order_match_edges(edges: Iterable[MatchEdge]) -> List[MatchEdge]:
 
 
 def _merge_unless_vetoed(union_find: UnionFind,
-                         cluster_sources: Optional[Dict[Hashable, set]],
+                         cluster_sources: Optional[ClusterSources],
                          left_id: Hashable, right_id: Hashable) -> Optional[bool]:
     """The greedy's decision for one edge, given the clusters built so far.
 
@@ -149,13 +159,14 @@ def _merge_unless_vetoed(union_find: UnionFind,
 
 
 def apply_match_edges(union_find: UnionFind,
-                      cluster_sources: Optional[Dict[Hashable, set]],
+                      cluster_sources: Optional[ClusterSources],
                       edges: Sequence[MatchEdge]) -> Tuple[int, int]:
     """Greedily merge pre-ordered ``edges`` into ``union_find``.
 
-    ``cluster_sources`` maps each current root to the set of data sources in
-    its cluster; when provided, a merge that would co-cluster two records of
-    one source is vetoed (the source-consistency constraint).  Pass ``None``
+    ``cluster_sources`` maps each current root to the data sources in its
+    cluster — a set, or an int with one bit per source (anything ``&`` and
+    ``|`` combine); when provided, a merge that would co-cluster two records
+    of one source is vetoed (the source-consistency constraint).  Pass ``None``
     to disable the veto (plain transitive closure).  Returns ``(matches,
     source_conflicts)``: edges whose endpoints ended up co-clustered, and
     edges vetoed by the constraint.
@@ -350,21 +361,6 @@ class IncrementalClusters:
                    if union_find.find(member) == root)
 
 
-def eligible_match_edges(scored: ScoredCandidates, threshold: float) -> List[MatchEdge]:
-    """The thresholded match edges of ``scored``, in canonical best-first order.
-
-    Below-threshold pairs never become merge edges, so they are dropped
-    before the Python-level sort.  The batch :class:`ClusteringStage` (and
-    with it :class:`~repro.pipeline.sharded.ShardedPipeline`) resolves from
-    exactly this edge list.
-    """
-    eligible = np.flatnonzero(np.asarray(scored.scores) >= threshold)
-    return order_match_edges(
-        (float(scored.scores[i]), scored.pairs[i].left.record_id,
-         scored.pairs[i].right.record_id)
-        for i in eligible.tolist())
-
-
 def pairwise_cluster_metrics(assignments: Dict[str, int],
                              truth: Dict[str, str]) -> Dict[str, float]:
     """Pairwise precision/recall/F1 of a clustering against entity ground truth.
@@ -445,39 +441,48 @@ class ClusteringStage:
         singletons).  Edges are processed best-first under a total order
         (score, then pair key) and cluster ids are assigned canonically, so
         two runs over the same scores produce identical output regardless of
-        record or edge ordering.
-        """
-        union_find = UnionFind(record.record_id for record in records)
-        cluster_sources: Dict[Hashable, set] = {record.record_id: {record.source}
-                                                for record in records}
-        unknown = {record_id
-                   for pair in scored.pairs
-                   for record_id in (pair.left.record_id, pair.right.record_id)
-                   if record_id not in union_find}
-        if unknown:
-            raise ValueError(
-                f"scored pairs reference {len(unknown)} record id(s) not in "
-                f"`records` (e.g. {sorted(unknown)[:3]}); score and cluster "
-                f"over the same record set")
-        edges = eligible_match_edges(scored, self.threshold)
-        matches, source_conflicts = apply_match_edges(
-            union_find, cluster_sources if self.source_consistent else None, edges)
+        record or edge ordering.  Records sharing an id are one node whose
+        sources are all of theirs.
 
-        clusters = union_find.groups()
-        assignments = {record_id: cluster_id
-                       for cluster_id, members in enumerate(clusters)
-                       for record_id in members}
+        The work runs on record-id ranks (:func:`record_id_ranks`), whose
+        order is the ids' order: a :class:`PairColumns` view over these
+        same records is read off its columns and ranks; any other pair
+        sequence is mapped to ranks by one id lookup.
+        """
+        ids, rank, left, right = _rank_columns(records, scored.pairs)
+        scores = np.asarray(scored.scores)
+        union_find = UnionFind(range(len(ids)))
+        cluster_sources: Optional[List[int]] = None
+        if self.source_consistent:
+            # Per id, a bit per source its records come from.
+            codes: Dict[str, int] = {}
+            cluster_sources = [0] * len(ids)
+            for position, record in zip(rank.tolist(), records):
+                cluster_sources[position] |= 1 << codes.setdefault(record.source, len(codes))
+        # Best first: (-score, left id, right id) is (-score, left rank, right rank).
+        eligible = np.flatnonzero(scores >= self.threshold)
+        order = eligible[np.lexsort((right[eligible], left[eligible], -scores[eligible]))]
+        edges = list(zip(scores[order].tolist(), left[order].tolist(), right[order].tolist()))
+        matches, source_conflicts = apply_match_edges(union_find, cluster_sources, edges)
+
+        groups = union_find.groups()
+        sizes = [len(members) for members in groups]
+        members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
+                              count=len(ids))
+        cluster_of = np.empty(len(ids), dtype=np.int64)
+        cluster_of[members] = np.repeat(np.arange(len(groups)), sizes)
+        clusters = [[ids[member] for member in group] for group in groups]
+        assignments = dict(zip([ids[member] for member in members.tolist()],
+                               cluster_of[members].tolist()))
 
         # Transitivity violations: candidate pairs the model rejected whose
         # records were nevertheless merged through other edges.
-        violations: List[Tuple[str, str, float]] = []
-        for pair, score in zip(scored.pairs, scored.scores):
-            if score < self.threshold and union_find.connected(
-                    pair.left.record_id, pair.right.record_id):
-                violations.append((pair.left.record_id, pair.right.record_id, float(score)))
-        rejected = int(np.sum(scored.scores < self.threshold)) if len(scored) else 0
+        rejected = np.flatnonzero(scores < self.threshold)
+        violated = rejected[cluster_of[left[rejected]] == cluster_of[right[rejected]]]
+        violations: List[Tuple[str, str, float]] = [
+            (ids[lo], ids[hi], score) for lo, hi, score in zip(
+                left[violated].tolist(), right[violated].tolist(), scores[violated].tolist())]
 
-        sizes = [len(members) for members in clusters]
         stats: Dict[str, float] = {
             "threshold": self.threshold,
             "num_records": float(len(records)),
@@ -487,7 +492,8 @@ class ClusteringStage:
             "num_singletons": float(sum(1 for size in sizes if size == 1)),
             "max_cluster_size": float(max(sizes)) if sizes else 0.0,
             "transitivity_violations": float(len(violations)),
-            "transitivity_violation_rate": len(violations) / rejected if rejected else 0.0,
+            "transitivity_violation_rate": (len(violations) / len(rejected)
+                                            if len(rejected) else 0.0),
         }
         truth = {record.record_id: record.entity_id
                  for record in records if record.entity_id is not None}
@@ -495,3 +501,30 @@ class ClusteringStage:
             stats.update(pairwise_cluster_metrics(assignments, truth))
         return ClusterResult(clusters=clusters, assignments=assignments,
                              violations=violations, stats=stats)
+
+
+def _rank_columns(records: Sequence[Record], pairs: Sequence[EntityPair]
+                  ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, rank, left, right)``: the records' distinct ids in order, each
+    record's rank among them, and the ranks of every pair's two ids."""
+    if isinstance(pairs, PairColumns) and (pairs.records is records or (
+            len(pairs.records) == len(records)
+            and all(map(operator.is_, pairs.records, records)))):
+        rank = pairs.rank
+        ids = [""] * (int(rank.max()) + 1 if len(rank) else 0)
+        for position, record in zip(rank.tolist(), records):
+            ids[position] = record.record_id
+        return ids, rank, rank[pairs.left], rank[pairs.right]
+    ids, rank = record_id_ranks(records)
+    rank_of = dict(zip(ids, range(len(ids))))
+    left_ids, right_ids = pair_record_ids(pairs)
+    unknown = {record_id for record_id in itertools.chain(left_ids, right_ids)
+               if record_id not in rank_of}
+    if unknown:
+        raise ValueError(
+            f"scored pairs reference {len(unknown)} record id(s) not in "
+            f"`records` (e.g. {sorted(unknown)[:3]}); score and cluster "
+            f"over the same record set")
+    return (ids, rank,
+            np.fromiter(map(rank_of.__getitem__, left_ids), dtype=np.int64, count=len(left_ids)),
+            np.fromiter(map(rank_of.__getitem__, right_ids), dtype=np.int64, count=len(right_ids)))

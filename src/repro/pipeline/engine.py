@@ -6,7 +6,11 @@ into a :class:`PipelineResult` that can be written to disk as JSONL/JSON.
 
 Records are ingested from any iterable (consumed once), so the streaming
 readers of :mod:`repro.data.storage` plug in directly; the blocking indexes
-hold the records, never the pair space.  Scoring groups pairs by the
+hold the records, never the pair space.  From blocking to clustering the
+candidates travel as position columns over the record list (a
+:class:`~repro.data.records.PairColumns` view): scoring slices them per
+micro-batch and clustering reads their record-id ranks, so the run builds no
+:class:`~repro.data.records.EntityPair`.  Scoring groups pairs by the
 predictor's ``micro_batch_size`` alone.
 """
 
@@ -16,12 +20,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
 from .. import obs
-from ..data.records import EntityPair, Record
+from ..data.records import EntityPair, Record, pair_record_ids
 from ..infer.predictor import BatchedPredictor
 from ..utils.serialization import save_json
 from .candidates import CandidateGenerationStage, CandidateResult
@@ -106,10 +110,16 @@ class PipelineResult:
         }
 
     def write(self, output_dir: Union[str, Path]) -> Path:
-        """Write clusters (JSONL), matches (JSONL) and stats (JSON) to a directory."""
+        """Write clusters (JSONL), matches (JSONL) and stats (JSON) to a directory.
+
+        A cluster's ``sources`` are those of every record its ids name (records
+        sharing an id contribute all their sources).
+        """
         output_dir = Path(output_dir)
         output_dir.mkdir(parents=True, exist_ok=True)
-        sources = {record.record_id: record.source for record in self.records}
+        sources: Dict[str, Set[str]] = {}
+        for record in self.records:
+            sources.setdefault(record.record_id, set()).add(record.source)
 
         with (output_dir / "clusters.jsonl").open("w", encoding="utf-8") as handle:
             for cluster_id, members in enumerate(self.clusters.clusters):
@@ -117,18 +127,19 @@ class PipelineResult:
                     "cluster_id": cluster_id,
                     "size": len(members),
                     "record_ids": members,
-                    "sources": sorted({sources[record_id] for record_id in members}),
+                    "sources": sorted(set().union(*(sources[record_id]
+                                                    for record_id in members))),
                 }, sort_keys=True) + "\n")
 
-        threshold = self.config.score_threshold
+        scores = np.asarray(self.scored.scores)
+        left_ids, right_ids = pair_record_ids(self.scored.pairs)
         with (output_dir / "matches.jsonl").open("w", encoding="utf-8") as handle:
-            for pair, score in zip(self.scored.pairs, self.scored.scores):
-                if score >= threshold:
-                    handle.write(json.dumps({
-                        "left_record_id": pair.left.record_id,
-                        "right_record_id": pair.right.record_id,
-                        "score": round(float(score), 6),
-                    }, sort_keys=True) + "\n")
+            for i in np.flatnonzero(scores >= self.config.score_threshold).tolist():
+                handle.write(json.dumps({
+                    "left_record_id": left_ids[i],
+                    "right_record_id": right_ids[i],
+                    "score": round(float(scores[i]), 6),
+                }, sort_keys=True) + "\n")
 
         save_json(self.summary(), output_dir / "stats.json")
         return output_dir
@@ -206,7 +217,7 @@ class LinkagePipeline:
             self._record_run_metrics(result, stage)
         return result
 
-    def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
+    def _score(self, pairs: Sequence[EntityPair]) -> ScoredCandidates:
         """Score the canonically ordered candidates (the sharded engine's hook)."""
         return ScoringStage(self.predictor).run(pairs)
 

@@ -4,7 +4,10 @@ All candidates go to :class:`~repro.infer.BatchedPredictor` in one call; its
 ``micro_batch_size`` is the one unit pairs are grouped by, so the
 *encoding/forward working set* stays flat regardless of how many candidates
 blocking produced.  The pair list and the final score array are held in
-full, since clustering needs them together.  The encoder reuses the
+full, since clustering needs them together: the candidates of
+:meth:`~repro.pipeline.candidates.CandidateGenerationStage.generate` as
+their :class:`~repro.data.records.PairColumns` view, which the predictor
+slices per micro-batch without building a pair.  The encoder reuses the
 process-wide :class:`~repro.features.cache.EncodingCache`, so a pair scored
 twice (or seen during training) is never re-encoded.
 """
@@ -12,7 +15,8 @@ twice (or seen during training) is never re-encoded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from collections.abc import Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -24,9 +28,13 @@ __all__ = ["ScoringStage", "ScoredCandidates"]
 
 @dataclass
 class ScoredCandidates:
-    """Candidate pairs with their matching probabilities, aligned by index."""
+    """Candidate pairs with their matching probabilities, aligned by index.
 
-    pairs: List[EntityPair]
+    ``pairs`` is whatever sequence was scored: on the pipeline's path the
+    candidates' :class:`~repro.data.records.PairColumns` view.
+    """
+
+    pairs: Sequence[EntityPair]
     scores: np.ndarray
     stats: Dict[str, float] = field(default_factory=dict)
 
@@ -49,7 +57,8 @@ class ScoringStage:
 
     def run(self, pairs: Sequence[EntityPair]) -> ScoredCandidates:
         """Return matching probabilities for ``pairs`` in input order."""
-        pairs = list(pairs)
+        if not isinstance(pairs, Sequence):
+            pairs = list(pairs)
         cache = self.predictor.encoder.cache
         # One locked read per side: two unlocked attribute reads can straddle
         # a concurrent serve-thread lookup and push the rate outside [0, 1].

@@ -6,8 +6,8 @@ clustering, ``index_stats`` and the candidate statistics are the batch
 engine's own code, run in the driver; only scoring — the dominant cost —
 fans out over a pool of forked worker processes.  See ``docs/sharding.md``.
 
-The unit of work is one **micro-batch**: the canonically ordered candidate
-list cut at multiples of the predictor's ``micro_batch_size``, i.e. exactly
+The unit of work is one **micro-batch**: the canonically ordered candidates
+cut at multiples of the predictor's ``micro_batch_size``, i.e. exactly
 the encode + forward batches the single-process
 :class:`~repro.pipeline.scoring.ScoringStage` runs one after another.  A task
 scores its slice through that same stage and the driver concatenates the
@@ -15,9 +15,12 @@ slices in order, so pairs, scores (``np.array_equal``), clusters and
 assignments are **bit-identical to** :class:`LinkagePipeline` **at every
 worker count**.
 
-The candidate list and the predictor reach the workers by fork inheritance
-(a module global set before the pool forks); only micro-batch indexes go out
-and only score arrays come back.  ``workers=1``, a single micro-batch, or a
+The candidates and the predictor reach the workers by fork inheritance (a
+module global set before the pool forks): on the pipeline's path the
+candidates are a :class:`~repro.data.records.PairColumns` view, so a worker
+inherits the records and two int64 position columns and slices those per
+micro-batch, building no pair.  Only micro-batch indexes go out and only
+score arrays come back.  ``workers=1``, a single micro-batch, or a
 platform without ``fork`` score in-process through the same task function.
 
 One failure rule replaces a retry policy: a micro-batch whose future raises
@@ -34,7 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,12 +95,12 @@ class ShardedPipelineResult(PipelineResult):
 
 
 # Set by the driver before the pool forks, so every worker inherits the
-# stage and the candidate list copy-on-write; cleared when scoring ends.
-_SCORING: Optional[Tuple[ScoringStage, List[EntityPair]]] = None
+# stage and the candidates copy-on-write; cleared when scoring ends.
+_SCORING: Optional[Tuple[ScoringStage, Sequence[EntityPair]]] = None
 
 
 def _score_chunk(chunk: int) -> _ChunkAnswer:
-    """Score micro-batch ``chunk`` of the inherited candidate list (the task body).
+    """Score micro-batch ``chunk`` of the inherited candidates (the task body).
 
     An injected ``partial`` fault truncates the answer, which the driver's
     one-score-per-pair check then rejects.
@@ -144,7 +147,7 @@ class ShardedPipeline(LinkagePipeline):
         result = super().run(records)
         return ShardedPipelineResult(**vars(result), shard_report=self._report)
 
-    def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
+    def _score(self, pairs: Sequence[EntityPair]) -> ScoredCandidates:
         """Score ``pairs`` micro-batch by micro-batch on the pool, rescoring
         failures here."""
         global _SCORING

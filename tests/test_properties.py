@@ -249,7 +249,6 @@ def test_encode_equals_stacked_encode_pair(case):
             assert np.array_equal(batch.features, expected.features)
             assert np.array_equal(batch.feature_mask, expected.feature_mask)
             assert np.array_equal(batch.labels, expected.labels)
-            assert batch.pair_ids == [pair.pair_id for pair in pairs]
         if cache is not None:
             # One lookup per distinct slot and call; the second call hits all.
             slots = len(batch.plan.rows)
