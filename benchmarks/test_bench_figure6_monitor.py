@@ -30,5 +30,5 @@ def test_figure6_monitor(benchmark, bench_scale, bench_seed):
         assert best_adamel >= scores["tler"]
         # Adaptation at least matches no adaptation.  (Note: at this reduced
         # scale CorDel-Attention is stronger on Monitor than in the paper —
-        # recorded as a deviation in EXPERIMENTS.md.)
+        # a deviation for the claims ledger of ROADMAP.md item 2.)
         assert max(scores["adamel-zero"], scores["adamel-hyb"]) >= scores["adamel-base"] - 0.03

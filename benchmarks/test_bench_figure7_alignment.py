@@ -26,7 +26,8 @@ def test_figure7_alignment(benchmark, bench_scale, bench_seed):
         # attention vectors are well mixed in the projected space.  We assert
         # the absolute mixing level; the *contrast* against λ=0 is weaker in
         # this reproduction because the attention distributions already start
-        # close to each other (EXPERIMENTS.md, note on Figure 7).
+        # close to each other (a deviation for the claims ledger of
+        # ROADMAP.md item 2).
         assert with_adaptation.alignment_score >= 0.5, (
             f"{variant}: adapted attention spaces should be well mixed, got "
             f"{with_adaptation.alignment_score:.3f}")

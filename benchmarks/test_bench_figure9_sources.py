@@ -24,7 +24,8 @@ def test_figure9_incremental_sources_and_runtime(benchmark, bench_scale, bench_s
     entitymatcher_scores = result.series["entitymatcher"]
     # AdaMEL-hyb stays at or above the hierarchical token-level baseline on
     # average as new sources arrive (CorDel's strength on the synthetic
-    # Monitor corpus is recorded as a deviation in EXPERIMENTS.md).
+    # Monitor corpus is a deviation for the claims ledger of ROADMAP.md
+    # item 2).
     assert sum(adamel_scores) / len(adamel_scores) >= \
         sum(entitymatcher_scores) / len(entitymatcher_scores) - 0.1
     # Runtime claim: AdaMEL trains faster than the cross-attention baseline.

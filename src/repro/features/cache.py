@@ -5,10 +5,14 @@ pair's two values of it, so the unit this cache holds is a *slot row*: the
 ``(K, D)`` feature vectors and ``(K,)`` feature mask of one
 ``(left text, right text)`` value pair.  Training and evaluating a scenario
 encodes the same support, target and test pairs many times (once per AdaMEL
-variant, baseline and figure that revisits it), and a linkage corpus repeats
-value pairs across its candidate pairs (missing values, low-cardinality
-attributes); the :class:`EncodingCache` encodes and stores each distinct value
-pair once per process.
+variant, baseline and figure that revisits it), and a serving process is
+sent the same probe records again; the :class:`EncodingCache` encodes and
+stores each distinct value pair of those pair lists once per process.  The
+batch pipelines do not use it: :meth:`PairEncoder.encode
+<repro.features.encoder.PairEncoder.encode>` encodes their
+:class:`~repro.data.records.PairColumns` candidates straight through, since a
+bulk arrival's value pairs seldom recur in a later call and hashing every
+slot of every corpus into the arena cost more than the reuse saved.
 
 Each encoder configuration has its own *arena*: value-pair key -> row id over
 one ``(capacity, K, D)`` array, allocated with ``np.empty`` on the first store
@@ -40,8 +44,8 @@ from ..obs import BoundHandles
 __all__ = ["EncodingCache", "get_default_cache"]
 
 # Covers ≈ 120 k slot rows of the benchmark encoder (K = 2, D = 32: 528 B a
-# row), about 56 k linkage candidate pairs at their measured share of distinct
-# value pairs.
+# row): the value pairs of a fit's scenario and of a serving process's
+# repeated probes.  Batch linkage candidates never reach the cache.
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 # Computes the rows of the keys at the given positions: (M, K, D) + (M, K).

@@ -23,11 +23,15 @@ operations:
    by first occurrence, and one ``np.unique`` over the int64 keys
    ``(attribute, left, right)`` (attribute-major) gives the ``S`` distinct
    slots and the slot of every (pair, attribute) — a :class:`SlotPlan`.
-2. **Encoding cache** (:class:`~repro.features.cache.EncodingCache`): a
-   slot's rows depend on its two texts only, so the cache maps the key
-   ``left id << 32 | right id`` to a row of an append-only arena per encoder
-   configuration and table generation (slots of different attributes with
-   the same two texts share it); only the slots it misses are encoded below.
+2. **Encoding cache** (:class:`~repro.features.cache.EncodingCache`), for a
+   list of pairs only: a slot's rows depend on its two texts only, so the
+   cache maps the key ``left id << 32 | right id`` to a row of an
+   append-only arena per encoder configuration and table generation (slots
+   of different attributes with the same two texts share it); only the
+   slots it misses are encoded below.  A ``PairColumns`` view — a batch
+   pipeline's candidates — skips this step and encodes every slot: a bulk
+   arrival's value pairs seldom recur in a later call, and hashing them
+   cost more than the reuse saved (``docs/benchmarking.md``).
 3. **Token stream**: the tokenizer's token ids of each text (a column of the
    generation, computed once per text) are gathered into one stream, one
    segment per slot side; embedding rows are indexed by the same token ids.
@@ -276,11 +280,13 @@ class PairEncoder:
     def encode(self, pairs: Sequence[EntityPair]) -> EncodedBatch:
         """Encode a sequence of pairs into an :class:`EncodedBatch`.
 
-        Value pairs the cache holds are reused; the others are encoded with
-        the array path.  The batch's features are bit-identical to stacking
-        :meth:`encode_pair` over ``pairs``.  A
-        :class:`~repro.data.records.PairColumns` view is encoded from its
-        position columns (its pairs are unlabeled), building no pair.
+        For a list of pairs, value pairs the cache holds are reused and the
+        others are encoded with the array path.  A
+        :class:`~repro.data.records.PairColumns` view (what the batch
+        pipelines score) is encoded from its position columns (its pairs are
+        unlabeled), building no pair, and never consults the cache: it looks
+        up no key and stores no row.  Either way the batch's features are
+        bit-identical to stacking :meth:`encode_pair` over ``pairs``.
         """
         if not isinstance(pairs, PairColumns):
             pairs = list(pairs)
@@ -289,17 +295,18 @@ class PairEncoder:
         # Pin one text-table generation: every id below names one of its texts.
         generation = text_table().generation()
         index, offsets, left, right = self._plan(self._side_cells(generation, pairs))
-
-        def encode_slots(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return self._encode_value_pairs(generation, left[positions], right[positions])
-
-        if self.cache is None:
-            rows, mask = encode_slots(np.arange(len(left)))
+        if self.cache is None or isinstance(pairs, PairColumns):
+            # A view is a bulk relation: its value pairs seldom recur in a
+            # later call, so hashing them into the cache costs more than the
+            # reuse saves.
+            rows, mask = self._encode_value_pairs(generation, left, right)
         else:
             # A slot's rows depend on its two texts only: slots of different
             # attributes with the same value pair share a cache row.
-            rows, mask = self.cache.fetch((self._fingerprint, generation.serial),
-                                          (left << 32 | right).tolist(), encode_slots)
+            rows, mask = self.cache.fetch(
+                (self._fingerprint, generation.serial), (left << 32 | right).tolist(),
+                lambda positions: self._encode_value_pairs(generation, left[positions],
+                                                           right[positions]))
         if isinstance(pairs, PairColumns):
             labels = np.full(len(pairs), -1, dtype=np.int64)
         else:

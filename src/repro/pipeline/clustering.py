@@ -442,7 +442,9 @@ class ClusteringStage:
         (score, then pair key) and cluster ids are assigned canonically, so
         two runs over the same scores produce identical output regardless of
         record or edge ordering.  Records sharing an id are one node whose
-        sources are all of theirs.
+        sources are all of theirs; the pairwise metrics count an id with its
+        records' common ``entity_id`` and leave out an id whose records name
+        two entities.
 
         The work runs on record-id ranks (:func:`record_id_ranks`), whose
         order is the ids' order: a :class:`PairColumns` view over these
@@ -495,9 +497,15 @@ class ClusteringStage:
             "transitivity_violation_rate": (len(violations) / len(rejected)
                                             if len(rejected) else 0.0),
         }
-        truth = {record.record_id: record.entity_id
-                 for record in records if record.entity_id is not None}
-        if truth:
+        entities: Dict[str, Set[str]] = {}
+        for record in records:
+            if record.entity_id is not None:
+                entities.setdefault(record.record_id, set()).add(record.entity_id)
+        if entities:
+            # An id's truth is its records' common entity; an id whose records
+            # name two entities is left out of the evaluation.
+            truth = {record_id: next(iter(named)) for record_id, named in entities.items()
+                     if len(named) == 1}
             stats.update(pairwise_cluster_metrics(assignments, truth))
         return ClusterResult(clusters=clusters, assignments=assignments,
                              violations=violations, stats=stats)

@@ -7,9 +7,12 @@ blocking produced.  The pair list and the final score array are held in
 full, since clustering needs them together: the candidates of
 :meth:`~repro.pipeline.candidates.CandidateGenerationStage.generate` as
 their :class:`~repro.data.records.PairColumns` view, which the predictor
-slices per micro-batch without building a pair.  The encoder reuses the
-process-wide :class:`~repro.features.cache.EncodingCache`, so a pair scored
-twice (or seen during training) is never re-encoded.
+slices per micro-batch without building a pair.  The encoder encodes such a
+view straight through, without the process-wide
+:class:`~repro.features.cache.EncodingCache`: a bulk arrival's value pairs
+seldom recur in a later call, so the batch path hashes no key and a pair
+scored twice is encoded twice.  A plain pair list still goes through the
+cache.
 """
 
 from __future__ import annotations
@@ -59,21 +62,11 @@ class ScoringStage:
         """Return matching probabilities for ``pairs`` in input order."""
         if not isinstance(pairs, Sequence):
             pairs = list(pairs)
-        cache = self.predictor.encoder.cache
-        # One locked read per side: two unlocked attribute reads can straddle
-        # a concurrent serve-thread lookup and push the rate outside [0, 1].
-        hits_before, misses_before = cache.lookup_counts() if cache is not None else (0, 0)
         scores = self.predictor.predict_proba(pairs)
         stats: Dict[str, float] = {
             "num_pairs": float(len(pairs)),
             "micro_batch_size": float(self.predictor.micro_batch_size),
         }
-        if cache is not None:
-            hits_after, misses_after = cache.lookup_counts()
-            hits = hits_after - hits_before
-            lookups = hits + misses_after - misses_before
-            stats["encoding_cache_hits"] = float(hits)
-            stats["encoding_cache_hit_rate"] = hits / lookups if lookups else 0.0
         if len(pairs):
             stats["mean_score"] = float(scores.mean())
         return ScoredCandidates(pairs=pairs, scores=scores, stats=stats)

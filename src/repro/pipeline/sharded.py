@@ -51,8 +51,8 @@ from .scoring import ScoredCandidates, ScoringStage
 __all__ = ["ShardConfig", "ShardReport", "ShardedPipeline",
            "ShardedPipelineResult"]
 
-# (scores, per-micro-batch ScoringStage stats, (time.time() start, wall s, CPU s))
-_ChunkAnswer = Tuple[np.ndarray, Dict[str, float], Tuple[float, float, float]]
+# (scores, (time.time() start, wall s, CPU s))
+_ChunkAnswer = Tuple[np.ndarray, Tuple[float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ def _score_chunk(chunk: int) -> _ChunkAnswer:
     size = stage.predictor.micro_batch_size
     scored = stage.run(pairs[chunk * size:(chunk + 1) * size])
     scores = scored.scores[:len(scored) // 2] if partial else scored.scores
-    return scores, scored.stats, (started_at, time.perf_counter() - wall,
-                                  time.process_time() - cpu)
+    return scores, (started_at, time.perf_counter() - wall, time.process_time() - cpu)
 
 
 class ShardedPipeline(LinkagePipeline):
@@ -200,8 +199,6 @@ class ShardedPipeline(LinkagePipeline):
         stats: Dict[str, float] = {
             "num_pairs": float(len(pairs)),
             "micro_batch_size": float(size),
-            "encoding_cache_hits": float(sum(
-                answer[1].get("encoding_cache_hits", 0.0) for answer in answers)),
         }
         if len(pairs):
             stats["mean_score"] = float(scores.mean())
@@ -213,7 +210,7 @@ class ShardedPipeline(LinkagePipeline):
         """One ``sharded.worker`` span under ``score`` and one observation per
         micro-batch."""
         parent = obs.current_span()
-        for chunk, (scores, _, (started_at, seconds, cpu_seconds)) in enumerate(answers):
+        for chunk, (scores, (started_at, seconds, cpu_seconds)) in enumerate(answers):
             if parent is not None:
                 parent.children.append(obs.Span.from_dict({
                     "name": "sharded.worker", "started_at": started_at,

@@ -10,7 +10,8 @@ This is the same clustering over string ids, one pair object at a time:
 * the eligible edges ``(score, left id, right id)`` sorted best first by
   :func:`~repro.pipeline.order_match_edges` and merged by
   :func:`~repro.pipeline.apply_match_edges`;
-* a violation per rejected pair whose two ids ended up ``connected``.
+* a violation per rejected pair whose two ids ended up ``connected``;
+* pairwise metrics over the ids whose records name one entity.
 """
 
 from __future__ import annotations
@@ -70,9 +71,14 @@ def cluster_by_id(records: Sequence[Record], scored: ScoredCandidates,
         "transitivity_violations": float(len(violations)),
         "transitivity_violation_rate": len(violations) / rejected if rejected else 0.0,
     }
-    truth = {record.record_id: record.entity_id
-             for record in records if record.entity_id is not None}
-    if truth:
-        stats.update(pairwise_cluster_metrics(assignments, truth))
+    # An id is evaluated with the one entity its records name (ignoring
+    # None); an id whose records name two entities is not evaluated.
+    named = {record_id: {record.entity_id for record in records
+                         if record.record_id == record_id} - {None}
+             for record_id in assignments}
+    if any(named.values()):
+        stats.update(pairwise_cluster_metrics(
+            assignments, {record_id: entity for record_id, entities in named.items()
+                          if len(entities) == 1 for entity in entities}))
     return ClusterResult(clusters=clusters, assignments=assignments,
                          violations=violations, stats=stats)

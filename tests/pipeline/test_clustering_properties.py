@@ -38,10 +38,12 @@ def _linkage(draw):
     records = []
     for i in range(count):
         number = draw(st.integers(0, max(count // 2, 1))) if shared_ids else i
+        # Records sharing an id mostly name one entity, sometimes another or none.
+        entity = draw(st.sampled_from([f"e{number % 4}", f"e{number % 4}",
+                                       f"e{(number + 1) % 4}", None]))
         records.append(Record(record_id=f"r{number:02d}",
                               source=f"s{draw(st.integers(0, num_sources - 1))}",
-                              attributes={"name": f"r{number}"},
-                              entity_id=f"e{number % 4}"))
+                              attributes={"name": f"r{number}"}, entity_id=entity))
     positions = st.integers(0, count - 1)
     pairs = draw(st.lists(st.tuples(positions, positions), max_size=3 * count))
     scores = draw(st.lists(st.one_of(st.sampled_from(SCORES), st.floats(0.0, 1.0)),
@@ -86,7 +88,8 @@ def test_pairs_naming_unknown_records_are_rejected():
 
 class TestDuplicateRecordIds:
     """Records sharing an id are one node whose sources are all of theirs: the
-    veto and the written ``sources`` do not depend on record order."""
+    veto, the written ``sources`` and the pairwise metrics do not depend on
+    record order."""
 
     ORDERS = [[("a", "s1"), ("a", "s2"), ("b", "s1")],
               [("a", "s2"), ("a", "s1"), ("b", "s1")]]
@@ -116,3 +119,32 @@ class TestDuplicateRecordIds:
         lines = (tmp_path / "clusters.jsonl").read_text().splitlines()
         assert [(row["record_ids"], row["sources"]) for row in map(json.loads, lines)] == [
             (["a"], ["s1", "s2"]), (["b"], ["s1"])]
+
+    @pytest.mark.parametrize("first", ["e1", "e2"], ids=["a@s1 first", "a@s2 first"])
+    def test_an_id_naming_two_entities_is_not_evaluated(self, first):
+        """a@s1 (e1), a@s2 (e2), b@s3 (e1), a-b at 0.9: whichever of a's
+        records comes last, a has no one entity, so only b is evaluated."""
+        second = {"e1": "e2", "e2": "e1"}[first]
+        records = [Record("a", f"s{1 if first == 'e1' else 2}", {"name": "a"}, entity_id=first),
+                   Record("a", f"s{2 if first == 'e1' else 1}", {"name": "a"},
+                          entity_id=second),
+                   Record("b", "s3", {"name": "b"}, entity_id="e1")]
+        by_id = {record.record_id: record for record in records}
+        scored = ScoredCandidates(pairs=[EntityPair(by_id["a"], by_id["b"])],
+                                  scores=np.array([0.9]))
+        result = ClusteringStage().run(records, scored)
+        assert result.clusters == [["a", "b"]]
+        assert result.stats["evaluated_records"] == 1.0
+        assert (result.stats["pairwise_precision"], result.stats["pairwise_recall"],
+                result.stats["pairwise_f1"]) == (0.0, 0.0, 0.0)
+
+    def test_an_id_counts_with_its_records_common_entity(self):
+        records = [Record("a", "s1", {"name": "a"}, entity_id=None),
+                   Record("a", "s2", {"name": "a"}, entity_id="e1"),
+                   Record("b", "s3", {"name": "b"}, entity_id="e1")]
+        pairs = PairColumns(records, [1], [2])
+        for order in (records, records[::-1]):
+            result = ClusteringStage().run(order, ScoredCandidates(pairs=list(pairs),
+                                                                    scores=np.array([0.9])))
+            assert result.stats["evaluated_records"] == 2.0
+            assert result.stats["pairwise_precision"] == result.stats["pairwise_recall"] == 1.0

@@ -5,8 +5,10 @@ view over the records.  It must read as the pair list the stage built before
 (``blocking_oracle.set_and_sort_generate`` is that construction), encode
 and score exactly like that list — also when the text table starts over
 between micro-batches — and ``LinkagePipeline.run`` / ``ShardedPipeline.run``
-must build no ``EntityPair`` at all.  CI runs this module under two
-``PYTHONHASHSEED`` values.
+must build no ``EntityPair`` at all.  A view is encoded without the
+``EncodingCache``: it looks up no key and stores no row, and its batch is the
+one its pair list gets from a cold, a warm or no cache.  CI runs this module
+under two ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.core import AdaMELHybrid
 from repro.data.records import EntityPair, PairColumns, record_id_ranks
+from repro.features import EncodingCache, PairEncoder, get_default_cache
 from repro.infer import BatchedPredictor
 from repro.pipeline import (CandidateGenerationStage, LinkagePipeline, ShardConfig,
                             ShardedPipeline)
@@ -42,6 +45,15 @@ def _as_list(view):
     """The pair list ``generate`` used to build from the same columns."""
     return [EntityPair(left=view.records[lo], right=view.records[hi], label=None)
             for lo, hi in zip(view.left.tolist(), view.right.tolist())]
+
+
+def _assert_same_batch(from_columns, from_pairs):
+    """Plan, rows, masks and labels equal bit for bit."""
+    assert np.array_equal(from_columns.plan.index, from_pairs.plan.index)
+    assert np.array_equal(from_columns.plan.offsets, from_pairs.plan.offsets)
+    assert np.array_equal(from_columns.plan.rows, from_pairs.plan.rows)
+    assert np.array_equal(from_columns.slot_mask, from_pairs.slot_mask)
+    assert np.array_equal(from_columns.labels, from_pairs.labels)
 
 
 class TestView:
@@ -84,14 +96,28 @@ class TestScoringFromColumns:
     def test_encode_equals_the_pair_list(self, predictor, candidates):
         encoder = predictor.encoder
         for piece in (slice(0, 1), slice(0, 256), slice(100, 357)):
-            from_columns = encoder.encode(candidates[piece])
-            from_pairs = encoder.encode(_as_list(candidates)[piece])
-            assert np.array_equal(from_columns.plan.index, from_pairs.plan.index)
-            assert np.array_equal(from_columns.plan.offsets, from_pairs.plan.offsets)
-            assert np.array_equal(from_columns.plan.rows, from_pairs.plan.rows)
-            assert np.array_equal(from_columns.slot_mask, from_pairs.slot_mask)
-            assert np.array_equal(from_columns.labels, from_pairs.labels)
+            _assert_same_batch(encoder.encode(candidates[piece]),
+                               encoder.encode(_as_list(candidates)[piece]))
         assert len(encoder.encode(candidates[5:5])) == 0
+
+    @pytest.mark.parametrize("cache_state", ["cold", "warm", "off"])
+    def test_a_view_encodes_as_its_pair_list_without_the_cache(self, predictor, candidates,
+                                                              cache_state):
+        base = predictor.encoder
+        cache = EncodingCache()
+        encoder = PairEncoder(base.schema, embedder=base.embedder, tokenizer=base.tokenizer,
+                              feature_kinds=base.extractor.feature_kinds, cache=cache,
+                              use_cache=cache_state != "off")
+        view = candidates[:300]
+        pairs = list(view)
+        if cache_state == "warm":
+            encoder.encode(pairs)
+        before = (cache.lookup_counts(), cache.stats())
+        from_columns = encoder.encode(view)
+        assert (cache.lookup_counts(), cache.stats()) == before
+        _assert_same_batch(from_columns, encoder.encode(pairs))
+        # The pair list still goes through the cache when there is one.
+        assert (cache.lookup_counts() != before[0]) == (cache_state != "off")
 
     def test_scores_hold_when_the_text_table_starts_over(self, predictor, candidates,
                                                          monkeypatch):
@@ -108,9 +134,12 @@ class TestScoringFromColumns:
 
         monkeypatch.setattr(PairColumns, "text_ids", spy)
         monkeypatch.setattr(table, "bound", 3)
+        cache = small.encoder.cache
+        before = (cache.lookup_counts(), cache.stats())
         # A fresh view: nothing gathered yet, in any generation.
         fresh = PairColumns(view.records, view.left, view.right, view.rank)
         assert np.array_equal(small.predict_proba(fresh), expected)
+        assert (cache.lookup_counts(), cache.stats()) == before
         # Each 7-pair encode outgrows a 3-text generation: the next one
         # starts over, and the records' matrix is gathered again in it.
         assert len(serials) == -(-len(view) // 7)
@@ -150,3 +179,37 @@ class TestNoPairObjects:
         assert result.shard_report.used_processes and result.shard_report.chunks > 2
         assert result.shard_report.rescored_chunks == []
         assert constructed[0] == 0
+
+
+class TestNoCacheLookups:
+    """The batch path encodes its view straight through: the process-wide
+    ``EncodingCache`` sees no lookup and stores no row."""
+
+    def test_linkage_pipeline_leaves_the_cache_untouched(self, predictor, tiny_music_corpus):
+        cache = get_default_cache()
+        assert predictor.encoder.cache is cache
+        before = (cache.lookup_counts(), cache.stats())
+        result = LinkagePipeline(predictor).run(tiny_music_corpus.records)
+        assert len(result.scored) > 256
+        assert (cache.lookup_counts(), cache.stats()) == before
+        assert set(result.scored.stats) == {"num_pairs", "micro_batch_size", "mean_score",
+                                            "pairs_per_second"}
+
+    @pytest.mark.skipif(not ShardedPipeline.fork_available(), reason="needs fork")
+    def test_sharded_workers_never_fetch(self, predictor, tiny_music_corpus, monkeypatch):
+        """Forked workers inherit a ``fetch`` that fails: a worker that
+        consulted its copy of the cache would fail its micro-batch, and the
+        driver's rescore would fail the run."""
+        cache = get_default_cache()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the batch path consulted the encoding cache")
+
+        monkeypatch.setattr(EncodingCache, "fetch", refuse)
+        sized = BatchedPredictor(predictor.encoder, predictor.network, micro_batch_size=64)
+        before = (cache.lookup_counts(), cache.stats())
+        result = ShardedPipeline(sized, shards=ShardConfig(workers=2)).run(
+            tiny_music_corpus.records)
+        assert result.shard_report.used_processes and result.shard_report.chunks > 2
+        assert result.shard_report.rescored_chunks == []
+        assert (cache.lookup_counts(), cache.stats()) == before

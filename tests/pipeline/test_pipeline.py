@@ -15,7 +15,6 @@ from repro.pipeline import (
     CandidateGenerationStage,
     InvertedTokenIndex,
     LinkagePipeline,
-    ScoringStage,
 )
 from repro.pipeline.__main__ import main as pipeline_main
 
@@ -116,35 +115,6 @@ class TestCandidateGeneration:
         bulk_keys = {pair.pair_id for pair in bulk.generate().pairs}
         streamed_keys = {pair.pair_id for pair in streamed.generate().pairs}
         assert bulk_keys == streamed_keys
-
-
-class TestScoringStage:
-    def test_hit_rate_reads_the_counters_under_the_cache_lock(self, predictor,
-                                                              tiny_music_corpus,
-                                                              monkeypatch):
-        """Regression: ``cache.hits`` / ``cache.misses`` read as two unlocked
-        attributes can straddle a serve thread's lookup; the stage must use
-        ``lookup_counts()``."""
-        from repro.features import EncodingCache
-
-        class LockedCounters(EncodingCache):
-            def __getattribute__(self, name):
-                if name in ("hits", "misses"):
-                    assert object.__getattribute__(self, "_lock").locked(), \
-                        f"{name} read without the cache lock"
-                return object.__getattribute__(self, name)
-
-        monkeypatch.setattr(predictor.encoder, "cache", LockedCounters())
-        stage = CandidateGenerationStage()
-        stage.add_records(tiny_music_corpus.records)
-        pairs = list(stage.generate().pairs[:40])
-        cold = ScoringStage(predictor).run(pairs)
-        warm = ScoringStage(predictor).run(pairs + pairs[:10])
-        assert cold.stats["encoding_cache_hit_rate"] == 0.0
-        # One lookup per distinct attribute slot of the (single) warm call.
-        slots = len(predictor.encoder.encode(pairs + pairs[:10]).plan.rows)
-        assert warm.stats["encoding_cache_hits"] == slots
-        assert warm.stats["encoding_cache_hit_rate"] == 1.0
 
 
 class TestLinkagePipeline:

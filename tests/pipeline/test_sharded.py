@@ -1,8 +1,9 @@
 """ShardedPipeline is LinkagePipeline with a micro-batch scoring fan-out.
 
 The contract: pairs, scores (``np.array_equal``), clusters, assignments,
-``index_stats`` and candidate stats are bit-identical to the single-process
-engine at every worker count and micro-batch size.
+``index_stats``, candidate stats and score stats (all but the wall-clock
+``pairs_per_second``) are bit-identical to the single-process engine at every
+worker count and micro-batch size.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def _pair_keys(result):
             for pair in result.scored.pairs]
 
 
+def _untimed(stats):
+    """A stage's stats without its wall-clock rate."""
+    return {key: value for key, value in stats.items() if key != "pairs_per_second"}
+
+
 def _sized(predictor, micro_batch_size):
     return BatchedPredictor(predictor.encoder, predictor.network,
                             micro_batch_size=micro_batch_size)
@@ -55,6 +61,7 @@ def _assert_parity(predictor, records, workers, micro_batch_size):
     assert sharded.clusters.assignments == batch.clusters.assignments
     assert sharded.index_stats == batch.index_stats
     assert sharded.candidates.stats == batch.candidates.stats
+    assert _untimed(sharded.scored.stats) == _untimed(batch.scored.stats)
     report = sharded.shard_report
     assert report.chunks == -(-len(batch.scored) // micro_batch_size)
     assert report.used_processes == (FORK and workers > 1 and report.chunks > 1)
